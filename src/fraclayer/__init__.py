@@ -2,6 +2,7 @@
 Allen-Cahn equation with degenerate double-well potentials.
 
 Submodules:
+  panels         the Gauss-Legendre panel rule behind every integral
   kernels        admissible interaction kernels and exact kernel integrals
   profiles       evaluable profiles with derivative and far-field metadata
   quadrature     principal-value evaluation of the nonlocal operator

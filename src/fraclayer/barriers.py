@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .cutoffs import eta
 from .errors import (ExponentNotIntegrable, FlatnessViolated,
                      InvariantViolated, QuadratureNearJump)
 from .kernels import KernelSpec, fractional_kernel
+from .panels import panel_integrals
 from .profiles import PowerTail, ProfileFn
-from .quadrature import QuadConfig, _power_tail_integral, eval_lk
+from .quadrature import QuadConfig, eval_lk
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,8 @@ class TailBarrier:
         if self.Cbar <= 0 or self.kappa <= 0 or self.gamma_low <= 0:
             raise InvariantViolated("Cbar, kappa, gamma_low must be positive")
 
-    def interior_mass(self, nodes: int = 64) -> float:
-        t, w = leggauss(nodes)
-        half = self.kappa
-        x = half * t
-        return float(np.sum(self.body(x) * w) * half)
+    def interior_mass(self) -> float:
+        return float(panel_integrals(self.body, -self.kappa, self.kappa, 64))
 
     def bracket_base(self) -> float:
         """S = Cbar kappa^(1-sigma)/(sigma-1) + int phi + Cbar kappa^(1-tau)/(tau-1)."""
@@ -89,9 +86,8 @@ class TailBarrier:
 # step barrier operator value
 # ---------------------------------------------------------------------------
 
-def step_barrier_operator(kernel: KernelSpec, b: StepBarrier, x: float,
-                          panels_per_decade: int = 8,
-                          nodes: int = 12) -> float:
+def step_barrier_operator(kernel: KernelSpec, b: StepBarrier,
+                          x: float) -> float:
     """L phi(x) for x >= 2 xbar, with panels aligned to the jumps."""
     if x < 2.0 * b.xbar:
         raise ValueError("evaluation points must satisfy x >= 2 xbar")
@@ -102,32 +98,28 @@ def step_barrier_operator(kernel: KernelSpec, b: StepBarrier, x: float,
     total = (b.B - phx) * kernel.tail_integral(x)
     total += (b.D - phx) * kernel.interval_integral(x - b.xbar, x)
 
-    t, w = leggauss(nodes)
+    def panel_sum(d_max, side):
+        # 8 log panels per decade of the distance d to x, 12 nodes each
+        edges = np.geomspace(r0, d_max,
+                             max(2, int(8 * math.log10(d_max / r0))) + 1)
 
-    def panel_sum(edges, side):
-        a_, b_ = edges[:-1], edges[1:]
-        mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-        d = (mid[:, None] + half[:, None] * t).ravel()   # distance to x
-        y = x + d if side > 0 else x - d
-        vals = b.alpha * (x ** (-b.A) - y ** (-b.A)) * kernel.k(d)
-        return float(np.sum(vals.reshape(len(a_), nodes) @ w * half))
+        def increment(d):
+            y = x + side * d
+            return b.alpha * (x ** (-b.A) - y ** (-b.A)) * kernel.k(d)
+
+        return float(np.sum(panel_integrals(increment, edges[:-1], edges[1:],
+                                            12)))
 
     # left of x down to xbar, right of x up to the truncation radius
-    eleft = np.geomspace(r0, x - b.xbar,
-                         max(2, int(panels_per_decade *
-                                    math.log10((x - b.xbar) / r0))) + 1)
-    total += panel_sum(eleft, -1)
+    total += panel_sum(x - b.xbar, -1.0)
     Z = 1e6 * x
-    eright = np.geomspace(r0, Z - x,
-                          max(2, int(panels_per_decade *
-                                     math.log10((Z - x) / r0))) + 1)
-    total += panel_sum(eright, +1)
+    total += panel_sum(Z - x, +1.0)
     # singular cell: second-order increment of the smooth power piece
     total += -b.alpha * b.A * (b.A + 1.0) * x ** (-b.A - 2.0) \
         * kernel.second_moment_integral(r0)
     # beyond the truncation radius
     total += b.alpha * (x ** (-b.A) * kernel.tail_integral(Z - x)
-                        - _power_tail_integral(kernel, Z - x, x, b.A, plus=True))
+                        - kernel.power_tail_integral(Z - x, x, b.A, 1.0))
     return total
 
 
@@ -309,8 +301,7 @@ def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
         return p * (p + 1.0) * ax ** (-p - 2.0)
 
     fixed_mass = _fixed_tail_mass(sig, tau, xb, w_minus, w_plus)
-    t, wq = leggauss(64)
-    bump_mass = float(np.sum(bump(xb * t) * wq) * xb)
+    bump_mass = float(panel_integrals(bump, -xb, xb, 64))
     if bump_height is None:
         bump_height = xb ** (-min(sig, tau))
     if middle_budget is not None:
@@ -359,12 +350,10 @@ def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
 
 def _fixed_tail_mass(sig, tau, xb, w_minus, w_plus) -> float:
     """Interior mass of the pinned tail overlaps on [-xbar, xbar]."""
-    t, wq = leggauss(64)
-    xl = -xb + (xb / 2.0) * 0.5 * (t + 1.0)     # [-xbar, -xbar/2]
-    ml = float(np.sum(w_minus(xl) * np.abs(xl) ** (-sig) * wq) * xb / 4.0)
-    xr = xb / 2.0 + (xb / 2.0) * 0.5 * (t + 1.0)
-    mr = float(np.sum(w_plus(xr) * xr ** (-tau) * wq) * xb / 4.0)
-    return ml + mr
+    ml = panel_integrals(lambda y: w_minus(y) * np.abs(y) ** (-sig),
+                         -xb, -xb / 2.0, 64)
+    mr = panel_integrals(lambda y: w_plus(y) * y ** (-tau), xb / 2.0, xb, 64)
+    return float(ml + mr)
 
 
 def exact_power_bump(sigma: float, kappa: float = 1.0) -> TailBarrier:

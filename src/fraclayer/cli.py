@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .config import ConfigError, get, load_config, require
 from .errors import FracLayerError
 from .kernels import KernelSpec, fractional_kernel, perturbed_kernel

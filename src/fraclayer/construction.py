@@ -18,18 +18,17 @@ Two modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .analysis import fd_derivative
 from .cutoffs import (BETA44, CutoffStats, eta, eta_tilde, measure_cutoff,
                       w_weight, w_weight_argmax)
 from .errors import (BridgeNotMonotone, LogRangeOverflow, OutOfPiece,
                      ParamOrderViolated)
-from .jets import (FLOAT_OPS, LOG_OPS, Jet, LogArray, jet_const, jet_exp,
-                   jet_log, jet_pow, jet_var)
+from .jets import (LOG_OPS, Jet, LogArray, hermite_bridge, jet_const,
+                   jet_exp, jet_log, jet_pow, jet_var)
 
 LN2 = math.log(2.0)
 MAX_MATERIALIZABLE_LOG = 700.0
@@ -93,9 +92,6 @@ class LayerParams:
             raise ParamOrderViolated(f"unknown mode {self.mode!r}")
         if self.k_max < 0:
             raise ParamOrderViolated("k_max must be >= 0")
-
-    def in_theorem_regime(self) -> bool:
-        return min(self.beta, self.delta) >= 5.0
 
 
 @dataclass
@@ -373,9 +369,6 @@ class LayerProfile:
         j = np.clip(j, 0, len(self._refs) - 1)
         return j
 
-    def n_pieces(self) -> int:
-        return len(self._refs)
-
     # -- gap evaluation ------------------------------------------------------
 
     def gap_jet_log(self, side: int, L: np.ndarray, order: int = 4,
@@ -574,27 +567,6 @@ def _bridge_data(cx: ConstructionConstants):
     return left, right
 
 
-def _hermite_poly(a: float, b: float, left: list, right: list):
-    """Two-point Hermite interpolant matching len(left)-jets at both ends."""
-    from numpy.polynomial import Polynomial
-
-    nL, nR = len(left), len(right)
-    n = nL + nR - 1
-    scale = 2.0 / (b - a)
-    M = []
-    rhs = []
-    for t0, data in ((a, left), (b, right)):
-        xi = (2.0 * t0 - (a + b)) / (b - a)
-        for order, val in enumerate(data):
-            row = np.zeros(n + 1)
-            for j in range(order, n + 1):
-                row[j] = math.perm(j, order) * xi ** (j - order) * scale ** order
-            M.append(row)
-            rhs.append(val)
-    coef = np.linalg.solve(np.array(M), np.array(rhs))
-    return Polynomial(coef, domain=[a, b], window=[-1, 1])
-
-
 def build_profile(params: LayerParams,
                   cx: ConstructionConstants | None = None) -> LayerProfile:
     """Assemble the profile; the middle bridge is a degree-7 Hermite fit.
@@ -606,7 +578,7 @@ def build_profile(params: LayerParams,
     cx = cx or build_constants(params)
     left, right = _bridge_data(cx)
     a0 = cx.a0
-    poly = _hermite_poly(-a0, a0, left, right)
+    poly = hermite_bridge(-a0, a0, left, right)
     xs = np.linspace(-a0, a0, 10001)
     if np.all(poly.deriv()(xs) > 0.0):
         return LayerProfile(cx, [poly], [-a0, a0])
@@ -614,8 +586,8 @@ def build_profile(params: LayerParams,
     vmid = 0.5 * (left[0] + right[0])
     smid = max((right[0] - left[0]) / (2.0 * a0), min(left[1], right[1]))
     mid = [vmid, smid, 0.0, 0.0]
-    p1 = _hermite_poly(-a0, 0.0, left, mid)
-    p2 = _hermite_poly(0.0, a0, mid, right)
+    p1 = hermite_bridge(-a0, 0.0, left, mid)
+    p2 = hermite_bridge(0.0, a0, mid, right)
     ok = np.all(p1.deriv()(np.linspace(-a0, 0, 5001)) > 0.0) and \
         np.all(p2.deriv()(np.linspace(0, a0, 5001)) > 0.0)
     if not ok:

@@ -16,7 +16,6 @@ from scipy.linalg import toeplitz
 
 from .errors import GridTooCoarse
 from .kernels import KernelSpec
-from .quadrature import _power_tail_integral
 
 
 @dataclass(frozen=True)
@@ -77,24 +76,12 @@ def exterior_constant_weights(kernel: KernelSpec, g: GridProfile):
 
 def exterior_power_vector(kernel: KernelSpec, g: GridProfile) -> np.ndarray:
     """integral over both exteriors of (u_model(y) - limit) K(x_i - y) dy."""
-    from numpy.polynomial.legendre import leggauss
-
     lo, hi = g.edges
     out = np.zeros_like(g.x)
-    t, wts = leggauss(24)
-    for side in ("right", "left"):
-        m = g.ext_right if side == "right" else g.ext_left
-        if m.c == 0.0:
-            continue
-        d = (hi - g.x) if side == "right" else (g.x - lo)
-        q = m.p + 2.0 * kernel.s
-        u01 = 0.5 * (t + 1.0)
-        v = u01 ** (1.0 / q)
-        jac = (1.0 / q) * u01 ** (1.0 / q - 1.0) * 0.5 * wts
-        z = d[:, None] / v[None, :]
-        y = (g.x[:, None] + z) if side == "right" else (g.x[:, None] - z)
-        base = np.abs(y) ** (-m.p) * kernel.k(z) * d[:, None] / v[None, :] ** 2
-        out += m.c * (base @ jac)
+    for m, d, sign in ((g.ext_right, hi - g.x, 1.0),
+                       (g.ext_left, g.x - lo, -1.0)):
+        if m.c != 0.0:
+            out += m.c * kernel.power_tail_integral(d, g.x, m.p, sign)
     return out
 
 

@@ -289,3 +289,32 @@ def jet_pow(g: Jet, p: float, ops) -> Jet:
         cur = cur * inv
         outer.append(fac * cur)
     return jet_compose(outer, g)
+
+
+def hermite_bridge(a: float, b: float, left, right, mid: float | None = None):
+    """Polynomial on [a, b] matching the float jet `left` at a and `right` at b.
+
+    Each jet lists a value and its successive derivatives. An optional `mid`
+    also pins the value at the midpoint (a + b) / 2, one degree higher. The
+    confluent Vandermonde system is solved in the window variable
+    xi = (2t - (a+b)) / (b-a) in [-1, 1].
+    """
+    from numpy.polynomial import Polynomial
+
+    n = len(left) + len(right) - (1 if mid is None else 0)
+    scale = 2.0 / (b - a)
+    M = []
+    rhs = []
+    for t0, data in ((a, left), (b, right)):
+        xi = (2.0 * t0 - (a + b)) / (b - a)
+        for order, val in enumerate(data):
+            row = np.zeros(n + 1)
+            for j in range(order, n + 1):
+                row[j] = math.perm(j, order) * xi ** (j - order) * scale ** order
+            M.append(row)
+            rhs.append(val)
+    if mid is not None:
+        M.append(np.eye(n + 1)[0])
+        rhs.append(mid)
+    coef = np.linalg.solve(np.array(M), np.array(rhs))
+    return Polynomial(coef, domain=[a, b], window=[-1, 1])

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .panels import panel_integrals
 
 FORMS = ("fractional", "scaled-fractional", "tabulated-perturbation")
 
@@ -84,15 +84,9 @@ class KernelSpec:
             c = 1.0 if self.form == "fractional" else self.scale
             p = 2.0 * self.s
             return c * (a ** (-p) - b ** (-p)) / p
-        nodes, wts = _gauss_cache(24)
         # log substitution keeps the power factor mild on wide intervals
-        la, lb = np.log(a), np.log(b)
-        mid = 0.5 * (la + lb)
-        half = 0.5 * (lb - la)
-        t = mid[..., None] + half[..., None] * nodes
-        z = np.exp(t)
-        vals = self.k(z) * z  # dy = z dt
-        return np.sum(vals * wts, axis=-1) * half
+        return panel_integrals(lambda t: self.k(np.exp(t)) * np.exp(t),
+                               np.log(a), np.log(b), 24)
 
     def tail_integral(self, a):
         """integral of K over [a, +inf) for a > 0."""
@@ -125,12 +119,29 @@ class KernelSpec:
         if self.form in ("fractional", "scaled-fractional"):
             c = 1.0 if self.form == "fractional" else self.scale
             return c * r0 ** p / p
-        nodes, wts = _gauss_cache(24)
         # z = r0 * u^(1/p) removes the z^(1-2s) endpoint behavior
-        u = 0.5 * (nodes + 1.0)
-        z = r0 * u ** (1.0 / p)
-        vals = self._mult(z) * (r0 ** p / p)
-        return float(np.sum(vals * wts) * 0.5)
+        return float(panel_integrals(
+            lambda u: self._mult(r0 * u ** (1.0 / p)) * (r0 ** p / p),
+            0.0, 1.0, 24))
+
+    def power_tail_integral(self, Z, x, p: float, sign: float):
+        """integral_Z^inf |x + sign z|^(-p) K(z) dz, vectorized in Z and x.
+
+        sign is +1 or -1; with -1 the power stays off its singularity only
+        for Z > |x|. The substitution z = Z u^(-1/q), q = p + 2s, makes the
+        integrand bounded on (0, 1].
+        """
+        Z = np.asarray(Z, dtype=float)[..., None]
+        x = np.asarray(x, dtype=float)[..., None]
+        q = p + 2.0 * self.s
+
+        def integrand(u):
+            v = np.clip(u ** (1.0 / q), 1e-300, 1.0)
+            z = Z / v
+            jac = (1.0 / q) * u ** (1.0 / q - 1.0)
+            return np.abs(x + sign * z) ** (-p) * self.k(z) * Z / v ** 2 * jac
+
+        return panel_integrals(integrand, 0.0, 1.0, 24)
 
     def symmetry_slack(self, zs) -> float:
         """max |K(z) - K(-z)| over the sample; 0 for admissible kernels."""
@@ -148,38 +159,14 @@ class KernelSpec:
         return float(max(lo, hi))
 
 
-@lru_cache(maxsize=None)
-def _gauss_cache(n: int):
-    nodes, wts = leggauss(n)
-    return nodes, wts
-
-
-@lru_cache(maxsize=None)
 def symbol_constant(s: float) -> float:
     """C(s) = 2 * integral_0^inf (1 - cos v) v^(-1-2s) dv.
 
     With this package's convention L u(x) = (1/2) int (u(x+z)+u(x-z)-2u(x))
     |z|^(-1-2s) dz, plane waves satisfy L cos(w.)(x) = -C(s) w^(2s) cos(wx).
-    Computed once by high-precision quadrature.
+    The integral has the closed form pi / (Gamma(1+2s) sin(pi s)).
     """
-    import mpmath
-
-    with mpmath.workdps(40):
-        two_s = mpmath.mpf(2) * mpmath.mpf(s)
-
-        def integrand(v):
-            return (1 - mpmath.cos(v)) / v ** (1 + two_s)
-
-        head = mpmath.quad(integrand, [0, 1, mpmath.pi, 10 * mpmath.pi])
-        # beyond 10*pi, split off the exact power part and treat the cosine
-        # part as an oscillatory quadrature
-        a = 10 * mpmath.pi
-        tail_const = a ** (-two_s) / two_s
-        tail_osc = mpmath.quadosc(
-            lambda v: mpmath.cos(v) / v ** (1 + two_s),
-            [a, mpmath.inf], period=2 * mpmath.pi)
-        val = 2 * (head + tail_const - tail_osc)
-        return float(val)
+    return math.pi / (math.gamma(1.0 + 2.0 * s) * math.sin(math.pi * s))
 
 
 def fractional_kernel(s: float, lam: float = 1.0, Lam: float = 1.0) -> KernelSpec:

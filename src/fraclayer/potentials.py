@@ -18,13 +18,14 @@ by dense sampling plus a Bernstein-coefficient certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import BridgeNotPositive, DegenerateOscillation, SampleOutsideWell
+from .jets import hermite_bridge
+from .panels import panel_integrals
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,6 @@ class WellParams:
             if not all(c == 1.0 for c in (self.c1, self.c2, self.c3, self.c4)):
                 raise ValueError("oscillatory mode realizes unit constants")
 
-    def in_optimal_regime(self) -> bool:
-        return max(self.alpha - self.beta, self.gamma - self.delta) < 1.0
-
     def config_dict(self) -> dict:
         return {"mode": self.mode, "alpha": self.alpha, "beta": self.beta,
                 "gamma": self.gamma, "delta": self.delta, "c1": self.c1,
@@ -71,22 +69,20 @@ class WellParams:
 class _LogAxisCumulative:
     """Cumulative integral of f(e^y) e^y dy on a fixed panel ladder.
 
-    Panels are narrow enough (<= 0.5 in y) to resolve the log-periodic
-    oscillation of the well exponents.
+    Panels are at most 0.4 wide in y, narrow enough to resolve the
+    log-periodic oscillation of the well exponents, with 16 nodes each.
     """
 
+    NODES = 16
+
     def __init__(self, f: Callable, y_min: float, y_max: float,
-                 decay: float, width: float = 0.4, nodes: int = 16):
+                 decay: float):
         self.f = f
         self.decay = decay
-        n = max(4, int(math.ceil((y_max - y_min) / width)))
+        n = max(4, int(math.ceil((y_max - y_min) / 0.4)))
         self.edges = np.linspace(y_min, y_max, n + 1)
-        t, w = leggauss(nodes)
-        self._t, self._w = t, w
-        a, b = self.edges[:-1], self.edges[1:]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        y = mid[:, None] + half[:, None] * t
-        vals = (f(np.exp(y)) * np.exp(y)) @ w * half
+        vals = panel_integrals(self._integrand, self.edges[:-1],
+                               self.edges[1:], self.NODES)
         self.cum = np.concatenate([[0.0], np.cumsum(vals)])
         # mass below the ladder, bounded by the pure-power envelope
         self.below = math.exp(y_min * decay) / decay
@@ -103,10 +99,7 @@ class _LogAxisCumulative:
         j = np.clip(np.searchsorted(self.edges, yc) - 1, 0, len(self.edges) - 2)
         lo = self.edges[j]
         out = self.below + self.cum[j]
-        half = 0.5 * (yc - lo)
-        mid = 0.5 * (yc + lo)
-        yy = mid[:, None] + half[:, None] * self._t
-        part = (self.f(np.exp(yy)) * np.exp(yy)) @ self._w * half
+        part = panel_integrals(self._integrand, lo, yc, self.NODES)
         out = out + np.where(yc > lo, part, 0.0)
         # below the ladder: pure-power envelope approximation (negligible mass)
         under = y < self.edges[0]
@@ -114,6 +107,9 @@ class _LogAxisCumulative:
             out[under] = np.exp(y[under] * self.decay) / self.decay
         out[u <= 0] = 0.0
         return out.reshape(shape)
+
+    def _integrand(self, y):
+        return self.f(np.exp(y)) * np.exp(y)
 
 
 def _well_side(exp_hi: float, exp_lo: float, c: float, mode: str, mu: float):
@@ -258,43 +254,20 @@ def make_potential(params: WellParams) -> PotentialFn:
 
 
 def _solve_bridge(a: float, b: float, left_data, right_data):
-    """Degree-5 two-point Hermite bridge, raised once if it dips <= 0."""
-    from numpy.polynomial import Polynomial
+    """Degree-5 two-point Hermite bridge, raised once if it dips <= 0.
 
-    def hermite(extra_mid: float | None):
-        # monomial basis in the centered variable xi = (2t - (a+b)) / (b-a)
-        n = 5 if extra_mid is None else 6
-        M = []
-        rhs = []
-        scale = 2.0 / (b - a)
-        for t0, data in ((a, left_data), (b, right_data)):
-            xi = (2 * t0 - (a + b)) / (b - a)
-            for order, val in enumerate(data):
-                row = np.zeros(n + 1)
-                for j in range(order, n + 1):
-                    c = math.perm(j, order) * xi ** (j - order)
-                    row[j] = c * scale ** order
-                M.append(row)
-                rhs.append(val)
-        if extra_mid is not None:
-            row = np.zeros(n + 1)
-            row[0] = 1.0
-            M.append(row)
-            rhs.append(extra_mid)
-        coef = np.linalg.solve(np.array(M), np.array(rhs)) if n + 1 == len(M) \
-            else np.linalg.lstsq(np.array(M), np.array(rhs), rcond=None)[0]
-        poly = Polynomial(coef, domain=[a, b], window=[-1, 1])
-        return poly, coef
-
-    poly, coef = hermite(None)
+    The raise pins the midpoint value at the higher junction value, which
+    lifts the degree to 6.
+    """
+    poly = hermite_bridge(a, b, left_data, right_data)
     ts = np.linspace(a, b, 10001)
     vals = poly(ts)
     certificate = "sampled"
-    if np.all(vals > 0) and _bernstein_nonneg(_to_unit_monomial(coef)):
+    if np.all(vals > 0) and _bernstein_nonneg(_to_unit_monomial(poly.coef)):
         certificate = "bernstein"
     if np.min(vals) <= 0:
-        target = max(left_data[0], right_data[0])
-        poly, coef = hermite(target)
+        poly = hermite_bridge(a, b, left_data, right_data,
+                              mid=max(left_data[0], right_data[0]))
         vals = poly(ts)
         if np.min(vals) <= 0:
             raise BridgeNotPositive("middle bridge not positive after raise")

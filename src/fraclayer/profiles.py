@@ -7,8 +7,8 @@ at -inf/+inf, and a tail model describing how fast the limits are approached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 

@@ -14,14 +14,14 @@ tail model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NonIntegrable, RegularityMismatch, TruncationDominates
 from .kernels import KernelSpec
+from .panels import panel_integrals
 from .profiles import OscillatoryTail, PowerTail, ProfileFn
 
 
@@ -33,7 +33,6 @@ class QuadConfig:
     panels_per_decade: int = 6
     nodes_per_panel: int = 12
     Z: float | None = None             # default 1e6 * (1 + |x|)
-    tail_correction: bool = True
     tol: float = 1e-9
 
     def __post_init__(self):
@@ -55,23 +54,18 @@ class OpValue:
             raise ValueError("error estimate must be finite and >= 0")
 
 
-def _gauss(n):
-    return leggauss(n)
-
-
 def _panel_edges(r0: float, z1: float, per_decade: int) -> np.ndarray:
     n = max(2, int(math.ceil(math.log10(z1 / r0) * per_decade)))
     return np.geomspace(r0, z1, n + 1)
 
 
-def _insert_feature_edges(edges: np.ndarray, u: ProfileFn, x: float,
-                          per_window: int = 48,
-                          per_decade: int = 6) -> np.ndarray:
+def _insert_feature_edges(edges: np.ndarray, u: ProfileFn,
+                          x: float) -> np.ndarray:
     """Refine panels where x+z or x-z crosses a profile feature.
 
     Around the crossing z* = |x - c| the increment sweeps the profile
-    logarithmically in y - c, so besides a finely panelled core window the
-    edges are mirrored log ladders on both sides of z*.
+    logarithmically in y - c, so besides a core window of 48 equal panels
+    the edges are mirrored log ladders, 6 per decade, on both sides of z*.
     """
     lo, hi = edges[0], edges[-1]
     extra = []
@@ -83,9 +77,9 @@ def _insert_feature_edges(edges: np.ndarray, u: ProfileFn, x: float,
         a = max(lo, zc - 1.5 * w_eff)
         b = min(hi, zc + 1.5 * w_eff)
         if b > a:
-            extra.append(np.linspace(a, b, per_window + 1))
+            extra.append(np.linspace(a, b, 49))
         if zc > 8.0 * w_eff:
-            n = max(2, int(per_decade * math.log10(zc / (2.0 * w_eff))))
+            n = max(2, int(6 * math.log10(zc / (2.0 * w_eff))))
             d = np.geomspace(1.5 * w_eff, zc / 2.0, n)
             for off in (zc - d, zc + d):
                 m = (off > lo) & (off < hi)
@@ -96,44 +90,18 @@ def _insert_feature_edges(edges: np.ndarray, u: ProfileFn, x: float,
     return np.unique(np.concatenate([edges] + extra))
 
 
-def _increment(u: ProfileFn, x: float, z: np.ndarray) -> np.ndarray:
-    return u(x + z) + u(x - z) - 2.0 * float(u(np.array(x)))
-
-
 def _panel_sum(kern: KernelSpec, u: ProfileFn, x: float,
                edges: np.ndarray, nodes: int) -> float:
-    t, wts = _gauss(nodes)
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    z = (mid[:, None] + half[:, None] * t).ravel()
-    vals = _increment(u, x, z) * kern.k(z)
-    vals = vals.reshape(len(a), nodes)
-    return float(np.sum(vals @ wts * half))
+    def increment(z):
+        return (u(x + z) + u(x - z) - 2.0 * float(u(np.array(x)))) * kern.k(z)
+
+    return float(np.sum(panel_integrals(increment, edges[:-1], edges[1:],
+                                        nodes)))
 
 
 def _local_second_derivative(u: ProfileFn, x: float, h: float) -> float:
     return float((u(np.array(x + h)) + u(np.array(x - h))
                   - 2.0 * u(np.array(x))) / h ** 2)
-
-
-def _power_tail_integral(kern: KernelSpec, Z: float, x: float, p: float,
-                         plus: bool) -> float:
-    """integral_Z^inf (z + x)^-p K(z) dz  (plus) or (z - x)^-p (minus).
-
-    Requires Z > |x| in the minus case; substitution z = Z / v**(1/(p+2s))
-    makes the integrand bounded on (0, 1].
-    """
-    q = p + 2.0 * kern.s
-    t, wts = _gauss(24)
-    v = (0.5 * (t + 1.0)) ** (1.0 / q)
-    v = np.clip(v, 1e-300, 1.0)
-    z = Z / v
-    sgn = 1.0 if plus else -1.0
-    base = (z + sgn * x) ** (-p) * kern.k(z) * Z / v ** 2
-    jac = (1.0 / q) * (0.5 * (t + 1.0)) ** (1.0 / q - 1.0)
-    return float(np.sum(base * jac * wts) * 0.5)
 
 
 def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
@@ -222,15 +190,15 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
     elif u.limits is not None:
         lm, lp = u.limits
         tail_val = (lp + lm - 2.0 * ux) * ktail
-        if cfg.tail_correction and isinstance(u.tail, PowerTail):
+        if isinstance(u.tail, PowerTail):
             tl = u.tail
             if tl.c_right != 0.0:
                 # u(x+z) = lp + c_right (x+z)^-p beyond the truncation
-                tail_val += tl.c_right * _power_tail_integral(
-                    kernel, z1, x, tl.p_right, plus=True)
+                tail_val += tl.c_right * kernel.power_tail_integral(
+                    z1, x, tl.p_right, 1.0)
             if tl.c_left != 0.0 and z1 > abs(x):
-                tail_val += tl.c_left * _power_tail_integral(
-                    kernel, z1, x, tl.p_left, plus=False)
+                tail_val += tl.c_left * kernel.power_tail_integral(
+                    z1, x, tl.p_left, -1.0)
             # charge the measured model misfit at 3 probe radii to the error
             probes = z1 * np.array([1.0, 3.0, 10.0])
             probes = probes[x + probes < 1e306]
@@ -252,11 +220,6 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
         raise TruncationDominates(
             f"tail remainder {tail_err:.3e} exceeds tolerance {cfg.tol:.3e}")
     return OpValue(value=main + sing + tail_val, error=err)
-
-
-def eval_lk_many(kernel: KernelSpec, u: ProfileFn, xs: Sequence[float],
-                 cfg: QuadConfig = QuadConfig()) -> list[OpValue]:
-    return [eval_lk(kernel, u, float(x), cfg) for x in xs]
 
 
 @dataclass

@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import DecayFit, envelope_exponents, fit_power_decay
+from .analysis import envelope_exponents, fit_power_decay
 from .construction import LayerProfile
 from .errors import OutOfRange
-from .kernels import KernelSpec, fractional_kernel
+from .kernels import KernelSpec
+from .panels import panel_integrals
 from .profiles import PowerTail, ProfileFn
 from .quadrature import QuadConfig, eval_lk
 
@@ -319,28 +320,23 @@ def second_derivative_limit(prof: LayerProfile, kernel: KernelSpec, xs,
     return out
 
 
-def slope_mass(prof: LayerProfile, X: float = 1e20,
-               n_panels: int = 2000) -> float:
+def slope_mass(prof: LayerProfile, X: float = 1e20) -> float:
     """Quadrature of u~' over [-X, X] plus the exact gap tails (should be 2).
 
     The tails int_{|y|>X} u~' equal the gaps 1 -/+ u~(+/-X), read off the
     profile in log form; the quadrature over [-X, X] is the nontrivial part.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    t, w = leggauss(12)
-    # symmetric log panels away from the bridge plus linear panels inside
+    # on each side 1000 log panels away from the bridge plus 500 linear
+    # panels inside, 12 nodes each
     a0 = prof.cx.a0
-    edges_out = np.geomspace(a0, X, n_panels // 2 + 1)
-    edges_in = np.linspace(0.0, a0, n_panels // 4 + 1)
+    edges_out = np.geomspace(a0, X, 1001)
+    edges_in = np.linspace(0.0, a0, 501)
     total = 0.0
     for sgn in (+1.0, -1.0):
         for edges in (edges_in, edges_out):
-            a_, b_ = edges[:-1], edges[1:]
-            mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-            y = sgn * (mid[:, None] + half[:, None] * t)
-            vals = prof.eval(y.ravel(), 1).reshape(len(a_), 12)
-            total += float(np.sum(vals @ w * half))
+            total += float(np.sum(panel_integrals(
+                lambda y, sgn=sgn: prof.eval(sgn * y, 1),
+                edges[:-1], edges[1:], 12)))
     LX = np.array([math.log(X)])
     total += math.exp(prof.gap_logm(+1, LX)[0])
     total += math.exp(prof.gap_logm(-1, LX)[0])

@@ -26,7 +26,6 @@ class SolveConfig:
     max_iter: int = 20000
     tol: float = 1e-6
     monotone_projection: bool = True
-    init: str = "tanh"                # "tanh" | "linear" | "custom"
     refit_every: int = 100            # exterior power-model refresh cadence
     energy_check_every: int = 50
     divergence_slack: float = 1e-8    # relative; the projection step is not
@@ -35,8 +34,6 @@ class SolveConfig:
     def __post_init__(self):
         if self.tau is not None and self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.init not in ("tanh", "linear", "custom"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 def make_grid(L: float, n: int, init: str = "tanh",

@@ -11,15 +11,15 @@ assembled profile at materialized sample points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import fd_derivative
 from .cutoffs import eta_tilde, measure_cutoff, w_weight, w_weight_argmax
-from .construction import (ConstructionConstants, LayerParams, LayerProfile,
-                           SideConstants, build_constants)
-from .jets import LogArray, jet_compose, jet_log, jet_var, LOG_OPS
+from .construction import (ConstructionConstants, LayerProfile,
+                           SideConstants)
+from .jets import LogArray, jet_compose, LOG_OPS
 
 
 @dataclass
@@ -30,11 +30,6 @@ class CheckRecord:
     passed: bool
     worst_slack: float
     location: str = ""
-
-    def as_dict(self) -> dict:
-        return {"id": self.id, "pass": bool(self.passed),
-                "worst-slack": float(self.worst_slack),
-                "location": self.location}
 
 
 def _rec(records, cid, slack, loc="", tol=0.0):

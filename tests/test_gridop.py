@@ -3,7 +3,8 @@ import pytest
 
 from fraclayer.errors import GridTooCoarse
 from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
-                              eval_lk_grid, lag_weights)
+                              eval_lk_grid, exterior_power_vector,
+                              lag_weights)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
 
 
@@ -82,3 +83,16 @@ def test_perturbed_kernel_grid():
     g = _grid(n=48)
     vals, errs = eval_lk_grid(kern, g, check_coarse=False)
     assert np.all(np.isfinite(vals))
+
+
+def test_exterior_power_vector_matches_per_node_calls():
+    x = np.linspace(-20.0, 20.0, 41)
+    g = GridProfile(x, np.tanh(x), ExteriorModel(-1.0, 0.3, 1.3),
+                    ExteriorModel(1.0, -0.4, 0.8))
+    lo, hi = g.edges
+    for kern in (fractional_kernel(0.4), perturbed_kernel(0.4, 0.5, 2.0)):
+        each = [-0.4 * kern.power_tail_integral(hi - xi, xi, 0.8, 1.0)
+                + 0.3 * kern.power_tail_integral(xi - lo, xi, 1.3, -1.0)
+                for xi in x]
+        np.testing.assert_allclose(exterior_power_vector(kern, g), each,
+                                   rtol=1e-13)
