@@ -66,21 +66,28 @@ def energy(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
 
     Interior pair weights are the exact kernel integrals over the partner
     cell times the cell width h; each interior-exterior pair appears twice
-    with the constant far-field levels.
+    with the constant far-field levels. The interior double sum equals
+    -2 u . (T u - r u), with T the operator's Toeplitz part and r its row
+    sums, so it costs one FFT matvec.
     """
-    n = len(g.x)
     h = g.h
     u = g.values
     if op is None:
         op = GridOperator(kernel, g)
-    w = lag_weights(kernel, h, n)
-    inter = 0.0
-    for l in range(1, n):
-        d = u[l:] - u[:-l]
-        inter += 2.0 * w[l - 1] * float(np.dot(d, d))   # both orders (i,j)
+    inter = -2.0 * float(np.dot(u, op.toeplitz_apply(u) - op.row_sums * u))
     ext = 2.0 * float(np.dot((u - g.ext_left.limit) ** 2, op.wl)
                       + np.dot((u - g.ext_right.limit) ** 2, op.wr))
     return 0.25 * h * (inter + ext) + h * float(np.sum(pot.W(u)))
+
+
+def _lyapunov_from_energy(e: float, g: GridProfile,
+                          op: GridOperator) -> float:
+    """Add the diagonal-cell and exterior power-correction terms to e."""
+    u = g.values
+    h = g.h
+    e += 0.5 * h * op.diag_coef * float(np.sum(np.diff(u) ** 2))
+    e -= h * float(np.dot(op.ext_power, u))
+    return e
 
 
 def lyapunov(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
@@ -88,16 +95,11 @@ def lyapunov(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     """Gradient-consistent functional the descent actually decreases.
 
     Adds to the energy the diagonal-cell quadratic term and the linear
-    exterior power-correction term, whose gradients the operator carries.
+    exterior power-correction term, whose gradients the operator carries;
+    the latter is the power vector of op's last update_exterior, which must
+    have seen g's exterior models.
     """
-    u = g.values
-    h = g.h
-    from .gridop import exterior_power_vector
-    e = energy(g, pot, kernel, op)
-    e += 0.5 * h * op.diag_coef * float(np.sum(np.diff(u) ** 2))
-    v = exterior_power_vector(kernel, g)
-    e -= h * float(np.dot(v, u))
-    return e
+    return _lyapunov_from_energy(energy(g, pot, kernel, op), g, op)
 
 
 def energy_bruteforce(g: GridProfile, pot: PotentialFn,
@@ -180,8 +182,9 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     max_w2 = pot.max_w2()
     tau = cfg.tau if cfg.tau is not None else \
         0.4 / (op.row_sum_scale() + max_w2)
-    trace = [energy(g, pot, kernel, op)]
-    epoch_ref = lyapunov(g, pot, kernel, op)
+    e_plain = energy(g, pot, kernel, op)
+    trace = [e_plain]
+    epoch_ref = _lyapunov_from_energy(e_plain, g, op)
     bad_energy = 0
     it = 0
     resid = np.inf
@@ -192,14 +195,20 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
             u = np.sort(u)
         g.values[:] = u
         resid = float(np.max(np.abs(r[1:-1])))
+        # the plain energy does not depend on the exterior power model, so
+        # one evaluation serves a refit and a check in the same iteration
+        e_plain = None
         if it % cfg.refit_every == 0:
             g.ext_left = _refit_exterior(g, "left")
             g.ext_right = _refit_exterior(g, "right")
             op.update_exterior(g)
             # the exterior model (hence the monitored functional) changed
-            epoch_ref = lyapunov(g, pot, kernel, op)
+            e_plain = energy(g, pot, kernel, op)
+            epoch_ref = _lyapunov_from_energy(e_plain, g, op)
         if it % cfg.energy_check_every == 0:
-            e = lyapunov(g, pot, kernel, op)
+            if e_plain is None:
+                e_plain = energy(g, pot, kernel, op)
+            e = _lyapunov_from_energy(e_plain, g, op)
             if e > epoch_ref + cfg.divergence_slack * (1.0 + abs(epoch_ref)):
                 bad_energy += 1
                 if bad_energy >= 2:
@@ -207,7 +216,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
                         f"energy increased twice (iter {it}: {e} > {epoch_ref})")
             else:
                 epoch_ref = e
-            trace.append(energy(g, pot, kernel, op))
+            trace.append(e_plain)
         if resid < cfg.tol:
             break
     else:
@@ -235,8 +244,13 @@ def recenter(g: GridProfile) -> GridProfile:
         return g
     i = idx[len(idx) // 2]
     x0 = x[i] - u[i] * (x[i + 1] - x[i]) / (u[i + 1] - u[i])
-    shifted = np.interp(x + x0, x, u,
-                        left=g.ext_left.limit, right=g.ext_right.limit)
+    y = x + x0
+    shifted = np.interp(y, x, u)
+    # off the grid: the edge value plus the exterior model's increment from
+    # the edge, continuous in x0 (the bare limit would snap the edge node)
+    for m, edge, off in ((g.ext_left, x[0], y < x[0]),
+                         (g.ext_right, x[-1], y > x[-1])):
+        shifted[off] += m.c * (np.abs(y[off]) ** -m.p - abs(edge) ** -m.p)
     return g.copy_with(np.clip(shifted, -1.0, 1.0))
 
 

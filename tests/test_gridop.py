@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from fraclayer.errors import GridTooCoarse
 from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
-                              eval_lk_grid, exterior_power_vector,
-                              lag_weights)
+                              eval_lk_grid, exterior_constant_weights,
+                              exterior_power_vector, lag_weights)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
 
 
@@ -96,3 +97,46 @@ def test_exterior_power_vector_matches_per_node_calls():
                 for xi in x]
         np.testing.assert_allclose(exterior_power_vector(kern, g), each,
                                    rtol=1e-13)
+
+
+def _dense_reference(kern, g):
+    """The dense assembly: M (n x n) and the error-weight matrix E."""
+    n = len(g.x)
+    h = g.h
+    w = lag_weights(kern, h, n)
+    M = toeplitz(np.concatenate([[0.0], w]))
+    wl, wr = exterior_constant_weights(kern, g)
+    M[np.arange(n), np.arange(n)] = -(M.sum(axis=1) + wl + wr)
+    c = kern.second_moment_integral(h / 2) / h ** 2
+    idx = np.arange(1, n - 1)
+    M[idx, idx] -= 2 * c
+    M[idx, idx - 1] += c
+    M[idx, idx + 1] += c
+    offset = (g.ext_left.limit * wl + g.ext_right.limit * wr
+              + exterior_power_vector(kern, g))
+    wmid = h * kern.k(np.arange(1, n) * h)
+    E = toeplitz(np.concatenate([[0.0], np.abs(w - wmid)]))
+    return M, offset, E, c
+
+
+@pytest.mark.parametrize("n", [3, 64, 257, 2048])
+@pytest.mark.parametrize("kern", [fractional_kernel(0.5),
+                                  perturbed_kernel(0.4, 0.5, 2.0)],
+                         ids=["fractional", "perturbed"])
+def test_fft_operator_matches_dense_toeplitz(kern, n):
+    rng = np.random.default_rng(n)
+    x = np.linspace(-30.0, 30.0, n)
+    u = np.clip(np.tanh(x / 4) + 0.1 * rng.standard_normal(n), -1, 1)
+    g = GridProfile(x, u, ExteriorModel(-1.0, 0.3, 1.3),
+                    ExteriorModel(1.0, -0.4, 0.8))
+    M, offset, E, c = _dense_reference(kern, g)
+    op = GridOperator(kern, g)
+    assert op.row_sum_scale() == pytest.approx(np.max(-np.diag(M)),
+                                               rel=1e-13)
+    np.testing.assert_allclose(op.apply(u), M @ u + offset, rtol=0,
+                               atol=1e-12 * op.row_sum_scale())
+    d2 = np.zeros(n)
+    d2[1:-1] = np.abs(u[2:] + u[:-2] - 2 * u[1:-1])
+    est = ((E * np.abs(u[None, :] - u[:, None])).sum(axis=1) + d2 * c
+           + 64 * np.finfo(float).eps)
+    np.testing.assert_allclose(op.error_estimate(u), est, rtol=1e-12)

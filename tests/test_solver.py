@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fraclayer.gridop import GridOperator
-from fraclayer.kernels import fractional_kernel
+from fraclayer.gridop import ExteriorModel, GridOperator, GridProfile
+from fraclayer.kernels import fractional_kernel, perturbed_kernel
 from fraclayer.potentials import WellParams, make_potential
 from fraclayer.solver import (SolveConfig, el_residual, energy,
                               energy_bruteforce, make_grid, minimize_energy,
@@ -130,3 +132,59 @@ def test_hypothesis_tags(small_solution):
     _, res = small_solution
     assert res.hypothesis_tags["strong-hypothesis"]
     assert res.hypothesis_tags["weak-hypothesis"]
+
+
+@pytest.mark.parametrize("kern", [fractional_kernel(0.5),
+                                  perturbed_kernel(0.4, 0.5, 2.0)],
+                         ids=["fractional", "perturbed"])
+@pytest.mark.parametrize("powered", [False, True])
+def test_fft_energy_matches_bruteforce(kern, powered, rng):
+    pot = make_potential(QUARTIC)
+    n = 101
+    x = np.linspace(-25.0, 25.0, n)
+    u = np.clip(np.tanh(x / 3) + 0.1 * rng.standard_normal(n), -1, 1)
+    if powered:
+        ext = ExteriorModel(-1.0, 0.3, 1.3), ExteriorModel(1.0, -0.4, 0.8)
+    else:
+        ext = ExteriorModel(-1.0), ExteriorModel(1.0)
+    g = GridProfile(x, u, *ext)
+    assert energy(g, pot, kern) == pytest.approx(
+        energy_bruteforce(g, pot, kern), rel=1e-12)
+
+
+def test_operator_and_energy_memory_at_n_2_16(kernel_half_mod):
+    """The dense pair would need 2 x 32 GiB at this size."""
+    pot = make_potential(QUARTIC)
+    n = 2 ** 16
+    x = (np.arange(n) - (n - 1) / 2) * 0.25    # exactly uniform
+    g = GridProfile(x, np.tanh(x / 5), ExteriorModel(-1.0, 0.5, 1.0),
+                    ExteriorModel(1.0, -0.5, 1.0))
+    tracemalloc.start()
+    try:
+        op = GridOperator(kernel_half_mod, g)
+        v = op.apply(g.values)
+        e = energy(g, pot, kernel_half_mod, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(v)) and np.isfinite(e)
+    assert peak < 100 * 2 ** 20
+    assert not [k for k, a in vars(op).items()
+                if isinstance(a, np.ndarray) and a.ndim >= 2]
+
+
+def test_recenter_keeps_edge_node_for_subulp_shift():
+    """A crossing at x0 ~ 2e-14 rounds x[-1] + x0 past x[-1] = 200; the last
+    node must move by its slope times x0, not jump to the exterior limit."""
+    n = 2048
+    x = np.linspace(-200.0, 200.0, n)
+    a = 2e-14
+    for right in (ExteriorModel(1.0), ExteriorModel(1.0, -1.0, 1.0)):
+        g = GridProfile(x, (x - a) / (1.0 + np.abs(x - a)),
+                        ExteriorModel(-1.0), right)
+        u = g.values
+        i = np.nonzero(np.diff(np.sign(u)) > 0)[0][0]
+        x0 = x[i] - u[i] * (x[i + 1] - x[i]) / (u[i + 1] - u[i])
+        assert x[-1] + x0 > x[-1]          # the shift rounds off the grid
+        moved = recenter(g).values - u
+        assert np.max(np.abs(moved)) < 1e-10
