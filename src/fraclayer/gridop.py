@@ -43,7 +43,11 @@ class GridProfile:
         if self.x.ndim != 1 or self.x.shape != self.values.shape:
             raise ValueError("x and values must be matching 1-d arrays")
         dx = np.diff(self.x)
-        if len(dx) < 2 or not np.allclose(dx, dx[0], rtol=1e-12, atol=0.0):
+        # linspace nodes carry rounding of order ulp(max |x|), which
+        # outgrows 1e-12 h once n is about 2^14
+        if len(dx) < 2 or not np.allclose(
+                dx, dx[0], rtol=1e-12,
+                atol=4.0 * np.spacing(np.max(np.abs(self.x)))):
             raise ValueError("grid must be uniform")
         if np.any(np.abs(self.values) > 1.0 + 1e-12):
             raise ValueError("values must lie in [-1, 1]")

@@ -360,12 +360,15 @@ def envelope_slack(pot: PotentialFn, n: int = 1000) -> float:
     worst = -np.inf
     for side in ("left", "right"):
         d = np.geomspace(1e-10, p.mu, n)
+        # the envelopes take the gap that t realizes after rounding
         if side == "left":
             t = -1.0 + d
+            d = 1.0 + t
             lo = p.c1 * d ** (p.alpha - 2.0)
             hi = p.c2 * d ** (p.beta - 2.0)
         else:
             t = 1.0 - d
+            d = 1.0 - t
             lo = p.c3 * d ** (p.gamma - 2.0)
             hi = p.c4 * d ** (p.delta - 2.0)
         w2 = pot.W2(t)

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .analysis import envelope_exponents, fit_power_decay
 from .construction import LayerProfile
@@ -20,6 +21,9 @@ from .kernels import KernelSpec
 from .panels import panel_integrals
 from .profiles import PowerTail, ProfileFn
 from .quadrature import QuadConfig, eval_lk
+
+EPS = float(np.finfo(float).eps)
+LN_GAP_FLOOR = math.log(EPS / 4.0)   # a gap that rounds u~ to +/-1 is <= this
 
 
 def profile_as_fn(prof: LayerProfile, order_cap: int = 4) -> ProfileFn:
@@ -50,39 +54,80 @@ def profile_as_fn(prof: LayerProfile, order_cap: int = 4) -> ProfileFn:
     )
 
 
+def _brent(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
+    """Brent's root of f on [a, b], reusing the known f(a) and f(b).
+
+    brentq returns at once where f returns exactly 0.0, so f signals
+    convergence that way; the point returned is always one f was called at.
+    """
+    known = {a: fa, b: fb}
+    return brentq(lambda t: known[t] if t in known else f(t), a, b,
+                  xtol=xtol)
+
+
 def invert_profile(prof: LayerProfile, r: float, tol: float = 1e-12,
                    max_log: float = 690.0) -> float:
-    """x with u~(x) = r, by bisection in asinh(x) plus derivative polish."""
+    """x with u~(x) = r on the working domain |x| <= sinh(max_log).
+
+    A bracketed root-find (Brent) split by region, reading the profile only
+    through ``prof.eval`` and ``prof.cx.a0``.
+
+    - Bridge, r between u~(-a0) and u~(a0): solve u~(x) = r for x in
+      [-a0, a0], down to |u~(x) - r| <= 2 eps, the rounding level of u~.
+      The bridge is flat in the middle (u~'(0) ~ 1e-6 on the desk profile),
+      so a looser residual would leave x loose by the inverse slope.
+    - Tails: take the side from the sign and solve
+      ln(1 -/+ u~(+/-a0 e^l)) = log1p(-/+ r) for l in [0, ln(x_max / a0)].
+      The gap decays between the rates x^-A and x^-B, so its logarithm is
+      nearly linear in l and a few steps cover the whole log range. The
+      search stops at |u~(x) - r| <= max(tol (1 - |r|), 2 eps): the gap to
+      relative accuracy tol, with a floor of a few ulps of u~ that keeps it
+      from chasing the rounding of u~ near the wells.
+    """
     if not -1.0 < r < 1.0:
         raise OutOfRange("r must be strictly inside (-1, 1)")
-    lo, hi = -max_log, max_log
+    out_of_range = OutOfRange(
+        f"r={r} beyond values attained on the working domain")
+    a0 = prof.cx.a0
+    x_max = math.sinh(max_log)
 
-    def val(t):
-        return float(prof.eval(np.array([math.sinh(t)]))[0]) - r
+    def u(x):
+        return float(prof.eval(x))
 
-    if val(lo) > 0 or val(hi) < 0:
-        raise OutOfRange(f"r={r} beyond values attained on the working domain")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if val(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(lo) + abs(hi)):
-            break
-    x = math.sinh(0.5 * (lo + hi))
-    for _ in range(8):
-        f = float(prof.eval(np.array([x]))[0]) - r
-        d = float(prof.eval(np.array([x]), 1)[0])
-        if d <= 0:
-            break
-        step = f / d
-        if abs(step) > 0.1 * (1.0 + abs(x)):
-            break
-        x -= step
-        if abs(f) < tol * max(1.0, abs(r)):
-            break
-    return x
+    def off(v, target=2.0 * EPS):
+        # v - r, or exactly 0.0 once within the target (ends the search)
+        return 0.0 if abs(v - r) <= target else v - r
+
+    xb = min(a0, x_max)
+    u_hi = u(xb)
+    if off(u_hi) >= 0.0:
+        u_lo = u(-xb)
+        if off(u_lo) <= 0.0:
+            return _brent(lambda x: off(u(x)), -xb, off(u_lo), xb,
+                          off(u_hi), EPS * xb)
+        side, u_a0 = -1.0, u_lo
+    else:
+        side, u_a0 = 1.0, u_hi
+    if x_max <= a0:
+        raise out_of_range
+    tail_target = max(tol * (1.0 - abs(r)), 2.0 * EPS)
+    ln_gap_r = math.log1p(-side * r)
+
+    def at(l):
+        return side * min(a0 * math.exp(l), x_max)
+
+    def ln_gap_off(v):
+        if off(v, tail_target) == 0.0:
+            return 0.0
+        w = side * v
+        return (math.log1p(-w) if w < 1.0 else LN_GAP_FLOOR) - ln_gap_r
+
+    l_max = math.log(x_max / a0)
+    g_out = ln_gap_off(u(at(l_max)))
+    if g_out > 0.0:
+        raise out_of_range
+    return at(_brent(lambda l: ln_gap_off(u(at(l))), 0.0, ln_gap_off(u_a0),
+                     l_max, g_out, 4.0 * EPS))
 
 
 def graded_nodes(depth_decades: float = 12.0, per_decade: int = 12,

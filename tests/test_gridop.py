@@ -72,6 +72,19 @@ def test_grid_too_coarse():
         eval_lk_grid(kern, g)
 
 
+@pytest.mark.parametrize("L", [60.0, 200.0, 800.0])
+@pytest.mark.parametrize("k", [14, 16])
+def test_uniformity_check_accepts_fine_linspace_grids(L, k):
+    from fraclayer.solver import make_grid
+
+    g = make_grid(L, 2 ** k)
+    assert len(g.x) == 2 ** k
+    x = g.x.copy()
+    x[len(x) // 3] += 1e-6 * g.h          # one interior node off the grid
+    with pytest.raises(ValueError, match="uniform"):
+        GridProfile(x, g.values)
+
+
 def test_lag_weights_match_interval(kernel_half):
     w = lag_weights(kernel_half, 0.5, 5)
     for l in range(1, 5):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclayer.errors import DegenerateOscillation, SampleOutsideWell
@@ -113,6 +113,8 @@ def test_config_roundtrip():
 
 @settings(max_examples=20, deadline=None)
 @given(st.floats(2.2, 6.0), st.floats(0.0, 0.95), st.floats(0.15, 0.7))
+# envelopes at the unrounded gap read a slack of 1.24e-10 here
+@example(2.203125, 0.0, 0.59375)
 def test_oscillatory_family_contracts(base, spread, mu):
     beta = base
     alpha = beta + spread * 0.99 + 1e-6

@@ -50,6 +50,64 @@ def test_inversion_identities(desk_profile_mod):
         invert_profile(prof, 1.0)
 
 
+class _EvalOnly:
+    """A profile seen only through eval and cx, counting eval calls."""
+
+    __slots__ = ("_prof", "cx", "calls")
+
+    def __init__(self, prof):
+        self._prof = prof
+        self.cx = prof.cx
+        self.calls = 0
+
+    def eval(self, x, order=0):
+        self.calls += 1
+        return self._prof.eval(x, order)
+
+
+@pytest.mark.parametrize("which", ["desk", "threshold"])
+def test_inversion_over_graded_nodes(which, desk_profile_mod,
+                                     threshold_profile_pack):
+    prof = desk_profile_mod if which == "desk" else threshold_profile_pack[2]
+    xs, calls = [], []
+    for r in graded_nodes(8.0, 12):
+        view = _EvalOnly(prof)
+        x = invert_profile(view, float(r))
+        calls.append(view.calls)
+        xs.append(x)
+        resid = abs(float(prof.eval(x)) - r)
+        assert resid <= 1e-12 * max(1.0, abs(r)), (r, x, resid)
+    assert np.all(np.diff(xs) > 0.0)
+    # the bisection it replaced took 57-58 evaluations per node
+    assert np.median(calls) <= 20
+    assert max(calls) <= 40
+
+
+def test_inversion_out_of_range(desk_profile_mod):
+    prof = desk_profile_mod
+    for r in (-1.0, 1.0):
+        with pytest.raises(OutOfRange):
+            invert_profile(prof, r)
+    # |x| <= sinh(20) reaches u~ = 0.9 but neither 0.99999 nor -0.999
+    assert abs(invert_profile(prof, 0.9, max_log=20.0)) <= math.sinh(20.0)
+    for r in (0.99999, -0.999):
+        with pytest.raises(OutOfRange):
+            invert_profile(prof, r, max_log=20.0)
+    # sinh(5) < a0: the working domain lies inside the bridge
+    with pytest.raises(OutOfRange):
+        invert_profile(prof, 0.9, max_log=5.0)
+
+
+def test_inversion_reads_only_eval_and_cx(desk_profile_mod):
+    """Every profile value comes through eval, as the benchmark counts."""
+    prof = desk_profile_mod
+    a0 = prof.cx.a0
+    for r in (-0.999999, -0.5, float(prof.eval(0.3 * a0)), 0.5, 0.999999):
+        view = _EvalOnly(prof)
+        assert invert_profile(view, r) == invert_profile(prof, r)
+        assert view.calls > 0
+
+
 def test_graded_nodes_density():
     r = graded_nodes(depth_decades=5.0, per_decade=12)
     gaps = 1.0 - r[r > 0.9]
