@@ -192,8 +192,7 @@ class PotentialTable:
 def reconstruct_potential(prof: LayerProfile, kernel: KernelSpec,
                           depth_decades: float = 10.0,
                           per_decade: int = 12,
-                          cfg: QuadConfig | None = None,
-                          progress: bool = False) -> PotentialTable:
+                          cfg: QuadConfig | None = None) -> PotentialTable:
     """Build the table: invert nodes, evaluate the operator, integrate.
 
     The left-end contribution to V on (-1, r_min] comes from the fitted

@@ -1,15 +1,23 @@
+import functools
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraclayer.errors import DegenerateOscillation, SampleOutsideWell
-from fraclayer.potentials import (WellParams, check_well_increment_bounds,
+from fraclayer.potentials import (WellParams, _LogAxisCumulative,
+                                  check_well_increment_bounds,
                                   envelope_slack, make_potential)
 
 QUARTIC = WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2, c2=2, c3=2,
                      c4=2, mu=0.5)
 OSC = WellParams(alpha=5.8, beta=5.0, gamma=5.5, delta=5.0, mode="oscillatory")
+# criterion 9c's wells
+OSC_9C = WellParams(alpha=4.5, beta=4.0, gamma=4.5, delta=4.0,
+                    mode="oscillatory")
 
 
 def test_param_validation():
@@ -124,3 +132,80 @@ def test_oscillatory_family_contracts(base, spread, mu):
     assert envelope_slack(pot, n=200) <= 1e-10
     t = np.linspace(-0.999, 0.999, 501)
     assert np.min(pot.W(t)) > 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _well_integrals_mp(hi, lo, u):
+    """W(u) = int_0^u (u - v) W''(v) dv and W'(u) = int_0^u W'' by mpmath.
+
+    W''(v) = v^(p(v) - 2) with p = m + a sin(ln v); in y = ln v the
+    integrand is exp(g(y)), g(y) = (p - 1) y, scaled by exp(g(ln u)) so that
+    the quadrature's absolute tolerance is a relative one. 18 digits are
+    not enough: at OSC's u = 2.9e-10 they read W' off by 2.2e-12.
+    """
+    with mp.workdps(20):
+        m, a = mp.mpf(hi + lo) / 2, mp.mpf(hi - lo) / 2
+        Y = mp.log(mp.mpf(u))
+
+        def g(y):
+            return (m + a * mp.sin(y) - 1) * y
+
+        gY = g(Y)
+        pts = [-mp.inf, Y - 8, Y]
+        j1 = mp.quad(lambda y: mp.exp(g(y) - gY), pts,
+                     method="gauss-legendre")
+        j0 = mp.quad(lambda y: -mp.expm1(y - Y) * mp.exp(g(y) - gY), pts,
+                     method="gauss-legendre")
+        return float(j0 * mp.mpf(u) * mp.exp(gY)), float(j1 * mp.exp(gY))
+
+
+@pytest.mark.parametrize("params", [OSC_9C, OSC], ids=["9c", "OSC"])
+def test_tabulated_well_integrals_match_mpmath(params):
+    pot = make_potential(params)
+    gaps = np.geomspace(1e-12, params.mu, 20)
+    for t, (hi, lo), sign in ((-1.0 + gaps, (params.alpha, params.beta), 1),
+                              (1.0 - gaps, (params.gamma, params.delta), -1)):
+        u = 1.0 - np.abs(t)     # the gap that the rounded t realizes
+        ref = np.array([_well_integrals_mp(hi, lo, float(ui)) for ui in u])
+        np.testing.assert_allclose(pot.W(t), ref[:, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sign * pot.W1(t), ref[:, 1], rtol=1e-12,
+                                   atol=0)
+
+
+def test_tabulated_integral_never_calls_integrand():
+    calls = []
+
+    def f(u):
+        calls.append(np.size(u))
+        return u ** (3.0 + 0.25 * np.sin(np.log(u)))
+
+    y_max = math.log(0.5)
+    J = _LogAxisCumulative(f, y_max - 40.0, y_max, decay=3.0)
+    assert calls, "construction samples the integrand"
+    calls.clear()
+    u = np.geomspace(1e-20, 0.5, 4096)
+    vals = J(u)
+    assert calls == []
+    assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) >= 0)
+    # on a panel edge the value is the tabulated sum below it, exactly
+    y = np.log(np.exp(J.edges))
+    on_edge = y == J.edges
+    assert np.count_nonzero(on_edge) >= 0.9 * len(J.edges)
+    edge_vals = J(np.exp(J.edges))
+    assert np.array_equal(edge_vals[on_edge], (J.below + J.cum)[on_edge])
+    assert calls == []
+
+
+@pytest.mark.parametrize("params", [QUARTIC, OSC], ids=["pure-power", "osc"])
+@pytest.mark.parametrize("name", ["W", "W1", "W2"])
+def test_potential_shape_contract(params, name):
+    fn = getattr(make_potential(params), name)
+    # both wells, the bridge and the well points themselves
+    t = np.array([[-1.0, -0.9999, -0.7], [0.1, 0.9, 1.0 - 1e-9]])
+    batch = fn(t)
+    assert batch.shape == (2, 3)
+    assert np.array_equal(batch.ravel(), fn(t.ravel()))
+    for ti, bi in zip(t.ravel(), batch.ravel()):
+        v = fn(ti)
+        assert isinstance(v, float) and v == bi
+    assert isinstance(fn(np.float64(-0.95)), float)
