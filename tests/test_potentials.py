@@ -141,7 +141,8 @@ def _well_integrals_mp(hi, lo, u):
     W''(v) = v^(p(v) - 2) with p = m + a sin(ln v); in y = ln v the
     integrand is exp(g(y)), g(y) = (p - 1) y, scaled by exp(g(ln u)) so that
     the quadrature's absolute tolerance is a relative one. 18 digits are
-    not enough: at OSC's u = 2.9e-10 they read W' off by 2.2e-12.
+    not enough: in OSC's right well at u = 2.9e-10 they read W' off by
+    2.2e-12.
     """
     with mp.workdps(20):
         m, a = mp.mpf(hi + lo) / 2, mp.mpf(hi - lo) / 2
@@ -208,4 +209,4 @@ def test_potential_shape_contract(params, name):
     for ti, bi in zip(t.ravel(), batch.ravel()):
         v = fn(ti)
         assert isinstance(v, float) and v == bi
-    assert isinstance(fn(np.float64(-0.95)), float)
+    assert isinstance(fn(np.array(-0.95)), float)

@@ -1,18 +1,19 @@
 """Alternating parent/change benchmark pairs, summarized in BENCH_<tag>.json.
 
-    python3 tools/bench_pairs.py --tag 6 --workloads solve,operator \
-        --pairs 10 --seed 601 --seconds 10 [--parent HEAD~1] [--change HEAD] \
-        [--workdir DIR]
+    python3 tools/bench_pairs.py --tag 6 --seed 601 [--workloads solve,...] \
+        [--pairs 10] [--parent HEAD~1] [--change HEAD] [--workdir DIR]
 
 Clones this repository twice into DIR (default: a temporary directory) and
 checks out the two revisions, so both sides run their committed files. For
-each workload it then runs `python3 perfbench/run.py` from each checkout in
-turn, one run at a time: pair i uses seed + i on both sides, and the side
-that runs first alternates (parent first in pairs 0, 2, ...). It writes
-BENCH_<tag>.json at the root of this repository with both SHAs, every run's
-end-to-end values and correctness, each side's median and quartiles per
-workload and metric, and the pairs each side won (ties count for neither;
-"better" comes from the change's BENCHMARK.json).
+each workload (default: all that BENCHMARK.json declares) it then runs
+`python3 perfbench/run.py` for the benchmark's `run_seconds` from each
+checkout in turn, one run at a time: pair i uses seed + i on both sides, and
+the side that runs first alternates (parent first in pairs 0, 2, ...). It
+writes BENCH_<tag>.json at the root of this repository with both SHAs, every
+run's end-to-end values and correctness, each side's median and quartiles
+per workload and metric, and the pairs each side won (ties, and pairs with a
+failed run, count for neither; "better" comes from the change's
+BENCHMARK.json).
 """
 
 from __future__ import annotations
@@ -73,9 +74,11 @@ def summarize(runs: dict, better: dict) -> dict:
                                                method="inclusive")
             row[s] = {"median": med, "q1": q1, "q3": q3}
         wins = {"change": 0, "parent": 0}
-        for p, c in zip(vals["parent"], vals["change"]):
-            if p != c:
-                wins["change" if (c < p) == lower else "parent"] += 1
+        for rp, rc in zip(runs["parent"], runs["change"]):
+            if "values" in rp and "values" in rc:
+                p, c = rp["values"][name], rc["values"][name]
+                if p != c:
+                    wins["change" if (c < p) == lower else "parent"] += 1
         row["pairs_won"] = wins
         row["median_gap"] = abs(row["change"]["median"]
                                 - row["parent"]["median"])
@@ -87,10 +90,9 @@ def summarize(runs: dict, better: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True)
-    ap.add_argument("--workloads", required=True)
+    ap.add_argument("--workloads")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=10.0)
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--workdir")
@@ -104,8 +106,11 @@ def main(argv=None) -> int:
              for s in SIDES}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in spec["workloads"]])
 
-    result = {"tag": args.tag, "sha": shas, "seconds": args.seconds,
+    result = {"tag": args.tag, "sha": shas, "seconds": seconds,
               "pairs": args.pairs,
               "seeds": [args.seed + i for i in range(args.pairs)],
               "host": {"machine": platform.machine(),
@@ -113,13 +118,13 @@ def main(argv=None) -> int:
                        "python": platform.python_version()},
               "workloads": {}}
     out_path = ROOT / f"BENCH_{args.tag}.json"
-    for w in args.workloads.split(","):
+    for w in workloads:
         runs = {s: [] for s in SIDES}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for s in order:
                 runs[s].append(run_once(trees[s], w, args.seed + i,
-                                        args.seconds))
+                                        seconds))
                 print(f"{w} pair {i} {s}: {runs[s][-1].get('values')}",
                       file=sys.stderr, flush=True)
         result["workloads"][w] = {"summary": summarize(runs, better),
