@@ -11,13 +11,17 @@ integrating twice from the well with zero data:
 
 In oscillatory mode beta <= p(t) <= alpha, and since 0 < 1+t < 1 the two-sided
 power envelope holds with unit constants. Its two integrations are tabulated
-once, at construction, on panels 0.4 wide in y = ln(gap): each panel stores
-the Legendre series of the integral of its 16-node interpolant, so W' and W
-cost one polynomial per point. Their error is that interpolation's: against
-mpmath at 150 gaps in 1e-12..mu it is at most 2.5e-14 relative for the
-(4.5, 4.0) wells and 4.3e-13 for (5.8, 5.0 | 5.5, 5.0). It grows with
-(alpha - beta) |y|, which sets how fast the integrand's exponent swings
-across a panel.
+once, at construction, on panels in y = ln(gap): each panel stores the
+Legendre series of the integral of its 16-node interpolant, so W' and W cost
+one polynomial per point. Their error is that interpolation's, which grows
+with the 16th power of the panel's width times the integrand's log-slope,
+about alpha + (alpha - beta)/2 |y|: the exponent swings by (alpha - beta)/2 |y|
+over each period. Panels are therefore at most 0.4 wide and narrow where
+that slope is large. Against mpmath at 20-40 gaps in 1e-12..mu the error is
+at most 7e-14 relative for the (4.5, 4.0) and (5.8, 5.0 | 5.5, 5.0) wells,
+for spread 0.94 at base 2.2 and 6.0, and for six wells drawn from
+2.2 <= beta <= 6, alpha - beta <= 0.94; with a fixed 0.4 width it was
+2.4e-12 at base 6, spread 0.94.
 
 The middle region is a degree-5 bridge matching value and two derivatives at
 both junctions, verified positive by dense sampling plus a
@@ -77,28 +81,39 @@ class WellParams:
 
 
 class _LogAxisCumulative:
-    """Cumulative integral of f(e^y) e^y dy on a fixed panel ladder, tabulated.
+    """Cumulative integral of f(e^y) e^y dy on a graded panel ladder, tabulated.
 
-    Panels are at most 0.4 wide in y, narrow enough to resolve the
-    log-periodic oscillation of the well exponents. At construction the
-    integrand is sampled once at each panel's 16 Gauss-Legendre nodes; the
-    whole-panel sums `cum` come from that rule, and each panel keeps the
-    Legendre series P_j of the antiderivative of its degree-15 interpolant,
-    zero at the panel's lower edge. A call costs one `searchsorted` and one
-    Clenshaw sum per point, J(y) = below + cum[j] + P_j(xi), and never calls
-    f. The rule is interpolatory, so P_j at the upper edge is the rule's
-    panel sum; the only error beyond rounding is that of interpolating f on
-    16 nodes over a panel 0.4 wide. Below the ladder the integral is the
-    pure-power envelope's.
+    The caller bounds the integrand's log-slope, |d/dy ln(f(e^y) e^y)| <=
+    rate + swing |y|. Each panel is at most 0.4 wide in y, narrow enough to
+    resolve the log-periodic oscillation of the well exponents, and at most
+    SPAN / (rate + swing |y|) wide at its upper edge, so that the integrand
+    changes by a bounded factor across it. At construction the integrand is
+    sampled once at each panel's 16 Gauss-Legendre nodes; the whole-panel
+    sums `cum` come from that rule, and each panel keeps the Legendre series
+    P_j of the antiderivative of its degree-15 interpolant, zero at the
+    panel's lower edge. A call costs one `searchsorted` and one Clenshaw sum
+    per point, J(y) = below + cum[j] + P_j(xi), and never calls f. The rule
+    is interpolatory, so P_j at the upper edge is the rule's panel sum; the
+    only error beyond rounding is that of interpolating f on 16 nodes over
+    a panel, which grows like the 16th power of the log-slope times the
+    panel's width. Below the ladder the integral is the pure-power
+    envelope's.
     """
 
     NODES = 16
+    WIDTH = 0.4
+    SPAN = 4.0
 
     def __init__(self, f: Callable, y_min: float, y_max: float,
-                 decay: float):
+                 decay: float, rate: float, swing: float):
         self.decay = decay
-        n = max(4, int(math.ceil((y_max - y_min) / 0.4)))
-        self.edges = np.linspace(y_min, y_max, n + 1)
+        edges = [y_max]
+        while edges[-1] > y_min:
+            y = edges[-1]
+            edges.append(y - min(self.WIDTH,
+                                 self.SPAN / (rate + swing * abs(y))))
+        self.edges = np.array(edges[::-1])
+        n = len(self.edges) - 1
         t, w = gauss_rule(self.NODES)
         half = 0.5 * np.diff(self.edges)
         y = 0.5 * (self.edges[:-1] + self.edges[1:])[:, None] + half[:, None] * t
@@ -116,7 +131,7 @@ class _LogAxisCumulative:
         # on an edge returns below + cum exactly
         self.start = legval(np.full(n + 1, -1.0), self.coef, tensor=False)
         # mass below the ladder, bounded by the pure-power envelope
-        self.below = math.exp(y_min * decay) / decay
+        self.below = math.exp(self.edges[0] * decay) / decay
 
     def __call__(self, u):
         """integral of f over (0, u], vectorized (any shape)."""
@@ -168,11 +183,14 @@ def _well_side(exp_hi: float, exp_lo: float, c: float, mode: str, mu: float):
             out = u ** (p - 2.0)
         return np.where(u > 0, out, 0.0)
 
+    # both integrands have log-slope about exp_hi + amp |y|, at most
+    # exp_hi + amp (1 + |y|)
     y_max = math.log(mu)
     floor = y_max + math.log(1e-12)
     J1 = _LogAxisCumulative(d2, floor - 45.0 / (exp_lo - 1.0), y_max,
-                            decay=exp_lo - 1.0)
-    J2 = _LogAxisCumulative(J1, floor - 45.0 / exp_lo, y_max, decay=exp_lo)
+                            decay=exp_lo - 1.0, rate=exp_hi + amp, swing=amp)
+    J2 = _LogAxisCumulative(J1, floor - 45.0 / exp_lo, y_max, decay=exp_lo,
+                            rate=exp_hi + amp, swing=amp)
     return d2, J1, J2
 
 

@@ -134,15 +134,22 @@ def test_oscillatory_family_contracts(base, spread, mu):
     assert np.min(pot.W(t)) > 0.0
 
 
+# the widest spread that test_oscillatory_family_contracts draws, at both
+# ends of its base range
+SPREAD_EDGE = WellParams(alpha=3.1405, beta=2.2, gamma=6.94, delta=6.0,
+                         mu=0.7, mode="oscillatory")
+
+
 @functools.lru_cache(maxsize=None)
 def _well_integrals_mp(hi, lo, u):
     """W(u) = int_0^u (u - v) W''(v) dv and W'(u) = int_0^u W'' by mpmath.
 
     W''(v) = v^(p(v) - 2) with p = m + a sin(ln v); in y = ln v the
     integrand is exp(g(y)), g(y) = (p - 1) y, scaled by exp(g(ln u)) so that
-    the quadrature's absolute tolerance is a relative one. 18 digits are
-    not enough: in OSC's right well at u = 2.9e-10 they read W' off by
-    2.2e-12.
+    the quadrature's absolute tolerance is a relative one. The exponent
+    swings by a |y| over each period of sin, so the range is cut into unit
+    pieces down to where the envelope exp((lo - 1) y) is e^-50 of
+    exp(g(ln u)); a few coarse pieces read W' off by 1e-8 at the 2.2 well.
     """
     with mp.workdps(20):
         m, a = mp.mpf(hi + lo) / 2, mp.mpf(hi - lo) / 2
@@ -152,7 +159,9 @@ def _well_integrals_mp(hi, lo, u):
             return (m + a * mp.sin(y) - 1) * y
 
         gY = g(Y)
-        pts = [-mp.inf, Y - 8, Y]
+        depth = math.ceil(((hi - 1) * abs(float(Y)) + 50) / (lo - 1)
+                          - abs(float(Y)))
+        pts = [-mp.inf] + [Y - k for k in range(depth, -1, -1)]
         j1 = mp.quad(lambda y: mp.exp(g(y) - gY), pts,
                      method="gauss-legendre")
         j0 = mp.quad(lambda y: -mp.expm1(y - Y) * mp.exp(g(y) - gY), pts,
@@ -160,7 +169,8 @@ def _well_integrals_mp(hi, lo, u):
         return float(j0 * mp.mpf(u) * mp.exp(gY)), float(j1 * mp.exp(gY))
 
 
-@pytest.mark.parametrize("params", [OSC_9C, OSC], ids=["9c", "OSC"])
+@pytest.mark.parametrize("params", [OSC_9C, OSC, SPREAD_EDGE],
+                         ids=["9c", "OSC", "spread-edge"])
 def test_tabulated_well_integrals_match_mpmath(params):
     pot = make_potential(params)
     gaps = np.geomspace(1e-12, params.mu, 20)
@@ -181,7 +191,8 @@ def test_tabulated_integral_never_calls_integrand():
         return u ** (3.0 + 0.25 * np.sin(np.log(u)))
 
     y_max = math.log(0.5)
-    J = _LogAxisCumulative(f, y_max - 40.0, y_max, decay=3.0)
+    J = _LogAxisCumulative(f, y_max - 40.0, y_max, decay=3.0, rate=4.5,
+                           swing=0.25)
     assert calls, "construction samples the integrand"
     calls.clear()
     u = np.geomspace(1e-20, 0.5, 4096)

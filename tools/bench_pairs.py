@@ -1,14 +1,16 @@
 """Alternating parent/change benchmark pairs, summarized in BENCH_<tag>.json.
 
-    python3 tools/bench_pairs.py --tag 6 --seed 601 [--workloads solve,...] \
-        [--pairs 10] [--parent HEAD~1] [--change HEAD] [--workdir DIR]
+    python3 tools/bench_pairs.py --tag 6 --seed 601 --parent REV \
+        [--change HEAD] [--workdir DIR]
 
-Clones this repository twice into DIR (default: a temporary directory) and
-checks out the two revisions, so both sides run their committed files. For
-each workload (default: all that BENCHMARK.json declares) it then runs
-`python3 perfbench/run.py` for the benchmark's `run_seconds` from each
-checkout in turn, one run at a time: pair i uses seed + i on both sides, and
-the side that runs first alternates (parent first in pairs 0, 2, ...). It
+REV is the commit the change is measured against, the last commit before
+the change's first one. The script clones this repository twice into DIR
+(default: a temporary directory) and checks out the two revisions, so both
+sides run their committed files. For every workload that BENCHMARK.json
+declares it then runs `python3 perfbench/run.py` for the benchmark's
+`run_seconds` from each checkout in turn, one run at a time, in 10 pairs:
+pair i uses seed + i on both sides, and the side that runs first alternates
+(parent first in pairs 0, 2, ...). It
 writes BENCH_<tag>.json at the root of this repository with both SHAs, every
 run's end-to-end values and correctness, each side's median and quartiles
 per workload and metric, and the pairs each side won (ties, and pairs with a
@@ -30,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git(*args, cwd=ROOT) -> str:
@@ -90,10 +93,8 @@ def summarize(runs: dict, better: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tag", required=True)
-    ap.add_argument("--workloads")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--parent", default="HEAD~1")
+    ap.add_argument("--parent", required=True)
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--workdir")
     args = ap.parse_args(argv)
@@ -107,20 +108,18 @@ def main(argv=None) -> int:
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in spec["workloads"]])
 
     result = {"tag": args.tag, "sha": shas, "seconds": seconds,
-              "pairs": args.pairs,
-              "seeds": [args.seed + i for i in range(args.pairs)],
+              "pairs": PAIRS,
+              "seeds": [args.seed + i for i in range(PAIRS)],
               "host": {"machine": platform.machine(),
                        "nproc": len(os.sched_getaffinity(0)),
                        "python": platform.python_version()},
               "workloads": {}}
     out_path = ROOT / f"BENCH_{args.tag}.json"
-    for w in workloads:
+    for w in (w["name"] for w in spec["workloads"]):
         runs = {s: [] for s in SIDES}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for s in order:
                 runs[s].append(run_once(trees[s], w, args.seed + i,
