@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .cutoffs import (BETA44, CutoffStats, eta, eta_tilde, measure_cutoff,
-                      w_weight, w_weight_argmax)
+from .cutoffs import (BETA44, CutoffStats, eta_derivs, eta_tilde,
+                      measure_cutoff, w_weight, w_weight_argmax)
 from .errors import (BridgeNotMonotone, LogRangeOverflow, OutOfPiece,
                      ParamOrderViolated)
-from .jets import (LOG_OPS, Jet, LogArray, hermite_bridge, jet_const,
-                   jet_exp, jet_log, jet_pow, jet_var)
+from .jets import (LOG_OPS, Jet, LogArray, hermite_bridge, jet_compose,
+                   jet_const, jet_exp, jet_log, jet_pow, jet_var)
 
 LN2 = math.log(2.0)
 MAX_MATERIALIZABLE_LOG = 700.0
@@ -257,12 +257,12 @@ def _eta_jet(r: Jet, ops, tilde: bool = False, snap_tol=0.0) -> Jet:
     # tolerance makes both sides of every junction evaluate identically
     r0 = np.where(np.abs(r0) <= snap_tol, 0.0, r0)
     r0 = np.where(np.abs(r0 - 1.0) <= snap_tol, 1.0, r0)
-    fn = eta_tilde if tilde else eta
-    if isinstance(r.f[0], LogArray):
-        outer = [LogArray.from_float(fn(r0, i)) for i in range(r.order + 1)]
+    if tilde:
+        outer = [eta_tilde(r0, i) for i in range(r.order + 1)]
     else:
-        outer = [fn(r0, i) for i in range(r.order + 1)]
-    from .jets import jet_compose
+        outer = eta_derivs(r0, r.order)
+    if isinstance(r.f[0], LogArray):
+        outer = [LogArray.from_float(v) for v in outer]
     return jet_compose(outer, r)
 
 

@@ -1,9 +1,19 @@
 """Smooth cutoffs used by the layer construction.
 
-eta: C-infinity step, 1 on [0, 1/4], 0 on [3/4, 1], built from the
-exponential smoothstep S(r) = sigma(r) / (sigma(r) + sigma(1-r)) with
-sigma(r) = exp(-1/(2r)) (zero-extended). The 1/(2r) rate keeps eta' strictly
-inside (-4, 0): with exp(-1/r) the midpoint slope hits -4 exactly.
+eta: C-infinity step, 1 on [0, 1/4], 0 on [3/4, 1], eta(x) = S(2 (3/4 - x)).
+The smoothstep S(r) = exp(-q/r) / (exp(-q/r) + exp(-q/(1-r))), q = 1/2, is
+the logistic function S = sigma(z) = 1 / (1 + e^(-z)) of
+z(r) = q/(1-r) - q/r, with S = 0 for r <= 0 and S = 1 for r >= 1. The rate
+q = 1/2 keeps eta' strictly inside (-4, 0): with q = 1 the midpoint slope
+hits -4 exactly.
+
+Derivatives to order 4 are closed form: with the complement
+S~ = sigma(-z) = 1 - S, sigma' = S S~, sigma'' = S S~ (S~ - S), sigma''' = S S~ (1 - 6 S S~) and
+sigma'''' = S S~ (S~ - S)(1 - 12 S S~), while
+z^(k) = q k! [(1-r)^-(k+1) - (-1)^k r^-(k+1)]; Faa di Bruno
+(`jets.jet_compose`) combines the two. S~ is computed as 1 / (1 + e^z) from
+its own exponential, never as 1 - S, which would cancel to absolute eps
+near r -> 1 where every derivative is proportional to S~.
 
 eta~: the polynomial step with density x^3 (1-x)^3 / Beta(4, 4); closed form,
 Beta(4, 4) = 1/140, strictly decreasing, vanishing to third order at 0 and 1.
@@ -17,47 +27,50 @@ from functools import lru_cache
 
 import numpy as np
 
-_Q = 0.5  # sigma(r) = exp(-_Q / r)
+from .jets import Jet, jet_compose
+
+_Q = 0.5  # S = sigma(_Q / (1 - r) - _Q / r)
 
 BETA44 = 1.0 / 140.0
 
 
-@lru_cache(maxsize=1)
-def _smoothstep_derivs():
-    """Vectorized S, S', ..., S'''' generated once from the symbolic form."""
-    import sympy as sp
-
-    r = sp.symbols("r")
-    sig = sp.exp(-_Q / r)
-    sig1 = sp.exp(-_Q / (1 - r))
-    S = sig / (sig + sig1)
-    exprs = [S]
-    for _ in range(4):
-        exprs.append(sp.diff(exprs[-1], r))
-    return [sp.lambdify(r, e, "numpy") for e in exprs]
+def _smoothstep_derivs(r, order: int) -> list:
+    """[S, S', ..., S^(order)] at r, all from one pair of exponentials."""
+    if not 0 <= order <= 4:
+        raise ValueError("order must be 0..4")
+    r = np.asarray(r, dtype=float)
+    inner = (r > 0.0) & (r < 1.0)
+    ri = np.where(inner, r, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = 1.0 / (1.0 - ri), 1.0 / ri
+        z = _Q * (a - b)
+        S = 1.0 / (1.0 + np.exp(-z))
+        Sc = 1.0 / (1.0 + np.exp(z))
+        p, d = S * Sc, Sc - S
+        sigma = [S, p, p * d, p * (1.0 - 6.0 * p), p * d * (1.0 - 12.0 * p)]
+        zs = [z] + [_Q * math.factorial(k) * (a ** (k + 1) + (-b) ** (k + 1))
+                    for k in range(1, order + 1)]
+        ders = jet_compose(sigma[:order + 1], Jet(tuple(zs))).f
+    # as r -> 0, S underflows to 0 before z^(k) overflows: 0 * inf is 0 here
+    out = [np.where(inner & ~np.isnan(v), v, 0.0) for v in ders]
+    out[0] = np.where(r >= 1.0, 1.0, out[0])
+    return out
 
 
 def smoothstep(r, order: int = 0):
     """S^{(order)}(r) with S = 0 for r <= 0 and S = 1 for r >= 1."""
-    fns = _smoothstep_derivs()
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inner = (r > 0.0) & (r < 1.0)
-    if np.any(inner):
-        with np.errstate(over="ignore", under="ignore", divide="ignore",
-                         invalid="ignore"):
-            vals = fns[order](r[inner])
-        out[inner] = np.nan_to_num(vals, nan=0.0, posinf=0.0, neginf=0.0)
-    if order == 0:
-        out[r >= 1.0] = 1.0
-    return out
+    return _smoothstep_derivs(r, order)[order]
+
+
+def eta_derivs(x, order: int) -> list:
+    """[eta, eta', ..., eta^{(order)}] at x in one pass, order <= 4."""
+    ders = _smoothstep_derivs(2.0 * (0.75 - np.asarray(x, dtype=float)), order)
+    return [v * (-2.0) ** i for i, v in enumerate(ders)]
 
 
 def eta(x, order: int = 0):
     """Cutoff eta on [0, 1]: 1 on [0, 1/4], 0 on [3/4, 1]; derivatives 0..4."""
-    x = np.asarray(x, dtype=float)
-    arg = 2.0 * (0.75 - x)
-    return smoothstep(arg, order) * (-2.0) ** order
+    return eta_derivs(x, order)[order]
 
 
 def eta_tilde(x, order: int = 0):
@@ -111,7 +124,7 @@ def measure_cutoff(grid_points: int = 20001) -> CutoffStats:
     inside the transition, eta(1/2) = 1/2.
     """
     x = np.linspace(0.0, 1.0, grid_points)
-    sups = [float(np.max(np.abs(eta(x, i)))) for i in range(5)]
+    sups = [float(np.max(np.abs(v))) for v in eta_derivs(x, 4)]
     half = float(eta(np.array([0.5]))[0])
     eta_0 = min(half, 1.0 - half)
     inner = x[(x > 0.25) & (x < 0.75)]

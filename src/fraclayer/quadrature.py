@@ -46,12 +46,26 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class OpValue:
+    """L u(x) with its error budget by component.
+
+    panel_err: coarse against refined panel sums; sing_err: variation of u''
+    across the singular cell; tail_err: far-field remainder bound;
+    n_panels: panels in the refined sum that gives the value.
+    """
+
     value: float
-    error: float
+    panel_err: float
+    sing_err: float
+    tail_err: float
+    n_panels: int
 
     def __post_init__(self):
         if not math.isfinite(self.error) or self.error < 0:
             raise ValueError("error estimate must be finite and >= 0")
+
+    @property
+    def error(self) -> float:
+        return self.panel_err + self.sing_err + self.tail_err
 
 
 def _panel_edges(r0: float, z1: float, per_decade: int) -> np.ndarray:
@@ -215,11 +229,12 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
     else:
         raise NonIntegrable(f"{u.name}: no limits and no oscillatory model")
 
-    err = panel_err + sing_err + tail_err
     if tail_err > cfg.tol:
         raise TruncationDominates(
             f"tail remainder {tail_err:.3e} exceeds tolerance {cfg.tol:.3e}")
-    return OpValue(value=main + sing + tail_val, error=err)
+    return OpValue(value=main + sing + tail_val, panel_err=panel_err,
+                   sing_err=sing_err, tail_err=tail_err,
+                   n_panels=len(fine_edges) - 1)
 
 
 @dataclass

@@ -529,14 +529,17 @@ def second_derivative_bound_records(prof: LayerProfile,
 
 
 def _fd_sample_points(prof: LayerProfile, rng, min_width: float = 0.3,
-                      L_cap: float = 580.0, per_piece: int = 2) -> np.ndarray:
-    """Mid-piece L samples: FD stencils must not straddle junctions."""
+                      L_cap: float = 580.0, per_piece: int = 2):
+    """Mid-piece L samples and their piece widths: FD stencils must not
+    straddle junctions."""
     edges = prof._edges[prof._edges < L_cap]
-    mids = []
+    mids, widths = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a >= min_width:
             mids.extend(a + (b - a) * rng.uniform(0.35, 0.65, per_piece))
-    return np.asarray(sorted(mids))
+            widths.extend([b - a] * per_piece)
+    order = np.argsort(mids)
+    return np.asarray(mids)[order], np.asarray(widths)[order]
 
 
 def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
@@ -550,12 +553,16 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
     order-m stencil at step h is ~ 64 * 4^m * eps * |G| / h^m, and the
     Richardson level difference bounds the truncation part. The strict 1e-7
     branch must also be achieved on at least half the resolvable samples.
+    The log-position steps shrink with the piece: on the ln 2-wide cutoff
+    pieces fixed steps of 1e-2 are pre-asymptotic, and the level difference
+    then understates the truncation error.
     """
     records = []
     rng = np.random.default_rng(seed)
-    mids = _fd_sample_points(prof, rng)
+    mids, widths = _fd_sample_points(prof, rng)
     if len(mids) > n_pts:
-        mids = mids[np.linspace(0, len(mids) - 1, n_pts).astype(int)]
+        keep = np.linspace(0, len(mids) - 1, n_pts).astype(int)
+        mids, widths = mids[keep], widths[keep]
     eps = np.finfo(float).eps
     for side in (1, -1):
         lab = "right" if side > 0 else "left"
@@ -580,7 +587,7 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
         worstL = 0.0
         strict_ok = 0
         strict_n = 0
-        for L in mids:
+        for L, width in zip(mids, widths):
             def Gfun(l):
                 return float(prof.gap_jet_log(side, np.array([l]),
                                               order=0)[0].logm[0])
@@ -588,7 +595,7 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
             lder = _log_derivs_wrt_L(prof, side, np.array([L]), 4)
             G0 = abs(float(Gfun(float(L)))) + 1.0
             for order in (1, 2, 3, 4):
-                h = 2e-2 if order <= 2 else 1e-2
+                h = min(2e-2 if order <= 2 else 1e-2, width / 140.0)
                 got = float(lder[order][0])
                 fd, est = fd_derivative(Gfun, float(L), order, h0=h)
                 floor = 64 * 4 ** order * eps * G0 / h ** order

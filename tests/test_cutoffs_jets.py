@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraclayer.cutoffs import (BETA44, eta, eta_tilde, measure_cutoff,
-                               w_weight, w_weight_argmax)
+import fraclayer
+from fraclayer.cutoffs import (BETA44, eta, eta_derivs, eta_tilde,
+                               measure_cutoff, smoothstep, w_weight,
+                               w_weight_argmax)
 from fraclayer.jets import (FLOAT_OPS, LOG_OPS, Jet, LogArray, jet_const,
                             jet_exp, jet_log, jet_pow, jet_var)
 
@@ -29,6 +36,75 @@ def test_eta_slope_constraint():
     assert -4.0 < stats.slope_min < 0.0
     assert stats.eta_0 == 0.5
     assert stats.eta_bar >= 1.0
+
+
+def test_smoothstep_matches_mpmath():
+    """Orders 0..4 against 40-digit differentiation of the defining ratio."""
+    q = mp.mpf("0.5")
+
+    def S(r):
+        a, b = mp.exp(-q / r), mp.exp(-q / (1 - r))
+        return a / (a + b)
+
+    r = np.concatenate([np.linspace(0.0, 1.0, 386)[1:-1],
+                        [1e-3, 2e-3, 5e-3, 1e-2, 2e-2],
+                        0.5 + np.array([-1e-6, -1e-9, 0.0, 1e-9, 1e-6]),
+                        1.0 - np.array([2e-2, 1e-2, 5e-3, 2e-3, 1e-3])])
+    with mp.workdps(40):
+        ref = np.array([[float(d) for d in mp.diffs(S, mp.mpf(float(x)), 4)]
+                        for x in r]).T
+    for k in range(5):
+        err = np.max(np.abs(smoothstep(r, k) - ref[k]))
+        assert err <= 1e-14 * np.max(np.abs(ref[k])), k
+    assert np.all(smoothstep(np.array([-1.0, 0.0, 1.0, 2.0])) == [0, 0, 1, 1])
+    for k in range(1, 5):
+        assert np.all(smoothstep(np.array([0.0, 1e-300, 1.0]), k) == 0.0)
+
+
+def test_eta_endpoints_exact_and_orders_in_one_pass():
+    assert eta(0.0) == 1.0 and eta(1.0) == 0.0
+    assert float(eta(np.array(0.0))) == 1.0
+    x = np.linspace(0.0, 1.0, 101)
+    for k, v in enumerate(eta_derivs(x, 4)):
+        assert np.array_equal(v, eta(x, k))
+    with pytest.raises(ValueError):
+        eta(x, 5)
+
+
+def test_measure_cutoff_pinned():
+    """The cutoff statistics the construction constants are built from."""
+    st = measure_cutoff()
+    pinned = {"eta_bar": 3392.658365744336, "eta_0": 0.5,
+              "eta_bar4": 299010.00077084353, "slope_min": -3.06728803601869,
+              "ratio": 6785.316731488672}
+    for name, want in pinned.items():
+        assert getattr(st, name) == pytest.approx(want, rel=1e-12), name
+    assert st.grid_points == 20001
+
+
+def test_cutoff_users_never_import_sympy():
+    """The profile, the cutoff stats and the derivative barrier run on the
+    closed-form cutoff derivatives alone."""
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from fraclayer.barriers import derivative_barrier",
+        "from fraclayer.construction import LayerParams, build_profile",
+        "from fraclayer.cutoffs import measure_cutoff",
+        "prof = build_profile(LayerParams(s=0.5, alpha=5.8, beta=5.0,",
+        "                                 gamma=5.5, delta=5.0, rho=2.1))",
+        "x = np.exp(np.linspace(0.0, 80.0, 400))",
+        "prof.eval(np.concatenate([-x, x]), 4)",
+        "measure_cutoff()",
+        "derivative_barrier(0.5, 5.8, 5.0, 5.5, 5.0, xbar=3.0)",
+        "assert 'sympy' not in sys.modules, 'sympy was imported'",
+    ])
+    src = str(Path(fraclayer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_eta_tilde_endpoints_and_monotone():

@@ -1,9 +1,13 @@
-"""Every module-level import in src/fraclayer is used by its module."""
+"""Every module-level import in src/fraclayer is used by its module, and the
+third-party modules it imports are exactly the declared dependencies."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fraclayer"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fraclayer"
 
 
 def _annotations(tree):
@@ -61,3 +65,47 @@ def test_no_unused_module_imports():
     found = [u for p in sorted(PACKAGE.glob("*.py"))
              for u in _unused_imports(p)]
     assert found == []
+
+
+def _third_party_imports(package: Path) -> set:
+    """Top-level modules imported anywhere in the package, function-local
+    imports included, that are neither stdlib nor the package itself."""
+    found = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return {m for m in found
+            if m not in sys.stdlib_module_names and m != package.name}
+
+
+def _declared_dependencies(pyproject: Path) -> set:
+    """Names in [project].dependencies (read by pattern: tomllib needs 3.11)."""
+    text = pyproject.read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project.group(1),
+                     re.M | re.S)
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower()
+            for d in re.findall(r'"([^"]+)"', deps.group(1))}
+
+
+def test_dependency_check_flags_an_undeclared_import(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "m.py").write_text("import math\nimport numpy as np\n"
+                              "from . import m\n"
+                              "def f():\n    import yaml\n    return np\n")
+    (tmp_path / "pyproject.toml").write_text(
+        '[project]\nname = "pkg"\ndependencies = [\n    "numpy>=1.24",\n'
+        '    "scipy",\n]\n\n[project.optional-dependencies]\n'
+        'dev = ["pytest>=7"]\n')
+    assert _third_party_imports(pkg) == {"numpy", "yaml"}
+    assert _declared_dependencies(tmp_path / "pyproject.toml") == {
+        "numpy", "scipy"}
+
+
+def test_imports_match_declared_dependencies():
+    assert _third_party_imports(PACKAGE) == _declared_dependencies(
+        ROOT / "pyproject.toml")

@@ -26,6 +26,24 @@ def test_plane_wave_symbol():
             assert ov.value == pytest.approx(ref, rel=1e-4)
 
 
+def test_error_budget_by_component(kernel_half):
+    """The error is exactly the sum of its three parts, which bound the true
+    error of a plane wave; the panel count follows the panel density."""
+    wave = eval_lk(kernel_half, pr.cosine(2.0), 0.4, CFG)
+    smooth = eval_lk(kernel_half, pr.tanh_profile(), 3.0, CFG)
+    for ov in (wave, smooth):
+        assert ov.error == ov.panel_err + ov.sing_err + ov.tail_err
+        assert min(ov.panel_err, ov.sing_err, ov.tail_err) >= 0.0
+        assert isinstance(ov.n_panels, int) and ov.n_panels > 0
+    ref = -symbol_constant(0.5) * 2.0 * np.cos(2.0 * 0.4)
+    assert abs(wave.value - ref) <= wave.error
+    assert wave.tail_err > 0.0      # the oscillatory far field is charged
+    dense_cfg = QuadConfig(tol=1e-6,
+                           panels_per_decade=2 * CFG.panels_per_decade)
+    denser = eval_lk(kernel_half, pr.tanh_profile(), 3.0, dense_cfg)
+    assert denser.n_panels > smooth.n_panels
+
+
 def test_tanh_self_convergence(kernel_half):
     u = pr.tanh_profile()
     coarse = eval_lk(kernel_half, u, 3.0, QuadConfig(tol=1e-9))

@@ -56,6 +56,15 @@ def test_fd_agreement(desk_profile):
     assert recs and all(r.passed for r in recs)
 
 
+def test_fd_agreement_seed_10_cutoff_pieces(desk_profile):
+    """Seed 10 samples L ~ 77.4 on a ln 2-wide cutoff piece, where a fixed
+    order-3 step of 1e-2 was pre-asymptotic: the stencil erred by 1.1e-3
+    while its Richardson estimate read 1.2e-4."""
+    recs = vc.fd_agreement_records(desk_profile, seed=10)
+    assert recs and all(r.passed for r in recs), [
+        (r.id, r.worst_slack) for r in recs if not r.passed]
+
+
 def test_highprec_oracle(desk_profile):
     recs = vc.highprec_agreement_records(desk_profile)
     assert recs and all(r.passed for r in recs)
