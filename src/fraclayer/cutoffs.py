@@ -7,13 +7,15 @@ z(r) = q/(1-r) - q/r, with S = 0 for r <= 0 and S = 1 for r >= 1. The rate
 q = 1/2 keeps eta' strictly inside (-4, 0): with q = 1 the midpoint slope
 hits -4 exactly.
 
-Derivatives to order 4 are closed form: with the complement
-S~ = sigma(-z) = 1 - S, sigma' = S S~, sigma'' = S S~ (S~ - S), sigma''' = S S~ (1 - 6 S S~) and
-sigma'''' = S S~ (S~ - S)(1 - 12 S S~), while
-z^(k) = q k! [(1-r)^-(k+1) - (-1)^k r^-(k+1)]; Faa di Bruno
-(`jets.jet_compose`) combines the two. S~ is computed as 1 / (1 + e^z) from
-its own exponential, never as 1 - S, which would cancel to absolute eps
-near r -> 1 where every derivative is proportional to S~.
+Derivatives to order 4 are closed form. With the complement
+S~ = sigma(-z) = 1 - S,
+  sigma' = S S~,  sigma'' = S S~ (S~ - S),  sigma''' = S S~ (1 - 6 S S~),
+  sigma'''' = S S~ (S~ - S) (1 - 12 S S~),
+  z^(k) = q k! [(1-r)^-(k+1) - (-1)^k r^-(k+1)],
+and Faa di Bruno (`jets.jet_compose`) combines the two. S~ is computed as
+1 / (1 + e^z) from its own exponential, never as 1 - S: near r -> 1 every
+derivative is proportional to S~, which 1 - S would round to a multiple of
+eps.
 
 eta~: the polynomial step with density x^3 (1-x)^3 / Beta(4, 4); closed form,
 Beta(4, 4) = 1/140, strictly decreasing, vanishing to third order at 0 and 1.
@@ -34,7 +36,7 @@ _Q = 0.5  # S = sigma(_Q / (1 - r) - _Q / r)
 BETA44 = 1.0 / 140.0
 
 
-def _smoothstep_derivs(r, order: int) -> list:
+def _smoothstep_upto(r, order: int) -> list:
     """[S, S', ..., S^(order)] at r, all from one pair of exponentials."""
     if not 0 <= order <= 4:
         raise ValueError("order must be 0..4")
@@ -45,12 +47,16 @@ def _smoothstep_derivs(r, order: int) -> list:
         a, b = 1.0 / (1.0 - ri), 1.0 / ri
         z = _Q * (a - b)
         S = 1.0 / (1.0 + np.exp(-z))
-        Sc = 1.0 / (1.0 + np.exp(z))
-        p, d = S * Sc, Sc - S
-        sigma = [S, p, p * d, p * (1.0 - 6.0 * p), p * d * (1.0 - 12.0 * p)]
-        zs = [z] + [_Q * math.factorial(k) * (a ** (k + 1) + (-b) ** (k + 1))
-                    for k in range(1, order + 1)]
-        ders = jet_compose(sigma[:order + 1], Jet(tuple(zs))).f
+        ders = [S]
+        if order:
+            Sc = 1.0 / (1.0 + np.exp(z))
+            p, d = S * Sc, Sc - S
+            sigma = [S, p, p * d, p * (1.0 - 6.0 * p),
+                     p * d * (1.0 - 12.0 * p)]
+            zs = [z] + [_Q * math.factorial(k)
+                        * (a ** (k + 1) - (-1) ** k * b ** (k + 1))
+                        for k in range(1, order + 1)]
+            ders = jet_compose(sigma[:order + 1], Jet(tuple(zs))).f
     # as r -> 0, S underflows to 0 before z^(k) overflows: 0 * inf is 0 here
     out = [np.where(inner & ~np.isnan(v), v, 0.0) for v in ders]
     out[0] = np.where(r >= 1.0, 1.0, out[0])
@@ -59,12 +65,12 @@ def _smoothstep_derivs(r, order: int) -> list:
 
 def smoothstep(r, order: int = 0):
     """S^{(order)}(r) with S = 0 for r <= 0 and S = 1 for r >= 1."""
-    return _smoothstep_derivs(r, order)[order]
+    return _smoothstep_upto(r, order)[order]
 
 
 def eta_derivs(x, order: int) -> list:
     """[eta, eta', ..., eta^{(order)}] at x in one pass, order <= 4."""
-    ders = _smoothstep_derivs(2.0 * (0.75 - np.asarray(x, dtype=float)), order)
+    ders = _smoothstep_upto(2.0 * (0.75 - np.asarray(x, dtype=float)), order)
     return [v * (-2.0) ** i for i, v in enumerate(ders)]
 
 

@@ -82,7 +82,7 @@ def _third_party_imports(package: Path) -> set:
 
 
 def _declared_dependencies(pyproject: Path) -> set:
-    """Names in [project].dependencies (read by pattern: tomllib needs 3.11)."""
+    """Names in [project].dependencies, read by pattern (tomllib is 3.11+)."""
     text = pyproject.read_text()
     project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
     deps = re.search(r"^dependencies\s*=\s*\[(.*?)\]", project.group(1),
