@@ -529,17 +529,14 @@ def second_derivative_bound_records(prof: LayerProfile,
 
 
 def _fd_sample_points(prof: LayerProfile, rng, min_width: float = 0.3,
-                      L_cap: float = 580.0, per_piece: int = 2):
-    """Mid-piece L samples and their piece widths: FD stencils must not
-    straddle junctions."""
+                      L_cap: float = 580.0, per_piece: int = 2) -> np.ndarray:
+    """Mid-piece L samples: FD stencils must not straddle junctions."""
     edges = prof._edges[prof._edges < L_cap]
-    mids, widths = [], []
+    mids = []
     for a, b in zip(edges[:-1], edges[1:]):
         if b - a >= min_width:
             mids.extend(a + (b - a) * rng.uniform(0.35, 0.65, per_piece))
-            widths.extend([b - a] * per_piece)
-    order = np.argsort(mids)
-    return np.asarray(mids)[order], np.asarray(widths)[order]
+    return np.asarray(sorted(mids))
 
 
 def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
@@ -553,21 +550,24 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
     order-m stencil at step h is ~ 64 * 4^m * eps * |G| / h^m, and the
     Richardson level difference bounds the truncation part. The strict 1e-7
     branch must also be achieved on at least half the resolvable samples.
-    The log-position steps shrink with the piece: on the ln 2-wide cutoff
-    pieces fixed steps of 1e-2 are pre-asymptotic, and the level difference
-    then understates the truncation error.
+    Steps (in L, and relative in x) are at most 1/140 of the sample's piece
+    width: on the ln 2-wide cutoff pieces a step of 1e-2 is pre-asymptotic,
+    and the level difference then understates the truncation error.
     """
     records = []
     rng = np.random.default_rng(seed)
-    mids, widths = _fd_sample_points(prof, rng)
+    mids = _fd_sample_points(prof, rng)
     if len(mids) > n_pts:
-        keep = np.linspace(0, len(mids) - 1, n_pts).astype(int)
-        mids, widths = mids[keep], widths[keep]
+        mids = mids[np.linspace(0, len(mids) - 1, n_pts).astype(int)]
+    piece = np.searchsorted(prof._edges, mids) - 1
+    hmax = (prof._edges[piece + 1] - prof._edges[piece]) / 140.0
     eps = np.finfo(float).eps
     for side in (1, -1):
         lab = "right" if side > 0 else "left"
         worst12 = 0.0
-        for L in mids[mids < 250.0]:  # keep h**order inside double range
+        for L, hm in zip(mids, hmax):
+            if L >= 250.0:  # keep h**order inside double range
+                continue
             x = math.exp(L)
 
             def gfun(xx):
@@ -576,7 +576,7 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
 
             jets = prof.gap_jet_log(side, np.array([L]), order=2)
             g0 = float(jets[0].to_float()[0])
-            for order, h in ((1, 1e-3), (2, 1e-2)):
+            for order, h in ((1, min(1e-3, hm)), (2, min(1e-2, hm))):
                 got = float(jets[order].to_float()[0])
                 fd, est = fd_derivative(gfun, x, order, h0=x * h)
                 floor = 64 * 4 ** order * eps * g0 / (x * h) ** order
@@ -587,7 +587,7 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
         worstL = 0.0
         strict_ok = 0
         strict_n = 0
-        for L, width in zip(mids, widths):
+        for L, hm in zip(mids, hmax):
             def Gfun(l):
                 return float(prof.gap_jet_log(side, np.array([l]),
                                               order=0)[0].logm[0])
@@ -595,7 +595,7 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
             lder = _log_derivs_wrt_L(prof, side, np.array([L]), 4)
             G0 = abs(float(Gfun(float(L)))) + 1.0
             for order in (1, 2, 3, 4):
-                h = min(2e-2 if order <= 2 else 1e-2, width / 140.0)
+                h = min(2e-2 if order <= 2 else 1e-2, hm)
                 got = float(lder[order][0])
                 fd, est = fd_derivative(Gfun, float(L), order, h0=h)
                 floor = 64 * 4 ** order * eps * G0 / h ** order
