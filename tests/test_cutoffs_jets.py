@@ -73,13 +73,13 @@ def test_eta_endpoints_exact_and_orders_in_one_pass():
 
 def test_measure_cutoff_pinned():
     """The cutoff statistics the construction constants are built from."""
-    st = measure_cutoff()
+    stats = measure_cutoff()
     pinned = {"eta_bar": 3392.658365744336, "eta_0": 0.5,
               "eta_bar4": 299010.00077084353, "slope_min": -3.06728803601869,
               "ratio": 6785.316731488672}
     for name, want in pinned.items():
-        assert getattr(st, name) == pytest.approx(want, rel=1e-12), name
-    assert st.grid_points == 20001
+        assert getattr(stats, name) == pytest.approx(want, rel=1e-12), name
+    assert stats.grid_points == 20001
 
 
 def test_cutoff_users_never_import_sympy():
@@ -101,7 +101,7 @@ def test_cutoff_users_never_import_sympy():
     ])
     src = str(Path(fraclayer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
