@@ -75,3 +75,7 @@ class Diverged(FracLayerError):
 
 class StalledAboveTolerance(FracLayerError):
     """Descent hit the iteration cap with the residual above tolerance."""
+
+
+class PanelBudgetExceeded(FracLayerError):
+    """An operator evaluation would need more panels than its budget."""

@@ -19,10 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonIntegrable, RegularityMismatch, TruncationDominates
+from .errors import (NonIntegrable, PanelBudgetExceeded, RegularityMismatch,
+                     TruncationDominates)
 from .kernels import KernelSpec
 from .panels import panel_integrals
 from .profiles import OscillatoryTail, PowerTail, ProfileFn
+
+# Coarse panels per block of the streamed panel sums: a block's abscissae,
+# (_BLOCK, 12) at the default node count, take about 200 KB (the refined
+# block's twice that).
+_BLOCK = 2048
+# Most refined panels one eval_lk call may lay out.
+_PANEL_BUDGET = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -104,18 +112,41 @@ def _insert_feature_edges(edges: np.ndarray, u: ProfileFn,
     return np.unique(np.concatenate([edges] + extra))
 
 
-def _panel_sum(kern: KernelSpec, u: ProfileFn, x: float,
-               edges: np.ndarray, nodes: int) -> float:
+def _panel_sums(kern: KernelSpec, u: ProfileFn, x: float, ux: float,
+                edges: np.ndarray, nodes: int) -> tuple[float, float, int]:
+    """Coarse and refined panel sums of the increment, and the refined count.
+
+    The refined panels split each coarse panel at its geometric midpoint; a
+    midpoint that rounds onto an edge would give a zero-width panel and is
+    dropped. One pass walks the edges in blocks of _BLOCK coarse panels and
+    builds each block's refined edges by interleaving, so memory stays
+    O(_BLOCK) however many panels there are.
+    """
     def increment(z):
-        return (u(x + z) + u(x - z) - 2.0 * float(u(np.array(x)))) * kern.k(z)
+        return (u(x + z) + u(x - z) - 2.0 * ux) * kern.k(z)
 
-    return float(np.sum(panel_integrals(increment, edges[:-1], edges[1:],
-                                        nodes)))
+    coarse = fine = 0.0
+    n_fine = 0
+    for i in range(0, len(edges) - 1, _BLOCK):
+        e = edges[i:i + _BLOCK + 1]
+        f = np.empty(2 * len(e) - 1)
+        f[0::2] = e
+        f[1::2] = np.sqrt(e[:-1] * e[1:])
+        new = f[1:] != f[:-1]
+        if not new.all():
+            f = np.concatenate((f[:1], f[1:][new]))
+        coarse += float(np.sum(panel_integrals(increment, e[:-1], e[1:],
+                                               nodes)))
+        fine += float(np.sum(panel_integrals(increment, f[:-1], f[1:],
+                                             nodes)))
+        n_fine += len(f) - 1
+    return coarse, fine, n_fine
 
 
-def _local_second_derivative(u: ProfileFn, x: float, h: float) -> float:
-    return float((u(np.array(x + h)) + u(np.array(x - h))
-                  - 2.0 * u(np.array(x))) / h ** 2)
+def _local_second_derivative(u: ProfileFn, x: float, ux: float,
+                             h: float) -> float:
+    return float((u(np.array(x + h)) + u(np.array(x - h)) - 2.0 * ux)
+                 / h ** 2)
 
 
 def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
@@ -126,13 +157,23 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
     u'' across the singular cell, and the analytic tail remainder bound.
     Raises NonIntegrable when u offers neither second-derivative data nor a
     local quadratic fit, and TruncationDominates when the tail remainder alone
-    exceeds the configured tolerance.
+    exceeds the configured tolerance; both are raised before any panel is
+    laid out.
+
+    The coarse and refined panel sums stream over the panels in fixed-size
+    blocks, so memory is O(block) whatever the panel count. An oscillatory
+    far field lays out about z1 / (T/2) panels, which grows without bound as
+    s or the tolerance falls or the frequency rises; the count is taken
+    first, and PanelBudgetExceeded is raised when the refined sum would need
+    more than _PANEL_BUDGET panels.
     """
     x = float(x)
     r0 = cfg.r0 if cfg.r0 is not None else 1e-3 * (1.0 + abs(x))
     Z = cfg.Z if cfg.Z is not None else 1e6 * (1.0 + abs(x))
     if r0 >= Z:
         raise ValueError("need r0 < Z")
+
+    ux = float(u(np.array(x)))
 
     # ---- singular cell -------------------------------------------------
     mom2 = kernel.second_moment_integral(r0)
@@ -144,15 +185,15 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
         sing = u2 * mom2
         sing_err = var * mom2
     elif u.locally_c2:
-        u2 = _local_second_derivative(u, x, r0)
-        u2_half = _local_second_derivative(u, x, r0 / 2.0)
+        u2 = _local_second_derivative(u, x, ux, r0)
+        u2_half = _local_second_derivative(u, x, ux, r0 / 2.0)
         sing = u2_half * mom2
         sing_err = abs(u2 - u2_half) * mom2
     elif 2.0 * kernel.s < 1.0:
         # merely Lipschitz: the increment is O(z) K(z), still integrable;
         # the quadratic-fit cell correction vanishes as r0 -> 0 but is not
         # trusted, so it is charged to the error in full
-        u2 = _local_second_derivative(u, x, r0 / 2.0)
+        u2 = _local_second_derivative(u, x, ux, r0 / 2.0)
         sing = u2 * mom2
         sing_err = abs(sing) + abs(u2) * mom2
     else:
@@ -169,32 +210,9 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
         zc = (4.0 * amp * kernel.Lam * T / (2 * np.pi) / target) ** (1.0 / (1.0 + 2 * kernel.s))
         z1 = min(Z, max(zc, 10.0 * r0))
 
-    edges = _panel_edges(r0, z1, cfg.panels_per_decade)
-    if osc:
-        # cap panel width at half the oscillation scale
-        T = u.tail.osc_scale
-        widths = np.diff(edges)
-        pieces = [edges[:1]]
-        for a, b, w in zip(edges[:-1], edges[1:], widths):
-            if w > 0.5 * T:
-                k = int(math.ceil(w / (0.5 * T)))
-                pieces.append(np.linspace(a, b, k + 1)[1:])
-            else:
-                pieces.append(np.array([b]))
-        edges = np.concatenate(pieces)
-    edges = _insert_feature_edges(edges, u, x)
-
-    main = _panel_sum(kernel, u, x, edges, cfg.nodes_per_panel)
-    fine_edges = np.unique(np.concatenate(
-        [edges, np.sqrt(edges[:-1] * edges[1:])]))
-    main_fine = _panel_sum(kernel, u, x, fine_edges, cfg.nodes_per_panel)
-    panel_err = abs(main_fine - main)
-    main = main_fine
-
-    # ---- far field -------------------------------------------------------
+    # ---- far field (checked before any panel is laid out) ---------------
     tail_val = 0.0
     tail_err = 0.0
-    ux = float(u(np.array(x)))
     ktail = kernel.tail_integral(z1)
     if osc:
         mean = u.tail.mean
@@ -232,9 +250,29 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
     if tail_err > cfg.tol:
         raise TruncationDominates(
             f"tail remainder {tail_err:.3e} exceeds tolerance {cfg.tol:.3e}")
-    return OpValue(value=main + sing + tail_val, panel_err=panel_err,
-                   sing_err=sing_err, tail_err=tail_err,
-                   n_panels=len(fine_edges) - 1)
+
+    # ---- panel section ---------------------------------------------------
+    edges = _panel_edges(r0, z1, cfg.panels_per_decade)
+    if osc:
+        # cap panel width at half the oscillation scale, counting first
+        half = 0.5 * T
+        widths = np.diff(edges)
+        pieces = np.where(widths > half, np.ceil(widths / half), 1.0)
+        n_refined = 2.0 * float(np.sum(pieces))
+        if n_refined > _PANEL_BUDGET:
+            raise PanelBudgetExceeded(
+                f"{u.name} at x={x:g}, s={kernel.s:g}, tol={cfg.tol:g} needs "
+                f"{n_refined:.4g} panels, above the budget of "
+                f"{_PANEL_BUDGET}; raise the tolerance or lower the frequency")
+        edges = np.concatenate([edges[:1]] + [
+            np.linspace(a, b, int(k) + 1)[1:] if k > 1 else [b]
+            for a, b, k in zip(edges[:-1], edges[1:], pieces)])
+    edges = _insert_feature_edges(edges, u, x)
+
+    coarse, main, n_panels = _panel_sums(kernel, u, x, ux, edges,
+                                         cfg.nodes_per_panel)
+    return OpValue(value=main + sing + tail_val, panel_err=abs(main - coarse),
+                   sing_err=sing_err, tail_err=tail_err, n_panels=n_panels)
 
 
 @dataclass

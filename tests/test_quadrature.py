@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fraclayer import profiles as pr
-from fraclayer.errors import NonIntegrable, TruncationDominates
+from fraclayer.errors import (NonIntegrable, PanelBudgetExceeded,
+                              TruncationDominates)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel, symbol_constant
 from fraclayer.quadrature import (QuadConfig, check_derivative_commutation,
                                   check_holder_transfer, eval_lk)
@@ -161,3 +164,93 @@ def test_perturbed_kernel_runs():
     ov0 = eval_lk(kern, pr.gaussian(), 0.0, QuadConfig(tol=1e-5))
     f0 = eval_lk(fractional_kernel(0.5), pr.gaussian(), 0.0, CFG)
     assert 0.8 * abs(f0.value) - 1e-4 <= abs(ov0.value) <= 1.2 * abs(f0.value) + 1e-4
+
+
+def _traced(fn):
+    """fn's result (or the exception it raised) and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        out = fn()
+    except Exception as e:  # the caller asserts on it
+        out = e
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_oscillatory_far_field_memory_is_bounded():
+    """s = 0.1, w = 4 lays out about 808k refined panels; the streamed panel
+    sums keep the whole call under 32 MB (one array of them took 414 MB)."""
+    kern = fractional_kernel(0.1)
+    u = pr.cosine(4.0)
+    ov, peak = _traced(lambda: eval_lk(kern, u, 0.0, CFG))
+    assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+    ref = -symbol_constant(0.1) * 4.0 ** 0.2
+    assert abs(ov.value - ref) <= 1e-4
+    assert abs(ov.value - ref) <= ov.error
+    assert ov.n_panels > 800_000
+
+
+@pytest.mark.parametrize("omega", [1e5, 1e8])
+def test_panel_budget_raises_before_allocating(omega):
+    """Far fields above the panel budget raise a typed error instead of
+    laying out their panels: at s = 0.1 the refined count grows like
+    w^(1/6), to 4.4M at w = 1e5 (just above the 2^22 budget) and 13.8M at
+    w = 1e8."""
+    kern = fractional_kernel(0.1)
+    u = pr.cosine(omega)
+    err, peak = _traced(lambda: eval_lk(kern, u, 0.0, CFG))
+    assert isinstance(err, PanelBudgetExceeded), err
+    assert "budget" in str(err)
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
+
+
+# Parent-pinned OpValues (value, panel_err, tail_err, n_panels) of the panel
+# sums as one array each. The tanh calls fit in one block of the streamed
+# sums and stay bit-identical; the plane wave (40486 refined panels) spans
+# 10 blocks and agrees to summation order.
+_TANH_PINNED = {
+    "fractional": (-1.693428666007998, 9.103828801926284e-15, 0.0, 204),
+    "tabulated-perturbation": (-1.8747331160901384, 1.0658141036401503e-14,
+                               0.0, 204),
+}
+
+
+def test_streamed_panel_sums_match_single_array_sums():
+    for kern in (fractional_kernel(0.5), perturbed_kernel(0.5, 0.5, 1.5)):
+        ov = eval_lk(kern, pr.tanh_profile(), 0.7, CFG)
+        assert (ov.value, ov.panel_err, ov.tail_err, ov.n_panels) == \
+            _TANH_PINNED[kern.form]
+    value, panel_err, tail_err, n_panels = (
+        -4.6175151717829985, 2.6645352591003757e-15, 2.500000000000002e-07,
+        40486)
+    ov = eval_lk(fractional_kernel(0.25), pr.cosine(1.0), 0.4, CFG)
+    assert ov.n_panels == n_panels
+    assert ov.tail_err == tail_err
+    scale = 1e-13 * max(1.0, abs(value))
+    assert abs(ov.value - value) <= scale
+    assert abs(ov.panel_err - panel_err) <= scale
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("x", [0.0, 1.3])
+@pytest.mark.parametrize("omega", [0.5, 2.0])
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_plane_wave_error_bounds_true_error(s, omega, x, tol):
+    """|true - value| <= error over s, w, x and tol.
+
+    At s = 0.1 and tol = 1e-8 the far field would have to reach beyond the
+    truncation radius Z = 1e6 (1 + |x|), where the tail bound still exceeds
+    tol: those cases raise TruncationDominates. Every other case fits within
+    the panel budget (the largest, s = 0.1, w = 2, tol = 1e-6, lays out 720k
+    refined panels); the budget's error path is tested above.
+    """
+    kern, u, cfg = fractional_kernel(s), pr.cosine(omega), QuadConfig(tol=tol)
+    if s == 0.1 and tol == 1e-8:
+        with pytest.raises(TruncationDominates):
+            eval_lk(kern, u, x, cfg)
+        return
+    ov = eval_lk(kern, u, x, cfg)
+    true = -symbol_constant(s) * omega ** (2 * s) * np.cos(omega * x)
+    assert abs(true - ov.value) <= ov.error
