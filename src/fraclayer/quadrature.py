@@ -132,9 +132,9 @@ def _panel_sums(kern: KernelSpec, u: ProfileFn, x: float, ux: float,
         f = np.empty(2 * len(e) - 1)
         f[0::2] = e
         f[1::2] = np.sqrt(e[:-1] * e[1:])
-        new = f[1:] != f[:-1]
-        if not new.all():
-            f = np.concatenate((f[:1], f[1:][new]))
+        keep = f[1:] != f[:-1]
+        if not keep.all():
+            f = np.concatenate((f[:1], f[1:][keep]))
         coarse += float(np.sum(panel_integrals(increment, e[:-1], e[1:],
                                                nodes)))
         fine += float(np.sum(panel_integrals(increment, f[:-1], f[1:],
@@ -262,7 +262,7 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
         if n_refined > _PANEL_BUDGET:
             raise PanelBudgetExceeded(
                 f"{u.name} at x={x:g}, s={kernel.s:g}, tol={cfg.tol:g} needs "
-                f"{n_refined:.4g} panels, above the budget of "
+                f"{n_refined:.4g} refined panels, above the budget of "
                 f"{_PANEL_BUDGET}; raise the tolerance or lower the frequency")
         edges = np.concatenate([edges[:1]] + [
             np.linspace(a, b, int(k) + 1)[1:] if k > 1 else [b]

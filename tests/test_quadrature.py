@@ -7,7 +7,9 @@ from fraclayer import profiles as pr
 from fraclayer.errors import (NonIntegrable, PanelBudgetExceeded,
                               TruncationDominates)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel, symbol_constant
-from fraclayer.quadrature import (QuadConfig, check_derivative_commutation,
+from fraclayer.panels import panel_integrals
+from fraclayer.quadrature import (QuadConfig, _panel_sums,
+                                  check_derivative_commutation,
                                   check_holder_transfer, eval_lk)
 
 CFG = QuadConfig(tol=1e-6)
@@ -206,10 +208,11 @@ def test_panel_budget_raises_before_allocating(omega):
     assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
 
 
-# Parent-pinned OpValues (value, panel_err, tail_err, n_panels) of the panel
-# sums as one array each. The tanh calls fit in one block of the streamed
-# sums and stay bit-identical; the plane wave (40486 refined panels) spans
-# 10 blocks and agrees to summation order.
+# OpValues (value, panel_err, tail_err, n_panels) pinned from the earlier
+# panel sums, which took the coarse and the refined panels as one array each.
+# The tanh calls fit in one block of the streamed sums and stay bit-identical;
+# the plane wave (40486 refined panels) spans 10 blocks and agrees up to
+# summation order.
 _TANH_PINNED = {
     "fractional": (-1.693428666007998, 9.103828801926284e-15, 0.0, 204),
     "tabulated-perturbation": (-1.8747331160901384, 1.0658141036401503e-14,
@@ -231,6 +234,23 @@ def test_streamed_panel_sums_match_single_array_sums():
     scale = 1e-13 * max(1.0, abs(value))
     assert abs(ov.value - value) <= scale
     assert abs(ov.panel_err - panel_err) <= scale
+
+
+def test_refined_panels_drop_midpoints_that_round_onto_an_edge():
+    """The midpoint of [1, 1 + ulp] rounds to 1: the refined sum keeps the
+    other panels, as the sorted, deduplicated refined edges would."""
+    kern, u, x = fractional_kernel(0.5), pr.gaussian(), 0.3
+    ux = float(u(np.array(x)))
+    edges = np.array([1.0, np.nextafter(1.0, 2.0), 2.0, 4.0])
+    coarse, fine, n_fine = _panel_sums(kern, u, x, ux, edges, 12)
+    ref = np.unique(np.concatenate([edges, np.sqrt(edges[:-1] * edges[1:])]))
+    assert n_fine == len(ref) - 1 == 5
+
+    def increment(z):
+        return (u(x + z) + u(x - z) - 2.0 * ux) * kern.k(z)
+
+    assert fine == float(np.sum(panel_integrals(increment, ref[:-1], ref[1:],
+                                                12)))
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
