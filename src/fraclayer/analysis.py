@@ -26,9 +26,6 @@ class DecayFit:
         if self.residual < 0:
             raise ValueError("residual must be >= 0")
 
-    def predict(self, x):
-        return np.exp(self.log_const) * np.asarray(x, float) ** (-self.exponent)
-
 
 def fit_power_decay(samples: Sequence[tuple[float, float]] | np.ndarray,
                     log_values: bool = False,
@@ -167,38 +164,3 @@ def fd_derivative(f: Callable, x: float, order: int, h0: float | None = None):
     floor = 8.0 * np.finfo(float).eps * coeff_mass * abs(float(f(x))) \
         / (h0 / 4.0) ** order
     return r, abs(r - r2) + floor + np.finfo(float).eps * abs(r)
-
-
-@dataclass
-class BoundReport:
-    """Outcome of a pointwise sandwich check."""
-
-    n: int
-    passed: bool
-    worst_slack: float       # most negative margin (>= 0 means all hold)
-    worst_location: float
-
-    def __bool__(self):
-        return self.passed
-
-
-def check_bounds(samples, lower=None, upper=None, rtol: float = 0.0) -> BoundReport:
-    """Check lower(x) <= v <= upper(x) on (x, v) samples.
-
-    Slack at a sample is min(v - lower, upper - v) (whichever bounds are
-    given), optionally relaxed by rtol * |v|. At least one bound is required.
-    """
-    if lower is None and upper is None:
-        raise ValueError("supply at least one bound")
-    arr = np.asarray(samples, dtype=float)
-    x, v = arr[:, 0], arr[:, 1]
-    slack = np.full_like(v, np.inf)
-    if lower is not None:
-        lo = np.asarray(lower(x), dtype=float)
-        slack = np.minimum(slack, v - lo + rtol * np.abs(v))
-    if upper is not None:
-        hi = np.asarray(upper(x), dtype=float)
-        slack = np.minimum(slack, hi - v + rtol * np.abs(v))
-    i = int(np.argmin(slack))
-    return BoundReport(n=len(v), passed=bool(slack[i] >= 0),
-                       worst_slack=float(slack[i]), worst_location=float(x[i]))

@@ -125,10 +125,9 @@ def cmd_verify_regularity(cfg, out, seed, mode) -> Report:
         rng = np.random.default_rng(seed)
         pairs = [(a, a + d) for a, d in zip(rng.uniform(-1, 1, 5),
                                             rng.uniform(0.1, 0.5, 5))]
-        hr = check_holder_transfer(kern, pr.lipschitz_bump(), pairs,
-                                   alpha=1.0, seminorm=1.0, cfg=qc)
-        rep.add("holder-transfer-cap", hr.passed,
-                hr.cap - max(hr.ratios))
+        rep.add_records([check_holder_transfer(
+            kern, pr.lipschitz_bump(), pairs, alpha=1.0, seminorm=1.0,
+            cfg=qc)])
     return rep
 
 
@@ -214,9 +213,8 @@ def cmd_verify_counterexample(cfg, out, seed, mode) -> Report:
     rep.add_records(vc.equality_case_records())
     rep.add_records(vc.touchpoint_reduced_records(cx))
     rep.add_records(vc.ordering_chain_records(cx))
-    rep.add(*(lambda r: (r.id, r.passed, r.worst_slack, r.location))(
-        vc.check_log_power_ode(2.0, 10.0, 3.0, 0.7,
-                               np.linspace(0.01, 0.99, 50))))
+    rep.add_records([vc.check_log_power_ode(2.0, 10.0, 3.0, 0.7,
+                                            np.linspace(0.01, 0.99, 50))])
     if mode == "desk":
         prof = build_profile(p, cx)
         rep.add_records(vc.touchpoint_desk_records(prof))
@@ -249,17 +247,12 @@ def cmd_reconstruct_potential(cfg, out, seed, mode) -> Report:
     rep.add("potential-positive", tab.interior_min() > 0, tab.interior_min())
     rep.add("equal-depth-closure", tab.closure_defect() <= 0.01,
             0.01 - tab.closure_defect())
-    reg = verify_potential_regularity(tab)
-    rep.add("curvature-regularity", reg.passed, reg.lipschitz_estimate)
-    for e in verify_well_envelopes(tab, p):
-        rep.add(f"curvature-envelopes-{e.side}", e.passed, e.tol,
-                f"lower={e.lower_exponent:.3f},upper={e.upper_exponent:.3f}")
+    rep.add_records([verify_potential_regularity(tab)])
+    rep.add_records(verify_well_envelopes(tab, p))
     m = slope_mass(prof, X=1e40)
     rep.add("slope-mass-2", abs(m - 2.0) < 1e-6, 1e-6 - abs(m - 2.0))
-    for r in second_derivative_limit(prof, kern,
-                                     [3e6, 1e7, 3e7, 1e8, 3e8, 1e9]):
-        rep.add(f"curvature-operator-limit-side{r.side:+d}", r.passed,
-                0.10 - r.rel_error, f"est={r.estimate:.4f}")
+    rep.add_records(second_derivative_limit(prof, kern,
+                                            [3e6, 1e7, 3e7, 1e8, 3e8, 1e9]))
     return rep
 
 

@@ -40,6 +40,7 @@ from numpy.polynomial.legendre import legint, legval, legvander
 from .errors import BridgeNotPositive, DegenerateOscillation, SampleOutsideWell
 from .jets import hermite_bridge
 from .panels import gauss_rule
+from .reports import CheckRecord
 
 
 @dataclass(frozen=True)
@@ -73,11 +74,6 @@ class WellParams:
                     "oscillatory mode needs beta > 2 and delta > 2")
             if not all(c == 1.0 for c in (self.c1, self.c2, self.c3, self.c4)):
                 raise ValueError("oscillatory mode realizes unit constants")
-
-    def config_dict(self) -> dict:
-        return {"mode": self.mode, "alpha": self.alpha, "beta": self.beta,
-                "gamma": self.gamma, "delta": self.delta, "c1": self.c1,
-                "c2": self.c2, "c3": self.c3, "c4": self.c4, "mu": self.mu}
 
 
 class _LogAxisCumulative:
@@ -331,19 +327,20 @@ def _to_unit_monomial(coef_window: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class WellBoundsReport:
-    side: str
-    n: int
-    passed: bool
-    worst_slack: float
-    worst_pair: tuple[float, float]
+def _increment_record(side, slack, r, t) -> CheckRecord:
+    i = int(np.argmin(slack))
+    return CheckRecord(f"well-increment-bounds-{side}",
+                       bool(slack[i] >= -1e-12), float(slack[i]),
+                       f"r={r[i]:.12g},t={t[i]:.12g}")
 
 
-def check_well_increment_bounds(pot: PotentialFn, samples) -> list[WellBoundsReport]:
+def check_well_increment_bounds(pot: PotentialFn, samples) -> list[CheckRecord]:
     """Two-sided integrated bounds on W(t)-W(r) and W'(t)-W'(r) in the wells.
 
     Each sample is an (r, t) pair with r <= t, both inside one well interval.
+    Each well with samples gives one record `well-increment-bounds-{side}`:
+    the worst slack over its pairs, which passes down to -1e-12, located at
+    its worst pair.
     """
     p = pot.params
     mu = p.mu
@@ -371,10 +368,7 @@ def check_well_increment_bounds(pot: PotentialFn, samples) -> list[WellBoundsRep
         hi1 = p.c2 / (be - 1) * ((1 + t) ** (be - 1) - (1 + r) ** (be - 1))
         slack = np.minimum(np.minimum(dW - lo0, hi0 - dW),
                            np.minimum(dW1 - lo1, hi1 - dW1))
-        i = int(np.argmin(slack))
-        reports.append(WellBoundsReport(
-            side="left", n=len(r), passed=bool(slack[i] >= -1e-12),
-            worst_slack=float(slack[i]), worst_pair=(float(r[i]), float(t[i]))))
+        reports.append(_increment_record("left", slack, r, t))
 
     if right_pairs:
         arr = np.array(right_pairs)
@@ -390,10 +384,7 @@ def check_well_increment_bounds(pot: PotentialFn, samples) -> list[WellBoundsRep
         hi1 = p.c4 / (de - 1) * ((1 - r) ** (de - 1) - (1 - t) ** (de - 1))
         slack = np.minimum(np.minimum(dW - lo0, hi0 - dW),
                            np.minimum(dW1 - lo1, hi1 - dW1))
-        i = int(np.argmin(slack))
-        reports.append(WellBoundsReport(
-            side="right", n=len(r), passed=bool(slack[i] >= -1e-12),
-            worst_slack=float(slack[i]), worst_pair=(float(r[i]), float(t[i]))))
+        reports.append(_increment_record("right", slack, r, t))
     return reports
 
 

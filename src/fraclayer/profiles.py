@@ -153,22 +153,6 @@ def cosine(omega: float = 1.0) -> ProfileFn:
     )
 
 
-def sine(omega: float = 1.0) -> ProfileFn:
-    w = float(omega)
-    return ProfileFn(
-        fn=lambda x: np.sin(w * x),
-        derivs=(
-            lambda x: w * np.cos(w * x),
-            lambda x: -w ** 2 * np.sin(w * x),
-            lambda x: -w ** 3 * np.cos(w * x),
-            lambda x: w ** 4 * np.sin(w * x),
-        ),
-        limits=None,
-        tail=OscillatoryTail(mean=0.0, amplitude=1.0, osc_scale=2 * np.pi / w),
-        name=f"sin({w}x)",
-    )
-
-
 def tanh_profile(scale: float = 1.0) -> ProfileFn:
     a = float(scale)
 

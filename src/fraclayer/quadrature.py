@@ -24,6 +24,7 @@ from .errors import (NonIntegrable, PanelBudgetExceeded, RegularityMismatch,
 from .kernels import KernelSpec
 from .panels import panel_integrals
 from .profiles import OscillatoryTail, PowerTail, ProfileFn
+from .reports import CheckRecord
 
 # Coarse panels per block of the streamed panel sums: a block's abscissae,
 # (_BLOCK, 12) at the default node count, take about 200 KB (the refined
@@ -307,26 +308,22 @@ def check_derivative_commutation(kernel: KernelSpec, u: ProfileFn,
                              tolerance=tol, passed=all(d < tol for d in out))
 
 
-@dataclass
-class HolderReport:
-    ratios: list[float]
-    cap: float
-    passed: bool
-
-
 def check_holder_transfer(kernel: KernelSpec, u: ProfileFn,
                           pairs: Sequence[tuple[float, float]],
                           alpha: float, seminorm: float,
                           cap_multiple: float = 50.0,
-                          cfg: QuadConfig = QuadConfig()) -> HolderReport:
+                          cfg: QuadConfig = QuadConfig()) -> CheckRecord:
     """Empirical Hölder-transfer check (boundedness only, constant untracked).
 
-    For each pair reports |L u(x1) - L u(x2)| / |x1 - x2|^(alpha - 2s) and
-    flags ratios exceeding cap_multiple * Lam * seminorm. The exponent
-    alpha - 2s must be positive (case 2s < alpha <= 1).
+    For each pair takes |L u(x1) - L u(x2)| / |x1 - x2|^(alpha - 2s); the
+    record `holder-transfer-cap` passes when no ratio exceeds
+    cap = cap_multiple * Lam * seminorm, with slack cap - max(ratios). The
+    exponent alpha - 2s must be positive (case 2s < alpha <= 1).
     """
     if alpha - 2.0 * kernel.s <= 0:
         raise ValueError("need alpha > 2s for the transfer exponent")
+    if not pairs:
+        raise ValueError("need at least one pair")
     cap = cap_multiple * kernel.Lam * seminorm
     ratios = []
     for x1, x2 in pairs:
@@ -335,5 +332,5 @@ def check_holder_transfer(kernel: KernelSpec, u: ProfileFn,
         d = abs(eval_lk(kernel, u, x1, cfg).value
                 - eval_lk(kernel, u, x2, cfg).value)
         ratios.append(d / abs(x1 - x2) ** (alpha - 2.0 * kernel.s))
-    return HolderReport(ratios=ratios, cap=cap,
-                        passed=all(r <= cap for r in ratios))
+    return CheckRecord("holder-transfer-cap", all(r <= cap for r in ratios),
+                       cap - max(ratios))

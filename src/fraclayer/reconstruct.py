@@ -21,6 +21,7 @@ from .kernels import KernelSpec
 from .panels import panel_integrals
 from .profiles import PowerTail, ProfileFn
 from .quadrature import QuadConfig, eval_lk
+from .reports import CheckRecord
 
 EPS = float(np.finfo(float).eps)
 LN_GAP_FLOOR = math.log(EPS / 4.0)   # a gap that rounds u~ to +/-1 is <= this
@@ -234,23 +235,16 @@ def reconstruct_potential(prof: LayerProfile, kernel: KernelSpec,
                     "kernel_s": kernel.s})
 
 
-@dataclass
-class RegularityReport:
-    lipschitz_estimate: float
-    end_trend_right: list
-    end_trend_left: list
-    passed: bool
-
-
 def verify_potential_regularity(tab: PotentialTable,
-                                n_end: int = 5,
-                                n_fit: int = 12) -> RegularityReport:
+                                n_fit: int = 12) -> CheckRecord:
     """Third-derivative proxies must decay toward both wells.
 
     The proxy is the divided difference of V2, which carries the designed
     log-periodic wobble, so the decay is asserted through the slope of
-    ln(proxy) against ln(well gap) over the last n_fit nodes per side. The
-    (finite) Lipschitz-constant estimate of V2 is stated, not asserted.
+    ln(proxy) against ln(well gap) over the last n_fit nodes per side: both
+    slopes must exceed 0.2, and the slack is the smaller slope minus 0.2.
+    The Lipschitz-constant estimate of V2 must be finite; its value is
+    stated in the location, not asserted.
     """
     r, V2 = tab.r, tab.V2
     dV2 = np.abs(np.diff(V2) / np.diff(r))
@@ -267,29 +261,21 @@ def verify_potential_regularity(tab: PotentialTable,
     gap_l = 1.0 + 0.5 * (r[:-1] + r[1:])
     right_slope = trend(gap_r[-n_fit:], dV2[-n_fit:])
     left_slope = trend(gap_l[:n_fit], dV2[:n_fit])
-    return RegularityReport(
-        lipschitz_estimate=lip,
-        end_trend_right=[float(v) for v in dV2[-n_end - 1:-1]],
-        end_trend_left=[float(v) for v in dV2[1:n_end + 1]],
-        passed=right_slope > 0.2 and left_slope > 0.2 and math.isfinite(lip))
-
-
-@dataclass
-class EnvelopeReport:
-    side: str
-    lower_exponent: float
-    upper_exponent: float
-    target: tuple[float, float]
-    tol: float
-    passed: bool
+    return CheckRecord(
+        "curvature-regularity",
+        right_slope > 0.2 and left_slope > 0.2 and math.isfinite(lip),
+        min(right_slope, left_slope) - 0.2, f"lipschitz={lip:.6g}")
 
 
 def verify_well_envelopes(tab: PotentialTable, params,
-                          tol: float = 0.3) -> list[EnvelopeReport]:
+                          tol: float = 0.3) -> list[CheckRecord]:
     """Fitted envelope exponents of V'' against the well powers.
 
     Right well: V'' oscillates between (1-r)^(gamma-2) (lower envelope) and
-    (1-r)^(delta-2) (upper); left well mirrored with (alpha, beta).
+    (1-r)^(delta-2) (upper); left well mirrored with (alpha, beta). Each
+    side's record `curvature-envelopes-{side}` passes when both exponents
+    lie within tol of their targets; the slack is tol minus the larger
+    miss.
     """
     out = []
     for side in ("right", "left"):
@@ -306,33 +292,24 @@ def verify_well_envelopes(tab: PotentialTable, params,
         samples = np.column_stack([1.0 / gap, np.log(v)])
         lo_fit = envelope_exponents(samples, "lower", log_values=True)
         hi_fit = envelope_exponents(samples, "upper", log_values=True)
-        lower_exp = lo_fit.exponent
-        upper_exp = hi_fit.exponent
-        passed = (abs(lower_exp - lo_t) <= tol and abs(upper_exp - hi_t) <= tol)
-        out.append(EnvelopeReport(side=side, lower_exponent=lower_exp,
-                                  upper_exponent=upper_exp,
-                                  target=(lo_t, hi_t), tol=tol,
-                                  passed=passed))
+        miss_lo = abs(lo_fit.exponent - lo_t)
+        miss_hi = abs(hi_fit.exponent - hi_t)
+        out.append(CheckRecord(
+            f"curvature-envelopes-{side}", miss_lo <= tol and miss_hi <= tol,
+            tol - max(miss_lo, miss_hi),
+            f"lower={lo_fit.exponent:.3f},upper={hi_fit.exponent:.3f}"))
     return out
 
 
-@dataclass
-class CurvatureLimitReport:
-    side: int
-    xs: list[float]
-    scaled: list[float]
-    estimate: float
-    target: float
-    rel_error: float
-    passed: bool
-
-
 def second_derivative_limit(prof: LayerProfile, kernel: KernelSpec, xs,
-                            rel_tol: float = 0.10) -> list[CurvatureLimitReport]:
+                            rel_tol: float = 0.10) -> list[CheckRecord]:
     """|x|^(2+2s) L u~'' -> -/+ 2 (1 + 2s) as x -> +/- inf.
 
     The total slope mass is 2; the limit constant is the mass times
-    (1 + 2s), with the sign opposite to the side.
+    (1 + 2s), with the sign opposite to the side. Each side's record
+    `curvature-operator-limit-side{+1,-1}` passes when the extrapolated
+    limit is within rel_tol of it; the slack is rel_tol minus the relative
+    error.
     """
     u = profile_as_fn(prof)
     base = u.derivative_profile().derivative_profile()
@@ -357,10 +334,8 @@ def second_derivative_limit(prof: LayerProfile, kernel: KernelSpec, xs,
                 best = (sse, float(coef[0]))
         est = best[1]
         rel = abs(est - target) / abs(target)
-        out.append(CurvatureLimitReport(
-            side=side, xs=[float(p) for p in pts], scaled=scaled,
-            estimate=est, target=target, rel_error=rel,
-            passed=rel <= rel_tol))
+        out.append(CheckRecord(f"curvature-operator-limit-side{side:+d}",
+                               rel <= rel_tol, rel_tol - rel, f"est={est:.4f}"))
     return out
 
 

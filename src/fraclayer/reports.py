@@ -1,9 +1,14 @@
-"""Check records and deterministic JSON report serialization."""
+"""The one check-record type and deterministic JSON report serialization.
+
+Every check with a fixed statement returns `CheckRecord`s, and a `Report`
+holds them. `Report.to_json` is the one place that maps a record to the
+report's keys (`id`, `statement`, `pass`, `worst-slack`, `location`).
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -21,9 +26,17 @@ def _fmt(v: Any) -> Any:
         return {str(k): _fmt(x) for k, x in v.items()}
     if isinstance(v, (bool, str)) or v is None:
         return v
-    if is_dataclass(v):
-        return _fmt(asdict(v))
     return str(v)
+
+
+@dataclass
+class CheckRecord:
+    """One verified statement: id, pass flag, worst slack, location."""
+
+    id: str
+    passed: bool
+    worst_slack: float
+    location: str = ""
 
 
 @dataclass
@@ -32,29 +45,21 @@ class Report:
 
     run_id: str
     config_echo: dict
-    checks: list = field(default_factory=list)
+    checks: list[CheckRecord] = field(default_factory=list)
 
     def add(self, id: str, passed: bool, worst_slack: float,
-            location: str = "", statement: str = "") -> None:
-        self.checks.append({
-            "id": id,
-            "statement": statement or id,
-            "pass": bool(passed),
-            "worst-slack": float(worst_slack),
-            "location": location,
-        })
+            location: str = "") -> None:
+        self.checks.append(CheckRecord(id, passed, worst_slack, location))
 
-    def add_records(self, records, statement: str = "") -> None:
-        for r in records:
-            self.add(r.id, r.passed, r.worst_slack,
-                     getattr(r, "location", ""), statement)
+    def add_records(self, records) -> None:
+        self.checks.extend(records)
 
     @property
     def passed(self) -> bool:
-        return all(c["pass"] for c in self.checks)
+        return all(c.passed for c in self.checks)
 
-    def failures(self) -> list:
-        return [c for c in self.checks if not c["pass"]]
+    def failures(self) -> list[CheckRecord]:
+        return [c for c in self.checks if not c.passed]
 
     def summary_line(self) -> str:
         n_fail = len(self.failures())
@@ -65,7 +70,10 @@ class Report:
         payload = {
             "run-id": self.run_id,
             "config-echo": _fmt(self.config_echo),
-            "checks": _fmt(self.checks),
+            "checks": _fmt([{"id": c.id, "statement": c.id,
+                             "pass": bool(c.passed),
+                             "worst-slack": float(c.worst_slack),
+                             "location": c.location} for c in self.checks]),
         }
         return json.dumps(payload, indent=1, sort_keys=True)
 

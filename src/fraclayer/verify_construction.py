@@ -11,7 +11,6 @@ assembled profile at materialized sample points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +19,7 @@ from .cutoffs import eta_tilde, measure_cutoff, w_weight, w_weight_argmax
 from .construction import (ConstructionConstants, LayerProfile,
                            SideConstants)
 from .jets import LogArray, jet_compose, LOG_OPS
-
-
-@dataclass
-class CheckRecord:
-    """One verified statement: id, pass flag, worst slack, location."""
-
-    id: str
-    passed: bool
-    worst_slack: float
-    location: str = ""
+from .reports import CheckRecord
 
 
 def _rec(records, cid, slack, loc="", tol=0.0):
@@ -366,23 +356,16 @@ def _log_derivs_wrt_L(prof: LayerProfile, side: int, L: np.ndarray,
     return [lg[i].to_float() for i in range(order + 1)]
 
 
-@dataclass
-class SandwichFit:
-    """Empirical constants of a bound family (two-sided unless one_sided)."""
-
-    id: str
-    lo_const: float
-    hi_const: float
-    n: int
-    passed: bool
-    one_sided: bool = False     # only the upper constant is asserted
-
-    def as_record(self) -> CheckRecord:
-        ok = self.passed and self.hi_const < np.inf \
-            and (self.one_sided or 0.0 < self.lo_const <= self.hi_const)
-        return CheckRecord(id=self.id, passed=ok,
-                           worst_slack=float(self.lo_const),
-                           location=f"n={self.n},hi={self.hi_const:.4g}")
+def _sandwich(cid, lo_logs, hi_logs, n, passed,
+              one_sided=False) -> CheckRecord:
+    """Empirical constants exp(min lo_logs), exp(max hi_logs) of a bound
+    family; a two-sided family also needs 0 < lo <= hi (one_sided asserts
+    only the upper constant)."""
+    lo = float(np.exp(np.min(lo_logs)))
+    hi = float(np.exp(np.max(hi_logs)))
+    ok = passed and hi < np.inf and (one_sided or 0.0 < lo <= hi)
+    return CheckRecord(id=cid, passed=ok, worst_slack=lo,
+                       location=f"n={n},hi={hi:.4g}")
 
 
 def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord]:
@@ -426,24 +409,6 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
             _rec(records, f"slope-negative-gap-{lab}", 0.0 if ok_sign else -1.0,
                  f"k={k}")
 
-        allgap = np.concatenate(ratios_gap)
-        fit = SandwichFit(id=f"gap-ramp-sandwich-{lab}",
-                          lo_const=float(np.exp(np.min(allgap))),
-                          hi_const=float(np.exp(np.max(allgap))),
-                          n=len(allgap),
-                          passed=bool(np.all(np.isfinite(allgap))))
-        records.append(fit.as_record())
-        hi = np.concatenate(ratios_d1_hi)
-        lo = np.concatenate(ratios_d1_lo)
-        records.append(SandwichFit(
-            id=f"slope-upper-sandwich-{lab}",
-            lo_const=float(np.exp(np.min(hi))), hi_const=float(np.exp(np.max(hi))),
-            n=len(hi), passed=bool(np.all(np.isfinite(hi)))).as_record())
-        records.append(SandwichFit(
-            id=f"slope-lower-sandwich-{lab}",
-            lo_const=float(np.exp(np.min(lo))), hi_const=float(np.exp(np.max(lo))),
-            n=len(lo), passed=bool(np.all(np.isfinite(lo)))).as_record())
-
         # swap cell [c_k, d_k]: gap ~ x^(-e_lo), slope >= x^(-1-e_lo(g-d+1))
         vals_gap, vals_d1 = [], []
         for k in range(cx.materializable_k() + 1):
@@ -451,16 +416,14 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
             jets = prof.gap_jet_log(side, L, order=1)
             vals_gap.append(jets[0].logm + sc.e_lo * L)
             vals_d1.append(jets[1].logm + (1.0 + sc.e_lo * (g_ - d_ + 1.0)) * L)
-        vg = np.concatenate(vals_gap)
-        records.append(SandwichFit(
-            id=f"gap-swap-sandwich-{lab}", lo_const=float(np.exp(vg.min())),
-            hi_const=float(np.exp(vg.max())), n=len(vg),
-            passed=bool(np.all(np.isfinite(vg)))).as_record())
-        vd = np.concatenate(vals_d1)
-        records.append(SandwichFit(
-            id=f"slope-swap-lower-{lab}", lo_const=float(np.exp(vd.min())),
-            hi_const=float(np.exp(vd.max())), n=len(vd),
-            passed=bool(np.all(np.isfinite(vd)))).as_record())
+        for cid, parts in ((f"gap-ramp-sandwich-{lab}", ratios_gap),
+                           (f"slope-upper-sandwich-{lab}", ratios_d1_hi),
+                           (f"slope-lower-sandwich-{lab}", ratios_d1_lo),
+                           (f"gap-swap-sandwich-{lab}", vals_gap),
+                           (f"slope-swap-lower-{lab}", vals_d1)):
+            v = np.concatenate(parts)
+            records.append(_sandwich(cid, v, v, len(v),
+                                     bool(np.all(np.isfinite(v)))))
 
         # return cell [d_k, a_{k+1}]: x^(-1-e_hi) <= u~' <= x^(-1-e_lo)
         vals_lo, vals_hi = [], []
@@ -470,12 +433,10 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
             jets = prof.gap_jet_log(side, L, order=1)
             vals_lo.append(jets[1].logm + (1.0 + sc.e_hi) * L)
             vals_hi.append(jets[1].logm + (1.0 + sc.e_lo) * L)
-        records.append(SandwichFit(
-            id=f"slope-return-sandwich-{lab}",
-            lo_const=float(np.exp(np.min(np.concatenate(vals_lo)))),
-            hi_const=float(np.exp(np.max(np.concatenate(vals_hi)))),
-            n=2 * len(vals_lo[0]) * len(vals_lo),
-            passed=True).as_record())
+        records.append(_sandwich(
+            f"slope-return-sandwich-{lab}", np.concatenate(vals_lo),
+            np.concatenate(vals_hi), 2 * len(vals_lo[0]) * len(vals_lo),
+            True))
 
         # inner power cell: |u~''| = (e_hi + 1) u~' / x exactly
         worst = 0.0
@@ -510,21 +471,17 @@ def second_derivative_bound_records(prof: LayerProfile,
         # curvature against the slope form (upper bound only: u~'' may
         # change sign inside the ramp cells)
         r1 = l2 - (l1 + (-1.0 + sc.e_lo * gd) * L)
-        records.append(SandwichFit(
-            id=f"curvature-slope-bound-{lab}", lo_const=float(np.exp(r1.min())),
-            hi_const=float(np.exp(r1.max())), n=n, passed=True,
-            one_sided=True).as_record())
+        records.append(_sandwich(f"curvature-slope-bound-{lab}", r1, r1, n,
+                                 True, one_sided=True))
         # curvature absolute decay x^(-2-eps): fit eps empirically
         r2 = (l2 + 2.0 * L) / L
         _rec(records, f"curvature-decay-margin-{lab}",
              float(-np.max(r2)), f"eps={-np.max(r2):.4g}")
         # third derivative envelope (upper bound only)
         r3 = l3 + (sc.e_lo + 3.0) * L
-        records.append(SandwichFit(
-            id=f"third-derivative-envelope-{lab}",
-            lo_const=float(np.exp(r3.min())), hi_const=float(np.exp(r3.max())),
-            n=n, passed=bool(np.all(r3 < np.inf)),
-            one_sided=True).as_record())
+        records.append(_sandwich(f"third-derivative-envelope-{lab}", r3, r3,
+                                 n, bool(np.all(r3 < np.inf)),
+                                 one_sided=True))
     return records
 
 

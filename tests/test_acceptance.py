@@ -221,7 +221,7 @@ def test_criterion_8_reconstruction(desk_pack):
              and all(r.passed for r in lims) and elapsed < 180.0,
              f"Vmin {tab.interior_min():.1e}, closure {closure:.2e}, "
              f"mass-2 {mass - 2.0:.1e}, "
-             f"limits {[f'{r.estimate:.3f}' for r in lims]}, {elapsed:.0f}s")
+             f"limits {[r.location for r in lims]}, {elapsed:.0f}s")
 
 
 def test_criterion_9_solver_decay_rates():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclayer.analysis import (check_bounds, envelope_exponents,
-                                fd_derivative, fit_power_decay)
+from fraclayer.analysis import (envelope_exponents, fd_derivative,
+                                fit_power_decay)
 
 
 def test_exact_power_law():
@@ -84,14 +84,3 @@ def test_fd_sine():
     v, e = fd_derivative(np.sin, 0.0, 1)
     assert v == pytest.approx(1.0, abs=1e-10)
 
-
-def test_check_bounds():
-    x = np.linspace(1, 2, 20)
-    samples = np.column_stack([x, x ** 2])
-    rep = check_bounds(samples, lower=lambda t: t ** 2, upper=lambda t: t ** 2)
-    assert rep.passed and rep.worst_slack == 0.0
-    bad = check_bounds(samples, upper=lambda t: np.where(t > 1.5, 0.0, 9.0))
-    assert not bad.passed
-    assert bad.worst_location > 1.5
-    with pytest.raises(ValueError):
-        check_bounds(samples)

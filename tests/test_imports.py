@@ -1,5 +1,6 @@
-"""Every module-level import in src/fraclayer is used by its module, and the
-third-party modules it imports are exactly the declared dependencies."""
+"""Every module-level import in src/fraclayer is used by its module, every
+top-level def and class in it is named somewhere else in the repository, and
+the third-party modules it imports are exactly the declared dependencies."""
 
 import ast
 import re
@@ -65,6 +66,62 @@ def test_no_unused_module_imports():
     found = [u for p in sorted(PACKAGE.glob("*.py"))
              for u in _unused_imports(p)]
     assert found == []
+
+
+def _referenced_names(node) -> set:
+    """Names, attributes and imported names that a syntax tree refers to."""
+    names = _used_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names |= {a.name for a in sub.names}
+    return names
+
+
+def _unreferenced_defs(package: Path, roots) -> list:
+    """Top-level defs and classes of the package's modules that no code under
+    the roots names outside their own definition."""
+    per_stmt = {path: [_referenced_names(stmt)
+                       for stmt in ast.parse(path.read_text()).body]
+                for root in roots for path in sorted(root.rglob("*.py"))}
+    out = []
+    for path in sorted(package.glob("*.py")):
+        elsewhere = set().union(*(n for q, stmts in per_stmt.items()
+                                  if q != path for n in stmts))
+        body = ast.parse(path.read_text()).body
+        for i, node in enumerate(body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            here = set().union(*(n for j, n in enumerate(per_stmt[path])
+                                 if j != i))
+            if node.name not in here | elsewhere:
+                out.append(f"{path.name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_dead_code_finder_flags_an_unused_def(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "m.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def dead():\n    return dead()\n\n"
+        "def helper():\n    return used()\n\n"
+        "def by_attribute():\n    pass\n\n"
+        "class Kept:\n    pass\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_m.py").write_text(
+        "from pkg.m import helper\nimport pkg.m as m\n"
+        "def test_x(k: 'Kept'):\n    assert helper() == 1\n"
+        "    m.by_attribute()\n")
+    assert _unreferenced_defs(pkg, [pkg, tests]) == ["m.py:4: dead"]
+
+
+def test_every_def_is_named_elsewhere():
+    assert _unreferenced_defs(PACKAGE, [ROOT / d for d in (
+        "src", "tests", "perfbench", "tools")]) == []
 
 
 def _third_party_imports(package: Path) -> set:

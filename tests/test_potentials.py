@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -114,7 +115,7 @@ def test_holder_spotcheck_reports():
 
 
 def test_config_roundtrip():
-    d = OSC.config_dict()
+    d = dataclasses.asdict(OSC)
     assert d["mode"] == "oscillatory"
     assert WellParams(**d) == OSC
 

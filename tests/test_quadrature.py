@@ -148,13 +148,27 @@ def test_holder_transfer_cap_and_preconditions():
     u = pr.lipschitz_bump()
     rep = check_holder_transfer(kern, u, [(-0.5, 0.1), (0.0, 1.4)],
                                 alpha=1.0, seminorm=1.0, cfg=CFG)
-    assert rep.passed and all(np.isfinite(rep.ratios))
-    with pytest.raises(ValueError):
-        check_holder_transfer(kern, u, [(0.3, 0.3)], alpha=1.0, seminorm=1.0)
+    assert rep.id == "holder-transfer-cap"
+    assert rep.passed and np.isfinite(rep.worst_slack)
+    for bad in ([(0.3, 0.3)], []):
+        with pytest.raises(ValueError):
+            check_holder_transfer(kern, u, bad, alpha=1.0, seminorm=1.0)
     const = pr.constant(0.2)
     rep2 = check_holder_transfer(kern, const, [(0.0, 1.0)], alpha=1.0,
                                  seminorm=1.0, cfg=CFG)
-    assert max(rep2.ratios) < 1e-8
+    # a constant profile has L u = 0 everywhere: every ratio is ~0
+    assert rep2.worst_slack > 50.0 * kern.Lam - 1e-8
+
+
+def test_holder_transfer_verdict_is_slack_sign():
+    kern = fractional_kernel(0.25)
+    recs = [check_holder_transfer(kern, pr.lipschitz_bump(),
+                                  [(-0.5, 0.1), (0.0, 1.4)], alpha=1.0,
+                                  seminorm=1.0, cap_multiple=m, cfg=CFG)
+            for m in (50.0, 1e-6)]
+    assert [r.passed for r in recs] == [True, False]
+    for rec in recs:
+        assert rec.passed == (rec.worst_slack >= 0), rec
 
 
 def test_perturbed_kernel_runs():
