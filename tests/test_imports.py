@@ -81,16 +81,17 @@ def _referenced_names(node) -> set:
 
 def _unreferenced_defs(package: Path, roots) -> list:
     """Top-level defs and classes of the package's modules that no code under
-    the roots names outside their own definition."""
-    per_stmt = {path: [_referenced_names(stmt)
-                       for stmt in ast.parse(path.read_text()).body]
-                for root in roots for path in sorted(root.rglob("*.py"))}
+    the roots names outside their own definition. One of the roots must
+    contain the package."""
+    trees = {path: ast.parse(path.read_text())
+             for root in roots for path in sorted(root.rglob("*.py"))}
+    per_stmt = {path: [_referenced_names(stmt) for stmt in tree.body]
+                for path, tree in trees.items()}
     out = []
     for path in sorted(package.glob("*.py")):
         elsewhere = set().union(*(n for q, stmts in per_stmt.items()
                                   if q != path for n in stmts))
-        body = ast.parse(path.read_text()).body
-        for i, node in enumerate(body):
+        for i, node in enumerate(trees[path].body):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
                 continue
