@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .cutoffs import (BETA44, CutoffStats, eta_derivs, eta_tilde,
-                      measure_cutoff, w_weight, w_weight_argmax)
+from .cutoffs import (_Q, BETA44, CutoffStats, eta_tilde, measure_cutoff,
+                      w_weight, w_weight_argmax)
 from .errors import (BridgeNotMonotone, LogRangeOverflow, OutOfPiece,
                      ParamOrderViolated)
-from .jets import (LOG_OPS, Jet, LogArray, hermite_bridge, jet_compose,
-                   jet_const, jet_exp, jet_log, jet_pow, jet_var)
+from .jets import Jet, LogArray, hermite_bridge, jet_compose
 
 LN2 = math.log(2.0)
 MAX_MATERIALIZABLE_LOG = 700.0
@@ -247,79 +246,155 @@ def build_constants(params: LayerParams) -> ConstructionConstants:
 
 
 # ---------------------------------------------------------------------------
-# piece jets
+# piece jets in L = ln y
 # ---------------------------------------------------------------------------
+#
+# On its piece the gap is a blend of one or two terms c w(L) e^(-psi(L)):
+# psi is e L or phi(L) L, and the weight w is 1, a cutoff eta(r) or 1 - eta(r),
+# or the eta~ coefficient of the outer swap, with r = e^(L - ln s) - 1 for the
+# piece's scale s. Each term is carried as ln of its magnitude plus its
+# L-derivatives over its value. Those ratios are moderate floats wherever
+# ln b_k is finite (every L-derivative of r is r + 1, in [1, 2] on the
+# piece), so no y is ever materialized.
 
-def _eta_jet(r: Jet, ops, tilde: bool = False, snap_tol=0.0) -> Jet:
-    r0 = np.asarray(ops.to_float(r.f[0]), dtype=float)
+EPS = float(np.finfo(float).eps)
+
+# signed Stirling numbers of the first kind: y^k D_y^k = sum_j s(k, j) D_L^j
+_STIRLING1 = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
+                       [0.0, 1.0, 0.0, 0.0, 0.0],
+                       [0.0, -1.0, 1.0, 0.0, 0.0],
+                       [0.0, 2.0, -3.0, 1.0, 0.0],
+                       [0.0, -6.0, 11.0, -6.0, 1.0]])
+
+
+def _cutoff_rel(r, order: int):
+    """ln eta(r), ln(1 - eta(r)) and the L-derivatives of each over its value.
+
+    eta(r) = sigma(z) with z = q/(1-x) - q/x and x = 2 (3/4 - r) clipped to
+    [0, 1], so 1 - eta is sigma(-z), and ln sigma(z) = -ln(1 + e^(-z)) never
+    rounds a tiny weight to 0. D_L^j r = r + 1 for every j >= 1.
+    """
+    x = np.minimum(np.maximum(2.0 * (0.75 - r), 0.0), 1.0)
+    a, b = 1.0 / (1.0 - x), 1.0 / x
+    z = _Q * (a - b)
+    ln_s, ln_sc = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    if order == 0:
+        return ln_s, ln_sc, [1.0], [1.0]
+    inner = (x > 0.0) & (x < 1.0)
+    S, Sc = np.exp(ln_s), np.exp(ln_sc)
+    p, d = S * Sc, Sc - S
+    # sigma^(k) / sigma, and the same for sigma(-z) = 1 - sigma(z)
+    sig = [1.0, Sc, Sc * d, Sc * (1.0 - 6.0 * p), Sc * d * (1.0 - 12.0 * p)]
+    sigc = [1.0, -S, -S * d, -S * (1.0 - 6.0 * p), -S * d * (1.0 - 12.0 * p)]
+    zx = [z] + [_Q * math.factorial(m)
+                * (a ** (m + 1) - (-1) ** m * b ** (m + 1))
+                for m in range(1, order + 1)]
+    zL = jet_compose(zx, Jet((x,) + (-2.0 * (r + 1.0),) * order))
+    # on the plateaus every derivative is 0 (and inf * 0 above)
+    rel = [[1.0] + [np.where(inner, v, 0.0)
+                    for v in jet_compose(o[:order + 1], zL).f[1:]]
+           for o in (sig, sigc)]
+    return ln_s, ln_sc, rel[0], rel[1]
+
+
+def _power_rel(e: float, order: int) -> list:
+    """L-derivatives of e^(-e L) over its value."""
+    return [(-e) ** j for j in range(order + 1)]
+
+
+def _phi_rel(sc: SideConstants, lnb_k: float, L, order: int):
+    """psi = phi(L) L with phi = e_hi (ln b_k / L)^(1/zeta), and the
+    L-derivatives of e^(-psi) over its value."""
+    phi = sc.e_hi * np.exp((math.log(lnb_k) - np.log(L)) / sc.zeta)
+    psi = phi * L
+    if order == 0:
+        return psi, [1.0]
+    # psi = K L^a with a = 1 - 1/zeta: psi^(j) = psi a (a-1)...(a-j+1) / L^j
+    a = 1.0 - 1.0 / sc.zeta
+    dpsi, fall = [-psi], -psi
+    for j in range(1, order + 1):
+        fall = fall * (a - (j - 1)) / L
+        dpsi.append(fall)
+    return psi, jet_compose([1.0] * (order + 1), Jet(tuple(dpsi))).f
+
+
+def _piece_terms(cx: ConstructionConstants, sc: SideConstants, k: int,
+                 piece: int, L, order: int) -> list:
+    """The terms of the gap on `piece` of cell k, as a list of
+    (ln |term|, [D_L^j term / term for j = 0..order])."""
+    lnb_k = cx.lnb[k]
+    lnc_k = cx.lnc[k]
+    if not math.isfinite(lnb_k) or (piece >= 1 and not math.isfinite(lnc_k)):
+        raise LogRangeOverflow(f"cell k={k} not representable in log floats")
+    if not 0 <= piece <= 5:
+        raise OutOfPiece(f"piece index {piece} out of range")
+    lcin = math.log(sc.c_in[k])
+    if piece == 0:
+        return [(lcin - sc.e_hi * L, _power_rel(sc.e_hi, order))]
+    if piece == 2:
+        psi, rel = _phi_rel(sc, lnb_k, L, order)
+        return [(lcin - psi, rel)]
+    ln_s = {1: lnb_k, 3: lnc_k - LN2, 4: lnc_k, 5: lnc_k + LN2}[piece]
+    dr = np.exp(L - ln_s)
+    r = dr - 1.0
     # junction coordinates are sums of stored logs and carry O(eps * |ln x|)
     # rounding; snapping the cutoff argument to its endpoints within that
     # tolerance makes both sides of every junction evaluate identically
-    r0 = np.where(np.abs(r0) <= snap_tol, 0.0, r0)
-    r0 = np.where(np.abs(r0 - 1.0) <= snap_tol, 1.0, r0)
-    if tilde:
-        outer = [eta_tilde(r0, i) for i in range(r.order + 1)]
-    else:
-        outer = eta_derivs(r0, r.order)
-    if isinstance(r.f[0], LogArray):
-        outer = [LogArray.from_float(v) for v in outer]
-    return jet_compose(outer, r)
-
-
-def _pow_jet(Lj: Jet, q: float, ops) -> Jet:
-    """x^(-q) as a jet in x, given the jet of ln x."""
-    return jet_exp(Lj * (-q), ops)
-
-
-def _phi_jet(Lj: Jet, side: SideConstants, lnb_k: float, ops) -> Jet:
-    """Exponent interpolant phi(x) = e_hi (ln b_k / ln x)^(1/zeta)."""
-    coef = side.e_hi * math.exp(math.log(lnb_k) / side.zeta)
-    return jet_pow(Lj, -1.0 / side.zeta, ops) * coef
-
-
-def _gap_piece_jet(cx: ConstructionConstants, side: SideConstants, k: int,
-                   piece: int, yj: Jet, Lj: Jet, ops) -> Jet:
-    """Jet of the gap g = 1 -/+ u~ on piece `piece` of cell k (y > 0)."""
-    lnb_k = cx.lnb[k]
-    lnc_k = cx.lnc[k]
-    if not np.isfinite(lnb_k) or (piece >= 1 and not np.isfinite(lnc_k)):
-        raise LogRangeOverflow(f"cell k={k} not representable in log floats")
-    cin = side.c_in[k]
-    Lval = np.asarray(ops.to_float(Lj.f[0]), dtype=float)
-    snap = 32.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(Lval))
-    if piece == 0:
-        return _pow_jet(Lj, side.e_hi, ops) * cin
-    if piece == 1:
-        inv_b = ops.from_log(-lnb_k)
-        r = yj * inv_b - 1.0
-        et = _eta_jet(r, ops, snap_tol=snap)
-        phi_pow = jet_exp(-(_phi_jet(Lj, side, lnb_k, ops) * Lj), ops)
-        return ((jet_const(1.0, yj.order) - et) * phi_pow
-                + et * _pow_jet(Lj, side.e_hi, ops)) * cin
-    if piece == 2:
-        phi_pow = jet_exp(-(_phi_jet(Lj, side, lnb_k, ops) * Lj), ops)
-        return phi_pow * cin
-    if piece == 3:
-        inv_chalf = ops.from_log(LN2 - lnc_k)
-        r = yj * inv_chalf - 1.0
-        et = _eta_jet(r, ops, snap_tol=snap)
-        phi_pow = jet_exp(-(_phi_jet(Lj, side, lnb_k, ops) * Lj), ops)
-        return ((jet_const(1.0, yj.order) - et) * _pow_jet(Lj, side.e_lo, ops)
-                + et * phi_pow) * cin
+    snap = 32.0 * EPS * np.maximum(1.0, np.abs(L))
+    r = np.where(np.abs(r) <= snap, 0.0, r)
+    r = np.where(np.abs(r - 1.0) <= snap, 1.0, r)
     if piece == 4:
-        inv_c = ops.from_log(-lnc_k)
-        r = yj * inv_c - 1.0
-        et = _eta_jet(r, ops, tilde=True, snap_tol=snap)
-        coef = et * (cin - side.c_out) + side.c_out
-        return coef * _pow_jet(Lj, side.e_lo, ops)
-    if piece == 5:
-        inv_d = ops.from_log(-LN2 - lnc_k)
-        r = yj * inv_d - 1.0
-        et = _eta_jet(r, ops, snap_tol=snap)
-        cnext = side.c_in[k + 1]
-        return ((jet_const(1.0, yj.order) - et) * (_pow_jet(Lj, side.e_hi, ops) * cnext)
-                + et * (_pow_jet(Lj, side.e_lo, ops) * side.c_out))
-    raise OutOfPiece(f"piece index {piece} out of range")
+        dc = sc.c_in[k] - sc.c_out
+        coef = jet_compose([eta_tilde(r, m) * dc for m in range(order + 1)],
+                           Jet((r,) + (dr,) * order)).f
+        c0 = coef[0] + sc.c_out
+        w = [1.0] + [v / c0 for v in coef[1:]]
+        terms = ((np.log(c0) - sc.e_lo * L, _power_rel(sc.e_lo, order), w),)
+    else:
+        # (1 - eta) off + eta on, each term as (ln |term|, jet over value)
+        if piece == 5:
+            off = (math.log(sc.c_in[k + 1]) - sc.e_hi * L,
+                   _power_rel(sc.e_hi, order))
+            on = (math.log(sc.c_out) - sc.e_lo * L, _power_rel(sc.e_lo, order))
+        else:
+            psi, r_phi = _phi_rel(sc, lnb_k, L, order)
+            ramp = (lcin - psi, r_phi)
+            if piece == 1:
+                off = ramp
+                on = (lcin - sc.e_hi * L, _power_rel(sc.e_hi, order))
+            else:
+                off = (lcin - sc.e_lo * L, _power_rel(sc.e_lo, order))
+                on = ramp
+        ln_eta, ln_comp, r_eta, r_comp = _cutoff_rel(r, order)
+        terms = ((off[0] + ln_comp, off[1], r_comp),
+                 (on[0] + ln_eta, on[1], r_eta))
+    return [(lam, (Jet(tuple(w)) * Jet(tuple(p))).f) for lam, p, w in terms]
+
+
+def _blend(terms: list, n: int, order: int):
+    """Sum the terms over the larger one: (base, d, absd) with
+    D_L^j gap = e^base d[j], and absd[j] the sum of |term_j| / e^base."""
+    d = np.empty((order + 1, n))
+    if len(terms) == 1:
+        base, rel = terms[0]
+        for j, v in enumerate(rel):
+            d[j] = v
+        return base, d, np.abs(d)
+    (lam1, rel1), (lam2, rel2) = terms
+    base = np.maximum(lam1, lam2)
+    c1, c2 = np.exp(lam1 - base), np.exp(lam2 - base)
+    absd = np.empty_like(d)
+    for j in range(order + 1):
+        p1, p2 = c1 * rel1[j], c2 * rel2[j]
+        d[j] = p1 + p2
+        absd[j] = np.abs(p1) + np.abs(p2)
+    return base, d, absd
+
+
+def _y_order(base, d, L, k: int):
+    """(sign, ln |g^(k)|) of the k-th y-derivative: y^k g^(k) = e^base u."""
+    u = d[0] if k == 0 else _STIRLING1[k, :len(d)] @ d
+    return np.sign(u), base - k * L + np.log(np.abs(u))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +411,10 @@ def _cell_boundaries(cx: ConstructionConstants, k: int) -> np.ndarray:
 class LayerProfile:
     """Piecewise profile: middle bridge, six pieces per cell, per side.
 
-    Evaluation routes by L = ln |x|; the gap 1 -/+ u~ and its first four
-    derivatives come from jets over either plain floats (materializable x) or
-    signed-log numbers (any scale).
+    Evaluation routes by L = ln |x|. The gap 1 -/+ u~ and its first four
+    derivatives come from the L-derivatives of each piece's terms, plain
+    numpy floats scaled by one log magnitude per point, so every scale where
+    ln b_k is finite evaluates without materializing x.
     """
 
     def __init__(self, cx: ConstructionConstants,
@@ -359,37 +435,89 @@ class LayerProfile:
                                    "reduced checks instead")
         self._edges = np.concatenate(bnds + [[_cell_boundaries(cx, len(bnds) - 1)[-1]]])
         self._refs = refs
+        self._inner_edges = self._edges[1:len(refs)]
         self.log_a0 = math.log(cx.a0)
+        self._sides = {True: cx.right(), False: cx.left()}
 
     # -- routing -----------------------------------------------------------
 
     def route(self, L: np.ndarray):
         """(k, piece) per point; piece 5 of the last cell extends outward."""
-        j = np.searchsorted(self._edges, L, side="right") - 1
-        j = np.clip(j, 0, len(self._refs) - 1)
-        return j
+        return np.searchsorted(self._inner_edges, L, side="right")
 
     # -- gap evaluation ------------------------------------------------------
 
-    def gap_jet_log(self, side: int, L: np.ndarray, order: int = 4,
-                    piece_override: int | None = None) -> Jet:
-        """Jet (in y) of the gap on one side at L = ln y, signed-log backend."""
-        L = np.atleast_1d(np.asarray(L, dtype=float))
-        sc = self.cx.right() if side > 0 else self.cx.left()
-        out = [LogArray(np.zeros_like(L), np.full_like(L, -np.inf))
-               for _ in range(order + 1)]
+    def gap_jet_L(self, side: int, L, order: int = 4,
+                  piece_override: int | None = None):
+        """L-derivatives of G(L) = gap(e^L) on one side, in scaled form.
+
+        Returns (base, d, absd) for the flattened L: D_L^j G = e^base d[j],
+        with d of shape (order + 1, L.size), and absd[j] the same sum taken
+        over the absolute values of the blended terms.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return self._gap_L(side, np.asarray(L, dtype=float).ravel(),
+                               order, piece_override)
+
+    def _gap_L(self, side, L, order, piece_override=None):
+        """`gap_jet_L` on flat L, under the caller's np.errstate."""
+        sc = self._sides[side > 0]
         idx = self.route(L) if piece_override is None else \
             np.full(L.shape, piece_override, dtype=int)
+        if L.size == 1:
+            k, piece = self._refs[int(idx[0])]
+            return _blend(_piece_terms(self.cx, sc, k, piece, L, order), 1,
+                          order)
+        base = np.empty(L.shape)
+        d = np.empty((order + 1,) + L.shape)
+        absd = np.empty_like(d)
         for j in np.unique(idx):
             k, piece = self._refs[int(j)]
             m = idx == j
-            yj = jet_var(LogArray.from_log(L[m]), order)
-            Lj = jet_log(yj, LOG_OPS)
-            gj = _gap_piece_jet(self.cx, sc, k, piece, yj, Lj, LOG_OPS)
-            for i in range(order + 1):
-                out[i].sign[m] = np.broadcast_to(gj[i].sign, L[m].shape)
-                out[i].logm[m] = np.broadcast_to(gj[i].logm, L[m].shape)
-        return Jet(tuple(out))
+            terms = _piece_terms(self.cx, sc, k, piece, L[m], order)
+            base[m], d[:, m], absd[:, m] = _blend(
+                terms, int(np.count_nonzero(m)), order)
+        return base, d, absd
+
+    def gap_jet_log(self, side: int, L: np.ndarray, order: int = 4,
+                    piece_override: int | None = None) -> Jet:
+        """Jet in y of the gap on one side at L = ln y, as signed logs.
+
+        The L-derivatives of `gap_jet_L` give the y-derivatives through
+        y^k g^(k)(y) = sum_j s(k, j) D_L^j G with the Stirling numbers of the
+        first kind s(k, j), so ln |g^(k)| = base - k L + ln |sum|.
+        """
+        L = np.atleast_1d(np.asarray(L, dtype=float))
+        Lf = L.ravel()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            base, d, _ = self._gap_L(side, Lf, order, piece_override)
+            jets = [_y_order(base, d, Lf, k) for k in range(order + 1)]
+        return Jet(tuple(LogArray(sg.reshape(L.shape), lm.reshape(L.shape))
+                         for sg, lm in jets))
+
+    def gap_rounding(self, side: int, L, order: int = 4):
+        """Cancellation factor and relative rounding bound of each y-order.
+
+        Returns (kappa, bound), each of shape (order + 1, L.size). kappa[k]
+        is sum |terms| / |sum| of y^k g^(k): the blended terms through the
+        Stirling sum. ln |g^(k)| = base - k L + ln |sum| is rounded by about
+        eps (|base| + k |L|), and every cutoff and power argument carries
+        rounding eps |L| in L, which the rate R = max_j |D_L^j G / G|^(1/j)
+        amplifies; kappa carries both into the sum, so
+        bound = 4 eps kappa (1 + |base| + (k + R) |L|).
+        """
+        L = np.asarray(L, dtype=float).ravel()
+        base, d, absd = self.gap_jet_L(side, L, order)
+        s1 = _STIRLING1[:order + 1, :order + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = (np.abs(s1) @ absd) / np.abs(s1 @ d)
+            rate = np.max([np.abs(d[j] / d[0]) ** (1.0 / j)
+                           for j in range(1, order + 1)], axis=0,
+                          initial=0.0)
+        ks = np.arange(order + 1)[:, None]
+        bound = 4.0 * EPS * kappa * (1.0 + np.abs(base)
+                                     + (ks + rate) * np.abs(L))
+        return kappa, bound
 
     def gap_logm(self, side: int, L: np.ndarray) -> np.ndarray:
         """ln(gap) fast path (order 0)."""
@@ -405,24 +533,35 @@ class LayerProfile:
         """
         shape = np.shape(x)
         x = np.asarray(x, dtype=float).ravel()
-        out = np.empty_like(x)
         a0 = self.cx.a0
-        mid = np.abs(x) < a0
-        if np.any(mid):
-            out[mid] = self._bridge_eval(x[mid], order)
-        for side in (+1, -1):
-            m = (~mid) & ((x >= a0) if side > 0 else (x <= -a0))
-            if not np.any(m):
-                continue
-            L = np.log(np.abs(x[m]))
-            g = self.gap_jet_log(side, L, order=order)
-            comp = g[order].to_float()
-            if order == 0:
-                out[m] = 1.0 - comp if side > 0 else comp - 1.0
-            else:
-                # d/dx^m of u~: side +: -g^(m)(y); side -: (-1)^m g^(m)(y)
-                out[m] = -comp if side > 0 else ((-1.0) ** order) * comp
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if x.size == 1:
+                # one point (root-finders, eval_lk probes): no masks
+                v = x[0]
+                if abs(v) < a0:
+                    return self._bridge_eval(x, order).reshape(shape)
+                return self._tail_eval(1 if v > 0 else -1, x,
+                                       order).reshape(shape)
+            out = np.empty_like(x)
+            mid = np.abs(x) < a0
+            if np.count_nonzero(mid):
+                out[mid] = self._bridge_eval(x[mid], order)
+            for side, m in ((+1, x >= a0), (-1, x <= -a0)):
+                if np.count_nonzero(m):
+                    out[m] = self._tail_eval(side, x[m], order)
         return out.reshape(shape)
+
+    def _tail_eval(self, side: int, x: np.ndarray, order: int) -> np.ndarray:
+        """u~^(order) at points |x| >= a0 of one side, under np.errstate."""
+        L = np.log(np.abs(x))
+        base, d, _ = self._gap_L(side, L, order)
+        if order == 0:
+            g = np.exp(base) * d[0]
+            return 1.0 - g if side > 0 else g - 1.0
+        sign, logm = _y_order(base, d, L, order)
+        comp = sign * np.exp(logm)
+        # d/dx^m of u~: side +: -g^(m)(y); side -: (-1)^m g^(m)(y)
+        return -comp if side > 0 else ((-1.0) ** order) * comp
 
     def _bridge_eval(self, x: np.ndarray, order: int) -> np.ndarray:
         out = np.empty_like(x)

@@ -1,9 +1,13 @@
-"""Truncated derivative stacks (jets) over floats or signed-log numbers.
+"""Truncated derivative stacks (jets), signed-log numbers, Hermite bridges.
 
-The layer profile mixes powers x^(-q) across dozens of orders of magnitude;
-evaluating its pieces and their first four derivatives in (sign, log |value|)
-representation avoids overflow/underflow entirely while reusing one set of
-product/chain-rule formulas for both the float and the log backend.
+`Jet` holds a value and its first derivatives; its product is Leibniz's
+rule and `jet_compose` is Faa di Bruno's formula to order 4, both on plain
+floats or numpy arrays. The layer profile composes its cutoffs with them and
+evaluates every piece in L = ln y as a log magnitude times moderate floats
+(`construction`). It hands its y-derivatives out as `LogArray`s, signed
+values stored as (sign, ln |value|), which hold any magnitude the doubly
+exponential scales produce and subtract without overflow.
+`hermite_bridge` is the polynomial that joins two jets across an interval.
 """
 
 from __future__ import annotations
@@ -62,17 +66,6 @@ class LogArray:
         logm = np.where(sign == 0.0, NEG_INF, self.logm + o.logm)
         return LogArray(sign, logm)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        sign = self.sign * o.sign
-        logm = np.where(sign == 0.0, NEG_INF, self.logm - o.logm)
-        return LogArray(sign, logm)
-
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
-
     def __neg__(self):
         return LogArray(-self.sign, self.logm)
 
@@ -103,77 +96,8 @@ class LogArray:
         sign = np.where(zero1, s2, np.where(zero2, s1, sign))
         return LogArray(sign, logm)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self.__add__(-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self).__add__(self._lift(other))
-
-    def __pow__(self, p: float):
-        if np.any(self.sign < 0):
-            raise ValueError("power of a negative log value")
-        return LogArray(np.where(self.sign == 0.0, 0.0, 1.0), self.logm * p)
-
-
-class FloatOps:
-    """Backend of plain numpy arithmetic."""
-
-    @staticmethod
-    def const(c):
-        return float(c)
-
-    @staticmethod
-    def exp(v):
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(v)
-
-    @staticmethod
-    def log(v):
-        return np.log(v)
-
-    @staticmethod
-    def to_float(v):
-        return v
-
-    @staticmethod
-    def from_log(logm):
-        with np.errstate(over="ignore", under="ignore"):
-            return np.exp(logm)
-
-
-class LogOps:
-    """Backend of signed-log arithmetic."""
-
-    @staticmethod
-    def const(c):
-        return LogArray.from_float(float(c))
-
-    @staticmethod
-    def exp(v):
-        arg = v.to_float() if isinstance(v, LogArray) else v
-        return LogArray.from_log(np.asarray(arg, dtype=float))
-
-    @staticmethod
-    def log(v):
-        if isinstance(v, LogArray):
-            if np.any(v.sign <= 0):
-                raise ValueError("log of non-positive value")
-            return LogArray.from_float(v.logm)
-        return LogArray.from_float(np.log(v))
-
-    @staticmethod
-    def to_float(v):
-        return v.to_float() if isinstance(v, LogArray) else v
-
-    @staticmethod
-    def from_log(logm):
-        return LogArray.from_log(logm)
-
-
-FLOAT_OPS = FloatOps()
-LOG_OPS = LogOps()
 
 
 @dataclass
@@ -189,52 +113,11 @@ class Jet:
     def __getitem__(self, i):
         return self.f[i]
 
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return Jet(tuple(a + b for a, b in zip(self.f, other.f)))
-        return Jet((self.f[0] + other,) + self.f[1:])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(tuple(-a for a in self.f))
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return Jet(tuple(a - b for a, b in zip(self.f, other.f)))
-        return Jet((self.f[0] - other,) + self.f[1:])
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(tuple(a * other for a in self.f))
+    def __mul__(self, other: "Jet") -> "Jet":
+        """Leibniz's rule, to the lower of the two orders."""
         n = min(self.order, other.order)
-        comps = []
-        for k in range(n + 1):
-            acc = None
-            for j in range(k + 1):
-                term = math.comb(k, j) * (self.f[j] * other.f[k - j])
-                acc = term if acc is None else acc + term
-            comps.append(acc)
-        return Jet(tuple(comps))
-
-    __rmul__ = __mul__
-
-
-def jet_var(x, order: int = 4) -> Jet:
-    """The identity jet of the base variable."""
-    one = np.ones_like(np.asarray(x, dtype=float)) if not isinstance(x, LogArray) \
-        else LogArray.from_float(np.ones(np.broadcast(x.sign).shape))
-    zero = one * 0.0 if not isinstance(x, LogArray) \
-        else LogArray(np.zeros_like(one.sign), np.full_like(one.logm, NEG_INF))
-    comps = [x, one] + [zero] * (order - 1)
-    return Jet(tuple(comps[:order + 1]))
-
-
-def jet_const(c, order: int = 4) -> Jet:
-    return Jet((c,) + (0.0,) * order)
+        return Jet(tuple(sum(math.comb(k, j) * (self.f[j] * other.f[k - j])
+                             for j in range(k + 1)) for k in range(n + 1)))
 
 
 def jet_compose(outer: list, g: Jet) -> Jet:
@@ -257,38 +140,6 @@ def jet_compose(outer: list, g: Jet) -> Jet:
                      + 4.0 * (F[2] * (g1 * g.f[3]))
                      + F[1] * g.f[4])
     return Jet(tuple(comps))
-
-
-def jet_exp(g: Jet, ops) -> Jet:
-    E = ops.exp(g.f[0])
-    return jet_compose([E] * (g.order + 1), g)
-
-
-def jet_log(g: Jet, ops) -> Jet:
-    g0 = g.f[0]
-    inv = 1.0 / g0 if not isinstance(g0, LogArray) else LogArray.from_float(1.0) / g0
-    outer = [ops.log(g0), inv, -(inv * inv), 2.0 * (inv * inv * inv),
-             -6.0 * (inv * inv * inv * inv)]
-    return jet_compose(outer[:g.order + 1], g)
-
-
-def jet_pow(g: Jet, p: float, ops) -> Jet:
-    """g(x)^p for positive g."""
-    g0 = g.f[0]
-    if isinstance(g0, LogArray):
-        v = g0 ** p
-        inv = LogArray.from_float(1.0) / g0
-    else:
-        v = g0 ** p
-        inv = 1.0 / g0
-    outer = [v]
-    fac = 1.0
-    cur = v
-    for i in range(1, g.order + 1):
-        fac *= (p - (i - 1))
-        cur = cur * inv
-        outer.append(fac * cur)
-    return jet_compose(outer, g)
 
 
 def hermite_bridge(a: float, b: float, left, right, mid: float | None = None):

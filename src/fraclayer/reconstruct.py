@@ -243,12 +243,14 @@ def verify_potential_regularity(tab: PotentialTable,
     log-periodic wobble, so the decay is asserted through the slope of
     ln(proxy) against ln(well gap) over the last n_fit nodes per side: both
     slopes must exceed 0.2, and the slack is the smaller slope minus 0.2.
-    The Lipschitz-constant estimate of V2 must be finite; its value is
-    stated in the location, not asserted.
+    The Lipschitz-constant estimate of V2, the largest divided difference,
+    must be finite; its value is stated in the location. A NaN or inf in V2
+    makes it infinite, and the record then fails with slack -inf.
     """
     r, V2 = tab.r, tab.V2
     dV2 = np.abs(np.diff(V2) / np.diff(r))
-    lip = float(np.nanmax(dV2[np.isfinite(dV2)]))
+    lip = float(np.max(dV2, initial=0.0)) if np.all(np.isfinite(dV2)) \
+        else math.inf
 
     def trend(gap, proxy):
         good = proxy > 0
@@ -261,10 +263,11 @@ def verify_potential_regularity(tab: PotentialTable,
     gap_l = 1.0 + 0.5 * (r[:-1] + r[1:])
     right_slope = trend(gap_r[-n_fit:], dV2[-n_fit:])
     left_slope = trend(gap_l[:n_fit], dV2[:n_fit])
-    return CheckRecord(
-        "curvature-regularity",
-        right_slope > 0.2 and left_slope > 0.2 and math.isfinite(lip),
-        min(right_slope, left_slope) - 0.2, f"lipschitz={lip:.6g}")
+    slack = min(right_slope, left_slope) - 0.2
+    if not (math.isfinite(lip) and math.isfinite(slack)):
+        slack = -math.inf
+    return CheckRecord("curvature-regularity", slack > 0.0, slack,
+                       f"lipschitz={lip:.6g}")
 
 
 def verify_well_envelopes(tab: PotentialTable, params,

@@ -16,9 +16,9 @@ import numpy as np
 
 from .analysis import fd_derivative
 from .cutoffs import eta_tilde, measure_cutoff, w_weight, w_weight_argmax
-from .construction import (ConstructionConstants, LayerProfile,
-                           SideConstants)
-from .jets import LogArray, jet_compose, LOG_OPS
+from .construction import (PIECE_NAMES, ConstructionConstants,
+                           LayerProfile, SideConstants)
+from .jets import Jet, jet_compose
 from .reports import CheckRecord
 
 
@@ -345,15 +345,11 @@ def touchpoint_desk_records(prof: LayerProfile) -> list[CheckRecord]:
 def _log_derivs_wrt_L(prof: LayerProfile, side: int, L: np.ndarray,
                       order: int) -> list[np.ndarray]:
     """Derivatives of ln(gap) with respect to L = ln y, well-conditioned."""
-    from .jets import Jet, jet_log as _jl
-
-    g = prof.gap_jet_log(side, L, order=order)
-    # y(L) = e^L has all L-derivatives equal to e^L
-    e = LogArray.from_log(L)
-    yjet = Jet(tuple(e for _ in range(order + 1)))
-    gL = jet_compose(list(g.f), yjet)
-    lg = _jl(gL, LOG_OPS)
-    return [lg[i].to_float() for i in range(order + 1)]
+    base, d, _ = prof.gap_jet_L(side, L, order)
+    # ln G with D^j G = G d[j] / d[0]: Faa di Bruno with the derivatives
+    # (-1)^(m-1) (m-1)! / G^m of ln, whose powers of G cancel
+    outer = [base + np.log(d[0]), 1.0, -1.0, 2.0, -6.0]
+    return jet_compose(outer[:order + 1], Jet(tuple(d / d[0]))).f
 
 
 def _sandwich(cid, lo_logs, hi_logs, n, passed,
@@ -639,6 +635,12 @@ def highprec_agreement_records(prof: LayerProfile,
     tolerance allows the double-precision noise of the smoothstep's third and
     fourth derivative evaluations (~1e-7); structural errors would show as
     O(1) disagreements.
+
+    One info record per side, `highprec-cancellation-{side}`, states the
+    worst cancellation factor sum |terms| / |sum| (`gap_rounding`) over all
+    the points and orders looked at, the ones the zero-crossing rule skips
+    included; its slack is rel_tol minus the rounding bound there, and it
+    always passes.
     """
     import mpmath as mp
 
@@ -649,6 +651,7 @@ def highprec_agreement_records(prof: LayerProfile,
         for side, sc, lab in ((1, cx.right(), "right"), (-1, cx.left(), "left")):
             worst = 0.0
             n = 0
+            cancel = (0.0, 0.0, "")
             for j, (k, piece) in enumerate(prof._refs):
                 lo, hi = prof._edges[j], prof._edges[j + 1]
                 if not np.isfinite(hi):
@@ -663,6 +666,12 @@ def highprec_agreement_records(prof: LayerProfile,
                 Fd = [F(mp.mpf(0))] + [mp.diff(F, mp.mpf(0), jj)
                                        for jj in range(1, 5)]
                 jets = prof.gap_jet_log(side, np.array([L]), order=4)
+                kappa, bound = prof.gap_rounding(side, np.array([L]), 4)
+                o = int(np.argmax(kappa[:, 0]))
+                if kappa[o, 0] > cancel[0]:
+                    cancel = (float(kappa[o, 0]), float(bound[o, 0]),
+                              f"L={L:.6g},piece={PIECE_NAMES[piece]},"
+                              f"order={o}")
                 for order in range(5):
                     if order == 0:
                         ref = Fd[0]       # = y^0 f
@@ -686,6 +695,11 @@ def highprec_agreement_records(prof: LayerProfile,
                     n += 1
             _rec(records, f"highprec-derivative-oracle-{lab}",
                  rel_tol - worst, f"n={n},worst={worst:.2e}")
+            records.append(CheckRecord(
+                id=f"highprec-cancellation-{lab}", passed=True,
+                worst_slack=rel_tol - cancel[1],
+                location=f"kappa={cancel[0]:.3g},bound={cancel[1]:.2e},"
+                         f"{cancel[2]}"))
     return records
 
 

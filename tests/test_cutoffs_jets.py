@@ -14,8 +14,8 @@ import fraclayer
 from fraclayer.cutoffs import (BETA44, eta, eta_derivs, eta_tilde,
                                measure_cutoff, smoothstep, w_weight,
                                w_weight_argmax)
-from fraclayer.jets import (FLOAT_OPS, LOG_OPS, Jet, LogArray, jet_const,
-                            jet_exp, jet_log, jet_pow, jet_var)
+from fraclayer import verify_construction as vc
+from fraclayer.jets import LogArray
 
 EPS = np.finfo(float).eps
 
@@ -164,52 +164,62 @@ def test_logarray_extreme_scales():
     assert z.to_float() == 0.0 and z.sign == 0.0
 
 
-def test_jet_product_rule():
-    x = np.array([1.7])
-    xj = jet_var(x)
-    p = jet_pow(xj, 3.0, FLOAT_OPS) * jet_pow(xj, -1.0, FLOAT_OPS)
-    # x^3 * x^-1 = x^2
-    assert p[0][0] == pytest.approx(1.7 ** 2, rel=1e-12)
-    assert p[1][0] == pytest.approx(2 * 1.7, rel=1e-12)
-    assert p[2][0] == pytest.approx(2.0, rel=1e-10)
-    assert abs(p[3][0]) < 1e-9
+# points per piece, as fractions of its width; x = 2e29 on the threshold
+# profile sits in cell 0's ramp-off piece, where its blended terms cancel
+_PIECE_OFFSETS = (0.08, 0.5, 0.93)
+_S1 = {1: [1], 2: [-1, 1], 3: [2, -3, 1], 4: [-6, 11, -6, 1]}
 
 
-def test_jet_exp_log_inverse():
-    x = np.array([2.5])
-    lj = jet_log(jet_var(x), FLOAT_OPS)
-    back = jet_exp(lj, FLOAT_OPS)
-    assert back[0][0] == pytest.approx(2.5, rel=1e-14)
-    assert back[1][0] == pytest.approx(1.0, rel=1e-12)
-    for m in (2, 3, 4):
-        assert abs(back[m][0]) < 1e-10
+def _mp_gap_jet_errors(prof, side):
+    """Relative errors of gap_jet_log orders 0..4 against 50-digit mpmath
+    derivatives of the exact piece formulas, with the reported bounds."""
+    cx = prof.cx
+    sc = cx.right() if side > 0 else cx.left()
+    pts = []
+    for j, (k, piece) in enumerate(prof._refs):
+        lo, hi = prof._edges[j], prof._edges[j + 1]
+        if hi > lo:
+            pts += [(lo + (hi - lo) * t, k, piece) for t in _PIECE_OFFSETS]
+    if prof.cx.params.alpha < 5.5:     # the threshold profile
+        pts.append((math.log(2e29),) + prof._refs[int(
+            prof.route(np.array([math.log(2e29)]))[0])])
+    L = np.array([p[0] for p in pts])
+    jets = prof.gap_jet_log(side, L, order=4)
+    _, bound = prof.gap_rounding(side, L, 4)
+    errs = np.zeros((5, L.size))
+    with mp.workdps(50):
+        for i, (Li, k, piece) in enumerate(pts):
+            f = vc._mp_piece_formula(cx, sc, k, piece)
+            Lmp = mp.mpf(float(Li))
+            Fd = mp.diffs(lambda t: f(mp.e ** (Lmp + t)), 0, 4)
+            Fd = list(Fd)
+            for m in range(5):
+                # y^m g^(m) from the t-derivatives of F(t) = g(e^(L + t))
+                ref = Fd[0] if m == 0 else mp.fsum(
+                    c * Fd[j + 1] for j, c in enumerate(_S1[m]))
+                got = jets[m].sign[i] * mp.e ** (
+                    mp.mpf(float(jets[m].logm[i])) + m * Lmp)
+                errs[m, i] = float(abs(got - ref) / abs(ref))
+    return L, errs, bound
 
 
-def test_jet_log_backend_matches_float():
-    x0 = 3.7e8
-    def build(xj, ops):
-        L = jet_log(xj, ops)
-        g = jet_pow(L, 0.95, ops) * (-0.25)
-        return jet_exp(g, ops)
-    jf = build(jet_var(np.array([x0])), FLOAT_OPS)
-    jl = build(jet_var(LogArray.from_log(np.log(x0))), LOG_OPS)
-    for m in range(5):
-        assert float(jl[m].to_float()) == pytest.approx(float(jf[m][0]),
-                                                        rel=1e-11)
+@pytest.mark.parametrize("which", ["desk", "threshold"])
+def test_gap_jets_match_mpmath(which, desk_profile, threshold_profile_pack):
+    """Orders 0..4 of the L-space gap jets against 50-digit mpmath at three
+    points of every piece, both sides.
 
-
-def test_jet_high_precision_reference():
-    import mpmath as mp
-
-    A, lnb, zeta = 0.25, 10.0, 20.0
-    x0 = 1e7
-    with mp.workdps(40):
-        f = lambda t: mp.e ** (-A * mp.mpf(lnb) ** (1 / mp.mpf(zeta))
-                               * mp.log(t) ** (1 - 1 / mp.mpf(zeta)))
-        refs = [float(mp.diff(f, mp.mpf(x0), m)) for m in range(5)]
-    xj = jet_var(np.array([x0]))
-    L = jet_log(xj, FLOAT_OPS)
-    g = jet_pow(L, 1 - 1 / zeta, FLOAT_OPS) * (-A * lnb ** (1 / zeta))
-    jet = jet_exp(g, FLOAT_OPS)
-    for m in range(5):
-        assert float(jet[m][0]) == pytest.approx(refs[m], rel=1e-10)
+    Each error must stay under the profile's own rounding bound,
+    4 eps kappa (1 + |base| + (k + R) |L|) from `gap_rounding`. Measured on
+    4000 points per profile (x = +-e^L, L in [-6, 80]) the error reaches
+    1.53 eps kappa (1 + |base| + (k + R) |L|), so the bound holds with a
+    margin of 2.6. At x = 2e29 on the threshold profile kappa reads 6e2,
+    1e4 and 2e5 at orders 2-4, and the bound grows with it: the digit loss
+    of the cancelling blend, not an evaluation error.
+    """
+    prof = desk_profile if which == "desk" else threshold_profile_pack[2]
+    for side in (1, -1):
+        L, errs, bound = _mp_gap_jet_errors(prof, side)
+        worst = np.unravel_index(np.argmax(errs / bound), errs.shape)
+        assert np.all(errs <= bound), (side, worst, L[worst[1]],
+                                       errs[worst], bound[worst])
+        assert np.all(errs[0] <= 64 * EPS * (1.0 + L))

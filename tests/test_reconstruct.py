@@ -6,8 +6,9 @@ import pytest
 
 from fraclayer.errors import OutOfRange
 from fraclayer.quadrature import QuadConfig, eval_lk
-from fraclayer.reconstruct import (graded_nodes, invert_profile,
-                                   profile_as_fn, reconstruct_potential,
+from fraclayer.reconstruct import (PotentialTable, graded_nodes,
+                                   invert_profile, profile_as_fn,
+                                   reconstruct_potential,
                                    second_derivative_limit, slope_mass,
                                    verify_potential_regularity,
                                    verify_well_envelopes)
@@ -132,6 +133,23 @@ def test_positivity_and_closure(table):
 def test_regularity(table):
     rep = verify_potential_regularity(table)
     assert rep.passed
+
+
+def test_regularity_fails_on_non_finite_curvature(table):
+    """A V2 with no finite divided difference, or with one inf away from the
+    fitted well ends, fails through the Lipschitz estimate: it used to raise
+    from np.nanmax, or to pass with the inf left out of the estimate."""
+    r = np.linspace(-0.99, 0.99, 50)
+    zeros = np.zeros_like(r)
+    nan = PotentialTable(r=r, x=zeros, V=zeros, V1=zeros,
+                         V2=np.full_like(r, np.nan))
+    V2 = table.V2.copy()
+    V2[len(V2) // 2] = np.inf
+    spiked = dataclasses.replace(table, V2=V2)
+    for tab in (nan, spiked):
+        rec = verify_potential_regularity(tab)
+        assert not rec.passed and rec.worst_slack == -math.inf, rec
+        assert rec.location == "lipschitz=inf"
 
 
 def test_envelopes(table, desk_profile_mod):

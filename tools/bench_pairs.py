@@ -16,6 +16,11 @@ run's end-to-end values and correctness, each side's median and quartiles
 per workload and metric, and the pairs each side won (ties, and pairs with a
 failed run, count for neither; "better" comes from the change's
 BENCHMARK.json).
+
+Before every run it times a fixed calibration loop (`calibrate`, about 0.2 s
+of numpy and pure Python on a 2-vCPU x86_64 VM) and writes the time beside
+the run's values, with each side's median per workload, so that records
+made on different days or machines can be compared by their speed.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -44,6 +52,18 @@ def checkout(sha: str, dest: Path) -> Path:
     git("clone", "--quiet", "--no-checkout", str(ROOT), str(dest))
     git("checkout", "--quiet", sha, cwd=dest)
     return dest
+
+
+def calibrate() -> float:
+    """Seconds for a fixed loop: elementwise numpy, a sort, pure Python."""
+    x = np.linspace(0.0, 1.0, 100_000)
+    t0 = time.perf_counter()
+    for _ in range(30):
+        np.sort(np.exp(np.sin(7.0 * x)))
+    acc = 0
+    for i in range(500_000):
+        acc += i * i % 7
+    return time.perf_counter() - t0
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -122,12 +142,16 @@ def main(argv=None) -> int:
         for i in range(PAIRS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for s in order:
+                cal = calibrate()
                 runs[s].append(run_once(trees[s], w, args.seed + i,
-                                        seconds))
+                                        seconds) | {"calibration_s": cal})
                 print(f"{w} pair {i} {s}: {runs[s][-1].get('values')}",
                       file=sys.stderr, flush=True)
-        result["workloads"][w] = {"summary": summarize(runs, better),
-                                  "runs": runs}
+        result["workloads"][w] = {
+            "summary": summarize(runs, better),
+            "calibration_s": {s: statistics.median(
+                r["calibration_s"] for r in runs[s]) for s in SIDES},
+            "runs": runs}
         # written after every workload, so a stopped run keeps what it has
         out_path.write_text(json.dumps(result, indent=1) + "\n")
     return 0
