@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .cutoffs import (_Q, BETA44, CutoffStats, eta_tilde, measure_cutoff,
-                      w_weight, w_weight_argmax)
+from .cutoffs import (BETA44, CutoffStats, eta_tilde, logistic_derivs,
+                      measure_cutoff, w_weight, w_weight_argmax, z_derivs)
 from .errors import (BridgeNotMonotone, LogRangeOverflow, OutOfPiece,
                      ParamOrderViolated)
-from .jets import Jet, LogArray, hermite_bridge, jet_compose
+from .jets import LogArray, hermite_bridge, jet_compose, leibniz
 
 LN2 = math.log(2.0)
 MAX_MATERIALIZABLE_LOG = 700.0
@@ -275,25 +275,18 @@ def _cutoff_rel(r, order: int):
     rounds a tiny weight to 0. D_L^j r = r + 1 for every j >= 1.
     """
     x = np.minimum(np.maximum(2.0 * (0.75 - r), 0.0), 1.0)
-    a, b = 1.0 / (1.0 - x), 1.0 / x
-    z = _Q * (a - b)
-    ln_s, ln_sc = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+    zx = z_derivs(x, order)
+    ln_s, ln_sc = -np.logaddexp(0.0, -zx[0]), -np.logaddexp(0.0, zx[0])
     if order == 0:
         return ln_s, ln_sc, [1.0], [1.0]
     inner = (x > 0.0) & (x < 1.0)
     S, Sc = np.exp(ln_s), np.exp(ln_sc)
-    p, d = S * Sc, Sc - S
-    # sigma^(k) / sigma, and the same for sigma(-z) = 1 - sigma(z)
-    sig = [1.0, Sc, Sc * d, Sc * (1.0 - 6.0 * p), Sc * d * (1.0 - 12.0 * p)]
-    sigc = [1.0, -S, -S * d, -S * (1.0 - 6.0 * p), -S * d * (1.0 - 12.0 * p)]
-    zx = [z] + [_Q * math.factorial(m)
-                * (a ** (m + 1) - (-1) ** m * b ** (m + 1))
-                for m in range(1, order + 1)]
-    zL = jet_compose(zx, Jet((x,) + (-2.0 * (r + 1.0),) * order))
-    # on the plateaus every derivative is 0 (and inf * 0 above)
-    rel = [[1.0] + [np.where(inner, v, 0.0)
-                    for v in jet_compose(o[:order + 1], zL).f[1:]]
-           for o in (sig, sigc)]
+    zL = jet_compose(zx, [x] + [-2.0 * (r + 1.0)] * order)
+    # sigma^(k) / sigma, and the same for sigma(-z) = 1 - sigma(z); on the
+    # plateaus every derivative is 0 (and inf * 0 above)
+    rel = [[1.0] + [np.where(inner, v, 0.0) for v in jet_compose(
+        [1.0] + logistic_derivs(S, Sc, lead, order), zL)[1:]]
+           for lead in (Sc, -S)]
     return ln_s, ln_sc, rel[0], rel[1]
 
 
@@ -315,7 +308,7 @@ def _phi_rel(sc: SideConstants, lnb_k: float, L, order: int):
     for j in range(1, order + 1):
         fall = fall * (a - (j - 1)) / L
         dpsi.append(fall)
-    return psi, jet_compose([1.0] * (order + 1), Jet(tuple(dpsi))).f
+    return psi, jet_compose([1.0] * (order + 1), dpsi)
 
 
 def _piece_terms(cx: ConstructionConstants, sc: SideConstants, k: int,
@@ -346,7 +339,7 @@ def _piece_terms(cx: ConstructionConstants, sc: SideConstants, k: int,
     if piece == 4:
         dc = sc.c_in[k] - sc.c_out
         coef = jet_compose([eta_tilde(r, m) * dc for m in range(order + 1)],
-                           Jet((r,) + (dr,) * order)).f
+                           [r] + [dr] * order)
         c0 = coef[0] + sc.c_out
         w = [1.0] + [v / c0 for v in coef[1:]]
         terms = ((np.log(c0) - sc.e_lo * L, _power_rel(sc.e_lo, order), w),)
@@ -368,7 +361,7 @@ def _piece_terms(cx: ConstructionConstants, sc: SideConstants, k: int,
         ln_eta, ln_comp, r_eta, r_comp = _cutoff_rel(r, order)
         terms = ((off[0] + ln_comp, off[1], r_comp),
                  (on[0] + ln_eta, on[1], r_eta))
-    return [(lam, (Jet(tuple(w)) * Jet(tuple(p))).f) for lam, p, w in terms]
+    return [(lam, leibniz(w, p)) for lam, p, w in terms]
 
 
 def _blend(terms: list, n: int, order: int):
@@ -420,7 +413,9 @@ class LayerProfile:
     def __init__(self, cx: ConstructionConstants,
                  bridge_coeffs: list, bridge_knots: list):
         self.cx = cx
-        self.bridge_polys = bridge_coeffs      # list of numpy Polynomial
+        # per bridge piece, its numpy Polynomial and derivatives to order 4
+        self.bridge_derivs = [[p.deriv(m) for m in range(5)]
+                              for p in bridge_coeffs]
         self.bridge_knots = bridge_knots       # breakpoints in x
         bnds = []
         refs = []
@@ -480,8 +475,9 @@ class LayerProfile:
         return base, d, absd
 
     def gap_jet_log(self, side: int, L: np.ndarray, order: int = 4,
-                    piece_override: int | None = None) -> Jet:
-        """Jet in y of the gap on one side at L = ln y, as signed logs.
+                    piece_override: int | None = None) -> tuple:
+        """y-derivatives 0..order of the gap on one side at L = ln y, as a
+        tuple of `LogArray`s of L's shape.
 
         The L-derivatives of `gap_jet_L` give the y-derivatives through
         y^k g^(k)(y) = sum_j s(k, j) D_L^j G with the Stirling numbers of the
@@ -492,8 +488,8 @@ class LayerProfile:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             base, d, _ = self._gap_L(side, Lf, order, piece_override)
             jets = [_y_order(base, d, Lf, k) for k in range(order + 1)]
-        return Jet(tuple(LogArray(sg.reshape(L.shape), lm.reshape(L.shape))
-                         for sg, lm in jets))
+        return tuple(LogArray(sg.reshape(L.shape), lm.reshape(L.shape))
+                     for sg, lm in jets)
 
     def gap_rounding(self, side: int, L, order: int = 4):
         """Cancellation factor and relative rounding bound of each y-order.
@@ -540,21 +536,23 @@ class LayerProfile:
                 v = x[0]
                 if abs(v) < a0:
                     return self._bridge_eval(x, order).reshape(shape)
-                return self._tail_eval(1 if v > 0 else -1, x,
-                                       order).reshape(shape)
-            out = np.empty_like(x)
+                return self._utilde(1 if v > 0 else -1, np.log(np.abs(x)),
+                                    order).reshape(shape)
+            out = np.full_like(x, np.nan)
             mid = np.abs(x) < a0
             if np.count_nonzero(mid):
                 out[mid] = self._bridge_eval(x[mid], order)
             for side, m in ((+1, x >= a0), (-1, x <= -a0)):
                 if np.count_nonzero(m):
-                    out[m] = self._tail_eval(side, x[m], order)
+                    out[m] = self._utilde(side, np.log(np.abs(x[m])), order)
         return out.reshape(shape)
 
-    def _tail_eval(self, side: int, x: np.ndarray, order: int) -> np.ndarray:
-        """u~^(order) at points |x| >= a0 of one side, under np.errstate."""
-        L = np.log(np.abs(x))
-        base, d, _ = self._gap_L(side, L, order)
+    def _utilde(self, side: int, L: np.ndarray, order: int,
+                piece_override: int | None = None) -> np.ndarray:
+        """u~^(order) at x = side e^L, |x| >= a0, from the gap's L-jet; under
+        the caller's np.errstate. The tails of `eval`, the bridge junctions
+        and `export_csv` all read u~ here."""
+        base, d, _ = self._gap_L(side, L, order, piece_override)
         if order == 0:
             g = np.exp(base) * d[0]
             return 1.0 - g if side > 0 else g - 1.0
@@ -566,16 +564,12 @@ class LayerProfile:
     def _bridge_eval(self, x: np.ndarray, order: int) -> np.ndarray:
         out = np.empty_like(x)
         knots = self.bridge_knots
-        for i, poly in enumerate(self.bridge_polys):
+        for i, ders in enumerate(self.bridge_derivs):
             lo = knots[i]
             hi = knots[i + 1]
             m = (x >= lo) & (x <= hi) if i == 0 else (x > lo) & (x <= hi)
-            if not np.any(m):
-                continue
-            p = poly
-            for _ in range(order):
-                p = p.deriv()
-            out[m] = p(x[m])
+            if np.any(m):
+                out[m] = ders[order](x[m])
         return out
 
     # -- junctions ------------------------------------------------------------
@@ -583,51 +577,47 @@ class LayerProfile:
     def junction_mismatches(self, orders=(0, 1, 2, 3)) -> list[dict]:
         """Relative mismatch of the gap jets across every interior junction.
 
-        Both neighbor pieces are evaluated at the junction via the signed-log
-        backend, so junctions at any k are checkable without materializing x.
+        Both neighbor pieces are evaluated at the junction in L-space: on
+        each, y^m g^(m) = e^base (s1 @ d)[m], taken over the larger of the
+        two bases, so junctions at any k are checkable without
+        materializing x. The bridge ends compare u~^(m) as floats.
         """
         out = []
+        n = max(orders)
+        s1 = _STIRLING1[:n + 1, :n + 1]
         for side in (+1, -1):
             for j in range(1, len(self._refs)):
                 Lj = np.array([self._edges[j]])
-                left = self.gap_jet_log(side, Lj, order=max(orders),
-                                        piece_override=j - 1)
-                right = self.gap_jet_log(side, Lj, order=max(orders),
-                                         piece_override=j)
+                (ba, da, _), (bb, db, _) = (
+                    self.gap_jet_L(side, Lj, n, piece_override=p)
+                    for p in (j - 1, j))
+                top = max(ba[0], bb[0])
+                a = math.exp(ba[0] - top) * (s1 @ da)[:, 0]
+                b = math.exp(bb[0] - top) * (s1 @ db)[:, 0]
                 rec = {"side": side, "L": float(Lj[0]),
                        "cell": self._refs[j - 1][0],
                        "pieces": (PIECE_NAMES[self._refs[j - 1][1]],
                                   PIECE_NAMES[self._refs[j][1]])}
-                worst = 0.0
                 for m in orders:
-                    a, b = left[m], right[m]
-                    diff = a - b
-                    ref = max(a.logm[0], b.logm[0])
-                    rel = 0.0 if diff.sign[0] == 0.0 else \
-                        math.exp(diff.logm[0] - ref)
-                    worst = max(worst, rel)
-                    rec[f"rel_order_{m}"] = rel
-                rec["worst"] = worst
+                    diff = abs(a[m] - b[m])
+                    rec[f"rel_order_{m}"] = 0.0 if diff == 0.0 else \
+                        float(diff / max(abs(a[m]), abs(b[m])))
+                rec["worst"] = max(rec[f"rel_order_{m}"] for m in orders)
                 out.append(rec)
         # bridge endpoints against the first cells
-        for side, x0 in ((+1, self.cx.a0), (-1, -self.cx.a0)):
+        for side in (+1, -1):
             rec = {"side": side, "L": self.log_a0, "cell": 0,
                    "pieces": ("bridge", PIECE_NAMES[0])}
-            worst = 0.0
+            x0 = np.array([side * self.cx.a0])
+            L0 = np.array([self.log_a0])
             for m in orders:
-                pv = float(self._bridge_eval(np.array([x0]), m)[0])
-                g = self.gap_jet_log(side, np.array([self.log_a0]), order=m,
-                                     piece_override=0 if side > 0 else 0)
-                comp = float(g[m].to_float()[0])
-                if m == 0:
-                    ov = 1.0 - comp if side > 0 else comp - 1.0
-                else:
-                    ov = -comp if side > 0 else ((-1.0) ** m) * comp
+                pv = float(self._bridge_eval(x0, m)[0])
+                with np.errstate(divide="ignore", invalid="ignore",
+                                 over="ignore"):
+                    ov = float(self._utilde(side, L0, m, piece_override=0)[0])
                 scale = max(abs(pv), abs(ov), 1e-300)
-                rel = abs(pv - ov) / scale
-                worst = max(worst, rel)
-                rec[f"rel_order_{m}"] = rel
-            rec["worst"] = worst
+                rec[f"rel_order_{m}"] = abs(pv - ov) / scale
+            rec["worst"] = max(rec[f"rel_order_{m}"] for m in orders)
             out.append(rec)
         return out
 
@@ -645,7 +635,7 @@ class LayerProfile:
         for side in (+1, -1):
             L = self.log_samples(side, n)
             d1 = self.gap_jet_log(side, L, order=1)[1]
-            # u~' = -g'(y) on the right, +(-1) g'(y)... both sides need g' < 0
+            # u~' is -g'(y) on both sides, so u~' > 0 needs g' < 0
             ok = d1.sign < 0
             if not np.all(ok):
                 bad.extend((side, float(l)) for l in L[~ok][:5])
@@ -668,18 +658,12 @@ class LayerProfile:
             rows.append((math.asinh(xi), *vals, -1, 0))
         for side in (+1, -1):
             L = self.log_samples(side, n_per_side)
-            g = self.gap_jet_log(side, L, order=3)
-            idx = self.route(L)
-            for i, l in enumerate(L):
-                comps = []
-                for m in range(4):
-                    v = float(g[m].to_float()[i])
-                    if m == 0:
-                        comps.append(1.0 - v if side > 0 else v - 1.0)
-                    else:
-                        comps.append(-v if side > 0 else ((-1.0) ** m) * v)
-                k, piece = self._refs[int(idx[i])]
-                rows.append((side * l, *comps, piece, k))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                comps = [self._utilde(side, L, m) for m in range(4)]
+            for i, (k, piece) in enumerate(self._refs[j]
+                                           for j in self.route(L)):
+                rows.append((side * float(L[i]),
+                             *(float(c[i]) for c in comps), piece, k))
         import csv as _csv
         with open(path, "w", newline="") as fh:
             w = _csv.writer(fh)

@@ -12,10 +12,11 @@ S~ = sigma(-z) = 1 - S,
   sigma' = S S~,  sigma'' = S S~ (S~ - S),  sigma''' = S S~ (1 - 6 S S~),
   sigma'''' = S S~ (S~ - S) (1 - 12 S S~),
   z^(k) = q k! [(1-r)^-(k+1) - (-1)^k r^-(k+1)],
-and Faa di Bruno (`jets.jet_compose`) combines the two. S~ is computed as
-1 / (1 + e^z) from its own exponential, never as 1 - S: near r -> 1 every
-derivative is proportional to S~, which 1 - S would round to a multiple of
-eps.
+(`logistic_derivs`, `z_derivs`), and Faa di Bruno (`jets.jet_compose`)
+combines the two, here for S and in the layer profile's L-space cutoff
+weights (`construction`). S~ is computed as 1 / (1 + e^z) from its own
+exponential, never as 1 - S: near r -> 1 every derivative is proportional
+to S~, which 1 - S would round to a multiple of eps.
 
 eta~: the polynomial step with density x^3 (1-x)^3 / Beta(4, 4); closed form,
 Beta(4, 4) = 1/140, strictly decreasing, vanishing to third order at 0 and 1.
@@ -29,11 +30,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jets import Jet, jet_compose
+from .jets import jet_compose
 
 _Q = 0.5  # S = sigma(_Q / (1 - r) - _Q / r)
 
 BETA44 = 1.0 / 140.0
+
+
+def z_derivs(r, order: int) -> list:
+    """[z, z', ..., z^(order)] of z(r) = q/(1-r) - q/r."""
+    a, b = 1.0 / (1.0 - r), 1.0 / r
+    return [_Q * (a - b)] + [_Q * math.factorial(k)
+                             * (a ** (k + 1) - (-1) ** k * b ** (k + 1))
+                             for k in range(1, order + 1)]
+
+
+def logistic_derivs(S, Sc, lead, order: int) -> list:
+    """lead sigma^(k) / (S S~) for k = 1..order, from the table above.
+
+    lead = S S~ gives sigma^(k), lead = S~ gives sigma^(k) / sigma and
+    lead = -S gives the same ratio for sigma(-z) = 1 - sigma(z).
+    """
+    p, d = S * Sc, Sc - S
+    return [lead, lead * d, lead * (1.0 - 6.0 * p),
+            lead * d * (1.0 - 12.0 * p)][:order]
 
 
 def _smoothstep_upto(r, order: int) -> list:
@@ -44,19 +64,13 @@ def _smoothstep_upto(r, order: int) -> list:
     inner = (r > 0.0) & (r < 1.0)
     ri = np.where(inner, r, 0.5)
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = 1.0 / (1.0 - ri), 1.0 / ri
-        z = _Q * (a - b)
-        S = 1.0 / (1.0 + np.exp(-z))
+        zs = z_derivs(ri, order)
+        S = 1.0 / (1.0 + np.exp(-zs[0]))
         ders = [S]
         if order:
-            Sc = 1.0 / (1.0 + np.exp(z))
-            p, d = S * Sc, Sc - S
-            sigma = [S, p, p * d, p * (1.0 - 6.0 * p),
-                     p * d * (1.0 - 12.0 * p)]
-            zs = [z] + [_Q * math.factorial(k)
-                        * (a ** (k + 1) - (-1) ** k * b ** (k + 1))
-                        for k in range(1, order + 1)]
-            ders = jet_compose(sigma[:order + 1], Jet(tuple(zs))).f
+            Sc = 1.0 / (1.0 + np.exp(zs[0]))
+            ders = jet_compose([S] + logistic_derivs(S, Sc, S * Sc, order),
+                               zs)
     # as r -> 0, S underflows to 0 before z^(k) overflows: 0 * inf is 0 here
     out = [np.where(inner & ~np.isnan(v), v, 0.0) for v in ders]
     out[0] = np.where(r >= 1.0, 1.0, out[0])

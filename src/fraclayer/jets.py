@@ -1,12 +1,11 @@
-"""Truncated derivative stacks (jets), signed-log numbers, Hermite bridges.
+"""Truncated derivative stacks (jets), signed-log records, Hermite bridges.
 
-`Jet` holds a value and its first derivatives; its product is Leibniz's
-rule and `jet_compose` is Faa di Bruno's formula to order 4, both on plain
-floats or numpy arrays. The layer profile composes its cutoffs with them and
-evaluates every piece in L = ln y as a log magnitude times moderate floats
-(`construction`). It hands its y-derivatives out as `LogArray`s, signed
-values stored as (sign, ln |value|), which hold any magnitude the doubly
-exponential scales produce and subtract without overflow.
+A jet is a sequence [f, f', ..., f^(n)] of plain floats or numpy arrays.
+`jet_compose` is Faa di Bruno's formula to order 4 and `leibniz` is the
+product rule; the cutoffs and the layer profile's L-space pieces
+(`construction`) are built from them. The profile hands its y-derivatives
+out as `LogArray`s, signed values stored as (sign, ln |value|), which hold
+any magnitude the doubly exponential scales produce.
 `hermite_bridge` is the polynomial that joins two jets across an interval.
 """
 
@@ -17,129 +16,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NEG_INF = -np.inf
 
-
+@dataclass(frozen=True)
 class LogArray:
     """Signed values stored as sign in {-1, 0, 1} and ln |value|."""
 
-    __slots__ = ("sign", "logm")
-
-    def __init__(self, sign, logm):
-        self.sign = np.asarray(sign, dtype=float)
-        self.logm = np.asarray(logm, dtype=float)
-
-    # -- construction ------------------------------------------------------
-
-    @staticmethod
-    def from_float(v) -> "LogArray":
-        v = np.asarray(v, dtype=float)
-        sign = np.sign(v)
-        with np.errstate(divide="ignore"):
-            logm = np.where(v == 0.0, NEG_INF, np.log(np.abs(v)))
-        return LogArray(sign, logm)
-
-    @staticmethod
-    def from_log(logm) -> "LogArray":
-        """Positive value given directly by its logarithm."""
-        logm = np.asarray(logm, dtype=float)
-        return LogArray(np.ones_like(logm), logm)
+    sign: np.ndarray
+    logm: np.ndarray
 
     def to_float(self):
         with np.errstate(over="ignore"):
             return self.sign * np.exp(self.logm)
 
-    def __repr__(self):
-        return f"LogArray(sign={self.sign!r}, logm={self.logm!r})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, LogArray):
-            return other
-        return LogArray.from_float(other)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        sign = self.sign * o.sign
-        logm = np.where(sign == 0.0, NEG_INF, self.logm + o.logm)
-        return LogArray(sign, logm)
-
-    def __neg__(self):
-        return LogArray(-self.sign, self.logm)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        s1, a = np.broadcast_arrays(self.sign, self.logm)
-        s2, b = np.broadcast_arrays(o.sign, o.logm)
-        s1, s2, a, b = np.broadcast_arrays(s1, s2, a, b)
-        hi = np.maximum(a, b)
-        lo = np.minimum(a, b)
-        with np.errstate(invalid="ignore"):
-            d = np.where(np.isneginf(hi), NEG_INF, lo - hi)
-        same = s1 * s2 >= 0.0
-        # same sign (or one zero): magnitudes add
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mag_same = hi + np.log1p(np.exp(d))
-            mag_diff = hi + np.log1p(-np.exp(d))
-        sign_hi = np.where(a >= b, s1, s2)
-        sign_same = np.where(s1 != 0.0, s1, s2)
-        cancel = (~same) & (a == b)
-        logm = np.where(same, mag_same, mag_diff)
-        sign = np.where(same, sign_same, sign_hi)
-        logm = np.where(cancel, NEG_INF, logm)
-        sign = np.where(cancel, 0.0, sign)
-        zero1 = s1 == 0.0
-        zero2 = s2 == 0.0
-        logm = np.where(zero1, b, np.where(zero2, a, logm))
-        sign = np.where(zero1, s2, np.where(zero2, s1, sign))
-        return LogArray(sign, logm)
-
-    def __sub__(self, other):
-        return self.__add__(-self._lift(other))
+def leibniz(f, g) -> list:
+    """Jet of the product f g, to the lower of the two orders."""
+    n = min(len(f), len(g)) - 1
+    return [sum(math.comb(k, j) * (f[j] * g[k - j]) for j in range(k + 1))
+            for k in range(n + 1)]
 
 
-@dataclass
-class Jet:
-    """Value and first `order` derivatives with respect to the base variable."""
-
-    f: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.f) - 1
-
-    def __getitem__(self, i):
-        return self.f[i]
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        """Leibniz's rule, to the lower of the two orders."""
-        n = min(self.order, other.order)
-        return Jet(tuple(sum(math.comb(k, j) * (self.f[j] * other.f[k - j])
-                             for j in range(k + 1)) for k in range(n + 1)))
-
-
-def jet_compose(outer: list, g: Jet) -> Jet:
+def jet_compose(outer, g) -> list:
     """Faa di Bruno to order 4: outer[i] is F^{(i)} evaluated at g[0]."""
-    n = g.order
+    n = len(g) - 1
     F = outer
-    g1 = g.f[1] if n >= 1 else None
+    g1 = g[1] if n >= 1 else None
     comps = [F[0]]
     if n >= 1:
         comps.append(F[1] * g1)
     if n >= 2:
-        comps.append(F[2] * (g1 * g1) + F[1] * g.f[2])
+        comps.append(F[2] * (g1 * g1) + F[1] * g[2])
     if n >= 3:
-        comps.append(F[3] * (g1 * g1 * g1) + 3.0 * (F[2] * (g1 * g.f[2]))
-                     + F[1] * g.f[3])
+        comps.append(F[3] * (g1 * g1 * g1) + 3.0 * (F[2] * (g1 * g[2]))
+                     + F[1] * g[3])
     if n >= 4:
         comps.append(F[4] * (g1 * g1 * g1 * g1)
-                     + 6.0 * (F[3] * (g1 * g1 * g.f[2]))
-                     + 3.0 * (F[2] * (g.f[2] * g.f[2]))
-                     + 4.0 * (F[2] * (g1 * g.f[3]))
-                     + F[1] * g.f[4])
-    return Jet(tuple(comps))
+                     + 6.0 * (F[3] * (g1 * g1 * g[2]))
+                     + 3.0 * (F[2] * (g[2] * g[2]))
+                     + 4.0 * (F[2] * (g1 * g[3]))
+                     + F[1] * g[4])
+    return comps
 
 
 def hermite_bridge(a: float, b: float, left, right, mid: float | None = None):

@@ -18,7 +18,7 @@ from .analysis import fd_derivative
 from .cutoffs import eta_tilde, measure_cutoff, w_weight, w_weight_argmax
 from .construction import (PIECE_NAMES, ConstructionConstants,
                            LayerProfile, SideConstants)
-from .jets import Jet, jet_compose
+from .jets import jet_compose
 from .reports import CheckRecord
 
 
@@ -349,7 +349,7 @@ def _log_derivs_wrt_L(prof: LayerProfile, side: int, L: np.ndarray,
     # ln G with D^j G = G d[j] / d[0]: Faa di Bruno with the derivatives
     # (-1)^(m-1) (m-1)! / G^m of ln, whose powers of G cancel
     outer = [base + np.log(d[0]), 1.0, -1.0, 2.0, -6.0]
-    return jet_compose(outer[:order + 1], Jet(tuple(d / d[0]))).f
+    return jet_compose(outer[:order + 1], d / d[0])
 
 
 def _sandwich(cid, lo_logs, hi_logs, n, passed,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fraclayer import verify_construction as vc
-from fraclayer.construction import (LayerParams, build_constants,
-                                    build_profile, sufficiency_rho,
-                                    threshold_params)
+from fraclayer.construction import (MAX_MATERIALIZABLE_LOG, LayerParams,
+                                    build_constants, build_profile,
+                                    sufficiency_rho, threshold_params)
 from fraclayer.cutoffs import measure_cutoff
 from fraclayer.errors import LogRangeOverflow, ParamOrderViolated
 
@@ -178,11 +178,43 @@ def test_anchor_values(desk_profile):
 
 
 def test_profile_csv_export(tmp_path, desk_profile):
+    """Tail rows carry u~ and its derivatives at x = +-e^L, and the piece
+    and cell that `route` gives L; bridge rows carry the bridge at
+    x = sinh(ln_x_signed)."""
+    prof = desk_profile
     out = tmp_path / "profile.csv"
-    desk_profile.export_csv(out, n_per_side=50)
+    prof.export_csv(out)
     body = out.read_text().splitlines()
-    assert body[0].split(",")[:5] == ["ln_x_signed", "utilde", "d1", "d2", "d3"]
-    assert len(body) > 100
+    assert body[0].split(",") == ["ln_x_signed", "utilde", "d1", "d2", "d3",
+                                  "piece", "cell"]
+    rows = np.array([[float(v) for v in r.split(",")] for r in body[1:]])
+    assert rows.shape == (101 + 2 * 400, 7)
+    bridge, tail = rows[:101], rows[101:]
+    assert np.all(bridge[:, 5] == -1) and np.all(bridge[:, 6] == 0)
+    for m in range(4):
+        assert prof.eval(np.sinh(bridge[:, 0]), m) == pytest.approx(
+            bridge[:, 1 + m], rel=1e-10)
+    side, L = np.sign(tail[:, 0]), np.abs(tail[:, 0])
+    refs = np.array([prof._refs[j] for j in prof.route(L)])
+    assert np.array_equal(tail[:, 6], refs[:, 0])
+    assert np.array_equal(tail[:, 5], refs[:, 1])
+    mat = L <= MAX_MATERIALIZABLE_LOG
+    assert set(side[mat]) == {1.0, -1.0} and np.count_nonzero(mat) >= 10
+    for m in range(4):
+        assert prof.eval(side[mat] * np.exp(L[mat]), m) == pytest.approx(
+            tail[mat, 1 + m], rel=1e-12)
+
+
+def test_eval_leaves_no_nan_entry_unwritten(desk_profile):
+    """A NaN entry of a vector input evaluates to NaN at every order; the
+    other entries are unchanged."""
+    x = np.array([np.nan, 2e5, np.nan, -3.0, np.nan])
+    for m in range(5):
+        v = desk_profile.eval(x, m)
+        assert np.all(np.isnan(v[::2])), (m, v)
+        assert v[1] == desk_profile.eval(np.array([2e5]), m)[0]
+        assert v[3] == desk_profile.eval(np.array([-3.0]), m)[0]
+        assert np.isnan(desk_profile.eval(np.nan, m))
 
 
 def test_smooth_join_identity(desk_profile):

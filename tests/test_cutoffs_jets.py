@@ -7,15 +7,12 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import fraclayer
 from fraclayer.cutoffs import (BETA44, eta, eta_derivs, eta_tilde,
                                measure_cutoff, smoothstep, w_weight,
                                w_weight_argmax)
 from fraclayer import verify_construction as vc
-from fraclayer.jets import LogArray
 
 EPS = np.finfo(float).eps
 
@@ -132,38 +129,6 @@ def test_weight_function_properties():
         assert abs(float(w_weight(coef, np.array([1.0]))[0])) < 1e-15
 
 
-def _signed_log_sum_abs_tol(a: float, b: float) -> float:
-    """Absolute error a signed-log sum of a and b may carry.
-
-    Storing ln|v| rounds it by about eps * |ln|v||, a relative error of that
-    size in v; under cancellation it is not divided by |a + b| but carried
-    at the scale |a| + |b|. A wrong sign or branch errs by order |a| + |b|,
-    far beyond this.
-    """
-    logs = [abs(math.log(abs(v))) for v in (a, b) if v != 0.0]
-    return 4.0 * EPS * (abs(a) + abs(b)) * (1.0 + max(logs, default=0.0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.floats(-1e5, 1e5), st.floats(-1e5, 1e5))
-@example(18954.0, -18939.75)
-@example(18954.0, 18939.75)
-def test_logarray_field_ops(a, b):
-    la, lb = LogArray.from_float(a), LogArray.from_float(b)
-    tol = _signed_log_sum_abs_tol(a, b)
-    assert (la + lb).to_float() == pytest.approx(a + b, rel=1e-12, abs=tol)
-    assert (la - lb).to_float() == pytest.approx(a - b, rel=1e-12, abs=tol)
-    assert (la * lb).to_float() == pytest.approx(a * b, rel=1e-12, abs=1e-300)
-
-
-def test_logarray_extreme_scales():
-    big = LogArray.from_log(50000.0)
-    small = LogArray.from_log(-50001.0)
-    assert (big * small).to_float() == pytest.approx(math.exp(-1.0))
-    z = LogArray.from_float(3.0) - LogArray.from_float(3.0)
-    assert z.to_float() == 0.0 and z.sign == 0.0
-
-
 # points per piece, as fractions of its width; x = 2e29 on the threshold
 # profile sits in cell 0's ramp-off piece, where its blended terms cancel
 _PIECE_OFFSETS = (0.08, 0.5, 0.93)
@@ -223,3 +188,19 @@ def test_gap_jets_match_mpmath(which, desk_profile, threshold_profile_pack):
         assert np.all(errs <= bound), (side, worst, L[worst[1]],
                                        errs[worst], bound[worst])
         assert np.all(errs[0] <= 64 * EPS * (1.0 + L))
+
+
+def test_gap_jet_log_result_surface(desk_profile):
+    """What callers read of `gap_jet_log`: order + 1 entries, each with
+    `.sign` and `.logm` of L's shape and `.to_float()`."""
+    L = np.linspace(2.0, 60.0, 12).reshape(3, 4)
+    base, d, _ = desk_profile.gap_jet_L(1, L, 4)
+    for order in (0, 2, 4):
+        g = desk_profile.gap_jet_log(1, L, order=order)
+        assert len(g) == order + 1
+        for m in range(order + 1):
+            assert g[m].sign.shape == L.shape == g[m].logm.shape
+            assert np.array_equal(g[m].to_float(),
+                                  g[m].sign * np.exp(g[m].logm))
+        assert np.all(g[0].sign > 0)
+        assert np.array_equal(g[0].logm.ravel(), base + np.log(d[0]))

@@ -17,6 +17,10 @@ per workload and metric, and the pairs each side won (ties, and pairs with a
 failed run, count for neither; "better" comes from the change's
 BENCHMARK.json).
 
+A failed run (a nonzero exit of run.py, or `correct: false`) is printed with
+its exit code and the tail of its stderr as it happens and listed again at
+the end; the file is still written, and the script then exits 1.
+
 Before every run it times a fixed calibration loop (`calibrate`, about 0.2 s
 of numpy and pure Python on a 2-vCPU x86_64 VM) and writes the time beside
 the run's values, with each side's median per workload, so that records
@@ -137,16 +141,25 @@ def main(argv=None) -> int:
                        "python": platform.python_version()},
               "workloads": {}}
     out_path = ROOT / f"BENCH_{args.tag}.json"
+    failed = []
     for w in (w["name"] for w in spec["workloads"]):
         runs = {s: [] for s in SIDES}
         for i in range(PAIRS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for s in order:
                 cal = calibrate()
-                runs[s].append(run_once(trees[s], w, args.seed + i,
-                                        seconds) | {"calibration_s": cal})
-                print(f"{w} pair {i} {s}: {runs[s][-1].get('values')}",
-                      file=sys.stderr, flush=True)
+                run = run_once(trees[s], w, args.seed + i, seconds)
+                runs[s].append(run | {"calibration_s": cal})
+                label = f"{w} pair {i} {s}"
+                if "exit" in run or not run["correct"]:
+                    failed.append(label)
+                    print(f"{label}: FAILED, exit {run.get('exit', 0)}, "
+                          f"correct {run['correct']}\n"
+                          f"{run.get('error', '')}", file=sys.stderr,
+                          flush=True)
+                else:
+                    print(f"{label}: {run['values']}", file=sys.stderr,
+                          flush=True)
         result["workloads"][w] = {
             "summary": summarize(runs, better),
             "calibration_s": {s: statistics.median(
@@ -154,6 +167,10 @@ def main(argv=None) -> int:
             "runs": runs}
         # written after every workload, so a stopped run keeps what it has
         out_path.write_text(json.dumps(result, indent=1) + "\n")
+    if failed:
+        print(f"{len(failed)} failed runs: {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
