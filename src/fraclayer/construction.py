@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .cutoffs import (BETA44, CutoffStats, eta_tilde, logistic_derivs,
-                      measure_cutoff, w_weight, w_weight_argmax, z_derivs)
+from .cutoffs import (CutoffStats, eta_tilde, logistic_derivs, measure_cutoff,
+                      w_weight, w_weight_argmax, z_derivs)
 from .errors import (BridgeNotMonotone, LogRangeOverflow, OutOfPiece,
                      ParamOrderViolated)
 from .jets import LogArray, hermite_bridge, jet_compose, leibniz
@@ -95,62 +95,72 @@ class LayerParams:
 
 @dataclass
 class SideConstants:
-    """One tail side of the construction (right: A/B, left: D/E)."""
+    """One tail side of the construction: the right side comes from the
+    wells (gamma, delta) with rates A > B, the left from (alpha, beta) with
+    rates D > E."""
 
-    e_hi: float                  # inner exponent (A or D)
-    e_lo: float                  # outer exponent (B or E)
+    sign: int                    # +1 right, -1 left
+    g: float                     # larger well exponent (gamma or alpha)
+    d: float                     # smaller well exponent (delta or beta)
+    e_hi: float                  # inner exponent 2s/(d-1): A or D
+    e_lo: float                  # outer exponent 2s/(g-1): B or E
     zeta: float                  # log-ramp rate (zeta or xi)
     xbar: float                  # critical point of the outer-swap weight
     w_at_xbar: float
     c_out: float                 # C2 or C4
-    c_in: np.ndarray             # C_{1,k} or C_{3,k}, k = 0..k_max+1
-    touch_exp: float             # e_lo * (gamma - delta) or e_hi... cf below
+    c_in: np.ndarray | None = None   # C_{1,k} or C_{3,k}, k = 0..k_max+1
+
+    @property
+    def label(self) -> str:
+        return "right" if self.sign > 0 else "left"
+
+    @property
+    def touch_exp(self) -> float:
+        """T = ((xbar + 1) c_k)^(-touch_exp) is the touch factor of cell k."""
+        return self.e_lo * (self.g - self.d)
+
+    def touch_factor(self, lnc_k: float) -> float:
+        """T at ln c_k; 0 where c_k is beyond double range."""
+        return math.exp(-self.touch_exp * (math.log(1.0 + self.xbar) + lnc_k))
+
+    def inner_constant(self, T: float) -> float:
+        """C_in for touch factor T: the swap bracket then collapses to T."""
+        return self.c_out - (self.e_lo * self.c_out - T) / self.w_at_xbar
 
     def phi(self, k: int, lnx, lnb: np.ndarray):
         """Exponent interpolant at ln x (array ok), stable in log-log form."""
         return self.e_hi * np.exp((np.log(lnb[k]) - np.log(lnx)) / self.zeta)
 
 
+def _side_constants(sign: int, s: float, g: float, d: float,
+                    rho: float) -> SideConstants:
+    """The side's rates, ramp rate and outer constant; c_in is left unset
+    until the scales c_k are known."""
+    e_hi = 2.0 * s / (d - 1.0)
+    e_lo = 2.0 * s / (g - 1.0)
+    xbar = w_weight_argmax(e_lo)
+    w_at_xbar = float(w_weight(e_lo, np.array([xbar]))[0])
+    return SideConstants(
+        sign=sign, g=g, d=d, e_hi=e_hi, e_lo=e_lo,
+        zeta=rho / math.log(e_hi / e_lo), xbar=xbar, w_at_xbar=w_at_xbar,
+        c_out=2.0 * max(1.0 / e_lo, 1.0 / (1.0 - e_lo / w_at_xbar)))
+
+
 @dataclass
 class ConstructionConstants:
     params: LayerParams
     stats: CutoffStats
-    A: float
-    B: float
-    D: float
-    E: float
     rho: float
-    zeta: float
-    xi: float
-    xbar1: float
-    xbar2: float
-    w1_at_xbar: float
-    w2_at_xbar: float
-    C2: float
-    C4: float
     a0: float
     lnb: np.ndarray              # ln b_k, k = 0..k_max+1 (inf in paper mode, k>=1)
     lnc: np.ndarray              # ln c_k
     lnlnb: np.ndarray            # ln ln b_k, always finite
-    C1: np.ndarray               # C_{1,k}, k = 0..k_max+1
-    C3: np.ndarray
-    beta44: float = BETA44
+    right: SideConstants
+    left: SideConstants
 
     @property
     def k_max(self) -> int:
         return self.params.k_max
-
-    def right(self) -> SideConstants:
-        p = self.params
-        return SideConstants(self.A, self.B, self.zeta, self.xbar1,
-                             self.w1_at_xbar, self.C2, self.C1,
-                             self.B * (p.gamma - p.delta))
-
-    def left(self) -> SideConstants:
-        p = self.params
-        return SideConstants(self.D, self.E, self.xi, self.xbar2,
-                             self.w2_at_xbar, self.C4, self.C3,
-                             self.E * (p.alpha - p.beta))
 
     def materializable_k(self) -> int:
         """Largest k whose full cell [a_k, a_{k+1}] fits double range."""
@@ -164,12 +174,15 @@ class ConstructionConstants:
         """Which monotonicity hypotheses the chosen rho satisfies."""
         r = self.stats.ratio
         slack = 1.0 - 1e-12
+        rt, lf = self.right, self.left
         return {
-            "zeta_ge_32_ratio": self.zeta >= 32.0 * r * slack,
-            "zeta_ge_32_AB_ratio": self.zeta >= 32.0 * (self.A / self.B) * r * slack,
-            "xi_ge_32_ratio": self.xi >= 32.0 * r * slack,
-            "xi_ge_32_DE_ratio": self.xi >= 32.0 * (self.D / self.E) * r * slack,
-            "zeta": self.zeta, "xi": self.xi, "ratio": r,
+            "zeta_ge_32_ratio": rt.zeta >= 32.0 * r * slack,
+            "zeta_ge_32_AB_ratio":
+                rt.zeta >= 32.0 * (rt.e_hi / rt.e_lo) * r * slack,
+            "xi_ge_32_ratio": lf.zeta >= 32.0 * r * slack,
+            "xi_ge_32_DE_ratio":
+                lf.zeta >= 32.0 * (lf.e_hi / lf.e_lo) * r * slack,
+            "zeta": rt.zeta, "xi": lf.zeta, "ratio": r,
         }
 
 
@@ -177,31 +190,20 @@ def build_constants(params: LayerParams) -> ConstructionConstants:
     """All scale constants of the construction, in log form where needed."""
     p = params
     stats = measure_cutoff()
-    A = 2.0 * p.s / (p.delta - 1.0)
-    B = 2.0 * p.s / (p.gamma - 1.0)
-    D = 2.0 * p.s / (p.beta - 1.0)
-    E = 2.0 * p.s / (p.alpha - 1.0)
-
     if p.mode == "paper":
         rho = 128.0 * stats.ratio
     else:
         rho = p.rho if p.rho is not None else 3.0
-    zeta = rho / math.log(A / B)
-    xi = rho / math.log(D / E)
-
-    xbar1 = w_weight_argmax(B)
-    xbar2 = w_weight_argmax(E)
-    if not (0.0 < xbar1 < 1.0 and 0.0 < xbar2 < 1.0):
+    rt = _side_constants(1, p.s, p.gamma, p.delta, rho)
+    lf = _side_constants(-1, p.s, p.alpha, p.beta, rho)
+    if not (0.0 < rt.xbar < 1.0 and 0.0 < lf.xbar < 1.0):
         raise ParamOrderViolated("critical points left (0,1)")
-    w1x = float(w_weight(B, np.array([xbar1]))[0])
-    w2x = float(w_weight(E, np.array([xbar2]))[0])
-    C2 = 2.0 * max(1.0 / B, 1.0 / (1.0 - B / w1x))
-    C4 = 2.0 * max(1.0 / E, 1.0 / (1.0 - E / w2x))
 
-    a0 = max(4.0, math.exp(1.0 / B))
+    a0 = max(4.0, math.exp(1.0 / rt.e_lo))
     # enlarge until both bridge endpoints are compatible inside (-1, 1)
     def gap(la):
-        return C2 * math.exp(-A * la) + C4 * math.exp(-D * la) - 1.8
+        return rt.c_out * math.exp(-rt.e_hi * la) \
+            + lf.c_out * math.exp(-lf.e_hi * la) - 1.8
 
     if gap(math.log(a0)) > 0.0:
         la = brentq(gap, math.log(a0), 2000.0)
@@ -228,21 +230,12 @@ def build_constants(params: LayerParams) -> ConstructionConstants:
             else:
                 lnb[k + 1] = np.inf
 
-    C1 = np.empty(n)
-    for k in range(n):
-        t = math.exp(-B * (p.gamma - p.delta) * (math.log(1.0 + xbar1) + lnc[k])) \
-            if np.isfinite(lnc[k]) else 0.0
-        C1[k] = C2 - (B * C2 - t) / w1x
-    C3 = np.empty(n)
-    for k in range(n):
-        t = math.exp(-E * (p.alpha - p.beta) * (math.log(1.0 + xbar2) + lnc[k])) \
-            if np.isfinite(lnc[k]) else 0.0
-        C3[k] = C4 - (E * C4 - t) / w2x
-
+    for sc in (rt, lf):
+        sc.c_in = np.array([sc.inner_constant(sc.touch_factor(v))
+                            for v in lnc])
     return ConstructionConstants(
-        params=p, stats=stats, A=A, B=B, D=D, E=E, rho=rho, zeta=zeta, xi=xi,
-        xbar1=xbar1, xbar2=xbar2, w1_at_xbar=w1x, w2_at_xbar=w2x,
-        C2=C2, C4=C4, a0=a0, lnb=lnb, lnc=lnc, lnlnb=lnlnb, C1=C1, C3=C3)
+        params=p, stats=stats, rho=rho, a0=a0, lnb=lnb, lnc=lnc, lnlnb=lnlnb,
+        right=rt, left=lf)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +425,7 @@ class LayerProfile:
         self._refs = refs
         self._inner_edges = self._edges[1:len(refs)]
         self.log_a0 = math.log(cx.a0)
-        self._sides = {True: cx.right(), False: cx.left()}
+        self._sides = {True: cx.right, False: cx.left}
 
     # -- routing -----------------------------------------------------------
 
@@ -649,7 +642,10 @@ class LayerProfile:
     # -- export -----------------------------------------------------------------
 
     def export_csv(self, path, n_per_side: int = 400) -> None:
-        """CSV columns: ln_x, utilde, d1, d2, d3, piece, cell (signed side)."""
+        """CSV columns: ln_x_signed, utilde, d1, d2, d3, piece, cell.
+
+        Tail rows carry side * ln|x| in the first column. The 101 bridge
+        rows (piece -1, cell 0) carry asinh(x) there instead."""
         rows = []
         xb = np.linspace(-self.cx.a0 * 0.999, self.cx.a0 * 0.999, 101)
         for xi in xb:
@@ -675,19 +671,17 @@ class LayerProfile:
 
 
 def _bridge_data(cx: ConstructionConstants):
-    """Value and first three derivatives of the adjacent pieces at +/- a0."""
+    """Value and first three derivatives of the adjacent pieces at -a0 and
+    at +a0: u~ = sign (1 - C_in a0^(-e_hi)) there."""
     a0 = cx.a0
-    gr = cx.C1[0] * a0 ** (-cx.A)
-    right = [1.0 - gr,
-             cx.A * cx.C1[0] * a0 ** (-cx.A - 1.0),
-             -cx.A * (cx.A + 1.0) * cx.C1[0] * a0 ** (-cx.A - 2.0),
-             cx.A * (cx.A + 1.0) * (cx.A + 2.0) * cx.C1[0] * a0 ** (-cx.A - 3.0)]
-    gl = cx.C3[0] * a0 ** (-cx.D)
-    left = [-1.0 + gl,
-            cx.D * cx.C3[0] * a0 ** (-cx.D - 1.0),
-            cx.D * (cx.D + 1.0) * cx.C3[0] * a0 ** (-cx.D - 2.0),
-            cx.D * (cx.D + 1.0) * (cx.D + 2.0) * cx.C3[0] * a0 ** (-cx.D - 3.0)]
-    return left, right
+    ends = []
+    for sc in (cx.left, cx.right):
+        e, c = sc.e_hi, sc.c_in[0]
+        ends.append([sc.sign * (1.0 - c * a0 ** (-e)),
+                     e * c * a0 ** (-e - 1.0),
+                     -sc.sign * e * (e + 1.0) * c * a0 ** (-e - 2.0),
+                     e * (e + 1.0) * (e + 2.0) * c * a0 ** (-e - 3.0)])
+    return ends
 
 
 def build_profile(params: LayerParams,

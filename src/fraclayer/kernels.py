@@ -46,6 +46,9 @@ class KernelSpec:
             raise ValueError("need 0 < lam <= Lam")
         if self.form not in FORMS:
             raise ValueError(f"unknown kernel form {self.form!r}")
+        if self.scale != 1.0 and self.form != "scaled-fractional":
+            raise ValueError(f"scale applies only to scaled-fractional, "
+                             f"not to {self.form}")
         if self.form == "fractional" and not (self.lam <= 1.0 <= self.Lam):
             raise ValueError("fractional form needs lam <= 1 <= Lam")
         if self.form == "scaled-fractional" and not (
@@ -57,9 +60,7 @@ class KernelSpec:
     # -- pointwise -----------------------------------------------------------
 
     def _mult(self, z: np.ndarray) -> np.ndarray:
-        if self.form == "fractional":
-            return np.ones_like(z)
-        if self.form == "scaled-fractional":
+        if self.form != "tabulated-perturbation":
             return np.full_like(z, self.scale)
         m = self.multiplier(np.abs(z))
         return np.asarray(m, dtype=float)
@@ -81,9 +82,8 @@ class KernelSpec:
         if np.any(a <= 0) or np.any(b < a):
             raise ValueError("need 0 < a <= b")
         if self.form in ("fractional", "scaled-fractional"):
-            c = 1.0 if self.form == "fractional" else self.scale
             p = 2.0 * self.s
-            return c * (a ** (-p) - b ** (-p)) / p
+            return self.scale * (a ** (-p) - b ** (-p)) / p
         # log substitution keeps the power factor mild on wide intervals
         return panel_integrals(lambda t: self.k(np.exp(t)) * np.exp(t),
                                np.log(a), np.log(b), 24)
@@ -95,8 +95,7 @@ class KernelSpec:
             raise ValueError("need a > 0")
         p = 2.0 * self.s
         if self.form in ("fractional", "scaled-fractional"):
-            c = 1.0 if self.form == "fractional" else self.scale
-            return c * a ** (-p) / p
+            return self.scale * a ** (-p) / p
         # bounded multiplier: integrate m against the power over [a, 32a],
         # then bound-free exact continuation using the multiplier at infinity
         # is unavailable; fall back to panels until the remainder is tiny.
@@ -117,8 +116,7 @@ class KernelSpec:
             raise ValueError("need r0 > 0")
         p = 2.0 - 2.0 * self.s
         if self.form in ("fractional", "scaled-fractional"):
-            c = 1.0 if self.form == "fractional" else self.scale
-            return c * r0 ** p / p
+            return self.scale * r0 ** p / p
         # z = r0 * u^(1/p) removes the z^(1-2s) endpoint behavior
         return float(panel_integrals(
             lambda u: self._mult(r0 * u ** (1.0 / p)) * (r0 ** p / p),

@@ -3,7 +3,7 @@
 The energy is the quadratic interaction of grid values (exact per-cell kernel
 weights, exterior folded in through the far-field models) plus the potential
 term. Minimization is an explicit gradient flow on the operator residual with
-values clamped to [-1, 1] and an optional monotone rearrangement projection.
+values clamped to [-1, 1] and a monotone rearrangement projection.
 """
 
 from __future__ import annotations
@@ -20,20 +20,16 @@ from .kernels import KernelSpec
 from .potentials import PotentialFn
 
 
+REFIT_EVERY = 100           # exterior power-model refresh cadence
+ENERGY_CHECK_EVERY = 50
+DIVERGENCE_SLACK = 1e-8     # relative; the projection step is not proven
+                            # monotone, only observed
+
+
 @dataclass
 class SolveConfig:
-    tau: float | None = None          # None: 0.4 / (row sum + max W'')
     max_iter: int = 20000
     tol: float = 1e-6
-    monotone_projection: bool = True
-    refit_every: int = 100            # exterior power-model refresh cadence
-    energy_check_every: int = 50
-    divergence_slack: float = 1e-8    # relative; the projection step is not
-                                      # proven monotone, only observed
-
-    def __post_init__(self):
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
 
 
 def make_grid(L: float, n: int, init: str = "tanh",
@@ -43,8 +39,8 @@ def make_grid(L: float, n: int, init: str = "tanh",
 
     init 'tanh' is the default seed; 'power' warms the far field with
     1 - (1 + |x|/l)^(-p) using tail_exponent_seed, which matters for heavy
-    tails whose relaxation through gradient flow is slow; 'linear' and
-    'custom' (explicit values) complete the choices.
+    tails whose relaxation through gradient flow is slow. Explicit values
+    override init; any other init raises ValueError.
     """
     x = np.linspace(-L, L, n)
     h = x[1] - x[0]
@@ -56,7 +52,8 @@ def make_grid(L: float, n: int, init: str = "tanh",
         p = tail_exponent_seed if tail_exponent_seed is not None else 1.0
         u = np.sign(x) * (1.0 - (1.0 + np.abs(x) / (5.0 * h)) ** (-p))
     else:
-        u = np.clip(x / L, -1.0, 1.0)
+        raise ValueError(f"unknown init {init!r}: use 'tanh', 'power' or "
+                         "explicit values")
     return GridProfile(x, u, ExteriorModel(-1.0), ExteriorModel(1.0))
 
 
@@ -171,7 +168,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
                     cfg: SolveConfig = SolveConfig()) -> SolveResult:
     """Explicit descent u <- clamp(u + tau (L u - W'(u))) to a layer profile.
 
-    The exterior power correction is refit every cfg.refit_every iterations;
+    The exterior power correction is refit every REFIT_EVERY iterations;
     the monotone projection (sorting the values) is recorded as a projection,
     not proven energy-decreasing. Raises Diverged if the energy increases
     beyond slack twice, StalledAboveTolerance at the iteration cap.
@@ -180,8 +177,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     op = GridOperator(kernel, g)
     wp = pot.params
     max_w2 = pot.max_w2()
-    tau = cfg.tau if cfg.tau is not None else \
-        0.4 / (op.row_sum_scale() + max_w2)
+    tau = 0.4 / (op.row_sum_scale() + max_w2)
     e_plain = energy(g, pot, kernel, op)
     trace = [e_plain]
     epoch_ref = _lyapunov_from_energy(e_plain, g, op)
@@ -190,26 +186,23 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     resid = np.inf
     for it in range(1, cfg.max_iter + 1):
         r = op.apply(g.values) - pot.W1(g.values)
-        u = np.clip(g.values + tau * r, -1.0, 1.0)
-        if cfg.monotone_projection:
-            u = np.sort(u)
-        g.values[:] = u
+        g.values[:] = np.sort(np.clip(g.values + tau * r, -1.0, 1.0))
         resid = float(np.max(np.abs(r[1:-1])))
         # the plain energy does not depend on the exterior power model, so
         # one evaluation serves a refit and a check in the same iteration
         e_plain = None
-        if it % cfg.refit_every == 0:
+        if it % REFIT_EVERY == 0:
             g.ext_left = _refit_exterior(g, "left")
             g.ext_right = _refit_exterior(g, "right")
             op.update_exterior(g)
             # the exterior model (hence the monitored functional) changed
             e_plain = energy(g, pot, kernel, op)
             epoch_ref = _lyapunov_from_energy(e_plain, g, op)
-        if it % cfg.energy_check_every == 0:
+        if it % ENERGY_CHECK_EVERY == 0:
             if e_plain is None:
                 e_plain = energy(g, pot, kernel, op)
             e = _lyapunov_from_energy(e_plain, g, op)
-            if e > epoch_ref + cfg.divergence_slack * (1.0 + abs(epoch_ref)):
+            if e > epoch_ref + DIVERGENCE_SLACK * (1.0 + abs(epoch_ref)):
                 bad_energy += 1
                 if bad_energy >= 2:
                     raise Diverged(

@@ -15,9 +15,10 @@ import math
 import numpy as np
 
 from .analysis import fd_derivative
-from .cutoffs import eta_tilde, measure_cutoff, w_weight, w_weight_argmax
+from .cutoffs import eta_tilde, measure_cutoff, w_weight
 from .construction import (PIECE_NAMES, ConstructionConstants,
-                           LayerProfile, SideConstants)
+                           LayerProfile, SideConstants, _cell_boundaries,
+                           _side_constants)
 from .jets import jet_compose
 from .reports import CheckRecord
 
@@ -32,17 +33,11 @@ def _rec(records, cid, slack, loc="", tol=0.0):
 # reduced-variable inequality sweep
 # ---------------------------------------------------------------------------
 
-def exponent_ordering_slacks(s, alpha, beta, gamma, delta):
-    """The two derivative-rate orderings with their exact equality cases.
-
-    Returns (slack_right, slack_left); each is >= 0 with equality exactly
-    when the side's exponents coincide or the lower one equals 2.
-    """
-    right = -1.0 - 2 * s * (delta - gamma + 1.0) / (delta - 1.0) \
-        - (-1.0 - 2 * s * (1.0 - (gamma - 2.0) * (gamma - delta)) / (gamma - 1.0))
-    left = -1.0 - 2 * s * (beta - alpha + 1.0) / (beta - 1.0) \
-        - (-1.0 - 2 * s * (1.0 - (alpha - 2.0) * (alpha - beta)) / (alpha - 1.0))
-    return -right, -left
+def exponent_ordering_slack(s, g, d):
+    """One side's derivative-rate ordering, for its well exponents g >= d:
+    >= 0, with equality exactly when g = d or d = 2."""
+    return -(-1.0 - 2 * s * (d - g + 1.0) / (d - 1.0)
+             - (-1.0 - 2 * s * (1.0 - (g - 2.0) * (g - d)) / (g - 1.0)))
 
 
 def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
@@ -61,35 +56,32 @@ def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
     stats = measure_cutoff()
     records: list[CheckRecord] = []
     w = np.linspace(0.0, 1.0, n_grid)
+    rhos = [128.0 * stats.ratio, 6.0, 2.5]
+    t_in = np.linspace(0.0, math.log(2.0), 65)
 
     for (s, alpha, beta, gamma, delta) in tuples:
         tag = f"s={s:.3g},a={alpha:.4g},b={beta:.4g},g={gamma:.4g},d={delta:.4g}"
-        A = 2 * s / (delta - 1)
-        B = 2 * s / (gamma - 1)
-        D = 2 * s / (beta - 1)
-        E = 2 * s / (alpha - 1)
-        sr, sl = exponent_ordering_slacks(s, alpha, beta, gamma, delta)
-        _rec(records, "derivative-rate-ordering-right", sr, tag, tol=1e-13)
-        _rec(records, "derivative-rate-ordering-left", sl, tag, tol=1e-13)
+        sides = [_side_constants(1, s, gamma, delta, rhos[0]),
+                 _side_constants(-1, s, alpha, beta, rhos[0])]
+        for sc in sides:
+            _rec(records, f"derivative-rate-ordering-{sc.label}",
+                 exponent_ordering_slack(s, sc.g, sc.d), tag, tol=1e-13)
 
         # ramp interpolants in the reduced position w: phi = A (B/A)^w
-        for (hi, lo, ehi_lab) in ((A, B, "right"), (D, E, "left")):
+        for sc in sides:
+            hi, lo, g_, d_, lab = sc.e_hi, sc.e_lo, sc.g, sc.d, sc.label
             phi = hi * (lo / hi) ** w
-            if ehi_lab == "right":
-                g_, d_ = gamma, delta
-            else:
-                g_, d_ = alpha, beta
             m1 = np.min(np.minimum(lo * (g_ - d_ + 1.0) - hi,
                                    2 * s - (d_ - 2.0) * phi - hi))
             m2 = np.min(np.minimum(hi - lo * (d_ - g_ + 1.0),
                                    lo - (2 * s - (g_ - 2.0) * phi)))
-            _rec(records, f"inner-rate-min-{ehi_lab}", m1, tag, tol=1e-13)
-            _rec(records, f"outer-rate-max-{ehi_lab}", m2, tag, tol=1e-13)
-            _rec(records, f"ramp-range-{ehi_lab}",
+            _rec(records, f"inner-rate-min-{lab}", m1, tag, tol=1e-13)
+            _rec(records, f"outer-rate-max-{lab}", m2, tag, tol=1e-13)
+            _rec(records, f"ramp-range-{lab}",
                  min(np.min(phi) - lo, hi - np.max(phi)), tag, tol=1e-14)
-            _rec(records, f"ramp-endpoints-{ehi_lab}",
+            _rec(records, f"ramp-endpoints-{lab}",
                  -max(abs(phi[0] - hi), abs(phi[-1] - lo)), tag, tol=1e-13)
-            _rec(records, f"ramp-decreasing-{ehi_lab}",
+            _rec(records, f"ramp-decreasing-{lab}",
                  -np.max(np.diff(phi)), tag, tol=0.0)
 
         # spread bounds: x^(hi - phi) <= exp(2 hi ln2 / zeta) on [b, 2b] and
@@ -97,9 +89,8 @@ def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
         # exponent and for desk-scale ones (whenever zeta > 1); evaluated
         # through expm1/log1p so astronomically large surrogate scales do not
         # lose the cancellation
-        rhos = [128.0 * stats.ratio, 6.0, 2.5]
-        t_in = np.linspace(0.0, math.log(2.0), 65)
-        for (hi, lo, lab) in ((A, B, "right"), (D, E, "left")):
+        for sc in sides:
+            hi, lo, lab = sc.e_hi, sc.e_lo, sc.label
             for rho in rhos:
                 zl = rho / math.log(hi / lo)
                 if zl <= 1.0:
@@ -122,26 +113,23 @@ def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
                              f"{tag},lnb={lnb:.3g},rho={rho:.3g}", tol=1e-15)
 
         # critical points, weight positivity, constant ranges
-        for (lo, lab, osc_gap) in ((B, "right", gamma - delta),
-                                   (E, "left", alpha - beta)):
-            xb = w_weight_argmax(lo)
+        for sc in sides:
+            lo, xb, wmax, lab = sc.e_lo, sc.xbar, sc.w_at_xbar, sc.label
             _rec(records, f"critical-point-in-(0,1)-{lab}",
                  min(xb, 1.0 - xb), tag)
             wv = w_weight(lo, w)
             _rec(records, f"weight-nonnegative-{lab}", float(np.min(wv)), tag,
                  tol=1e-15)
-            wmax = float(w_weight(lo, np.array([xb]))[0])
             others = wv[np.abs(w - xb) > 2e-2]
             _rec(records, f"weight-unique-max-{lab}",
                  wmax - float(np.max(others)), tag)
             _rec(records, f"weight-at-zero-{lab}",
                  -abs(float(w_weight(lo, np.array([0.0]))[0]) - lo), tag,
                  tol=1e-12)
-            cout = 2.0 * max(1.0 / lo, 1.0 / (1.0 - lo / wmax))
-            _rec(records, f"outer-constant-gt-2-{lab}", cout - 2.0, tag)
+            _rec(records, f"outer-constant-gt-2-{lab}", sc.c_out - 2.0, tag)
             for T in np.linspace(1e-6, 1.0 - 1e-6, 41):
-                cin = cout - (lo * cout - T) / wmax
-                sl = min(cin - 2.0, cout - cin)
+                cin = sc.inner_constant(T)
+                sl = min(cin - 2.0, sc.c_out - cin)
                 _rec(records, f"inner-constant-range-{lab}", sl,
                      f"{tag},T={T:.3g}")
 
@@ -152,11 +140,11 @@ def equality_case_records(s: float = 0.5) -> list[CheckRecord]:
     """Exact equality of the rate ordering at gamma = delta and delta = 2."""
     records = []
     for (g, d, lab) in ((4.0, 4.0, "gamma=delta"), (3.5, 2.0, "delta=2")):
-        sr, _ = exponent_ordering_slacks(s, 3.0, 3.0, g, d)
-        _rec(records, f"ordering-equality-{lab}", -abs(sr), lab, tol=1e-14)
+        _rec(records, f"ordering-equality-{lab}",
+             -abs(exponent_ordering_slack(s, g, d)), lab, tol=1e-14)
     # strictness away from the equality cases
-    sr, _ = exponent_ordering_slacks(s, 3.0, 3.0, 4.0, 3.0)
-    _rec(records, "ordering-strict-generic", sr - 1e-12, "gamma=4,delta=3")
+    _rec(records, "ordering-strict-generic",
+         exponent_ordering_slack(s, 4.0, 3.0) - 1e-12, "gamma=4,delta=3")
     return records
 
 
@@ -207,15 +195,16 @@ def check_ramp_ode_identity(cx: ConstructionConstants,
     ck = math.exp(cx.lnc[k])
     t = np.linspace(1e-4, 1.0 - 1e-4, n)
     X = t * (ck - bk) + bk
-    phi = cx.A * (cx.lnb[k] / np.log(X)) ** (1.0 / cx.zeta)
+    sc = cx.right
+    phi = sc.e_hi * (cx.lnb[k] / np.log(X)) ** (1.0 / sc.zeta)
     worst = 0.0
     for i in range(0, n, 10):
         def phif(tt):
             XX = tt * (ck - bk) + bk
-            return cx.A * (cx.lnb[k] / math.log(XX)) ** (1.0 / cx.zeta)
+            return sc.e_hi * (cx.lnb[k] / math.log(XX)) ** (1.0 / sc.zeta)
         d, _ = fd_derivative(phif, float(t[i]), 1, h0=1e-5)
         lhs = phi[i]
-        rhs = -cx.zeta / (ck - bk) * d * X[i] * np.log(X[i])
+        rhs = -sc.zeta / (ck - bk) * d * X[i] * np.log(X[i])
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     return CheckRecord(id="ramp-ode-identity", passed=worst < 1e-6,
                        worst_slack=1e-6 - worst, location="cell 0")
@@ -237,20 +226,16 @@ def touchpoint_reduced_records(cx: ConstructionConstants,
     """
     records: list[CheckRecord] = []
     rng = np.random.default_rng(seed)
-    p = cx.params
 
     eps = np.finfo(float).eps
-    for side, sc, lab in ((1, cx.right(), "right"), (-1, cx.left(), "left")):
+    for sc in (cx.right, cx.left):
+        lab = sc.label
         for k in k_range:
-            if np.isfinite(cx.lnc[k]):
-                t_real = math.exp(-sc.touch_exp
-                                  * (math.log(1.0 + sc.xbar) + cx.lnc[k]))
-            else:
-                t_real = None
-            Ts = [t_real] if (t_real is not None and t_real > 1e-10) else []
+            t_real = sc.touch_factor(cx.lnc[k])
+            Ts = [t_real] if t_real > 1e-10 else []
             Ts += list(0.01 + 0.98 * rng.random(3))
             for T in Ts:
-                cin = sc.c_out - (sc.e_lo * sc.c_out - T) / sc.w_at_xbar
+                cin = sc.inner_constant(T)
                 # derivative touchpoint: the swap-piece bracket collapses to T
                 bracket = sc.e_lo * sc.c_out \
                     - (sc.c_out - cin) * sc.w_at_xbar
@@ -260,12 +245,8 @@ def touchpoint_reduced_records(cx: ConstructionConstants,
                 _rec(records, f"touch-derivative-bracket-{lab}",
                      -abs(bracket - T) / T, f"k={k},T={T:.3g}", tol=tol)
                 # exponent algebra: -1 - e_lo - touch_exp = -1 - e_lo*(g-d+1)
-                if lab == "right":
-                    target = 1.0 + cx.B * (p.gamma - p.delta + 1.0)
-                    got = 1.0 + cx.B + sc.touch_exp
-                else:
-                    target = 1.0 + cx.E * (p.alpha - p.beta + 1.0)
-                    got = 1.0 + cx.E + sc.touch_exp
+                target = 1.0 + sc.e_lo * (sc.g - sc.d + 1.0)
+                got = 1.0 + sc.e_lo + sc.touch_exp
                 _rec(records, f"touch-exponent-algebra-{lab}",
                      -abs(got - target) / target, f"k={k}", tol=1e-14)
 
@@ -289,16 +270,16 @@ def touchpoint_desk_records(prof: LayerProfile) -> list[CheckRecord]:
     cx = prof.cx
     records: list[CheckRecord] = []
     kmat = cx.materializable_k()
-    for side, sc, lab in ((1, cx.right(), "right"), (-1, cx.left(), "left")):
+    for sc in (cx.right, cx.left):
+        side, lab = sc.sign, sc.label
         for k in range(kmat + 1):
-            lna = math.log(cx.a0) if k == 0 else cx.lnc[k - 1] + 2 * math.log(2.0)
+            lna, lnd = _cell_boundaries(cx, k)[[0, 5]]
             # gap at a_k equals c_in[k] * a_k^(-e_hi)
             g = prof.gap_jet_log(side, np.array([lna]), order=0)[0]
             target = math.log(sc.c_in[k]) - sc.e_hi * lna
             _rec(records, f"anchor-value-inner-{lab}",
                  -abs(g.logm[0] - target) / abs(target), f"k={k}", tol=1e-12)
             # gap at d_k equals c_out * d_k^(-e_lo)
-            lnd = cx.lnc[k] + math.log(2.0)
             g = prof.gap_jet_log(side, np.array([lnd]), order=0)[0]
             target = math.log(sc.c_out) - sc.e_lo * lnd
             _rec(records, f"anchor-value-outer-{lab}",
@@ -375,20 +356,17 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
     """
     cx = prof.cx
     records: list[CheckRecord] = []
-    p = cx.params
+    two_s = 2.0 * cx.params.s
+    cells = [_cell_boundaries(cx, k) for k in range(cx.materializable_k() + 1)]
 
-    for side, sc, lab in ((1, cx.right(), "right"), (-1, cx.left(), "left")):
-        if lab == "right":
-            g_, d_ = p.gamma, p.delta
-        else:
-            g_, d_ = p.alpha, p.beta
+    for sc in (cx.right, cx.left):
+        side, lab, g_, d_ = sc.sign, sc.label, sc.g, sc.d
         ratios_gap = []
         ratios_d1_hi = []
         ratios_d1_lo = []
-        two_s = 2.0 * p.s
-        for k in range(cx.materializable_k() + 1):
-            lnb_k, lnc_k = cx.lnb[k], cx.lnc[k]
-            L = np.linspace(lnb_k, lnc_k, n // (cx.materializable_k() + 1))
+        for k, b in enumerate(cells):
+            lnb_k, lnc_k = b[1], b[4]
+            L = np.linspace(lnb_k, lnc_k, n // len(cells))
             jets = prof.gap_jet_log(side, L, order=1)
             phi = sc.e_hi * np.exp((math.log(lnb_k) - np.log(L)) / sc.zeta)
             lg = jets[0].logm
@@ -407,8 +385,8 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
 
         # swap cell [c_k, d_k]: gap ~ x^(-e_lo), slope >= x^(-1-e_lo(g-d+1))
         vals_gap, vals_d1 = [], []
-        for k in range(cx.materializable_k() + 1):
-            L = np.linspace(cx.lnc[k], cx.lnc[k] + math.log(2.0), 200)
+        for b in cells:
+            L = np.linspace(b[4], b[5], 200)
             jets = prof.gap_jet_log(side, L, order=1)
             vals_gap.append(jets[0].logm + sc.e_lo * L)
             vals_d1.append(jets[1].logm + (1.0 + sc.e_lo * (g_ - d_ + 1.0)) * L)
@@ -423,9 +401,8 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
 
         # return cell [d_k, a_{k+1}]: x^(-1-e_hi) <= u~' <= x^(-1-e_lo)
         vals_lo, vals_hi = [], []
-        for k in range(cx.materializable_k() + 1):
-            L = np.linspace(cx.lnc[k] + math.log(2.0),
-                            cx.lnc[k] + 2 * math.log(2.0), 200)
+        for b in cells:
+            L = np.linspace(b[5], b[6], 200)
             jets = prof.gap_jet_log(side, L, order=1)
             vals_lo.append(jets[1].logm + (1.0 + sc.e_hi) * L)
             vals_hi.append(jets[1].logm + (1.0 + sc.e_lo) * L)
@@ -436,9 +413,8 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
 
         # inner power cell: |u~''| = (e_hi + 1) u~' / x exactly
         worst = 0.0
-        for k in range(cx.materializable_k() + 1):
-            lna = math.log(cx.a0) if k == 0 else cx.lnc[k - 1] + 2 * math.log(2.0)
-            L = np.linspace(lna, cx.lnb[k], 50)
+        for b in cells:
+            L = np.linspace(b[0], b[1], 50)
             jets = prof.gap_jet_log(side, L, order=2)
             lhs = jets[2].logm
             rhs = np.log(sc.e_hi + 1.0) + jets[1].logm - L
@@ -454,19 +430,15 @@ def second_derivative_bound_records(prof: LayerProfile,
     """|u~''| <= C min{x^(-2-eps), u~' x^(-1+e_lo(g-d))} and the third-
     derivative envelope |u~'''| <= C x^(-e_lo-3), fitted per side."""
     cx = prof.cx
-    p = cx.params
     records = []
-    for side, sc, lab in ((1, cx.right(), "right"), (-1, cx.left(), "left")):
-        if lab == "right":
-            gd = p.gamma - p.delta
-        else:
-            gd = p.alpha - p.beta
+    for sc in (cx.right, cx.left):
+        side, lab = sc.sign, sc.label
         L = prof.log_samples(side, n)
         jets = prof.gap_jet_log(side, L, order=3)
         l1, l2, l3 = jets[1].logm, jets[2].logm, jets[3].logm
         # curvature against the slope form (upper bound only: u~'' may
         # change sign inside the ramp cells)
-        r1 = l2 - (l1 + (-1.0 + sc.e_lo * gd) * L)
+        r1 = l2 - (l1 + (-1.0 + sc.touch_exp) * L)
         records.append(_sandwich(f"curvature-slope-bound-{lab}", r1, r1, n,
                                  True, one_sided=True))
         # curvature absolute decay x^(-2-eps): fit eps empirically
@@ -515,8 +487,8 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
     piece = np.searchsorted(prof._edges, mids) - 1
     hmax = (prof._edges[piece + 1] - prof._edges[piece]) / 140.0
     eps = np.finfo(float).eps
-    for side in (1, -1):
-        lab = "right" if side > 0 else "left"
+    for sc in (prof.cx.right, prof.cx.left):
+        side, lab = sc.sign, sc.label
         worst12 = 0.0
         for L, hm in zip(mids, hmax):
             if L >= 250.0:  # keep h**order inside double range
@@ -648,7 +620,8 @@ def highprec_agreement_records(prof: LayerProfile,
     records = []
     offsets = {0: 0.5, 1: 0.37, 2: 0.5, 3: 0.61, 4: 0.43, 5: 0.57}
     with mp.workdps(50):
-        for side, sc, lab in ((1, cx.right(), "right"), (-1, cx.left(), "left")):
+        for sc in (cx.right, cx.left):
+            side, lab = sc.sign, sc.label
             worst = 0.0
             n = 0
             cancel = (0.0, 0.0, "")

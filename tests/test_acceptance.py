@@ -151,7 +151,7 @@ def test_criterion_6_desk_mode_at_threshold(threshold_pack):
     env_msg = []
     # envelope fits on (ln x, ln gap) pairs via the log-native interface
     from fraclayer.analysis import envelope_exponents as env
-    for side, sc in ((1, cx.right()), (-1, cx.left())):
+    for side, sc in ((1, cx.right), (-1, cx.left)):
         L = prof.log_samples(side, 6000)
         lg = prof.gap_logm(side, L)
         # ln x reaches ~3e4, beyond exp's range: fit on the surrogate

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,42 +23,42 @@ def test_param_validation():
 
 def test_exponent_formulas(desk_params):
     cx = build_constants(desk_params)
-    assert cx.A == pytest.approx(0.25)           # 2s/(delta-1), s=0.5, delta=5
-    assert cx.B == pytest.approx(1.0 / 4.5)
-    assert cx.D == pytest.approx(0.25)
-    assert cx.E == pytest.approx(1.0 / 4.8)
-    assert cx.B <= cx.A and cx.E <= cx.D
-    assert cx.beta44 == pytest.approx(1.0 / 140.0)
+    rt, lf = cx.right, cx.left
+    assert rt.e_hi == pytest.approx(0.25)        # 2s/(delta-1), s=0.5, delta=5
+    assert rt.e_lo == pytest.approx(1.0 / 4.5)
+    assert lf.e_hi == pytest.approx(0.25)
+    assert lf.e_lo == pytest.approx(1.0 / 4.8)
+    assert rt.e_lo <= rt.e_hi and lf.e_lo <= lf.e_hi
 
 
 def test_critical_point_value():
     # closed form at the outer rate 2*0.5/(5.5-1)
     cx = build_constants(LayerParams(s=0.5, alpha=5.8, beta=5.0, gamma=5.5,
                                      delta=5.0, rho=2.1))
-    assert cx.xbar1 == pytest.approx(0.521, abs=5e-4)
-    assert 0.0 < cx.xbar2 < 1.0
+    assert cx.right.xbar == pytest.approx(0.521, abs=5e-4)
+    assert 0.0 < cx.left.xbar < 1.0
 
 
 def test_inner_anchor_floor():
     # when e^(1/B) <= 4 and the bridge constraint is slack, the anchor is 4
     p = LayerParams(s=0.9, alpha=3.3, beta=3.1, gamma=3.4, delta=3.2, rho=2.0)
     cx = build_constants(p)
-    assert math.exp(1.0 / cx.B) <= 4.0
+    assert math.exp(1.0 / cx.right.e_lo) <= 4.0
     assert cx.a0 == 4.0
 
 
 def test_anchor_bridge_compatibility(desk_params):
     cx = build_constants(desk_params)
-    gap = cx.C2 * cx.a0 ** (-cx.A) + cx.C4 * cx.a0 ** (-cx.D)
+    gap = sum(sc.c_out * cx.a0 ** (-sc.e_hi) for sc in (cx.right, cx.left))
     assert gap <= 1.8 + 1e-9
-    assert cx.a0 > math.exp(1.0 / cx.B)
+    assert cx.a0 > math.exp(1.0 / cx.right.e_lo)
 
 
 def test_constant_ranges(desk_params):
     cx = build_constants(desk_params)
-    assert cx.C2 > 2.0 and cx.C4 > 2.0
-    assert np.all(cx.C1 > 2.0 - 1e-12) and np.all(cx.C1 < cx.C2)
-    assert np.all(cx.C3 > 2.0 - 1e-12) and np.all(cx.C3 < cx.C4)
+    for sc in (cx.right, cx.left):
+        assert sc.c_out > 2.0
+        assert np.all(sc.c_in > 2.0 - 1e-12) and np.all(sc.c_in < sc.c_out)
 
 
 def test_scale_recursion(desk_params):
@@ -91,14 +92,14 @@ def test_sufficiency_threshold_construction():
 
 def test_ramp_interpolant_endpoints(desk_profile):
     cx = desk_profile.cx
-    sc = cx.right()
+    sc = cx.right
     # at ln b_k the interpolant equals the inner rate; at ln c_k the outer
     phi_b = sc.phi(0, np.array([cx.lnb[0]]), cx.lnb)
     phi_c = sc.phi(0, np.array([cx.lnc[0]]), cx.lnb)
-    assert phi_b[0] == pytest.approx(cx.A, rel=1e-14)
-    assert phi_c[0] == pytest.approx(cx.B, rel=1e-12)
+    assert phi_b[0] == pytest.approx(sc.e_hi, rel=1e-14)
+    assert phi_c[0] == pytest.approx(sc.e_lo, rel=1e-12)
     mid = sc.phi(0, np.array([0.5 * (cx.lnb[0] + cx.lnc[0])]), cx.lnb)[0]
-    assert cx.B < mid < cx.A
+    assert sc.e_lo < mid < sc.e_hi
 
 
 def test_ramp_ode_closed_form():
@@ -166,15 +167,16 @@ def test_anchor_values(desk_profile):
     for k in (0, 1):
         lna = math.log(cx.a0) if k == 0 else cx.lnc[k - 1] + 2 * math.log(2)
         g = desk_profile.gap_jet_log(1, np.array([lna]), order=0)[0]
-        assert g.logm[0] == pytest.approx(math.log(cx.C1[k]) - cx.A * lna,
-                                          rel=1e-13)
+        rt, lf = cx.right, cx.left
+        assert g.logm[0] == pytest.approx(
+            math.log(rt.c_in[k]) - rt.e_hi * lna, rel=1e-13)
         lnd = cx.lnc[k] + math.log(2.0)
         g = desk_profile.gap_jet_log(1, np.array([lnd]), order=0)[0]
-        assert g.logm[0] == pytest.approx(math.log(cx.C2) - cx.B * lnd,
-                                          rel=1e-13)
+        assert g.logm[0] == pytest.approx(
+            math.log(rt.c_out) - rt.e_lo * lnd, rel=1e-13)
         g = desk_profile.gap_jet_log(-1, np.array([lna]), order=0)[0]
-        assert g.logm[0] == pytest.approx(math.log(cx.C3[k]) - cx.D * lna,
-                                          rel=1e-13)
+        assert g.logm[0] == pytest.approx(
+            math.log(lf.c_in[k]) - lf.e_hi * lna, rel=1e-13)
 
 
 def test_profile_csv_export(tmp_path, desk_profile):
@@ -232,3 +234,27 @@ def test_smooth_join_identity(desk_profile):
         lo = min(f1(x), f2(x))
         hi = max(f1(x), f2(x))
         assert lo - 1e-12 <= h <= hi + 1e-12
+
+
+def test_swapping_the_wells_mirrors_the_sides(desk_params):
+    """Swapping (alpha, beta) with (gamma, delta) swaps the two side records
+    and mirrors the profile, bit for bit: u~(x) = -u~'(-x) on the tails."""
+    p = desk_params
+    q = LayerParams(s=p.s, alpha=p.gamma, beta=p.delta, gamma=p.alpha,
+                    delta=p.beta, rho=p.rho)
+    prof, mirr = build_profile(p), build_profile(q)
+    cx, cy = prof.cx, mirr.cx
+    assert cx.a0 == cy.a0 and np.array_equal(cx.lnc, cy.lnc)
+    for a, b in ((cx.right, cy.left), (cx.left, cy.right)):
+        assert a.sign == -b.sign
+        for f in dataclasses.fields(a):
+            if f.name != "sign":
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+    L = np.linspace(prof.log_a0, prof._edges[-1], 997)
+    for side in (1, -1):
+        for u, v in zip(prof.gap_jet_L(side, L), mirr.gap_jet_L(-side, L)):
+            assert np.array_equal(u, v)
+    x = np.exp(np.linspace(prof.log_a0, 600.0, 501))
+    for m in range(5):
+        assert np.array_equal(prof.eval(x, m),
+                              (-1.0) ** (m + 1) * mirr.eval(-x, m))

@@ -139,7 +139,7 @@ def _mp_gap_jet_errors(prof, side):
     """Relative errors of gap_jet_log orders 0..4 against 50-digit mpmath
     derivatives of the exact piece formulas, with the reported bounds."""
     cx = prof.cx
-    sc = cx.right() if side > 0 else cx.left()
+    sc = cx.right if side > 0 else cx.left
     pts = []
     for j, (k, piece) in enumerate(prof._refs):
         lo, hi = prof._edges[j], prof._edges[j + 1]

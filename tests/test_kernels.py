@@ -14,6 +14,8 @@ def test_validation():
         KernelSpec(s=0.5, lam=2.0, Lam=1.0)
     with pytest.raises(ValueError):
         KernelSpec(s=0.5, form="tabulated-perturbation")
+    with pytest.raises(ValueError):
+        KernelSpec(s=0.5, scale=2.0)
 
 
 def test_symmetry_and_ellipticity():

@@ -36,6 +36,16 @@ def test_energy_zero_at_pure_state(kernel_half_mod):
     assert energy(g, pot, kernel_half_mod) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_make_grid_rejects_an_unknown_init():
+    """A misspelled init raises instead of seeding some other guess;
+    explicit values need no init."""
+    for init in ("powr", "linear", "custom"):
+        with pytest.raises(ValueError, match="init"):
+            make_grid(10.0, 16, init=init)
+    g = make_grid(10.0, 16, init="powr", values=np.zeros(16))
+    assert np.array_equal(g.values, np.zeros(16))
+
+
 def test_energy_matches_bruteforce(kernel_half_mod, rng):
     pot = make_potential(QUARTIC)
     n = 32

@@ -23,11 +23,11 @@ def test_inequality_sweep_passes(rng):
 def test_equality_cases_detected():
     recs = vc.equality_case_records()
     assert all(r.passed for r in recs)
-    sr, _ = vc.exponent_ordering_slacks(0.5, 3.0, 3.0, 4.0, 4.0)
+    sr = vc.exponent_ordering_slack(0.5, 4.0, 4.0)
     assert abs(sr) < 1e-14          # gamma = delta
-    sr, _ = vc.exponent_ordering_slacks(0.5, 3.0, 3.0, 3.5, 2.0)
+    sr = vc.exponent_ordering_slack(0.5, 3.5, 2.0)
     assert abs(sr) < 1e-14          # delta = 2
-    sr, _ = vc.exponent_ordering_slacks(0.5, 3.0, 3.0, 4.0, 3.0)
+    sr = vc.exponent_ordering_slack(0.5, 4.0, 3.0)
     assert sr > 1e-6                # strict otherwise
 
 

@@ -11,8 +11,15 @@ gamma = 5.5, delta = 5, rho = 2.1) and on the threshold profile
 - order-4 `gap_jet_log` on both sides at those L (sign and log magnitude);
 - every field of `junction_mismatches`;
 - the bytes of `export_csv`;
+- `a0`, `lnb`, `lnc`, `lnlnb`, `sufficiency_report` and the bridge
+  polynomials' coefficients;
+- (id, passed, worst_slack, location) of every record of the desk checks
+  (touchpoints, bound sandwiches, finite-difference and mpmath agreement)
+  and of the reduced ones (touchpoints, scale ordering, ramp ODE);
 
-and `eta_derivs(linspace(0, 1, 20001), 4)` once. Run it against two source
+and once: `eta_derivs(linspace(0, 1, 20001), 4)`, the records of
+`inequality_sweep` on 40 seeded tuples and of `equality_case_records`, and
+the constants and reduced records of the paper-mode construction. Run it against two source
 trees to check that a refactor keeps every number: `compare` exits 1 and
 names each array that differs (`np.array_equal`, NaN equal to NaN).
 """
@@ -27,13 +34,45 @@ from pathlib import Path
 import numpy as np
 
 
+def _records(out: dict, key: str, records) -> None:
+    """One array per CheckRecord field, in record order."""
+    for field in ("id", "passed", "worst_slack", "location"):
+        out[f"{key}/{field}"] = np.array([getattr(r, field) for r in records])
+
+
+def _constants(out: dict, name: str, cx) -> None:
+    """The scale constants and the reduced records of one construction."""
+    from fraclayer import verify_construction as vc
+
+    for field in ("a0", "lnb", "lnc", "lnlnb"):
+        out[f"{name}/{field}"] = np.array(getattr(cx, field))
+    for key, v in cx.sufficiency_report().items():
+        out[f"{name}/sufficiency/{key}"] = np.array(v)
+    _records(out, f"{name}/touchpoint_reduced",
+             vc.touchpoint_reduced_records(cx))
+    _records(out, f"{name}/ordering_chain", vc.ordering_chain_records(cx))
+
+
 def dump(path: str) -> None:
-    from fraclayer.construction import (LayerParams, build_profile,
-                                        threshold_params)
+    from fraclayer import verify_construction as vc
+    from fraclayer.construction import (LayerParams, build_constants,
+                                        build_profile, threshold_params)
     from fraclayer.cutoffs import eta_derivs
 
     out = {"eta_derivs": np.array(eta_derivs(np.linspace(0.0, 1.0, 20001),
                                              4))}
+    rng = np.random.default_rng(7)
+    tuples = []
+    for _ in range(40):
+        s = rng.uniform(0.1, 0.9)
+        beta = rng.uniform(2.0, 6.0)
+        delta = rng.uniform(2.0, 6.0)
+        tuples.append((s, beta + rng.uniform(1e-3, 0.999), beta,
+                       delta + rng.uniform(1e-3, 0.999), delta))
+    _records(out, "inequality_sweep", vc.inequality_sweep(tuples))
+    _records(out, "equality_cases", vc.equality_case_records())
+    _constants(out, "paper", build_constants(LayerParams(
+        s=0.5, alpha=5.8, beta=5.0, gamma=5.5, delta=5.0, mode="paper")))
     profiles = {
         "desk": LayerParams(s=0.5, alpha=5.8, beta=5.0, gamma=5.5,
                             delta=5.0, rho=2.1),
@@ -43,6 +82,14 @@ def dump(path: str) -> None:
     x = np.where(rng.random(L.size) < 0.5, -1.0, 1.0) * np.exp(L)
     for name, params in profiles.items():
         prof = build_profile(params)
+        _constants(out, name, prof.cx)
+        _records(out, f"{name}/ramp_ode", [vc.check_ramp_ode_identity(prof.cx)])
+        for fn in (vc.touchpoint_desk_records, vc.profile_bound_records,
+                   vc.second_derivative_bound_records, vc.fd_agreement_records,
+                   vc.highprec_agreement_records):
+            _records(out, f"{name}/{fn.__name__}", fn(prof))
+        for i, ders in enumerate(prof.bridge_derivs):
+            out[f"{name}/bridge{i}"] = ders[0].coef
         for m in range(5):
             out[f"{name}/eval{m}"] = prof.eval(x, m)
         for side in (1, -1):
