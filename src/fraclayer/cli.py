@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, get, load_config, require
-from .errors import FracLayerError
+from .errors import FracLayerError, InputFileError
 from .kernels import KernelSpec, fractional_kernel, perturbed_kernel
-from .reports import Report
+from .reports import SIDE_LABEL, Report
 
 USAGE_ERROR = 2
 
@@ -276,12 +276,10 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
     rep.add("profile-increasing", inc, 0.0 if inc else -1.0)
     for k, v in res.hypothesis_tags.items():
         rep.add(f"regime-tag-{k}", True, 1.0 if v else 0.0, str(v))
-    fit_r = tail_exponent(res.profile, "right")
-    fit_l = tail_exponent(res.profile, "left")
-    rep.add("tail-exponent-right", True, fit_r.exponent,
-            f"exp={fit_r.exponent:.4f}")
-    rep.add("tail-exponent-left", True, fit_l.exponent,
-            f"exp={fit_l.exponent:.4f}")
+    for side in (1, -1):
+        fit = tail_exponent(res.profile, side)
+        rep.add(f"tail-exponent-{SIDE_LABEL[side]}", True, fit.exponent,
+                f"exp={fit.exponent:.4f}")
     op = GridOperator(kern, res.profile)
     r = op.apply(res.profile.values) - pot.W1(res.profile.values)
     with open(out / "solution.csv", "w", newline="") as fh:
@@ -299,31 +297,32 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
 
 
 def cmd_fit_decay(cfg, out, seed, mode) -> Report:
+    """Power fit of each side's gap 1 - s u over the points with s x above
+    half its largest value, in file order."""
     from .analysis import fit_power_decay
 
     path = require(cfg, "fit", "csv")
     rep = Report("fit-decay", cfg)
-    xs, us = [], []
-    with open(path) as fh:
-        rd = csv.DictReader(fh)
-        for row in rd:
-            xs.append(float(row["x"]))
-            us.append(float(row["u"]))
-    x = np.asarray(xs)
-    u = np.asarray(us)
-    for side in ("right", "left"):
-        if side == "right":
-            m = x > 0.5 * x.max()
-            gap = 1.0 - u[m]
-            xx = x[m]
-        else:
-            m = x < 0.5 * x.min()
-            gap = 1.0 + u[m]
-            xx = -x[m]
-        good = gap > 1e-13
-        fit = fit_power_decay(np.column_stack([xx[good], gap[good]]),
-                              min_decades=0.25)
-        rep.add(f"decay-fit-{side}", True, fit.exponent,
+    try:
+        with open(path) as fh:
+            rows = [(float(row["x"]), float(row["u"]))
+                    for row in csv.DictReader(fh)]
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise InputFileError(f"cannot read columns x, u of {path}: {e}") \
+            from e
+    x, u = np.array(rows).reshape(-1, 2).T
+    for side in (1, -1):
+        y = side * x
+        try:
+            m = y > 0.5 * y.max()
+            gap = 1.0 - side * u[m]
+            good = gap > 1e-13
+            fit = fit_power_decay(np.column_stack([y[m][good], gap[good]]),
+                                  min_decades=0.25)
+        except ValueError as e:
+            raise InputFileError(
+                f"no {SIDE_LABEL[side]} decay fit on {path}: {e}") from e
+        rep.add(f"decay-fit-{SIDE_LABEL[side]}", True, fit.exponent,
                 f"exp={fit.exponent:.5f},residual={fit.residual:.3g}")
     return rep
 

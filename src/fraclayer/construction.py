@@ -28,6 +28,7 @@ from .cutoffs import (CutoffStats, eta_tilde, logistic_derivs, measure_cutoff,
 from .errors import (BridgeNotMonotone, LogRangeOverflow, OutOfPiece,
                      ParamOrderViolated)
 from .jets import LogArray, hermite_bridge, jet_compose, leibniz
+from .reports import SIDE_LABEL
 
 LN2 = math.log(2.0)
 MAX_MATERIALIZABLE_LOG = 700.0
@@ -112,7 +113,7 @@ class SideConstants:
 
     @property
     def label(self) -> str:
-        return "right" if self.sign > 0 else "left"
+        return SIDE_LABEL[self.sign]
 
     @property
     def touch_exp(self) -> float:
@@ -127,9 +128,10 @@ class SideConstants:
         """C_in for touch factor T: the swap bracket then collapses to T."""
         return self.c_out - (self.e_lo * self.c_out - T) / self.w_at_xbar
 
-    def phi(self, k: int, lnx, lnb: np.ndarray):
-        """Exponent interpolant at ln x (array ok), stable in log-log form."""
-        return self.e_hi * np.exp((np.log(lnb[k]) - np.log(lnx)) / self.zeta)
+    def phi(self, lnb_k: float, L):
+        """The ramp's exponent phi = e_hi (ln b_k / L)^(1/zeta) at L = ln x
+        (array ok), in log-log form."""
+        return self.e_hi * np.exp((math.log(lnb_k) - np.log(L)) / self.zeta)
 
 
 def _side_constants(sign: int, s: float, g: float, d: float,
@@ -289,10 +291,9 @@ def _power_rel(e: float, order: int) -> list:
 
 
 def _phi_rel(sc: SideConstants, lnb_k: float, L, order: int):
-    """psi = phi(L) L with phi = e_hi (ln b_k / L)^(1/zeta), and the
-    L-derivatives of e^(-psi) over its value."""
-    phi = sc.e_hi * np.exp((math.log(lnb_k) - np.log(L)) / sc.zeta)
-    psi = phi * L
+    """psi = phi(L) L with the ramp exponent phi, and the L-derivatives of
+    e^(-psi) over its value."""
+    psi = sc.phi(lnb_k, L) * L
     if order == 0:
         return psi, [1.0]
     # psi = K L^a with a = 1 - 1/zeta: psi^(j) = psi a (a-1)...(a-j+1) / L^j

@@ -79,3 +79,7 @@ class StalledAboveTolerance(FracLayerError):
 
 class PanelBudgetExceeded(FracLayerError):
     """An operator evaluation would need more panels than its budget."""
+
+
+class InputFileError(FracLayerError):
+    """An input file is missing or malformed, or holds too few usable points."""

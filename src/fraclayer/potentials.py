@@ -40,7 +40,7 @@ from numpy.polynomial.legendre import legint, legval, legvander
 from .errors import BridgeNotPositive, DegenerateOscillation, SampleOutsideWell
 from .jets import hermite_bridge
 from .panels import gauss_rule
-from .reports import CheckRecord
+from .reports import SIDE_LABEL, CheckRecord
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,14 @@ class WellParams:
                     "oscillatory mode needs beta > 2 and delta > 2")
             if not all(c == 1.0 for c in (self.c1, self.c2, self.c3, self.c4)):
                 raise ValueError("oscillatory mode realizes unit constants")
+
+    def side(self, s: int) -> tuple[float, float, float, float]:
+        """(g, d, c_lo, c_hi) of the well at s = +/-1: with v = 1 - s t,
+        c_lo v^(g-2) <= W''(t) <= c_hi v^(d-2) near it. The well at -1 has
+        (alpha, beta, c1, c2), the one at +1 (gamma, delta, c3, c4)."""
+        if s > 0:
+            return self.gamma, self.delta, self.c3, self.c4
+        return self.alpha, self.beta, self.c1, self.c2
 
 
 class _LogAxisCumulative:
@@ -150,7 +158,8 @@ class _LogAxisCumulative:
 
 
 def _well_side(exp_hi: float, exp_lo: float, c: float, mode: str, mu: float):
-    """W'', W', W as functions of the distance-to-well u in (0, mu].
+    """W, its derivative and second derivative in the distance to the well,
+    as functions of that distance u in (0, mu].
 
     exp_hi >= exp_lo are the envelope exponents (alpha >= beta, or
     gamma >= delta); c is the pure-power constant.
@@ -167,7 +176,7 @@ def _well_side(exp_hi: float, exp_lo: float, c: float, mode: str, mu: float):
         def d0(u):
             return c * u ** a / (a * (a - 1.0))
 
-        return d2, d1, d0
+        return d0, d1, d2
 
     m = 0.5 * (exp_hi + exp_lo)
     amp = 0.5 * (exp_hi - exp_lo)
@@ -187,7 +196,7 @@ def _well_side(exp_hi: float, exp_lo: float, c: float, mode: str, mu: float):
                             decay=exp_lo - 1.0, rate=exp_hi + amp, swing=amp)
     J2 = _LogAxisCumulative(J1, floor - 45.0 / exp_lo, y_max, decay=exp_lo,
                             rate=exp_hi + amp, swing=amp)
-    return d2, J1, J2
+    return J2, J1, d2
 
 
 def _bernstein_nonneg(coeffs: np.ndarray, depth: int = 10) -> bool:
@@ -234,16 +243,13 @@ class PotentialFn:
         p = self.params
         theta = min(min(p.beta, p.delta) - 2.0, 1.0)
         out = {}
-        for side, mu in (("left", p.mu), ("right", p.mu)):
-            d = np.geomspace(1e-8, mu / 4, n)
-            if side == "left":
-                t1, t2 = -1.0 + d, -1.0 + 2 * d
-            else:
-                t1, t2 = 1.0 - 2 * d, 1.0 - d
+        d = np.geomspace(1e-8, p.mu / 4, n)
+        for side in (-1, 1):
+            t1, t2 = side * (1.0 - d), side * (1.0 - 2 * d)
             num = np.abs(self.W2(t2) - self.W2(t1))
             den = np.abs(t2 - t1) ** theta if theta > 0 else np.ones_like(d)
             ratio = num / den if theta > 0 else num
-            out[side] = float(np.max(ratio))
+            out[SIDE_LABEL[side]] = float(np.max(ratio))
         out["theta"] = theta
         return out
 
@@ -252,34 +258,30 @@ def make_potential(params: WellParams) -> PotentialFn:
     """Assemble W from the well data and a positive degree-5 middle bridge."""
     p = params
     mu = p.mu
-    l2, l1, l0 = _well_side(p.alpha, p.beta, p.c1, p.mode, mu)
-    r2, r1, r0fn = _well_side(p.gamma, p.delta, p.c3, p.mode, mu)
+    # W, W', W'' near the well at s = +/-1 in the distance v = 1 - s t
+    wells = {s: _well_side(*p.side(s)[:3], p.mode, mu) for s in (-1, 1)}
 
-    a, b = -1.0 + mu, 1.0 - mu
-    # junction data: left side in u = 1+t at u=mu, right side in v = 1-t
+    # junction data at t = s (1 - mu): d/dt = -s d/dv
     mu_arr = np.array([mu])
-    Wa, W1a, W2a = (float(f(mu_arr)[0]) for f in (l0, l1, l2))
-    Wb, W2b = float(r0fn(mu_arr)[0]), float(r2(mu_arr)[0])
-    W1b = -float(r1(mu_arr)[0])
-
-    bridge, certificate = _solve_bridge(a, b, (Wa, W1a, W2a), (Wb, W1b, W2b))
-    dbridge = bridge.deriv()
-    d2bridge = dbridge.deriv()
+    left_data, right_data = (
+        tuple((-s) ** k * float(wells[s][k](mu_arr)[0]) for k in range(3))
+        for s in (-1, 1))
+    a, b = -1.0 + mu, 1.0 - mu
+    bridge, certificate = _solve_bridge(a, b, left_data, right_data)
+    polys = (bridge, bridge.deriv(), bridge.deriv().deriv())
 
     def evaluate(t, order: int):
         scalar = np.ndim(t) == 0
         t = np.atleast_1d(np.asarray(t, dtype=float))
         t = np.clip(t, -1.0, 1.0)
         out = np.empty_like(t)
-        left = t <= a
-        right = t >= b
-        mid = ~(left | right)
-        lv = (l0, l1, l2)[order](1.0 + t[left])
-        rv = (r0fn, r1, r2)[order](1.0 - t[right])
-        out[left] = lv
-        out[right] = -rv if order == 1 else rv
-        poly = (bridge, dbridge, d2bridge)[order]
-        out[mid] = poly(t[mid])
+        in_well = []
+        for s, y in ((-1, -t), (1, t)):     # y = s t
+            m = y >= b
+            out[m] = (-s) ** order * wells[s][order](1.0 - y[m])
+            in_well.append(m)
+        mid = ~(in_well[0] | in_well[1])
+        out[mid] = polys[order](t[mid])
         return float(out[0]) if scalar else out
 
     pot = PotentialFn(
@@ -338,53 +340,46 @@ def check_well_increment_bounds(pot: PotentialFn, samples) -> list[CheckRecord]:
     """Two-sided integrated bounds on W(t)-W(r) and W'(t)-W'(r) in the wells.
 
     Each sample is an (r, t) pair with r <= t, both inside one well interval.
-    Each well with samples gives one record `well-increment-bounds-{side}`:
-    the worst slack over its pairs, which passes down to -1e-12, located at
-    its worst pair.
+    Each well with samples gives one record `well-increment-bounds-{side}`,
+    left before right: the worst slack over its pairs, which passes down to
+    -1e-12, located at its worst pair.
     """
     p = pot.params
     mu = p.mu
-    reports = []
-    left_pairs, right_pairs = [], []
+    pairs = {-1: [], 1: []}
     for (r, t) in samples:
         if r > t:
             r, t = t, r
-        if -1.0 <= r <= t <= -1.0 + mu:
-            left_pairs.append((r, t))
-        elif 1.0 - mu <= r <= t <= 1.0:
-            right_pairs.append((r, t))
+        for s in (-1, 1):
+            near, far = (s * r, s * t)[::s]
+            if 1.0 - mu <= near <= far <= 1.0:
+                pairs[s].append((r, t))
+                break
         else:
             raise SampleOutsideWell(f"pair ({r}, {t}) not inside a well interval")
 
-    if left_pairs:
-        arr = np.array(left_pairs)
+    reports = []
+    for s in (-1, 1):
+        if not pairs[s]:
+            continue
+        arr = np.array(pairs[s])
         r, t = arr[:, 0], arr[:, 1]
         dW = pot.W(t) - pot.W(r)
         dW1 = pot.W1(t) - pot.W1(r)
-        al, be = p.alpha, p.beta
-        lo0 = p.c1 / (al * (al - 1)) * ((1 + t) ** al - (1 + r) ** al)
-        hi0 = p.c2 / (be * (be - 1)) * ((1 + t) ** be - (1 + r) ** be)
-        lo1 = p.c1 / (al - 1) * ((1 + t) ** (al - 1) - (1 + r) ** (al - 1))
-        hi1 = p.c2 / (be - 1) * ((1 + t) ** (be - 1) - (1 + r) ** (be - 1))
+        g, d, c_lo, c_hi = p.side(s)
+        # distances to the well; W'' > 0 there, so W'(t) - W'(r) is the
+        # envelope integrated from the nearer distance to the farther
+        vr, vt = 1.0 - s * r, 1.0 - s * t
+        v_in, v_out = np.minimum(vr, vt), np.maximum(vr, vt)
+        lo1 = c_lo / (g - 1) * (v_out ** (g - 1) - v_in ** (g - 1))
+        hi1 = c_hi / (d - 1) * (v_out ** (d - 1) - v_in ** (d - 1))
+        # W's increments are negative near +1, which puts the (c_hi, d)
+        # expression below and the (c_lo, g) expression above
+        lo0, hi0 = (c_lo / (g * (g - 1)) * (vt ** g - vr ** g),
+                    c_hi / (d * (d - 1)) * (vt ** d - vr ** d))[::-s]
         slack = np.minimum(np.minimum(dW - lo0, hi0 - dW),
                            np.minimum(dW1 - lo1, hi1 - dW1))
-        reports.append(_increment_record("left", slack, r, t))
-
-    if right_pairs:
-        arr = np.array(right_pairs)
-        r, t = arr[:, 0], arr[:, 1]
-        dW = pot.W(t) - pot.W(r)
-        dW1 = pot.W1(t) - pot.W1(r)
-        ga, de = p.gamma, p.delta
-        # increments are negative near +1: integrating the envelope puts the
-        # (c4, delta) expression below and the (c3, gamma) expression above
-        lo0 = p.c4 / (de * (de - 1)) * ((1 - t) ** de - (1 - r) ** de)
-        hi0 = p.c3 / (ga * (ga - 1)) * ((1 - t) ** ga - (1 - r) ** ga)
-        lo1 = p.c3 / (ga - 1) * ((1 - r) ** (ga - 1) - (1 - t) ** (ga - 1))
-        hi1 = p.c4 / (de - 1) * ((1 - r) ** (de - 1) - (1 - t) ** (de - 1))
-        slack = np.minimum(np.minimum(dW - lo0, hi0 - dW),
-                           np.minimum(dW1 - lo1, hi1 - dW1))
-        reports.append(_increment_record("right", slack, r, t))
+        reports.append(_increment_record(SIDE_LABEL[s], slack, r, t))
     return reports
 
 
@@ -392,19 +387,12 @@ def envelope_slack(pot: PotentialFn, n: int = 1000) -> float:
     """Worst signed violation of the two-sided W'' envelope (<= 0 passes)."""
     p = pot.params
     worst = -np.inf
-    for side in ("left", "right"):
-        d = np.geomspace(1e-10, p.mu, n)
+    for s in (-1, 1):
+        g, d, c_lo, c_hi = p.side(s)
+        t = s * (1.0 - np.geomspace(1e-10, p.mu, n))
         # the envelopes take the gap that t realizes after rounding
-        if side == "left":
-            t = -1.0 + d
-            d = 1.0 + t
-            lo = p.c1 * d ** (p.alpha - 2.0)
-            hi = p.c2 * d ** (p.beta - 2.0)
-        else:
-            t = 1.0 - d
-            d = 1.0 - t
-            lo = p.c3 * d ** (p.gamma - 2.0)
-            hi = p.c4 * d ** (p.delta - 2.0)
+        v = 1.0 - s * t
         w2 = pot.W2(t)
-        worst = max(worst, float(np.max(lo - w2)), float(np.max(w2 - hi)))
+        worst = max(worst, float(np.max(c_lo * v ** (g - 2.0) - w2)),
+                    float(np.max(w2 - c_hi * v ** (d - 2.0))))
     return worst

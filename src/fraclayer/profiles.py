@@ -50,7 +50,6 @@ class ProfileFn:
     derivs: tuple = ()
     limits: tuple[float, float] | None = (-1.0, 1.0)
     tail: PowerTail | OscillatoryTail | None = None
-    smoothness: str = "C^inf"
     locally_c2: bool = True
     features: tuple[tuple[float, float], ...] = ()   # (center, halfwidth)
     name: str = "profile"
@@ -101,7 +100,6 @@ class ProfileFn:
             derivs=self.derivs[1:],
             limits=(0.0, 0.0),
             tail=tail,
-            smoothness=self.smoothness,
             features=self.features,
             name=f"{self.name}-d1",
         )
@@ -218,7 +216,6 @@ def lipschitz_bump(width: float = 1.0) -> ProfileFn:
         derivs=(),
         limits=(0.0, 0.0),
         tail=PowerTail(2.0, 0.0, 2.0, 0.0),
-        smoothness="C^{0,1}",
         locally_c2=False,
         features=((0.0, 2.0 * a),),
         name="lip-bump",

@@ -21,7 +21,7 @@ from .kernels import KernelSpec
 from .panels import panel_integrals
 from .profiles import PowerTail, ProfileFn
 from .quadrature import QuadConfig, eval_lk
-from .reports import CheckRecord
+from .reports import SIDE_LABEL, CheckRecord
 
 EPS = float(np.finfo(float).eps)
 LN_GAP_FLOOR = math.log(EPS / 4.0)   # a gap that rounds u~ to +/-1 is <= this
@@ -147,6 +147,26 @@ def graded_nodes(depth_decades: float = 12.0, per_decade: int = 12,
     return nodes[(nodes > -1.0) & (nodes < 1.0)]
 
 
+def _end_mass(r: np.ndarray, h: np.ndarray, side: int) -> float:
+    """Integral of h from the node nearest the well at s = +/-1 to the well.
+
+    It comes from the power model h ~ -s C (1 - s r)^p fitted on the nodes
+    within 1e-5 of the well, so the table's ends are not truncated; 0 with
+    fewer than 6 such nodes, a value of -s h that is not positive, or
+    p <= -1.
+    """
+    m = side * r > 1.0 - 1e-5
+    hv = -side * h[m]
+    if np.count_nonzero(m) < 6 or not np.all(hv > 0):
+        return 0.0
+    fit = fit_power_decay(np.column_stack([1.0 - side * r[m], hv]),
+                          min_decades=0.5)
+    p = -fit.exponent
+    C = math.exp(fit.log_const)
+    gap = 1.0 - np.max(side * r)
+    return -side * C * gap ** (1.0 + p) / (1.0 + p) if p > -1.0 else 0.0
+
+
 @dataclass
 class PotentialTable:
     """Graded samples of the reconstructed potential and two derivatives."""
@@ -163,22 +183,8 @@ class PotentialTable:
 
     def closure_defect(self) -> float:
         """|V(+1) extrapolant| relative to max V (equal-depth identity)."""
-        return abs(float(self.V[-1] + self._right_end_correction())) \
+        return abs(float(self.V[-1] + _end_mass(self.r, self.V1, 1))) \
             / float(np.max(self.V))
-
-    def _right_end_correction(self) -> float:
-        # h ~ -c (1-r)^(p) near +1: integrate the fitted power model
-        r = self.r
-        h = self.V1
-        m = r > 1.0 - 1e-5
-        if np.count_nonzero(m) < 6 or np.any(h[m] >= 0):
-            return 0.0
-        fit = fit_power_decay(np.column_stack([1.0 - r[m], -h[m]]),
-                              min_decades=0.5)
-        p = -fit.exponent          # h ~ -C (1-r)^(-(-p))
-        C = math.exp(fit.log_const)
-        gap = 1.0 - r[-1]
-        return -C * gap ** (1.0 + p) / (1.0 + p) if p > -1.0 else 0.0
 
     def to_csv(self, path) -> None:
         import csv as _csv
@@ -197,8 +203,8 @@ def reconstruct_potential(prof: LayerProfile, kernel: KernelSpec,
     """Build the table: invert nodes, evaluate the operator, integrate.
 
     The left-end contribution to V on (-1, r_min] comes from the fitted
-    power model of h rather than truncation, keeping the equal-depth closure
-    honest.
+    power model of h (`_end_mass`) rather than truncation, keeping the
+    equal-depth closure honest.
     """
     u = profile_as_fn(prof)
     cfg = cfg or QuadConfig(tol=1e-5, panels_per_decade=5, nodes_per_panel=10)
@@ -209,17 +215,7 @@ def reconstruct_potential(prof: LayerProfile, kernel: KernelSpec,
         h[i] = eval_lk(kernel, u, float(xi), cfg).value
     # V by trapezoid from the left end, plus the fitted model below r_min
     V = np.concatenate([[0.0], np.cumsum(0.5 * (h[1:] + h[:-1]) * np.diff(r))])
-    m = r < -1.0 + 1e-5
-    left_corr = 0.0
-    if np.count_nonzero(m) >= 6 and np.all(h[m] > 0):
-        fit = fit_power_decay(np.column_stack([1.0 + r[m], h[m]]),
-                              min_decades=0.5)
-        p = -fit.exponent
-        C = math.exp(fit.log_const)
-        gap = 1.0 + r[0]
-        if p > -1.0:
-            left_corr = C * gap ** (1.0 + p) / (1.0 + p)
-    V = V + left_corr
+    V = V + _end_mass(r, h, -1)
     # V'' = h' by centered three-point divided differences on the
     # nonuniform nodes
     V2 = np.empty_like(r)
@@ -281,25 +277,22 @@ def verify_well_envelopes(tab: PotentialTable, params,
     miss.
     """
     out = []
-    for side in ("right", "left"):
-        if side == "right":
-            m = (tab.r > 1.0 - 0.05) & (tab.V2 > 0)
-            gap = 1.0 - tab.r[m]
-            lo_t, hi_t = params.gamma - 2.0, params.delta - 2.0
-        else:
-            m = (tab.r < -1.0 + 0.05) & (tab.V2 > 0)
-            gap = 1.0 + tab.r[m]
-            lo_t, hi_t = params.alpha - 2.0, params.beta - 2.0
+    for side in (1, -1):
+        # the well at +1 has exponents (gamma, delta), the one at -1 (alpha, beta)
+        g, d = ((params.gamma, params.delta) if side > 0
+                else (params.alpha, params.beta))
+        m = (side * tab.r > 1.0 - 0.05) & (tab.V2 > 0)
+        gap = 1.0 - side * tab.r[m]
         v = tab.V2[m]
         # in the variable w = 1/gap the curvature decays like w^-(power-2)
         samples = np.column_stack([1.0 / gap, np.log(v)])
         lo_fit = envelope_exponents(samples, "lower", log_values=True)
         hi_fit = envelope_exponents(samples, "upper", log_values=True)
-        miss_lo = abs(lo_fit.exponent - lo_t)
-        miss_hi = abs(hi_fit.exponent - hi_t)
+        miss_lo = abs(lo_fit.exponent - (g - 2.0))
+        miss_hi = abs(hi_fit.exponent - (d - 2.0))
         out.append(CheckRecord(
-            f"curvature-envelopes-{side}", miss_lo <= tol and miss_hi <= tol,
-            tol - max(miss_lo, miss_hi),
+            f"curvature-envelopes-{SIDE_LABEL[side]}",
+            miss_lo <= tol and miss_hi <= tol, tol - max(miss_lo, miss_hi),
             f"lower={lo_fit.exponent:.3f},upper={hi_fit.exponent:.3f}"))
     return out
 

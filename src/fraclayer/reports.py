@@ -14,6 +14,9 @@ from typing import Any
 import numpy as np
 
 
+SIDE_LABEL = {1: "right", -1: "left"}   # record-id label of side s = +/-1
+
+
 def _fmt(v: Any) -> Any:
     """Floats to 17 significant digits so reports are byte-reproducible."""
     if isinstance(v, (float, np.floating)):

@@ -21,6 +21,7 @@ from .potentials import PotentialFn
 
 
 REFIT_EVERY = 100           # exterior power-model refresh cadence
+TAIL_FRACTION = 0.25        # share of the nodes tail_exponent fits per side
 ENERGY_CHECK_EVERY = 50
 DIVERGENCE_SLACK = 1e-8     # relative; the projection step is not proven
                             # monotone, only observed
@@ -128,29 +129,27 @@ def el_residual(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     return float(np.max(np.abs(r[1:-1])))
 
 
-def _refit_exterior(g: GridProfile, side: str) -> ExteriorModel:
-    """Fit the outer quarter of nodes to limit +/- c |x|^(-p)."""
-    n = len(g.x)
-    m = max(8, n // 4)
-    if side == "right":
-        x = g.x[-m:]
-        gap = 1.0 - g.values[-m:]
-        limit, sign = 1.0, -1.0
-    else:
-        x = -g.x[:m][::-1]
-        gap = 1.0 + g.values[:m][::-1]
-        limit, sign = -1.0, 1.0
-    good = (gap > 1e-12) & (x > 0)
-    if np.count_nonzero(good) < 6 or x[good].max() / x[good].min() < 1.5:
+def _outer_gap(g: GridProfile, side: int, m: int):
+    """Distance y = side x and gap 1 - side u on the outer m nodes of side
+    s = +/-1, nearest node first."""
+    return side * g.x[::side][-m:], 1.0 - side * g.values[::side][-m:]
+
+
+def _refit_exterior(g: GridProfile, side: int) -> ExteriorModel:
+    """Fit the outer quarter of nodes on side s = +/-1 to s (1 - c |x|^(-p))."""
+    y, gap = _outer_gap(g, side, max(8, len(g.x) // 4))
+    limit = float(side)
+    good = (gap > 1e-12) & (y > 0)
+    if np.count_nonzero(good) < 6 or y[good].max() / y[good].min() < 1.5:
         return ExteriorModel(limit)
     try:
-        fitres = fit_power_decay(np.column_stack([x[good], gap[good]]),
+        fitres = fit_power_decay(np.column_stack([y[good], gap[good]]),
                                  min_decades=0.15)
     except ValueError:
         return ExteriorModel(limit)
     if not (0.05 < fitres.exponent < 10.0):
         return ExteriorModel(limit)
-    return ExteriorModel(limit, sign * math.exp(fitres.log_const),
+    return ExteriorModel(limit, -side * math.exp(fitres.log_const),
                          fitres.exponent)
 
 
@@ -175,7 +174,6 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     """
     g = g0.copy_with(g0.values.copy())
     op = GridOperator(kernel, g)
-    wp = pot.params
     max_w2 = pot.max_w2()
     tau = 0.4 / (op.row_sum_scale() + max_w2)
     e_plain = energy(g, pot, kernel, op)
@@ -192,8 +190,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
         # one evaluation serves a refit and a check in the same iteration
         e_plain = None
         if it % REFIT_EVERY == 0:
-            g.ext_left = _refit_exterior(g, "left")
-            g.ext_right = _refit_exterior(g, "right")
+            g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
             op.update_exterior(g)
             # the exterior model (hence the monitored functional) changed
             e_plain = energy(g, pot, kernel, op)
@@ -217,11 +214,10 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
             f"residual {resid:.3e} after {cfg.max_iter} iterations")
 
     g = recenter(g)
+    wells = [pot.params.side(s)[:2] for s in (-1, 1)]
     tags = {
-        "strong-hypothesis": max((wp.alpha - 2) * (wp.alpha - wp.beta),
-                                 (wp.gamma - 2) * (wp.gamma - wp.delta)) < 1.0,
-        "weak-hypothesis": max(wp.alpha - wp.beta,
-                               wp.gamma - wp.delta) < 1.0,
+        "strong-hypothesis": max((g - 2) * (g - d) for g, d in wells) < 1.0,
+        "weak-hypothesis": max(g - d for g, d in wells) < 1.0,
     }
     return SolveResult(profile=g, iterations=it, residual=resid,
                        energy_trace=trace, converged=resid < cfg.tol,
@@ -247,21 +243,14 @@ def recenter(g: GridProfile) -> GridProfile:
     return g.copy_with(np.clip(shifted, -1.0, 1.0))
 
 
-def tail_exponent(g: GridProfile, side: str = "right",
-                  fraction: float = 0.25):
-    """Power fit of the gap on the outer `fraction` of all nodes per side.
+def tail_exponent(g: GridProfile, side: int = 1):
+    """Power fit of the gap on side s = +/-1 over its outer TAIL_FRACTION of
+    all nodes.
 
-    With the default fraction this is the window [L/2, L], a factor-2 span,
-    where the tail model dominates on a truncated grid.
+    That is the window [L/2, L], a factor-2 span, where the tail model
+    dominates on a truncated grid.
     """
-    n = len(g.x)
-    m = max(8, int(n * fraction))
-    if side == "right":
-        x = g.x[-m:]
-        gap = 1.0 - g.values[-m:]
-    else:
-        x = -g.x[:m][::-1]
-        gap = 1.0 + g.values[:m][::-1]
-    good = (gap > 1e-13) & (x > 0)
-    return fit_power_decay(np.column_stack([x[good], gap[good]]),
+    y, gap = _outer_gap(g, side, max(8, int(len(g.x) * TAIL_FRACTION)))
+    good = (gap > 1e-13) & (y > 0)
+    return fit_power_decay(np.column_stack([y[good], gap[good]]),
                            min_decades=0.25)

@@ -368,7 +368,7 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
             lnb_k, lnc_k = b[1], b[4]
             L = np.linspace(lnb_k, lnc_k, n // len(cells))
             jets = prof.gap_jet_log(side, L, order=1)
-            phi = sc.e_hi * np.exp((math.log(lnb_k) - np.log(L)) / sc.zeta)
+            phi = sc.phi(lnb_k, L)
             lg = jets[0].logm
             ratios_gap.append(lg + phi * L)
             ld1 = jets[1].logm

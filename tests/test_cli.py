@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fraclayer.cli import main
@@ -89,6 +90,25 @@ def test_solve_and_fit_decay(tmp_path):
             for c in rep["checks"]]
     # quartic wells at s = 0.5 decay like 1/x
     assert all(abs(e - 1.0) < 0.3 for e in exps)
+
+
+@pytest.mark.parametrize("csv_text", [
+    None,                                          # no file
+    "x,u\n1.0,0.5\n2.0,high\n",                   # a value that is no number
+    "x,u\n" + "".join(f"{x},{np.tanh(x)!r}\n"       # every tail gap below 1e-13
+                      for x in np.linspace(-200.0, 200.0, 401)),
+], ids=["missing", "non-numeric", "no-tail-points"])
+def test_fit_decay_bad_csv_is_usage_error(tmp_path, capsys, csv_text):
+    """A CSV that gives no fit exits 2 with a one-line message and no
+    report."""
+    data = tmp_path / "profile.csv"
+    if csv_text is not None:
+        data.write_text(csv_text)
+    cfgp = _cfg(tmp_path, BASE + f"\nfit.csv = '{data}'\n")
+    assert main(["fit-decay", "--config", cfgp, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "fit_decay_report.json").exists()
 
 
 def test_report_determinism(tmp_path):

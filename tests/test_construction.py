@@ -94,11 +94,11 @@ def test_ramp_interpolant_endpoints(desk_profile):
     cx = desk_profile.cx
     sc = cx.right
     # at ln b_k the interpolant equals the inner rate; at ln c_k the outer
-    phi_b = sc.phi(0, np.array([cx.lnb[0]]), cx.lnb)
-    phi_c = sc.phi(0, np.array([cx.lnc[0]]), cx.lnb)
+    phi_b = sc.phi(cx.lnb[0], np.array([cx.lnb[0]]))
+    phi_c = sc.phi(cx.lnb[0], np.array([cx.lnc[0]]))
     assert phi_b[0] == pytest.approx(sc.e_hi, rel=1e-14)
     assert phi_c[0] == pytest.approx(sc.e_lo, rel=1e-12)
-    mid = sc.phi(0, np.array([0.5 * (cx.lnb[0] + cx.lnc[0])]), cx.lnb)[0]
+    mid = sc.phi(cx.lnb[0], np.array([0.5 * (cx.lnb[0] + cx.lnc[0])]))[0]
     assert sc.e_lo < mid < sc.e_hi
 
 

@@ -107,6 +107,34 @@ def test_symmetric_params_give_even_potential():
     assert np.max(np.abs(pot.W(t) - pot.W(-t))) < 1e-12
 
 
+def _swapped(p: WellParams) -> WellParams:
+    return dataclasses.replace(p, alpha=p.gamma, beta=p.delta, gamma=p.alpha,
+                               delta=p.beta, c1=p.c3, c2=p.c4, c3=p.c1,
+                               c4=p.c2)
+
+
+@pytest.mark.parametrize("p", [
+    WellParams(alpha=3.0, beta=3.0, gamma=4.0, delta=4.0, c1=1.5, c2=2.0,
+               c3=0.5, c4=3.0, mu=0.4), OSC], ids=["pure-power", "osc"])
+def test_swapping_the_wells_mirrors_the_bounds(p, rng):
+    """Swapped wells and mirrored pairs (r, t) -> (-t, -r) give the same
+    increment-bound and envelope slacks, with the sides exchanged."""
+    pot, mirr = make_potential(p), make_potential(_swapped(p))
+    r, t = np.sort(p.mu * rng.random((2, 300)), axis=0)
+    pairs = list(zip(-1.0 + r, -1.0 + t)) + list(zip(1.0 - t, 1.0 - r))
+    reps = check_well_increment_bounds(pot, pairs)
+    back = check_well_increment_bounds(mirr, [(-b, -a) for a, b in pairs])
+    assert [rep.id for rep in reps] == ["well-increment-bounds-left",
+                                        "well-increment-bounds-right"]
+    for rep, rev in zip(reps, back[::-1]):
+        assert (rev.passed, rev.worst_slack) == (rep.passed, rep.worst_slack)
+        a, b = (float(v.split("=")[1]) for v in rep.location.split(","))
+        assert rev.location == f"r={-b:.12g},t={-a:.12g}"
+    assert envelope_slack(mirr) == envelope_slack(pot)
+    hold, hold_m = pot.holder_spotcheck_w2(), mirr.holder_spotcheck_w2()
+    assert (hold_m["left"], hold_m["right"]) == (hold["right"], hold["left"])
+
+
 def test_holder_spotcheck_reports():
     pot = make_potential(OSC)
     rep = pot.holder_spotcheck_w2()

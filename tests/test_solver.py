@@ -6,9 +6,9 @@ import pytest
 from fraclayer.gridop import ExteriorModel, GridOperator, GridProfile
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
 from fraclayer.potentials import WellParams, make_potential
-from fraclayer.solver import (SolveConfig, el_residual, energy,
-                              energy_bruteforce, make_grid, minimize_energy,
-                              recenter, tail_exponent)
+from fraclayer.solver import (SolveConfig, _refit_exterior, el_residual,
+                              energy, energy_bruteforce, make_grid,
+                              minimize_energy, recenter, tail_exponent)
 
 QUARTIC = WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2, c2=2, c3=2,
                      c4=2, mu=0.5)
@@ -102,6 +102,19 @@ def test_quartic_decay_exponent(small_solution):
     _, res = small_solution
     fit = tail_exponent(res.profile)
     assert fit.exponent == pytest.approx(1.0, rel=0.15)
+
+
+def test_mirrored_grid_swaps_the_tail_fits():
+    """x -> -x[::-1], u -> -u[::-1] swaps the two sides' fits, bit for bit."""
+    x = np.linspace(-60.0, 60.0, 301)
+    u = np.sign(x) * (1.0 - (1.0 + np.abs(x)) ** np.where(x > 0, -0.8, -1.3))
+    g = make_grid(60.0, 301, values=u)
+    m = GridProfile(-g.x[::-1], -g.values[::-1])
+    for side in (1, -1):
+        assert tail_exponent(m, -side) == tail_exponent(g, side)
+        a, b = _refit_exterior(m, -side), _refit_exterior(g, side)
+        assert (a.limit, a.c, a.p) == (-b.limit, -b.c, b.p) and b.c != 0.0
+    assert tail_exponent(g).exponent != tail_exponent(g, -1).exponent
 
 
 def test_comparison_of_energies(small_solution, kernel_half_mod):

@@ -17,11 +17,26 @@ gamma = 5.5, delta = 5, rho = 2.1) and on the threshold profile
   (touchpoints, bound sandwiches, finite-difference and mpmath agreement)
   and of the reduced ones (touchpoints, scale ordering, ramp ODE);
 
-and once: `eta_derivs(linspace(0, 1, 20001), 4)`, the records of
-`inequality_sweep` on 40 seeded tuples and of `equality_case_records`, and
-the constants and reduced records of the paper-mode construction. Run it against two source
-trees to check that a refactor keeps every number: `compare` exits 1 and
-names each array that differs (`np.array_equal`, NaN equal to NaN).
+and once:
+
+- `eta_derivs(linspace(0, 1, 20001), 4)`, the records of `inequality_sweep`
+  on 40 seeded tuples and of `equality_case_records`, and the constants and
+  reduced records of the paper-mode construction;
+- a depth-6 `reconstruct_potential` table of the desk profile under the
+  s = 0.5 kernel (its arrays, `closure_defect` and the regularity and
+  envelope records);
+- for a pure-power well pair with four different constants and for the
+  oscillatory wells (5.8, 5 | 5.5, 5): W, W' and W'' on a uniform and a
+  graded grid in [-1, 1], `check_well_increment_bounds` on seeded pairs in
+  both wells, `envelope_slack` and `holder_spotcheck_w2`;
+- `minimize_energy` under the s = 0.5 kernel over [-60, 60] with 256
+  nodes, tol 2e-5, on quartic wells (c = 2) and on wells with a quadratic
+  left and a cubic right degeneracy: values, exterior models, iteration
+  count, residual and energy trace, and `tail_exponent` on both sides.
+
+Run it against two source trees to check that a refactor keeps every
+number: `compare` exits 1 and names each array that differs
+(`np.array_equal`, NaN equal to NaN).
 """
 
 from __future__ import annotations
@@ -51,6 +66,78 @@ def _constants(out: dict, name: str, cx) -> None:
     _records(out, f"{name}/touchpoint_reduced",
              vc.touchpoint_reduced_records(cx))
     _records(out, f"{name}/ordering_chain", vc.ordering_chain_records(cx))
+
+
+def _reconstruction(out: dict, prof) -> None:
+    from fraclayer.kernels import fractional_kernel
+    from fraclayer.reconstruct import (reconstruct_potential,
+                                       verify_potential_regularity,
+                                       verify_well_envelopes)
+
+    tab = reconstruct_potential(prof, fractional_kernel(0.5),
+                                depth_decades=6.0)
+    for field in ("r", "x", "V", "V1", "V2"):
+        out[f"table/{field}"] = getattr(tab, field)
+    out["table/closure_defect"] = np.array(tab.closure_defect())
+    _records(out, "table/records", [verify_potential_regularity(tab)]
+             + verify_well_envelopes(tab, prof.cx.params))
+
+
+def _potentials(out: dict) -> None:
+    from fraclayer.potentials import (WellParams, check_well_increment_bounds,
+                                      envelope_slack, make_potential)
+
+    wells = {
+        "power": WellParams(alpha=3.0, beta=3.0, gamma=4.0, delta=4.0,
+                            c1=1.5, c2=2.0, c3=0.5, c4=3.0, mu=0.4),
+        "oscillatory": WellParams(alpha=5.8, beta=5.0, gamma=5.5, delta=5.0,
+                                  mode="oscillatory")}
+    ladder = 1.0 - np.geomspace(1e-12, 0.9, 500)
+    t = np.concatenate([np.linspace(-1.0, 1.0, 4001), ladder, -ladder])
+    rng = np.random.default_rng(11)
+    for name, p in wells.items():
+        pot = make_potential(p)
+        for m, f in enumerate((pot.W, pot.W1, pot.W2)):
+            out[f"{name}/W{m}"] = f(t)
+        out[f"{name}/W0_scalar"] = np.array([pot.W(v) for v in t[::97]])
+        v = p.mu * rng.random((2, 400))
+        r, q = np.sort(v, axis=0)
+        pairs = list(zip(-1.0 + r, -1.0 + q)) + list(zip(1.0 - q, 1.0 - r))
+        _records(out, f"{name}/increment_bounds",
+                 check_well_increment_bounds(pot, pairs))
+        out[f"{name}/envelope_slack"] = np.array(envelope_slack(pot))
+        for key, val in pot.holder_spotcheck_w2().items():
+            out[f"{name}/holder/{key}"] = np.array(val)
+
+
+def _solver(out: dict) -> None:
+    from fraclayer.kernels import fractional_kernel
+    from fraclayer.potentials import WellParams, make_potential
+    from fraclayer.solver import (SolveConfig, make_grid, minimize_energy,
+                                  tail_exponent)
+
+    wells = {
+        "solve_quartic": WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2,
+                                    c2=2, c3=2, c4=2),
+        "solve_mixed": WellParams(alpha=2, beta=2, gamma=3, delta=3, c1=2,
+                                  c2=2, c3=1, c4=1.5)}
+    for name, p in wells.items():
+        res = minimize_energy(make_grid(60.0, 256), make_potential(p),
+                              fractional_kernel(0.5),
+                              SolveConfig(max_iter=30000, tol=2e-5))
+        g = res.profile
+        out[f"{name}/values"] = g.values
+        out[f"{name}/iterations"] = np.array(res.iterations)
+        out[f"{name}/residual"] = np.array(res.residual)
+        out[f"{name}/energy_trace"] = np.array(res.energy_trace)
+        for side, ext in (("left", g.ext_left), ("right", g.ext_right)):
+            out[f"{name}/ext_{side}"] = np.array([ext.limit, ext.c, ext.p])
+        # the default side is the right one; -1 is the left
+        for side, fit in (("right", tail_exponent(g)),
+                          ("left", tail_exponent(g, -1))):
+            out[f"{name}/tail_{side}"] = np.array(
+                [fit.exponent, fit.log_const, fit.residual, *fit.window,
+                 fit.n_points])
 
 
 def dump(path: str) -> None:
@@ -103,6 +190,10 @@ def dump(path: str) -> None:
             csv = Path(tmp) / "profile.csv"
             prof.export_csv(csv)
             out[f"{name}/csv"] = np.frombuffer(csv.read_bytes(), np.uint8)
+        if name == "desk":
+            _reconstruction(out, prof)
+    _potentials(out)
+    _solver(out)
     np.savez(path, **out)
 
 
