@@ -291,7 +291,12 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
     with open(out / "convergence.json", "w") as fh:
         json.dump({"iterations": res.iterations,
                    "final-residual": float(res.residual),
-                   "energy-trace": [float(e) for e in res.energy_trace]},
+                   "energy-trace": [float(e) for e in res.energy_trace],
+                   "residual-trace": [float(r) for r in res.residual_trace],
+                   "tau-trace": [float(t) for t in res.tau_trace],
+                   "krylov-iterations": res.krylov_iterations,
+                   "refit-steps": res.refit_steps,
+                   "rejected-steps": res.rejected_steps},
                   fh, indent=1)
     return rep
 

@@ -70,7 +70,7 @@ class SampleOutsideWell(FracLayerError):
 
 
 class Diverged(FracLayerError):
-    """Energy increased beyond tolerance twice during descent."""
+    """A descent step raised the energy even at the explicit step size."""
 
 
 class StalledAboveTolerance(FracLayerError):

@@ -138,11 +138,16 @@ class GridOperator:
         out[1:-1] += self.diag_coef * (u[2:] + u[:-2] - 2 * u[1:-1])
         return out
 
+    def outflow(self) -> np.ndarray:
+        """Total outflow coefficient of each node: minus the diagonal of the
+        operator's linear part."""
+        out = -self.diag
+        out[1:-1] += 2 * self.diag_coef
+        return out
+
     def row_sum_scale(self) -> float:
         """Stability scale: max total outflow coefficient of a node."""
-        outflow = -self.diag
-        outflow[1:-1] += 2 * self.diag_coef
-        return float(np.max(outflow))
+        return float(np.max(self.outflow()))
 
     def error_estimate(self, u: np.ndarray) -> np.ndarray:
         """Per-node bound covering midpoint-vs-cell weights and the diag fit."""

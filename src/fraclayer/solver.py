@@ -2,8 +2,12 @@
 
 The energy is the quadratic interaction of grid values (exact per-cell kernel
 weights, exterior folded in through the far-field models) plus the potential
-term. Minimization is an explicit gradient flow on the operator residual with
-values clamped to [-1, 1] and a monotone rearrangement projection.
+term. Minimization is pseudo-transient continuation (Kelley & Keyes, SINUM
+35, 1998): each step solves (I/tau - J) delta = F for the operator residual
+F = L u - W'(u) and its Jacobian J by restarted GMRES, then clamps the values
+to [-1, 1] and applies a monotone rearrangement projection (sorting). tau
+starts at the explicit gradient-flow step and grows by switched evolution
+relaxation, so the step moves from descent u + tau F towards Newton.
 """
 
 from __future__ import annotations
@@ -15,16 +19,19 @@ import numpy as np
 
 from .analysis import fit_power_decay
 from .errors import Diverged, StalledAboveTolerance
-from .gridop import ExteriorModel, GridOperator, GridProfile, lag_weights
+from .gridop import ExteriorModel, GridOperator, GridProfile
 from .kernels import KernelSpec
 from .potentials import PotentialFn
 
 
-REFIT_EVERY = 100           # exterior power-model refresh cadence
+REFIT_EVERY = 5             # exterior power-model refresh, in accepted steps
 TAIL_FRACTION = 0.25        # share of the nodes tail_exponent fits per side
-ENERGY_CHECK_EVERY = 50
 DIVERGENCE_SLACK = 1e-8     # relative; the projection step is not proven
                             # monotone, only observed
+KRYLOV_RESTART = 20         # GMRES basis size per cycle
+KRYLOV_CYCLES = 5           # restarts before a step takes its best delta
+KRYLOV_RTOL = 1e-2          # relative GMRES residual of an inexact step
+SER_CLAMP = (0.5, 10.0)     # bounds on one step's tau growth factor
 
 
 @dataclass
@@ -100,25 +107,6 @@ def lyapunov(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     return _lyapunov_from_energy(energy(g, pot, kernel, op), g, op)
 
 
-def energy_bruteforce(g: GridProfile, pot: PotentialFn,
-                      kernel: KernelSpec) -> float:
-    """Naive double-loop evaluation of the same discrete functional."""
-    n = len(g.x)
-    h = g.h
-    u = g.values
-    w = lag_weights(kernel, h, n)
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                acc += (u[i] - u[j]) ** 2 * w[abs(i - j) - 1]
-    op = GridOperator(kernel, g)
-    for i in range(n):
-        acc += 2.0 * (u[i] - g.ext_left.limit) ** 2 * op.wl[i]
-        acc += 2.0 * (u[i] - g.ext_right.limit) ** 2 * op.wr[i]
-    return 0.25 * h * acc + h * float(np.sum(pot.W(u)))
-
-
 def el_residual(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
                 op: GridOperator | None = None) -> float:
     """sup over interior nodes of |L u - W'(u)|."""
@@ -155,73 +143,172 @@ def _refit_exterior(g: GridProfile, side: int) -> ExteriorModel:
 
 @dataclass
 class SolveResult:
+    """A relaxed profile and its run record.
+
+    iterations counts accepted pseudo-transient steps. The per-step lists
+    hold, for each accepted step: residual_trace the interior sup residual
+    after it (under the refit exterior where it was refit), tau_trace the
+    tau it was taken with, krylov_iterations the GMRES iterations it cost
+    (rejected tries included). energy_trace holds the plain energy before
+    the first step and after each one; refit_steps the steps after which
+    the exterior was refit; rejected_steps counts the tau halvings.
+    """
+
     profile: GridProfile
     iterations: int
     residual: float
     energy_trace: list
     converged: bool
     hypothesis_tags: dict = field(default_factory=dict)
+    residual_trace: list = field(default_factory=list)
+    tau_trace: list = field(default_factory=list)
+    krylov_iterations: list = field(default_factory=list)
+    refit_steps: list = field(default_factory=list)
+    rejected_steps: int = 0
+
+
+def gmres(matvec, b: np.ndarray, m_inv: np.ndarray,
+          rtol: float = KRYLOV_RTOL, restart: int = KRYLOV_RESTART,
+          cycles: int = KRYLOV_CYCLES):
+    """Right-preconditioned restarted GMRES for A x = b from x = 0.
+
+    m_inv is the diagonal of the inverse preconditioner. Only the Arnoldi
+    basis V of A M^-1 is stored (restart + 1 vectors); each cycle adds
+    M^-1 V y to x. Stops when the residual norm falls to rtol |b| or after
+    the given number of cycles, and returns x and the iteration count.
+    """
+    x = np.zeros_like(b)
+    target = rtol * np.linalg.norm(b)
+    V = np.empty((restart + 1, len(b)))
+    H = np.zeros((restart + 1, restart))
+    cs, sn = np.zeros(restart), np.zeros(restart)
+    r = b
+    its = 0
+    for cycle in range(cycles):
+        beta = np.linalg.norm(r)
+        if beta <= target:
+            break
+        V[0] = r / beta
+        z = np.zeros(restart + 1)
+        z[0] = beta
+        H[:] = 0.0
+        for j in range(restart):
+            w = matvec(m_inv * V[j])
+            its += 1
+            for _ in range(2):    # classical Gram-Schmidt, reorthogonalized
+                c = V[:j + 1] @ w
+                w -= c @ V[:j + 1]
+                H[:j + 1, j] += c
+            h_next = H[j + 1, j] = np.linalg.norm(w)
+            # Givens rotations keep H upper triangular and |z[j+1]| the
+            # residual norm
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - sn[i] * H[i, j])
+            d = math.hypot(H[j, j], H[j + 1, j])
+            cs[j], sn[j] = H[j, j] / d, H[j + 1, j] / d
+            H[j, j], H[j + 1, j] = d, 0.0
+            z[j], z[j + 1] = cs[j] * z[j], -sn[j] * z[j]
+            if abs(z[j + 1]) <= target or h_next == 0.0:
+                break
+            V[j + 1] = w / h_next
+        k = j + 1
+        y = np.linalg.solve(np.triu(H[:k, :k]), z[:k])
+        x += m_inv * (y @ V[:k])
+        if abs(z[k]) <= target or cycle == cycles - 1:
+            break
+        r = b - matvec(x)
+    return x, its
 
 
 def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
                     cfg: SolveConfig = SolveConfig()) -> SolveResult:
-    """Explicit descent u <- clamp(u + tau (L u - W'(u))) to a layer profile.
+    """Pseudo-transient descent to a layer profile.
 
-    The exterior power correction is refit every REFIT_EVERY iterations;
-    the monotone projection (sorting the values) is recorded as a projection,
-    not proven energy-decreasing. Raises Diverged if the energy increases
-    beyond slack twice, StalledAboveTolerance at the iteration cap.
+    Step k solves (I/tau_k - J) delta = F, with F = L u - W'(u) and
+    J v = (L v - offset) - W''(u) v, by GMRES to KRYLOV_RTOL under the
+    Jacobi preconditioner 1/tau + diag(-L) + max(W''(u), 0), and sets
+    u <- sort(clamp(u + delta, -1, 1)). tau_0 is the explicit descent's
+    stable step and its floor; after each step tau grows by switched
+    evolution relaxation, tau <- tau clamp(r_old / r_new, SER_CLAMP), r the
+    interior sup residual. A step that raises the Lyapunov functional beyond
+    DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one that
+    still raises it there raises Diverged. The sort is recorded as a
+    projection, not proven energy-decreasing.
+
+    The exterior power models are refit every REFIT_EVERY accepted steps,
+    and convergence (residual < cfg.tol) is declared only right after a
+    refit at the current values: a stale model would stop the run with the
+    tail out of step with its exterior. `iterations` counts accepted steps;
+    StalledAboveTolerance is raised after cfg.max_iter of them.
     """
     g = g0.copy_with(g0.values.copy())
     op = GridOperator(kernel, g)
-    max_w2 = pot.max_w2()
-    tau = 0.4 / (op.row_sum_scale() + max_w2)
+    outflow = op.outflow()
+    tau0 = tau = 0.4 / (op.row_sum_scale() + pot.max_w2())
+    w1 = pot.W1(g.values)
+    F = op.apply(g.values) - w1
+    resid = float(np.max(np.abs(F[1:-1])))
     e_plain = energy(g, pot, kernel, op)
-    trace = [e_plain]
-    epoch_ref = _lyapunov_from_energy(e_plain, g, op)
-    bad_energy = 0
-    it = 0
-    resid = np.inf
+    ref = _lyapunov_from_energy(e_plain, g, op)
+    res = SolveResult(profile=g, iterations=0, residual=resid,
+                      energy_trace=[e_plain], converged=False)
+    since_refit = 0
     for it in range(1, cfg.max_iter + 1):
-        r = op.apply(g.values) - pot.W1(g.values)
-        g.values[:] = np.sort(np.clip(g.values + tau * r, -1.0, 1.0))
-        resid = float(np.max(np.abs(r[1:-1])))
-        # the plain energy does not depend on the exterior power model, so
-        # one evaluation serves a refit and a check in the same iteration
-        e_plain = None
-        if it % REFIT_EVERY == 0:
+        u = g.values
+        w2 = pot.W2(u)
+        krylov = 0
+        while True:
+            m_inv = 1.0 / (1.0 / tau + outflow + np.maximum(w2, 0.0))
+            delta, k = gmres(
+                lambda v: v / tau + w2 * v - (op.apply(v) - op.offset),
+                F, m_inv)
+            krylov += k
+            g.values = np.sort(np.clip(u + delta, -1.0, 1.0))
+            e_plain = energy(g, pot, kernel, op)
+            e = _lyapunov_from_energy(e_plain, g, op)
+            if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
+                break
+            if tau <= tau0:
+                raise Diverged(f"step {it} raises the energy at the explicit "
+                               f"step size ({e} > {ref})")
+            tau = max(0.5 * tau, tau0)
+            res.rejected_steps += 1
+        ref = e
+        res.tau_trace.append(tau)
+        res.krylov_iterations.append(krylov)
+        res.energy_trace.append(e_plain)
+        w1 = pot.W1(g.values)
+        F = op.apply(g.values) - w1
+        r_new = float(np.max(np.abs(F[1:-1])))
+        growth = resid / r_new if r_new > 0.0 else SER_CLAMP[1]
+        tau = max(tau * min(max(growth, SER_CLAMP[0]), SER_CLAMP[1]), tau0)
+        resid = r_new
+        since_refit += 1
+        if since_refit == REFIT_EVERY or resid < cfg.tol:
             g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
             op.update_exterior(g)
-            # the exterior model (hence the monitored functional) changed
-            e_plain = energy(g, pot, kernel, op)
-            epoch_ref = _lyapunov_from_energy(e_plain, g, op)
-        if it % ENERGY_CHECK_EVERY == 0:
-            if e_plain is None:
-                e_plain = energy(g, pot, kernel, op)
-            e = _lyapunov_from_energy(e_plain, g, op)
-            if e > epoch_ref + DIVERGENCE_SLACK * (1.0 + abs(epoch_ref)):
-                bad_energy += 1
-                if bad_energy >= 2:
-                    raise Diverged(
-                        f"energy increased twice (iter {it}: {e} > {epoch_ref})")
-            else:
-                epoch_ref = e
-            trace.append(e_plain)
+            # the plain energy does not depend on the exterior power model
+            ref = _lyapunov_from_energy(e_plain, g, op)
+            F = op.apply(g.values) - w1
+            resid = float(np.max(np.abs(F[1:-1])))
+            res.refit_steps.append(it)
+            since_refit = 0
+        res.residual_trace.append(resid)
         if resid < cfg.tol:
             break
     else:
         raise StalledAboveTolerance(
-            f"residual {resid:.3e} after {cfg.max_iter} iterations")
+            f"residual {resid:.3e} after {cfg.max_iter} steps")
 
-    g = recenter(g)
+    res.profile = g = recenter(g)
+    res.iterations, res.residual, res.converged = it, resid, True
     wells = [pot.params.side(s)[:2] for s in (-1, 1)]
-    tags = {
+    res.hypothesis_tags = {
         "strong-hypothesis": max((g - 2) * (g - d) for g, d in wells) < 1.0,
         "weak-hypothesis": max(g - d for g, d in wells) < 1.0,
     }
-    return SolveResult(profile=g, iterations=it, residual=resid,
-                       energy_trace=trace, converged=resid < cfg.tol,
-                       hypothesis_tags=tags)
+    return res
 
 
 def recenter(g: GridProfile) -> GridProfile:

@@ -271,6 +271,32 @@ def test_criterion_9_solver_decay_rates():
              f"exp {ec:.4f} in [{B * 0.85:.4f}, {A * 1.15:.4f}], {tc:.0f}s")
 
 
+def test_criterion_9c_relaxed_to_1e_6():
+    """Criterion 9c's wells, grid and power-init seed relaxed to residual
+    1e-6: converged, non-decreasing, exponent inside 9c's band, under 20 s."""
+    from fraclayer.solver import SolveConfig, make_grid, minimize_energy, \
+        tail_exponent
+
+    t0 = time.time()
+    kern75 = fractional_kernel(0.75)
+    poto = make_potential(WellParams(alpha=4.5, beta=4.0, gamma=4.5,
+                                     delta=4.0, mode="oscillatory"))
+    A = 1.5 / 3.0
+    B = 1.5 / 3.5
+    g0 = make_grid(800.0, 4096, init="power",
+                   tail_exponent_seed=0.5 * (A + B))
+    res = minimize_energy(g0, poto, kern75,
+                          SolveConfig(max_iter=40000, tol=1e-6))
+    ec = tail_exponent(res.profile).exponent
+    tc = time.time() - t0
+    _verdict("criterion-9c relaxed to 1e-6",
+             res.converged and res.residual < 1e-6
+             and bool(np.all(np.diff(res.profile.values) >= -1e-14))
+             and B * 0.85 <= ec <= A * 1.15 and tc < 20.0,
+             f"exp {ec:.4f} in [{B * 0.85:.4f}, {A * 1.15:.4f}], "
+             f"{res.iterations} steps, {tc:.1f}s")
+
+
 def test_criterion_10_barrier_suite():
     """Step-barrier sign at x >= 10 xbar for 10 seeded shapes; tail-bracket
     containment within 5% for exact-power profiles."""

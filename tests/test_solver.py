@@ -1,17 +1,42 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fraclayer.gridop import ExteriorModel, GridOperator, GridProfile
+import fraclayer
+
+from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
+                              lag_weights)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
 from fraclayer.potentials import WellParams, make_potential
 from fraclayer.solver import (SolveConfig, _refit_exterior, el_residual,
-                              energy, energy_bruteforce, make_grid,
-                              minimize_energy, recenter, tail_exponent)
+                              energy, gmres, make_grid, minimize_energy,
+                              recenter, tail_exponent)
 
 QUARTIC = WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2, c2=2, c3=2,
                      c4=2, mu=0.5)
+
+
+def energy_bruteforce(g, pot, kernel) -> float:
+    """Naive double-loop evaluation of the solver's discrete functional."""
+    n = len(g.x)
+    h = g.h
+    u = g.values
+    w = lag_weights(kernel, h, n)
+    acc = 0.0
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                acc += (u[i] - u[j]) ** 2 * w[abs(i - j) - 1]
+    op = GridOperator(kernel, g)
+    for i in range(n):
+        acc += 2.0 * (u[i] - g.ext_left.limit) ** 2 * op.wl[i]
+        acc += 2.0 * (u[i] - g.ext_right.limit) ** 2 * op.wr[i]
+    return 0.25 * h * acc + h * float(np.sum(pot.W(u)))
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +236,77 @@ def test_recenter_keeps_edge_node_for_subulp_shift():
         assert x[-1] + x0 > x[-1]          # the shift rounds off the grid
         moved = recenter(g).values - u
         assert np.max(np.abs(moved)) < 1e-10
+
+
+@pytest.mark.parametrize("rtol,restart", [(1e-2, 20), (1e-10, 20),
+                                          (1e-10, 5)])
+def test_gmres_reaches_its_rtol(rtol, restart, rng):
+    """Nonsymmetric, diagonally dominant system; restart 5 needs several
+    cycles to reach 1e-10."""
+    n = 60
+    A = np.diag(rng.uniform(4.0, 8.0, n)) + rng.uniform(-1.0, 1.0, (n, n)) \
+        / np.sqrt(n)
+    b = rng.standard_normal(n)
+    exact = np.linalg.solve(A, b)
+    x, its = gmres(lambda v: A @ v, b, 1.0 / np.diag(A), rtol=rtol,
+                   restart=restart, cycles=50)
+    assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
+    assert np.linalg.norm(x - exact) <= 10 * rtol * np.linalg.norm(exact)
+    assert 0 < its <= n
+
+
+def test_solver_never_imports_scipy_sparse():
+    """The Krylov solve is numpy alone: scipy.sparse costs about 0.4 s and
+    30 MB of resident memory to import."""
+    code = "\n".join([
+        "import sys",
+        "from fraclayer.kernels import fractional_kernel",
+        "from fraclayer.potentials import WellParams, make_potential",
+        "from fraclayer.solver import SolveConfig, make_grid, minimize_energy",
+        "pot = make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,",
+        "                                mu=0.5))",
+        "res = minimize_energy(make_grid(40.0, 128), pot,",
+        "                      fractional_kernel(0.5), SolveConfig(tol=1e-5))",
+        "assert res.converged",
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'",
+    ])
+    src = str(Path(fraclayer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_convergence_waits_for_a_fresh_exterior_refit(kernel_half_mod):
+    """Degenerate (quartic-flat) wells: the exponent read at convergence is
+    the one a further refit and re-solve reads. Stopping on the first
+    residual below tol under a stale exterior model reads 0.69 here, and
+    0.38 after the re-solve."""
+    pot = make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,
+                                    mu=0.5))
+    cfg = SolveConfig(max_iter=5000, tol=1e-5)
+    res = minimize_energy(make_grid(100.0, 512), pot, kernel_half_mod, cfg)
+    g = res.profile
+    g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
+    again = minimize_energy(g, pot, kernel_half_mod, cfg)
+    assert tail_exponent(again.profile).exponent == pytest.approx(
+        tail_exponent(res.profile).exponent, abs=1e-3)
+    assert res.refit_steps[-1] == res.iterations
+
+
+def test_solve_result_records_every_step(small_solution):
+    """One residual, tau and Krylov count per accepted step; tau starts at
+    the explicit step and refits fall every REFIT_EVERY steps or at the
+    end."""
+    from fraclayer.solver import REFIT_EVERY
+
+    _, res = small_solution
+    k = res.iterations
+    assert len(res.residual_trace) == len(res.tau_trace) == k
+    assert len(res.krylov_iterations) == k and min(res.krylov_iterations) > 0
+    assert len(res.energy_trace) == k + 1
+    assert res.residual_trace[-1] == res.residual < 1e-5
+    assert res.rejected_steps >= 0 and res.tau_trace[-1] > res.tau_trace[0]
+    gaps = np.diff([0] + res.refit_steps)
+    assert res.refit_steps[-1] == k and np.all(gaps <= REFIT_EVERY)

@@ -32,11 +32,15 @@ and once:
 - `minimize_energy` under the s = 0.5 kernel over [-60, 60] with 256
   nodes, tol 2e-5, on quartic wells (c = 2) and on wells with a quadratic
   left and a cubic right degeneracy: values, exterior models, iteration
-  count, residual and energy trace, and `tail_exponent` on both sides.
+  count, residual and energy trace, and `tail_exponent` on both sides;
+- criterion 9's three solves (9a quartic and 9b degenerate wells at
+  n = 2048, 9c oscillatory wells at n = 4096, each at its own tolerance):
+  the right `tail_exponent`, the residual and the step count.
 
 Run it against two source trees to check that a refactor keeps every
 number: `compare` exits 1 and names each array that differs
-(`np.array_equal`, NaN equal to NaN).
+(`np.array_equal`, NaN equal to NaN), with both values when it holds at
+most four numbers.
 """
 
 from __future__ import annotations
@@ -140,6 +144,33 @@ def _solver(out: dict) -> None:
                  fit.n_points])
 
 
+def _criterion9(out: dict) -> None:
+    """The three solves of tests/test_acceptance.py's criterion 9."""
+    from fraclayer.kernels import fractional_kernel
+    from fraclayer.potentials import WellParams, make_potential
+    from fraclayer.solver import (SolveConfig, make_grid, minimize_energy,
+                                  tail_exponent)
+
+    seed = 0.5 * (1.5 / 3.0 + 1.5 / 3.5)
+    cases = {
+        "9a": (0.5, WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2,
+                               c2=2, c3=2, c4=2, mu=0.5),
+               make_grid(200.0, 2048), SolveConfig(max_iter=30000, tol=1e-6)),
+        "9b": (0.5, WellParams(alpha=4, beta=4, gamma=4, delta=4, mu=0.5),
+               make_grid(200.0, 2048), SolveConfig(max_iter=30000, tol=1e-6)),
+        "9c": (0.75, WellParams(alpha=4.5, beta=4.0, gamma=4.5, delta=4.0,
+                                mode="oscillatory"),
+               make_grid(800.0, 4096, init="power", tail_exponent_seed=seed),
+               SolveConfig(max_iter=40000, tol=6e-4))}
+    for name, (s, p, g0, cfg) in cases.items():
+        res = minimize_energy(g0, make_potential(p), fractional_kernel(s),
+                              cfg)
+        out[f"criterion9/{name}/exponent"] = np.array(
+            tail_exponent(res.profile).exponent)
+        out[f"criterion9/{name}/residual"] = np.array(res.residual)
+        out[f"criterion9/{name}/steps"] = np.array(res.iterations)
+
+
 def dump(path: str) -> None:
     from fraclayer import verify_construction as vc
     from fraclayer.construction import (LayerParams, build_constants,
@@ -194,6 +225,7 @@ def dump(path: str) -> None:
             _reconstruction(out, prof)
     _potentials(out)
     _solver(out)
+    _criterion9(out)
     np.savez(path, **out)
 
 
@@ -207,7 +239,10 @@ def compare(a: str, b: str) -> int:
         if not same:
             bad.append(key)
     for key in bad:
-        print(f"differs: {key}")
+        print(f"differs: {key}", *(
+            [f"{da[key].tolist()} -> {db[key].tolist()}"]
+            if key in da.files and key in db.files
+            and max(da[key].size, db[key].size) <= 4 else []))
     print(f"{len(da.files)} arrays, {len(bad)} differ")
     return 1 if bad else 0
 
