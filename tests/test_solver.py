@@ -238,9 +238,10 @@ def test_recenter_keeps_edge_node_for_subulp_shift():
         assert np.max(np.abs(moved)) < 1e-10
 
 
-@pytest.mark.parametrize("rtol,restart", [(1e-2, 20), (1e-10, 20),
-                                          (1e-10, 5)])
-def test_gmres_reaches_its_rtol(rtol, restart, rng):
+@pytest.mark.parametrize("rtol,restart,restarted", [(1e-2, 20, False),
+                                                    (1e-10, 20, False),
+                                                    (1e-10, 5, True)])
+def test_gmres_reaches_its_rtol(rtol, restart, restarted, rng):
     """Nonsymmetric, diagonally dominant system; restart 5 needs several
     cycles to reach 1e-10."""
     n = 60
@@ -252,7 +253,7 @@ def test_gmres_reaches_its_rtol(rtol, restart, rng):
                    restart=restart, cycles=50)
     assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
     assert np.linalg.norm(x - exact) <= 10 * rtol * np.linalg.norm(exact)
-    assert 0 < its <= n
+    assert 0 < its <= n and (its > restart) == restarted
 
 
 def test_solver_never_imports_scipy_sparse():
