@@ -257,6 +257,8 @@ def cmd_reconstruct_potential(cfg, out, seed, mode) -> Report:
 
 
 def cmd_solve(cfg, out, seed, mode) -> Report:
+    """Relax [solver] L, n to tol; max_iter caps minimize_energy's passes,
+    each a pseudo-transient step of up to a hundred matvecs."""
     from .gridop import GridOperator
     from .potentials import make_potential
     from .solver import (SolveConfig, make_grid, minimize_energy,

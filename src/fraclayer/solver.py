@@ -36,7 +36,8 @@ SER_CLAMP = (0.5, 10.0)     # bounds on one step's tau growth factor
 
 @dataclass
 class SolveConfig:
-    max_iter: int = 20000
+    max_iter: int = 20000       # passes of minimize_energy: Newton-like
+                                # steps, not single matvecs
     tol: float = 1e-6
 
 
@@ -145,13 +146,14 @@ def _refit_exterior(g: GridProfile, side: int) -> ExteriorModel:
 class SolveResult:
     """A relaxed profile and its run record.
 
-    iterations counts accepted pseudo-transient steps. The per-step lists
-    hold, for each accepted step: residual_trace the interior sup residual
-    after it (under the refit exterior where it was refit), tau_trace the
-    tau it was taken with, krylov_iterations the GMRES iterations it cost
-    (rejected tries included). energy_trace holds the plain energy before
-    the first step and after each one; refit_steps the steps after which
-    the exterior was refit; rejected_steps counts the tau halvings.
+    iterations counts the loop's passes: each evaluates the residual once
+    and all but the last take one pseudo-transient step. residual_trace
+    holds each pass's interior sup residual (under the refit exterior where
+    it was refit) and refit_steps the passes that refit it. For each step
+    taken, tau_trace holds the tau it was taken with and krylov_iterations
+    the GMRES iterations it cost (rejected tries included); energy_trace
+    holds the plain energy before the first step and after each one, and
+    rejected_steps counts the tau halvings.
     """
 
     profile: GridProfile
@@ -167,24 +169,23 @@ class SolveResult:
     rejected_steps: int = 0
 
 
-def gmres(matvec, b: np.ndarray, m_inv: np.ndarray,
-          rtol: float = KRYLOV_RTOL, restart: int = KRYLOV_RESTART,
-          cycles: int = KRYLOV_CYCLES):
+def gmres(matvec, b: np.ndarray, m_inv: np.ndarray, V: np.ndarray):
     """Right-preconditioned restarted GMRES for A x = b from x = 0.
 
-    m_inv is the diagonal of the inverse preconditioner. Only the Arnoldi
-    basis V of A M^-1 is stored (restart + 1 vectors); each cycle adds
-    M^-1 V y to x. Stops when the residual norm falls to rtol |b| or after
-    the given number of cycles, and returns x and the iteration count.
+    m_inv is the diagonal of the inverse preconditioner, and V a work array
+    of KRYLOV_RESTART + 1 rows of len(b) that receives the Arnoldi basis of
+    A M^-1, the only Krylov block stored; each cycle adds M^-1 V y to x.
+    Stops when the residual norm falls to KRYLOV_RTOL |b| or after
+    KRYLOV_CYCLES cycles, and returns x and the iteration count.
     """
+    restart = KRYLOV_RESTART
     x = np.zeros_like(b)
-    target = rtol * np.linalg.norm(b)
-    V = np.empty((restart + 1, len(b)))
+    target = KRYLOV_RTOL * np.linalg.norm(b)
     H = np.zeros((restart + 1, restart))
     cs, sn = np.zeros(restart), np.zeros(restart)
     r = b
     its = 0
-    for cycle in range(cycles):
+    for cycle in range(KRYLOV_CYCLES):
         beta = np.linalg.norm(r)
         if beta <= target:
             break
@@ -215,7 +216,7 @@ def gmres(matvec, b: np.ndarray, m_inv: np.ndarray,
         k = j + 1
         y = np.linalg.solve(np.triu(H[:k, :k]), z[:k])
         x += m_inv * (y @ V[:k])
-        if abs(z[k]) <= target or cycle == cycles - 1:
+        if abs(z[k]) <= target or cycle == KRYLOV_CYCLES - 1:
             break
         r = b - matvec(x)
     return x, its
@@ -225,44 +226,67 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
                     cfg: SolveConfig = SolveConfig()) -> SolveResult:
     """Pseudo-transient descent to a layer profile.
 
-    Step k solves (I/tau_k - J) delta = F, with F = L u - W'(u) and
-    J v = (L v - offset) - W''(u) v, by GMRES to KRYLOV_RTOL under the
+    Each pass of the loop evaluates the residual F = L u - W'(u) once and,
+    unless it has converged, takes one step: it solves (I/tau - J) delta = F,
+    with J v = (L v - offset) - W''(u) v, by GMRES to KRYLOV_RTOL under the
     Jacobi preconditioner 1/tau + diag(-L) + max(W''(u), 0), and sets
     u <- sort(clamp(u + delta, -1, 1)). tau_0 is the explicit descent's
-    stable step and its floor; after each step tau grows by switched
-    evolution relaxation, tau <- tau clamp(r_old / r_new, SER_CLAMP), r the
-    interior sup residual. A step that raises the Lyapunov functional beyond
+    stable step and its floor; tau grows by switched evolution relaxation,
+    tau <- tau clamp(r_old / r_new, SER_CLAMP), r the interior sup residual,
+    up to 1 / (eps min diag(-L)), beyond which 1/tau is lost to rounding in
+    the preconditioner. A step that raises the Lyapunov functional beyond
     DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one that
     still raises it there raises Diverged. The sort is recorded as a
     projection, not proven energy-decreasing.
 
-    The exterior power models are refit every REFIT_EVERY accepted steps,
-    and convergence (residual < cfg.tol) is declared only right after a
-    refit at the current values: a stale model would stop the run with the
-    tail out of step with its exterior. `iterations` counts accepted steps;
+    The exterior power models are refit every REFIT_EVERY steps, and
+    convergence (residual < cfg.tol) is declared only right after a refit
+    at the current values: a stale model would stop the run with the tail
+    out of step with its exterior. `iterations` counts passes, one more
+    than the steps taken (the last pass only confirms convergence), and
     StalledAboveTolerance is raised after cfg.max_iter of them.
     """
     g = g0.copy_with(g0.values.copy())
     op = GridOperator(kernel, g)
     outflow = op.outflow()
     tau0 = tau = 0.4 / (op.row_sum_scale() + pot.max_w2())
-    w1 = pot.W1(g.values)
-    F = op.apply(g.values) - w1
-    resid = float(np.max(np.abs(F[1:-1])))
+    tau_max = 1.0 / (np.finfo(float).eps * float(np.min(outflow)))
+    V = np.empty((KRYLOV_RESTART + 1, len(g.x)))
     e_plain = energy(g, pot, kernel, op)
     ref = _lyapunov_from_energy(e_plain, g, op)
-    res = SolveResult(profile=g, iterations=0, residual=resid,
+    res = SolveResult(profile=g, iterations=0, residual=np.inf,
                       energy_trace=[e_plain], converged=False)
+    resid = np.inf
     since_refit = 0
     for it in range(1, cfg.max_iter + 1):
         u = g.values
+        w1 = pot.W1(u)
+        F = op.apply(u) - w1
+        r_new = float(np.max(np.abs(F[1:-1])))
+        if it > 1:
+            growth = resid / r_new if r_new > 0.0 else SER_CLAMP[1]
+            tau = min(max(tau * min(max(growth, SER_CLAMP[0]), SER_CLAMP[1]),
+                          tau0), tau_max)
+        resid = r_new
+        if since_refit == REFIT_EVERY or resid < cfg.tol:
+            g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
+            op.update_exterior(g)
+            # the plain energy does not depend on the exterior power model
+            ref = _lyapunov_from_energy(e_plain, g, op)
+            F = op.apply(u) - w1
+            resid = float(np.max(np.abs(F[1:-1])))
+            res.refit_steps.append(it)
+            since_refit = 0
+        res.residual_trace.append(resid)
+        if resid < cfg.tol:
+            break
         w2 = pot.W2(u)
         krylov = 0
         while True:
             m_inv = 1.0 / (1.0 / tau + outflow + np.maximum(w2, 0.0))
             delta, k = gmres(
                 lambda v: v / tau + w2 * v - (op.apply(v) - op.offset),
-                F, m_inv)
+                F, m_inv, V)
             krylov += k
             g.values = np.sort(np.clip(u + delta, -1.0, 1.0))
             e_plain = energy(g, pot, kernel, op)
@@ -278,28 +302,10 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
         res.tau_trace.append(tau)
         res.krylov_iterations.append(krylov)
         res.energy_trace.append(e_plain)
-        w1 = pot.W1(g.values)
-        F = op.apply(g.values) - w1
-        r_new = float(np.max(np.abs(F[1:-1])))
-        growth = resid / r_new if r_new > 0.0 else SER_CLAMP[1]
-        tau = max(tau * min(max(growth, SER_CLAMP[0]), SER_CLAMP[1]), tau0)
-        resid = r_new
         since_refit += 1
-        if since_refit == REFIT_EVERY or resid < cfg.tol:
-            g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
-            op.update_exterior(g)
-            # the plain energy does not depend on the exterior power model
-            ref = _lyapunov_from_energy(e_plain, g, op)
-            F = op.apply(g.values) - w1
-            resid = float(np.max(np.abs(F[1:-1])))
-            res.refit_steps.append(it)
-            since_refit = 0
-        res.residual_trace.append(resid)
-        if resid < cfg.tol:
-            break
     else:
         raise StalledAboveTolerance(
-            f"residual {resid:.3e} after {cfg.max_iter} steps")
+            f"residual {resid:.3e} after {cfg.max_iter} passes")
 
     res.profile = g = recenter(g)
     res.iterations, res.residual, res.converged = it, resid, True

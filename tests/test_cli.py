@@ -81,8 +81,10 @@ def test_solve_and_fit_decay(tmp_path):
     assert (tmp_path / "solution.csv").exists()
     conv = json.loads((tmp_path / "convergence.json").read_text())
     assert conv["final-residual"] < 2e-5
-    for key in ("residual-trace", "tau-trace", "krylov-iterations"):
-        assert len(conv[key]) == conv["iterations"]
+    # one residual per pass, one tau and Krylov count per step
+    assert len(conv["residual-trace"]) == conv["iterations"]
+    for key in ("tau-trace", "krylov-iterations"):
+        assert len(conv[key]) == conv["iterations"] - 1
     assert conv["refit-steps"][-1] == conv["iterations"]
     assert conv["rejected-steps"] >= 0
     cfg2 = tmp_path / "fit.cfg"

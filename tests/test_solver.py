@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fraclayer
+from fraclayer import solver
 
 from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
                               lag_weights)
@@ -238,22 +239,39 @@ def test_recenter_keeps_edge_node_for_subulp_shift():
         assert np.max(np.abs(moved)) < 1e-10
 
 
-@pytest.mark.parametrize("rtol,restart,restarted", [(1e-2, 20, False),
-                                                    (1e-10, 20, False),
-                                                    (1e-10, 5, True)])
-def test_gmres_reaches_its_rtol(rtol, restart, restarted, rng):
-    """Nonsymmetric, diagonally dominant system; restart 5 needs several
-    cycles to reach 1e-10."""
+def _dominant_systems(rng):
+    """A random dense system, solved within one GMRES cycle, and an upwinded
+    convection-diffusion one that needs a restart (29 iterations). Both are
+    nonsymmetric and strictly diagonally dominant."""
     n = 60
-    A = np.diag(rng.uniform(4.0, 8.0, n)) + rng.uniform(-1.0, 1.0, (n, n)) \
-        / np.sqrt(n)
-    b = rng.standard_normal(n)
-    exact = np.linalg.solve(A, b)
-    x, its = gmres(lambda v: A @ v, b, 1.0 / np.diag(A), rtol=rtol,
-                   restart=restart, cycles=50)
-    assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
-    assert np.linalg.norm(x - exact) <= 10 * rtol * np.linalg.norm(exact)
-    assert 0 < its <= n and (its > restart) == restarted
+    dense = np.diag(rng.uniform(4.0, 8.0, n)) \
+        + rng.uniform(-1.0, 1.0, (n, n)) / np.sqrt(n)
+    n = 200
+    banded = (np.diag(np.full(n, 2.1)) + np.diag(np.full(n - 1, -1.3), -1)
+              + np.diag(np.full(n - 1, -0.7), 1))
+    return [(dense, False), (banded, True)]
+
+
+@pytest.mark.parametrize("rtol", [None, 1e-10])
+def test_gmres_reaches_its_rtol(rtol, rng, monkeypatch):
+    """At KRYLOV_RTOL, and at 1e-10 with the cycle cap lifted, the solution
+    agrees with np.linalg.solve to the condition number times the rtol."""
+    default = rtol is None
+    if not default:
+        monkeypatch.setattr(solver, "KRYLOV_RTOL", rtol)
+        monkeypatch.setattr(solver, "KRYLOV_CYCLES", 50)
+    rtol = solver.KRYLOV_RTOL
+    for A, restarted in _dominant_systems(rng):
+        b = rng.standard_normal(len(A))
+        exact = np.linalg.solve(A, b)
+        x, its = gmres(lambda v: A @ v, b, 1.0 / np.diag(A),
+                       np.empty((solver.KRYLOV_RESTART + 1, len(b))))
+        assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
+        assert np.linalg.norm(x - exact) <= (
+            np.linalg.cond(A) * rtol * np.linalg.norm(exact))
+        assert 0 < its <= len(b)
+        if default:
+            assert (its > solver.KRYLOV_RESTART) == restarted
 
 
 def test_solver_never_imports_scipy_sparse():
@@ -297,17 +315,18 @@ def test_convergence_waits_for_a_fresh_exterior_refit(kernel_half_mod):
 
 
 def test_solve_result_records_every_step(small_solution):
-    """One residual, tau and Krylov count per accepted step; tau starts at
-    the explicit step and refits fall every REFIT_EVERY steps or at the
-    end."""
+    """One residual per pass; one tau and Krylov count per step, one step
+    per pass but the last; tau starts at the explicit step and refits fall
+    every REFIT_EVERY steps or at the end."""
     from fraclayer.solver import REFIT_EVERY
 
     _, res = small_solution
     k = res.iterations
-    assert len(res.residual_trace) == len(res.tau_trace) == k
-    assert len(res.krylov_iterations) == k and min(res.krylov_iterations) > 0
-    assert len(res.energy_trace) == k + 1
+    assert len(res.residual_trace) == len(res.tau_trace) + 1 == k
+    assert len(res.krylov_iterations) == k - 1
+    assert min(res.krylov_iterations) > 0
+    assert len(res.energy_trace) == k
     assert res.residual_trace[-1] == res.residual < 1e-5
     assert res.rejected_steps >= 0 and res.tau_trace[-1] > res.tau_trace[0]
-    gaps = np.diff([0] + res.refit_steps)
+    gaps = np.diff([1] + res.refit_steps)
     assert res.refit_steps[-1] == k and np.all(gaps <= REFIT_EVERY)

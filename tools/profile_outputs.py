@@ -33,9 +33,10 @@ and once:
   nodes, tol 2e-5, on quartic wells (c = 2) and on wells with a quadratic
   left and a cubic right degeneracy: values, exterior models, iteration
   count, residual and energy trace, and `tail_exponent` on both sides;
-- criterion 9's three solves (9a quartic and 9b degenerate wells at
-  n = 2048, 9c oscillatory wells at n = 4096, each at its own tolerance):
-  the right `tail_exponent`, the residual and the step count.
+- criterion 9's three solves as `perfbench/workloads.py`'s SOLVE_CASES
+  define them (9a quartic and 9b degenerate wells at n = 2048, 9c
+  oscillatory wells at n = 4096, each at its own tolerance): the right
+  `tail_exponent`, the residual and the iteration count.
 
 Run it against two source trees to check that a refactor keeps every
 number: `compare` exits 1 and names each array that differs
@@ -145,26 +146,21 @@ def _solver(out: dict) -> None:
 
 
 def _criterion9(out: dict) -> None:
-    """The three solves of tests/test_acceptance.py's criterion 9."""
+    """Criterion 9's three solves, as perfbench's SOLVE_CASES define them."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import A_9C, B_9C, SOLVE_CASES
+
     from fraclayer.kernels import fractional_kernel
     from fraclayer.potentials import WellParams, make_potential
     from fraclayer.solver import (SolveConfig, make_grid, minimize_energy,
                                   tail_exponent)
 
-    seed = 0.5 * (1.5 / 3.0 + 1.5 / 3.5)
-    cases = {
-        "9a": (0.5, WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2,
-                               c2=2, c3=2, c4=2, mu=0.5),
-               make_grid(200.0, 2048), SolveConfig(max_iter=30000, tol=1e-6)),
-        "9b": (0.5, WellParams(alpha=4, beta=4, gamma=4, delta=4, mu=0.5),
-               make_grid(200.0, 2048), SolveConfig(max_iter=30000, tol=1e-6)),
-        "9c": (0.75, WellParams(alpha=4.5, beta=4.0, gamma=4.5, delta=4.0,
-                                mode="oscillatory"),
-               make_grid(800.0, 4096, init="power", tail_exponent_seed=seed),
-               SolveConfig(max_iter=40000, tol=6e-4))}
-    for name, (s, p, g0, cfg) in cases.items():
-        res = minimize_energy(g0, make_potential(p), fractional_kernel(s),
-                              cfg)
+    for name, c in SOLVE_CASES.items():
+        g0 = make_grid(c.L, c.n, init=c.init,
+                       tail_exponent_seed=0.5 * (A_9C + B_9C))
+        res = minimize_energy(g0, make_potential(WellParams(**c.well)),
+                              fractional_kernel(c.s),
+                              SolveConfig(max_iter=c.max_iter, tol=c.tol))
         out[f"criterion9/{name}/exponent"] = np.array(
             tail_exponent(res.profile).exponent)
         out[f"criterion9/{name}/residual"] = np.array(res.residual)
