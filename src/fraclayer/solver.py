@@ -13,6 +13,7 @@ relaxation, so the step moves from descent u + tau F towards Newton.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,16 +170,20 @@ class SolveResult:
     rejected_steps: int = 0
 
 
-def gmres(matvec, b: np.ndarray, m_inv: np.ndarray, V: np.ndarray):
+def gmres(matvec, b: np.ndarray, m_inv: np.ndarray):
     """Right-preconditioned restarted GMRES for A x = b from x = 0.
 
-    m_inv is the diagonal of the inverse preconditioner, and V a work array
-    of KRYLOV_RESTART + 1 rows of len(b) that receives the Arnoldi basis of
-    A M^-1, the only Krylov block stored; each cycle adds M^-1 V y to x.
-    Stops when the residual norm falls to KRYLOV_RTOL |b| or after
-    KRYLOV_CYCLES cycles, and returns x and the iteration count.
+    m_inv is the diagonal of the inverse preconditioner. Only the Arnoldi
+    basis V of A M^-1 is stored (KRYLOV_RESTART + 1 vectors); each cycle
+    adds M^-1 V y to x. Stops when the residual norm falls to KRYLOV_RTOL |b|
+    or after KRYLOV_CYCLES cycles, and returns x and the iteration count.
     """
     restart = KRYLOV_RESTART
+    # an anonymous mapping, unmapped on return: a freed malloc block this
+    # size (0.7 MB at n = 4096) raises glibc's mmap threshold, and later
+    # bases then stay resident in the heap
+    V = np.frombuffer(mmap.mmap(-1, (restart + 1) * b.nbytes)).reshape(
+        restart + 1, len(b))
     x = np.zeros_like(b)
     target = KRYLOV_RTOL * np.linalg.norm(b)
     H = np.zeros((restart + 1, restart))
@@ -214,12 +219,45 @@ def gmres(matvec, b: np.ndarray, m_inv: np.ndarray, V: np.ndarray):
                 break
             V[j + 1] = w / h_next
         k = j + 1
-        y = np.linalg.solve(np.triu(H[:k, :k]), z[:k])
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):     # back substitution
+            y[i] = (z[i] - H[i, i + 1:k] @ y[i + 1:k]) / H[i, i]
         x += m_inv * (y @ V[:k])
         if abs(z[k]) <= target or cycle == KRYLOV_CYCLES - 1:
             break
         r = b - matvec(x)
     return x, its
+
+
+def _step(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
+          op: GridOperator, outflow: np.ndarray, F: np.ndarray, tau: float,
+          tau0: float, ref: float, it: int):
+    """Take step `it` from g.values: solve (I/tau - J) delta = F by GMRES
+    and set g.values to sort(clamp(u + delta, -1, 1)), halving tau, down to
+    tau0, while that raises the Lyapunov functional beyond DIVERGENCE_SLACK
+    over ref. Returns the tau taken, the new plain and Lyapunov energies,
+    the GMRES iterations and the halvings. The step's vectors are freed on
+    return, before the exterior refit, whose quadrature sets a solve's peak
+    memory.
+    """
+    u = g.values
+    w2 = pot.W2(u)
+    krylov = halvings = 0
+    while True:
+        m_inv = 1.0 / (1.0 / tau + outflow + np.maximum(w2, 0.0))
+        delta, k = gmres(
+            lambda v: v / tau + w2 * v - (op.apply(v) - op.offset), F, m_inv)
+        krylov += k
+        g.values = np.sort(np.clip(u + delta, -1.0, 1.0))
+        e_plain = energy(g, pot, kernel, op)
+        e = _lyapunov_from_energy(e_plain, g, op)
+        if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
+            return tau, e_plain, e, krylov, halvings
+        if tau <= tau0:
+            raise Diverged(f"step {it} raises the energy at the explicit "
+                           f"step size ({e} > {ref})")
+        tau = max(0.5 * tau, tau0)
+        halvings += 1
 
 
 def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
@@ -251,7 +289,6 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     outflow = op.outflow()
     tau0 = tau = 0.4 / (op.row_sum_scale() + pot.max_w2())
     tau_max = 1.0 / (np.finfo(float).eps * float(np.min(outflow)))
-    V = np.empty((KRYLOV_RESTART + 1, len(g.x)))
     e_plain = energy(g, pot, kernel, op)
     ref = _lyapunov_from_energy(e_plain, g, op)
     res = SolveResult(profile=g, iterations=0, residual=np.inf,
@@ -280,25 +317,9 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
         res.residual_trace.append(resid)
         if resid < cfg.tol:
             break
-        w2 = pot.W2(u)
-        krylov = 0
-        while True:
-            m_inv = 1.0 / (1.0 / tau + outflow + np.maximum(w2, 0.0))
-            delta, k = gmres(
-                lambda v: v / tau + w2 * v - (op.apply(v) - op.offset),
-                F, m_inv, V)
-            krylov += k
-            g.values = np.sort(np.clip(u + delta, -1.0, 1.0))
-            e_plain = energy(g, pot, kernel, op)
-            e = _lyapunov_from_energy(e_plain, g, op)
-            if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
-                break
-            if tau <= tau0:
-                raise Diverged(f"step {it} raises the energy at the explicit "
-                               f"step size ({e} > {ref})")
-            tau = max(0.5 * tau, tau0)
-            res.rejected_steps += 1
-        ref = e
+        tau, e_plain, ref, krylov, halvings = _step(
+            g, pot, kernel, op, outflow, F, tau, tau0, ref, it)
+        res.rejected_steps += halvings
         res.tau_trace.append(tau)
         res.krylov_iterations.append(krylov)
         res.energy_trace.append(e_plain)
