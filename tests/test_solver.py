@@ -10,6 +10,7 @@ import pytest
 import fraclayer
 from fraclayer import solver
 
+from fraclayer.errors import StalledAboveTolerance
 from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
                               lag_weights)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
@@ -311,6 +312,17 @@ def test_convergence_waits_for_a_fresh_exterior_refit(kernel_half_mod):
     assert tail_exponent(again.profile).exponent == pytest.approx(
         tail_exponent(res.profile).exponent, abs=1e-3)
     assert res.refit_steps[-1] == res.iterations
+    # the last steps grow tau tenfold each, up to where 1/tau drops below
+    # the preconditioner's rounding
+    cap = 1.0 / (np.finfo(float).eps
+                 * GridOperator(kernel_half_mod, g).outflow().min())
+    assert max(res.tau_trace) == pytest.approx(cap, rel=1e-12)
+
+
+def test_stall_raises_after_max_iter_passes(kernel_half_mod):
+    with pytest.raises(StalledAboveTolerance, match="after 2 passes"):
+        minimize_energy(make_grid(40.0, 128), make_potential(QUARTIC),
+                        kernel_half_mod, SolveConfig(max_iter=2, tol=1e-12))
 
 
 def test_solve_result_records_every_step(small_solution):
