@@ -73,6 +73,15 @@ class KernelSpec:
             base = az ** (-1.0 - 2.0 * self.s)
         return self._mult(z) * base
 
+    def abs_dk(self, z):
+        """|K'(z)| for z > 0, vectorized: scale (1+2s) z^(-2-2s) for the
+        power forms. None for tabulated-perturbation, whose multiplier may be
+        merely measurable, so K' need not exist."""
+        if self.form == "tabulated-perturbation":
+            return None
+        return self.scale * (1.0 + 2.0 * self.s) * \
+            np.asarray(z, dtype=float) ** (-2.0 - 2.0 * self.s)
+
     # -- exact/semi-exact integrals ------------------------------------------
 
     def interval_integral(self, a, b):

@@ -7,7 +7,7 @@ at -inf/+inf, and a tail model describing how fast the limits are approached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,15 +27,21 @@ class PowerTail:
 
 @dataclass(frozen=True)
 class OscillatoryTail:
-    """Bounded non-convergent far field with known mean and amplitude.
+    """Bounded non-convergent far field with known mean, amplitude and
+    antiderivative.
 
     Used for plane-wave style test profiles: beyond the truncation radius the
-    profile is treated as mean + bounded oscillation on scale osc_scale.
+    profile is treated as mean + an oscillation g = u - mean on scale
+    T = osc_scale. ``antiderivative`` is the zero-mean antiderivative U of g.
+    The class assumes sup|g| <= amplitude, sup|U| <= amplitude * T/2pi and
+    sup|V| <= amplitude * (T/2pi)^2, with V the zero-mean antiderivative of
+    U; a plane wave meets all three with equality.
     """
 
     mean: float
     amplitude: float
     osc_scale: float
+    antiderivative: Callable[[np.ndarray], np.ndarray] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -67,14 +73,20 @@ class ProfileFn:
         return self.derivs[order - 1]
 
     def shifted(self, c: float) -> "ProfileFn":
-        """x -> u(x - c), with features moved accordingly."""
+        """x -> u(x - c), with features and the oscillatory antiderivative
+        moved accordingly."""
         fn = self.fn
         new_derivs = tuple((lambda d: (lambda x: d(np.asarray(x) - c)))(d)
                            for d in self.derivs)
+        tail = self.tail
+        if isinstance(tail, OscillatoryTail):
+            U = tail.antiderivative
+            tail = replace(tail, antiderivative=lambda y: U(np.asarray(y) - c))
         return replace(
             self,
             fn=lambda x, _f=fn: _f(np.asarray(x) - c),
             derivs=new_derivs,
+            tail=tail,
             features=tuple((a + c, w) for a, w in self.features),
             name=f"{self.name}-shifted",
         )
@@ -91,10 +103,12 @@ class ProfileFn:
                              self.tail.p_right + 1.0,
                              -self.tail.c_right * self.tail.p_right)
         elif isinstance(self.tail, OscillatoryTail):
+            # u' has mean 0, and u - mean is its zero-mean antiderivative
             t = self.tail
             tail = OscillatoryTail(mean=0.0,
                                    amplitude=t.amplitude * 2 * np.pi / t.osc_scale,
-                                   osc_scale=t.osc_scale)
+                                   osc_scale=t.osc_scale,
+                                   antiderivative=lambda y: self(y) - t.mean)
         return ProfileFn(
             fn=self.derivs[0],
             derivs=self.derivs[1:],
@@ -146,7 +160,8 @@ def cosine(omega: float = 1.0) -> ProfileFn:
             lambda x: w ** 4 * np.cos(w * x),
         ),
         limits=None,
-        tail=OscillatoryTail(mean=0.0, amplitude=1.0, osc_scale=2 * np.pi / w),
+        tail=OscillatoryTail(mean=0.0, amplitude=1.0, osc_scale=2 * np.pi / w,
+                             antiderivative=lambda y: np.sin(w * y) / w),
         name=f"cos({w}x)",
     )
 

@@ -9,6 +9,15 @@ is exact. The singular cell [0, r0] uses the local second derivative (analytic
 when available, else a three-point quadratic fit); the far field beyond the
 truncation radius is replaced by the analytic contribution of the profile's
 tail model.
+
+For an oscillatory tail u = mean + g under a power kernel, the far field
+beyond z1 is integrated by parts once against the zero-mean antiderivative U
+of g: the boundary term K(z1) (U(x - z1) - U(x + z1)) is added exactly, and
+the second mean-value theorem bounds the remainder by
+4 amp (T/2pi)^2 |K'(z1)|, since |K'| falls. So z1 grows like
+tol^(-1/(2+2s)). A tabulated-perturbation kernel may have no K', so there
+the far field is only bounded, by 4 amp Lam z1^(-1-2s) T/2pi, and z1 grows
+like tol^(-1/(1+2s)).
 """
 
 from __future__ import annotations
@@ -163,13 +172,24 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
 
     The coarse and refined panel sums stream over the panels in fixed-size
     blocks, so memory is O(block) whatever the panel count. An oscillatory
-    far field lays out about z1 / (T/2) panels, which grows without bound as
-    s or the tolerance falls or the frequency rises; the count is taken
-    first, and PanelBudgetExceeded is raised when the refined sum would need
-    more than _PANEL_BUDGET panels.
+    far field lays out about z1 / (T/2) panels, with z1 from the tail bound
+    (module docstring): under a power kernel z1 / T grows like
+    w^(s/(1+s)) tol^(-1/(2+2s)) in the frequency w = 2pi/T, under a
+    tabulated perturbation like w^(2s/(1+2s)) tol^(-1/(1+2s)). The count is
+    taken first, and PanelBudgetExceeded is raised when the refined sum would
+    need more than _PANEL_BUDGET panels: s = 0.5, w = 1e8, tol = 1e-12 needs
+    9.4M under the pure power kernel. Unless cfg.r0 is set, an oscillatory
+    profile's singular cell is kept below T/(200 pi), so it never spans
+    enough of a period to alias the variation of u''.
     """
     x = float(x)
-    r0 = cfg.r0 if cfg.r0 is not None else 1e-3 * (1.0 + abs(x))
+    osc = isinstance(u.tail, OscillatoryTail)
+    r0 = cfg.r0
+    if r0 is None:
+        r0 = 1e-3 * (1.0 + abs(x))
+        if osc:
+            # a cell as wide as the wave would alias its u'' variation
+            r0 = min(r0, 1e-2 * u.tail.osc_scale / (2 * np.pi))
     Z = cfg.Z if cfg.Z is not None else 1e6 * (1.0 + abs(x))
     if r0 >= Z:
         raise ValueError("need r0 < Z")
@@ -201,25 +221,37 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
         raise NonIntegrable(f"{u.name}: no C^2 data at x={x} and 2s >= 1")
 
     # ---- oscillatory far-field shortens the panel section ----------------
-    osc = isinstance(u.tail, OscillatoryTail)
     z1 = Z
     if osc:
         T = u.tail.osc_scale
         amp = u.tail.amplitude
-        # |int_Z^inf (osc) K| <= 4 * amp * Lam * K(Z) / omega, omega = 2 pi / T
         target = max(cfg.tol, 1e-12) / 4.0
-        zc = (4.0 * amp * kernel.Lam * T / (2 * np.pi) / target) ** (1.0 / (1.0 + 2 * kernel.s))
-        z1 = min(Z, max(zc, 10.0 * r0))
+        dk1 = kernel.abs_dk(1.0)
+        if dk1 is None:
+            # first order: |int_z1^inf (osc) K| <= 4 amp Lam z1^(-1-2s) T/2pi
+            coef = 4.0 * amp * kernel.Lam * T / (2 * np.pi)
+            q = 1.0 + 2 * kernel.s
+        else:
+            # second order, past the boundary term below:
+            # |R| <= 4 amp (T/2pi)^2 |K'(z1)|, |K'| = dk1 z^(-2-2s)
+            coef = 4.0 * amp * (T / (2 * np.pi)) ** 2 * float(dk1)
+            q = 2.0 + 2 * kernel.s
+        z1 = min(Z, max((coef / target) ** (1.0 / q), 10.0 * r0))
 
     # ---- far field (checked before any panel is laid out) ---------------
     tail_val = 0.0
     tail_err = 0.0
     ktail = kernel.tail_integral(z1)
     if osc:
-        mean = u.tail.mean
-        tail_val = (2.0 * mean - 2.0 * ux) * ktail
-        tail_err = 4.0 * u.tail.amplitude * kernel.Lam * \
-            z1 ** (-1.0 - 2 * kernel.s) * u.tail.osc_scale / (2 * np.pi)
+        tail_val = (2.0 * u.tail.mean - 2.0 * ux) * ktail
+        tail_err = coef * z1 ** -q
+        if dk1 is not None:
+            # int_z1^inf (g(x+z) + g(x-z)) K dz, g = u - mean, by parts once:
+            # K(z1) (U(x-z1) - U(x+z1)) + int (U(x-z) - U(x+z)) K'; the second
+            # mean-value theorem bounds the remainder by tail_err, since |K'|
+            # falls and U(x-z) - U(x+z) = -d/dz (V(x-z) + V(x+z))
+            ends = u.tail.antiderivative(np.array([x - z1, x + z1]))
+            tail_val += float(kernel.k(z1)) * float(ends[0] - ends[1])
     elif u.limits is not None:
         lm, lp = u.limits
         tail_val = (lp + lm - 2.0 * ux) * ktail

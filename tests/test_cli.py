@@ -63,8 +63,9 @@ def test_missing_key_is_usage_error(tmp_path):
 def test_operator_eval_over_panel_budget_exits_2(tmp_path, capsys):
     """A plane wave whose far field needs more panels than eval_lk's budget
     fails with the typed error's message, before laying any panel out."""
-    text = ("kernel.s = 0.1\noperator.points = 0.0\n"
-            "operator.profile = cosine\noperator.omega = 1e5\n")
+    text = ("kernel.s = 0.5\noperator.points = 0.0\n"
+            "operator.profile = cosine\noperator.omega = 1e8\n"
+            "operator.tol = 1e-12\n")
     assert main(["operator-eval", "--config", _cfg(tmp_path, text),
                  "--out", str(tmp_path)]) == 2
     assert "budget" in capsys.readouterr().err

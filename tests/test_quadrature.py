@@ -90,11 +90,13 @@ def test_linearity(kernel_half):
 
 
 def test_translation_equivariance(kernel_half):
-    u = pr.gaussian()
+    """The shift moves the cosine's antiderivative with it: the far field's
+    boundary term reads U at x + c -+ z1."""
     c = 1.3
-    base = eval_lk(kernel_half, u, 0.4, CFG)
-    shifted = eval_lk(kernel_half, u.shifted(c), 0.4 + c, CFG)
-    assert shifted.value == pytest.approx(base.value, abs=1e-8)
+    for u in (pr.gaussian(), pr.cosine(2.0)):
+        base = eval_lk(kernel_half, u, 0.4, CFG)
+        shifted = eval_lk(kernel_half, u.shifted(c), 0.4 + c, CFG)
+        assert shifted.value == pytest.approx(base.value, abs=1e-8)
 
 
 def test_sign_at_maximum(kernel_half):
@@ -141,6 +143,21 @@ def test_commutation_plane_wave_high_order():
     got = eval_lk(kern, du, 0.5, CFG).value
     ref = C * np.sin(0.5)
     assert got == pytest.approx(ref, rel=1e-4)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_derivative_profile_of_plane_wave(s):
+    """u' = -w sin(w.) keeps an oscillatory tail whose antiderivative is the
+    parent's u - mean, so L u' = -C(s) w^(2s) (-w sin(w x)) within error."""
+    w = 2.0
+    u = pr.cosine(w)
+    du = u.derivative_profile()
+    ys = np.linspace(-3.0, 3.0, 7)
+    assert np.array_equal(du.tail.antiderivative(ys), u(ys))
+    for x in (0.0, 0.4, 1.3):
+        ov = eval_lk(fractional_kernel(s), du, x, CFG)
+        ref = -symbol_constant(s) * w ** (2 * s) * (-w * np.sin(w * x))
+        assert abs(ov.value - ref) <= ov.error
 
 
 def test_holder_transfer_cap_and_preconditions():
@@ -196,27 +213,33 @@ def _traced(fn):
 
 
 def test_oscillatory_far_field_memory_is_bounded():
-    """s = 0.1, w = 4 lays out about 808k refined panels; the streamed panel
-    sums keep the whole call under 32 MB (one array of them took 414 MB)."""
+    """s = 0.1, w = 4 at tol 1e-12 lays out about 788k refined panels; the
+    streamed panel sums keep the whole call under 32 MB (6 MB measured; one
+    array of 808k panels took 414 MB)."""
     kern = fractional_kernel(0.1)
     u = pr.cosine(4.0)
-    ov, peak = _traced(lambda: eval_lk(kern, u, 0.0, CFG))
+    ov, peak = _traced(lambda: eval_lk(kern, u, 0.0, QuadConfig(tol=1e-12)))
     assert peak <= 32 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
     ref = -symbol_constant(0.1) * 4.0 ** 0.2
-    assert abs(ov.value - ref) <= 1e-4
+    assert abs(ov.value - ref) <= 1e-9
     assert abs(ov.value - ref) <= ov.error
-    assert ov.n_panels > 800_000
+    assert ov.n_panels > 780_000
+
+
+# Far fields above the 2^22 panel budget, one per tail rule: the perturbed
+# kernel's first-order bound needs 6.1M refined panels at w = 1e5, the power
+# kernel's second-order one 9.4M at w = 1e8.
+_OVER_BUDGET = {1e5: (perturbed_kernel(0.1, 0.5, 1.5), CFG),
+                1e8: (fractional_kernel(0.5), QuadConfig(tol=1e-12))}
 
 
 @pytest.mark.parametrize("omega", [1e5, 1e8])
 def test_panel_budget_raises_before_allocating(omega):
     """Far fields above the panel budget raise a typed error instead of
-    laying out their panels: at s = 0.1 the refined count grows like
-    w^(1/6), to 4.4M at w = 1e5 (just above the 2^22 budget) and 13.8M at
-    w = 1e8."""
-    kern = fractional_kernel(0.1)
+    laying out their panels."""
+    kern, cfg = _OVER_BUDGET[omega]
     u = pr.cosine(omega)
-    err, peak = _traced(lambda: eval_lk(kern, u, 0.0, CFG))
+    err, peak = _traced(lambda: eval_lk(kern, u, 0.0, cfg))
     assert isinstance(err, PanelBudgetExceeded), err
     assert "budget" in str(err)
     assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MB"
@@ -225,8 +248,9 @@ def test_panel_budget_raises_before_allocating(omega):
 # OpValues (value, panel_err, tail_err, n_panels) pinned from the earlier
 # panel sums, which took the coarse and the refined panels as one array each.
 # The tanh calls fit in one block of the streamed sums and stay bit-identical;
-# the plane wave (40486 refined panels) spans 10 blocks and agrees up to
-# summation order.
+# the plane wave (9100 refined panels) spans 3 blocks and agrees up to
+# summation order. Its pin comes from the streamed sums with _BLOCK raised
+# above the panel count, so one block of one array each.
 _TANH_PINNED = {
     "fractional": (-1.693428666007998, 9.103828801926284e-15, 0.0, 204),
     "tabulated-perturbation": (-1.8747331160901384, 1.0658141036401503e-14,
@@ -240,9 +264,10 @@ def test_streamed_panel_sums_match_single_array_sums():
         assert (ov.value, ov.panel_err, ov.tail_err, ov.n_panels) == \
             _TANH_PINNED[kern.form]
     value, panel_err, tail_err, n_panels = (
-        -4.6175151717829985, 2.6645352591003757e-15, 2.500000000000002e-07,
-        40486)
-    ov = eval_lk(fractional_kernel(0.25), pr.cosine(1.0), 0.4, CFG)
+        -4.6175150605639335, 8.881784197001252e-16, 2.4999999999999965e-10,
+        9100)
+    ov = eval_lk(fractional_kernel(0.25), pr.cosine(1.0), 0.4,
+                 QuadConfig(tol=1e-9))
     assert ov.n_panels == n_panels
     assert ov.tail_err == tail_err
     scale = 1e-13 * max(1.0, abs(value))
@@ -269,22 +294,47 @@ def test_refined_panels_drop_midpoints_that_round_onto_an_edge():
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
 @pytest.mark.parametrize("x", [0.0, 1.3])
-@pytest.mark.parametrize("omega", [0.5, 2.0])
+@pytest.mark.parametrize("omega", [0.5, 2.0, 1e3, 1e5])
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_plane_wave_error_bounds_true_error(s, omega, x, tol):
     """|true - value| <= error over s, w, x and tol.
 
-    At s = 0.1 and tol = 1e-8 the far field would have to reach beyond the
-    truncation radius Z = 1e6 (1 + |x|), where the tail bound still exceeds
-    tol: those cases raise TruncationDominates. Every other case fits within
-    the panel budget (the largest, s = 0.1, w = 2, tol = 1e-6, lays out 720k
-    refined panels); the budget's error path is tested above.
+    Every case, s = 0.1 at tol = 1e-8 included, keeps its far field well
+    inside the truncation radius and the panel budget (the largest,
+    s = 0.9, w = 1e5, tol = 1e-8, lays out 52k refined panels); the budget's
+    error path is tested above.
     """
     kern, u, cfg = fractional_kernel(s), pr.cosine(omega), QuadConfig(tol=tol)
-    if s == 0.1 and tol == 1e-8:
-        with pytest.raises(TruncationDominates):
-            eval_lk(kern, u, x, cfg)
-        return
     ov = eval_lk(kern, u, x, cfg)
     true = -symbol_constant(s) * omega ** (2 * s) * np.cos(omega * x)
     assert abs(true - ov.value) <= ov.error
+
+
+@pytest.mark.parametrize("omega", [1e3, 1e5, 1e8])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_singular_cell_resolves_high_frequencies(s, omega):
+    """The default singular cell stays below a hundredth of T/2pi. At
+    r0 = 1e-3 it spanned 16 periods of cos(1e5 x), and the values at x = 0
+    erred by 30.8, 4.98 and 1.07 relative at s = 0.5, 0.75 and 0.9, each
+    beyond the reported error."""
+    ov = eval_lk(fractional_kernel(s), pr.cosine(omega), 0.0, CFG)
+    true = -symbol_constant(s) * omega ** (2 * s)
+    assert abs(true - ov.value) <= ov.error
+    assert abs(true - ov.value) <= 2.5e-7 * abs(true)
+
+
+def test_perturbed_kernel_keeps_the_first_order_far_field():
+    """A tabulated multiplier has no K', so its oscillatory far field keeps
+    the first-order bound: OpValues (value, panel_err, sing_err, tail_err,
+    n_panels) pinned from before the boundary term was added."""
+    pinned = {
+        (0.5, 1.0, 0.4): (-3.2396113094065697, 2.220446049250313e-15,
+                          8.292316983660776e-07, 2.5000000000000004e-07, 3180),
+        (0.25, 2.0, 1.3): (6.740706720363185, 2.6645352591003757e-15,
+                           8.353225311128818e-07, 2.500000000000002e-07,
+                           66796),
+    }
+    for (s, w, x), want in pinned.items():
+        ov = eval_lk(perturbed_kernel(s, 0.5, 1.5), pr.cosine(w), x, CFG)
+        assert (ov.value, ov.panel_err, ov.sing_err, ov.tail_err,
+                ov.n_panels) == want
