@@ -47,7 +47,8 @@ _PANEL_BUDGET = 2 ** 22
 class QuadConfig:
     """Panel layout and truncation for the increment quadrature."""
 
-    r0: float | None = None            # default 1e-3 * (1 + |x|)
+    r0: float | None = None            # default 1e-3 * (1 + |x|), at most
+                                       # 1e-2 T/2pi on an oscillatory tail
     panels_per_decade: int = 6
     nodes_per_panel: int = 12
     Z: float | None = None             # default 1e6 * (1 + |x|)
