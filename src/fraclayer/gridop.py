@@ -97,6 +97,12 @@ class GridOperator:
     applied by FFT on a circulant embedding; only O(n) vectors are stored.
     diag folds the interior row sums of T and the exterior constant mass;
     the offset carries the exterior limits and the optional power corrections.
+
+    The linear part of -L is c I - T - diag_coef D2 up to its edge rows,
+    c = integral of K over |z| > h/2 the same at every node. On the same
+    embedding its circulant, mean(-diag) - T - diag_coef D2 with periodic
+    D2, has the eigenvalues `eig`; circulant_solve inverts it plus a shift,
+    the preconditioner of the solver's Krylov steps.
     """
 
     def __init__(self, kernel: KernelSpec, g: GridProfile):
@@ -118,6 +124,9 @@ class GridOperator:
         self.diag = -(self.row_sums + self.wl + self.wr)
         # diagonal-cell quadratic fit: mom2/h^2 * (u_{i+1} + u_{i-1} - 2 u_i)
         self.diag_coef = kernel.second_moment_integral(h / 2) / h ** 2
+        k = np.arange(len(self._w_hat))
+        self.eig = (float(np.mean(-self.diag)) - self._w_hat + self.diag_coef
+                    * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / self._m)))
         self.update_exterior(g)
         # midpoint-versus-cell weight differences, for error estimates
         self._w_err = np.abs(self.w - h * kernel.k(np.arange(1, n) * h))
@@ -137,6 +146,12 @@ class GridOperator:
         out = self.toeplitz_apply(u) + self.diag * u + self.offset
         out[1:-1] += self.diag_coef * (u[2:] + u[:-2] - 2 * u[1:-1])
         return out
+
+    def circulant_solve(self, v: np.ndarray, shift: float) -> np.ndarray:
+        """(C + shift I)^-1 v on the embedding, cut to the grid: C the
+        circulant of -L's linear part, one FFT pair like one apply."""
+        return np.fft.irfft(np.fft.rfft(v, self._m) / (self.eig + shift),
+                            self._m)[:len(v)]
 
     def outflow(self) -> np.ndarray:
         """Total outflow coefficient of each node: minus the diagonal of the

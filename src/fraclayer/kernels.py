@@ -59,9 +59,10 @@ class KernelSpec:
 
     # -- pointwise -----------------------------------------------------------
 
-    def _mult(self, z: np.ndarray) -> np.ndarray:
+    def _mult(self, z: np.ndarray) -> np.ndarray | float:
+        """m(z); the scalar scale for the power forms, which broadcasts."""
         if self.form != "tabulated-perturbation":
-            return np.full_like(z, self.scale)
+            return self.scale
         m = self.multiplier(np.abs(z))
         return np.asarray(m, dtype=float)
 
@@ -135,20 +136,26 @@ class KernelSpec:
         """integral_Z^inf |x + sign z|^(-p) K(z) dz, vectorized in Z and x.
 
         sign is +1 or -1; with -1 the power stays off its singularity only
-        for Z > |x|. The substitution z = Z u^(-1/q), q = p + 2s, makes the
-        integrand bounded on (0, 1].
+        for Z > |x|. The substitution z = Z / v, v = u^(1/q), q = p + 2s,
+        turns the integrand into (1/q) Z^(-2s) m(Z/v) |x v + sign Z|^(-p)
+        over u in (0, 1], m the multiplier (scale for the power forms):
+        bounded, with one power per point, and scale Z^(-2s)/q taken out of
+        the panel sum.
         """
-        Z = np.asarray(Z, dtype=float)[..., None]
+        Z = np.asarray(Z, dtype=float)
+        Zc = Z[..., None]
         x = np.asarray(x, dtype=float)[..., None]
         q = p + 2.0 * self.s
 
         def integrand(u):
-            v = np.clip(u ** (1.0 / q), 1e-300, 1.0)
-            z = Z / v
-            jac = (1.0 / q) * u ** (1.0 / q - 1.0)
-            return np.abs(x + sign * z) ** (-p) * self.k(z) * Z / v ** 2 * jac
+            v = u ** (1.0 / q)
+            f = np.abs(x * v + sign * Zc) ** (-p)
+            if self.form == "tabulated-perturbation":
+                f *= self._mult(Zc / v)
+            return f
 
-        return panel_integrals(integrand, 0.0, 1.0, 24)
+        return self.scale * Z ** (-2.0 * self.s) / q * panel_integrals(
+            integrand, 0.0, 1.0, 24)
 
     def symmetry_slack(self, zs) -> float:
         """max |K(z) - K(-z)| over the sample; 0 for admissible kernels."""

@@ -19,6 +19,8 @@ SIDE_LABEL = {1: "right", -1: "left"}   # record-id label of side s = +/-1
 
 def _fmt(v: Any) -> Any:
     """Floats to 17 significant digits so reports are byte-reproducible."""
+    if isinstance(v, (bool, np.bool_)):     # bool is an int subclass
+        return bool(v)
     if isinstance(v, (float, np.floating)):
         return float(f"{float(v):.17g}")
     if isinstance(v, (int, np.integer)):
@@ -27,7 +29,7 @@ def _fmt(v: Any) -> Any:
         return [_fmt(x) for x in v]
     if isinstance(v, dict):
         return {str(k): _fmt(x) for k, x in v.items()}
-    if isinstance(v, (bool, str)) or v is None:
+    if isinstance(v, str) or v is None:
         return v
     return str(v)
 

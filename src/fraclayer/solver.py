@@ -7,7 +7,10 @@ term. Minimization is pseudo-transient continuation (Kelley & Keyes, SINUM
 F = L u - W'(u) and its Jacobian J by restarted GMRES, then clamps the values
 to [-1, 1] and applies a monotone rearrangement projection (sorting). tau
 starts at the explicit gradient-flow step and grows by switched evolution
-relaxation, so the step moves from descent u + tau F towards Newton.
+relaxation, so the step moves from descent u + tau F towards Newton. GMRES
+is preconditioned by the FFT circulant of the grid operator's linear part
+(Chan & Ng, SIAM Review 38, 1996), which carries its |xi|^(2s) spectrum, so
+the Krylov count per step does not grow as h shrinks.
 """
 
 from __future__ import annotations
@@ -109,16 +112,6 @@ def lyapunov(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     return _lyapunov_from_energy(energy(g, pot, kernel, op), g, op)
 
 
-def el_residual(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
-                op: GridOperator | None = None) -> float:
-    """sup over interior nodes of |L u - W'(u)|."""
-    if op is None:
-        op = GridOperator(kernel, g)
-    op.update_exterior(g)
-    r = op.apply(g.values) - pot.W1(g.values)
-    return float(np.max(np.abs(r[1:-1])))
-
-
 def _outer_gap(g: GridProfile, side: int, m: int):
     """Distance y = side x and gap 1 - side u on the outer m nodes of side
     s = +/-1, nearest node first."""
@@ -170,10 +163,10 @@ class SolveResult:
     rejected_steps: int = 0
 
 
-def gmres(matvec, b: np.ndarray, m_inv: np.ndarray):
+def gmres(matvec, b: np.ndarray, precond):
     """Right-preconditioned restarted GMRES for A x = b from x = 0.
 
-    m_inv is the diagonal of the inverse preconditioner. Only the Arnoldi
+    precond(v) applies the inverse preconditioner M^-1. Only the Arnoldi
     basis V of A M^-1 is stored (KRYLOV_RESTART + 1 vectors); each cycle
     adds M^-1 V y to x. Stops when the residual norm falls to KRYLOV_RTOL |b|
     or after KRYLOV_CYCLES cycles, and returns x and the iteration count.
@@ -199,7 +192,7 @@ def gmres(matvec, b: np.ndarray, m_inv: np.ndarray):
         z[0] = beta
         H[:] = 0.0
         for j in range(restart):
-            w = matvec(m_inv * V[j])
+            w = matvec(precond(V[j]))
             its += 1
             for _ in range(2):    # classical Gram-Schmidt, reorthogonalized
                 c = V[:j + 1] @ w
@@ -222,7 +215,7 @@ def gmres(matvec, b: np.ndarray, m_inv: np.ndarray):
         y = np.zeros(k)
         for i in range(k - 1, -1, -1):     # back substitution
             y[i] = (z[i] - H[i, i + 1:k] @ y[i + 1:k]) / H[i, i]
-        x += m_inv * (y @ V[:k])
+        x += precond(y @ V[:k])
         if abs(z[k]) <= target or cycle == KRYLOV_CYCLES - 1:
             break
         r = b - matvec(x)
@@ -230,23 +223,27 @@ def gmres(matvec, b: np.ndarray, m_inv: np.ndarray):
 
 
 def _step(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
-          op: GridOperator, outflow: np.ndarray, F: np.ndarray, tau: float,
-          tau0: float, ref: float, it: int):
+          op: GridOperator, F: np.ndarray, tau: float, tau0: float,
+          ref: float, it: int):
     """Take step `it` from g.values: solve (I/tau - J) delta = F by GMRES
     and set g.values to sort(clamp(u + delta, -1, 1)), halving tau, down to
     tau0, while that raises the Lyapunov functional beyond DIVERGENCE_SLACK
-    over ref. Returns the tau taken, the new plain and Lyapunov energies,
-    the GMRES iterations and the halvings. The step's vectors are freed on
-    return, before the exterior refit, whose quadrature sets a solve's peak
-    memory.
+    over ref. The preconditioner is op's circulant of -L's linear part,
+    shifted by 1/tau + mean(max(W''(u), 0)): it carries the operator's
+    |xi|^(2s) spectrum, which a diagonal cannot. Returns the tau taken, the
+    new plain and Lyapunov energies, the GMRES iterations and the halvings.
+    The step's vectors are freed on return, before the exterior refit, whose
+    quadrature sets a solve's peak memory.
     """
     u = g.values
     w2 = pot.W2(u)
+    w2_mean = float(np.mean(np.maximum(w2, 0.0)))
     krylov = halvings = 0
     while True:
-        m_inv = 1.0 / (1.0 / tau + outflow + np.maximum(w2, 0.0))
+        shift = 1.0 / tau + w2_mean
         delta, k = gmres(
-            lambda v: v / tau + w2 * v - (op.apply(v) - op.offset), F, m_inv)
+            lambda v: v / tau + w2 * v - (op.apply(v) - op.offset), F,
+            lambda v: op.circulant_solve(v, shift))
         krylov += k
         g.values = np.sort(np.clip(u + delta, -1.0, 1.0))
         e_plain = energy(g, pot, kernel, op)
@@ -267,15 +264,19 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     Each pass of the loop evaluates the residual F = L u - W'(u) once and,
     unless it has converged, takes one step: it solves (I/tau - J) delta = F,
     with J v = (L v - offset) - W''(u) v, by GMRES to KRYLOV_RTOL under the
-    Jacobi preconditioner 1/tau + diag(-L) + max(W''(u), 0), and sets
+    circulant preconditioner C + 1/tau + mean(max(W''(u), 0)), C the
+    circulant of -L's linear part (GridOperator.circulant_solve), and sets
     u <- sort(clamp(u + delta, -1, 1)). tau_0 is the explicit descent's
     stable step and its floor; tau grows by switched evolution relaxation,
     tau <- tau clamp(r_old / r_new, SER_CLAMP), r the interior sup residual,
-    up to 1 / (eps min diag(-L)), beyond which 1/tau is lost to rounding in
-    the preconditioner. A step that raises the Lyapunov functional beyond
-    DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one that
-    still raises it there raises Diverged. The sort is recorded as a
-    projection, not proven energy-decreasing.
+    up to 1 / (eps min diag(-L)). The circulant's eigenvalues are the
+    differences mean(diag(-L)) - (FFT of the lag weights), exact only to
+    about eps diag(-L), and every node's diag(-L) is near the kernel mass
+    beyond h/2; so a shift 1/tau below that is lost in their rounding, as
+    it is in the diagonal of I/tau - J. A step that raises the Lyapunov
+    functional beyond DIVERGENCE_SLACK is retried with tau halved, down to
+    tau_0; one that still raises it there raises Diverged. The sort is
+    recorded as a projection, not proven energy-decreasing.
 
     The exterior power models are refit every REFIT_EVERY steps, and
     convergence (residual < cfg.tol) is declared only right after a refit
@@ -286,9 +287,8 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     """
     g = g0.copy_with(g0.values.copy())
     op = GridOperator(kernel, g)
-    outflow = op.outflow()
     tau0 = tau = 0.4 / (op.row_sum_scale() + pot.max_w2())
-    tau_max = 1.0 / (np.finfo(float).eps * float(np.min(outflow)))
+    tau_max = 1.0 / (np.finfo(float).eps * float(np.min(op.outflow())))
     e_plain = energy(g, pot, kernel, op)
     ref = _lyapunov_from_energy(e_plain, g, op)
     res = SolveResult(profile=g, iterations=0, residual=np.inf,
@@ -318,7 +318,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
         if resid < cfg.tol:
             break
         tau, e_plain, ref, krylov, halvings = _step(
-            g, pot, kernel, op, outflow, F, tau, tau0, ref, it)
+            g, pot, kernel, op, F, tau, tau0, ref, it)
         res.rejected_steps += halvings
         res.tau_trace.append(tau)
         res.krylov_iterations.append(krylov)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import circulant, toeplitz
 
 from fraclayer.errors import GridTooCoarse
 from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
@@ -153,3 +153,38 @@ def test_fft_operator_matches_dense_toeplitz(kern, n):
     est = ((E * np.abs(u[None, :] - u[:, None])).sum(axis=1) + d2 * c
            + 64 * np.finfo(float).eps)
     np.testing.assert_allclose(op.error_estimate(u), est, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kern", [fractional_kernel(0.5),
+                                  fractional_kernel(0.9),
+                                  perturbed_kernel(0.5, 0.5, 2.0)],
+                         ids=["s0.5", "s0.9", "perturbed"])
+def test_circulant_eigenvalues_are_positive(kern):
+    """mean(-diag) is the kernel mass beyond h/2, which bounds every lag
+    weight sum of the embedding, so the preconditioner is never singular."""
+    for n, L in ((64, 8.0), (2048, 200.0)):
+        op = GridOperator(kern, _grid(n=n, L=L))
+        assert np.min(op.eig) > 0.0
+
+
+@pytest.mark.parametrize("kern", [fractional_kernel(0.5),
+                                  perturbed_kernel(0.4, 0.5, 2.0)],
+                         ids=["fractional", "perturbed"])
+def test_circulant_solve_inverts_the_dense_circulant(kern, rng):
+    """The m x m circulant of -L's linear part (periodic second difference,
+    diagonal mean(-diag)) plus the shift, solved densely on the zero-padded
+    vector and cut to the grid."""
+    n = 64
+    op = GridOperator(kern, _grid(n=n))
+    m = op._m
+    shift = 0.3
+    col = np.zeros(m)
+    col[0] = np.mean(-op.diag) + 2 * op.diag_coef + shift
+    col[1:n] = -op.w
+    col[m - n + 1:] = -op.w[::-1]
+    col[[1, -1]] -= op.diag_coef
+    v = rng.standard_normal(n)
+    ref = np.linalg.solve(circulant(col), np.concatenate([v, np.zeros(m - n)]))
+    got = op.circulant_solve(v, shift)
+    np.testing.assert_allclose(got, ref[:n], rtol=0,
+                               atol=1e-12 * np.max(np.abs(ref)))

@@ -38,8 +38,8 @@ def test_number_formatting_and_trailing_newline(tmp_path):
     payload = json.loads(text)
     assert payload["config-echo"] == {"f": third, "i": 7, "n": [0.1, 2]}
     c, d = payload["checks"]
-    # a verdict is written as the integer 1 or 0
-    assert '"pass": 1,' in text and '"pass": 0,' in text
+    # a verdict is written as a JSON bool
+    assert '"pass": true,' in text and '"pass": false,' in text
     # 17 significant digits round-trip every double bit for bit
     assert c["worst-slack"] == float(f"{third:.17g}") == third
     assert '"worst-slack": 0.3333333333333333\n' in text
@@ -52,6 +52,15 @@ def test_number_formatting_and_trailing_newline(tmp_path):
     rep.write(tmp_path / "r.json")
     raw = (tmp_path / "r.json").read_text()
     assert raw == rep.to_json() + "\n"
+
+
+def test_numpy_bools_in_the_config_echo_are_json_bools():
+    rep = Report("run", {"flag": np.bool_(False), "on": [np.bool_(True)],
+                         "plain": True})
+    text = rep.to_json()
+    assert '"flag": false,' in text and '"plain": true\n' in text
+    assert json.loads(text)["config-echo"] == {"flag": False, "on": [True],
+                                               "plain": True}
 
 
 def test_summary_line_counts_failures():

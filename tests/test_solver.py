@@ -15,9 +15,9 @@ from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
                               lag_weights)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
 from fraclayer.potentials import WellParams, make_potential
-from fraclayer.solver import (SolveConfig, _refit_exterior, el_residual,
-                              energy, gmres, make_grid, minimize_energy,
-                              recenter, tail_exponent)
+from fraclayer.solver import (SolveConfig, _refit_exterior, energy, gmres,
+                              make_grid, minimize_energy, recenter,
+                              tail_exponent)
 
 QUARTIC = WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2, c2=2, c3=2,
                      c4=2, mu=0.5)
@@ -39,6 +39,12 @@ def energy_bruteforce(g, pot, kernel) -> float:
         acc += 2.0 * (u[i] - g.ext_left.limit) ** 2 * op.wl[i]
         acc += 2.0 * (u[i] - g.ext_right.limit) ** 2 * op.wr[i]
     return 0.25 * h * acc + h * float(np.sum(pot.W(u)))
+
+
+def el_residual(g, pot, kernel) -> float:
+    """sup over interior nodes of |L u - W'(u)| under g's exterior."""
+    r = GridOperator(kernel, g).apply(g.values) - pot.W1(g.values)
+    return float(np.max(np.abs(r[1:-1])))
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +271,7 @@ def test_gmres_reaches_its_rtol(rtol, rng, monkeypatch):
     for A, restarted in _dominant_systems(rng):
         b = rng.standard_normal(len(A))
         exact = np.linalg.solve(A, b)
-        x, its = gmres(lambda v: A @ v, b, 1.0 / np.diag(A))
+        x, its = gmres(lambda v: A @ v, b, lambda v: v / np.diag(A))
         assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
         assert np.linalg.norm(x - exact) <= (
             np.linalg.cond(A) * rtol * np.linalg.norm(exact))
@@ -341,3 +347,16 @@ def test_solve_result_records_every_step(small_solution):
     assert res.rejected_steps >= 0 and res.tau_trace[-1] > res.tau_trace[0]
     gaps = np.diff([1] + res.refit_steps)
     assert res.refit_steps[-1] == k and np.all(gaps <= REFIT_EVERY)
+
+
+def test_circulant_preconditioner_is_mesh_independent(kernel_half_mod):
+    """Degenerate wells on [-100, 100]: halving h leaves the costliest
+    step's GMRES count unchanged. Measured 4 at n = 512 and n = 1024 (a
+    Jacobi preconditioner took 25 and 34, growing with n)."""
+    pot = make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,
+                                    mu=0.5))
+    worst = [max(minimize_energy(make_grid(100.0, n), pot, kernel_half_mod,
+                                 SolveConfig(max_iter=5000, tol=1e-5)
+                                 ).krylov_iterations)
+             for n in (512, 1024)]
+    assert max(worst) <= 6
