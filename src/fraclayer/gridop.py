@@ -98,11 +98,11 @@ class GridOperator:
     diag folds the interior row sums of T and the exterior constant mass;
     the offset carries the exterior limits and the optional power corrections.
 
-    The linear part of -L is c I - T - diag_coef D2 up to its edge rows,
-    c = integral of K over |z| > h/2 the same at every node. On the same
-    embedding its circulant, mean(-diag) - T - diag_coef D2 with periodic
-    D2, has the eigenvalues `eig`; circulant_solve inverts it plus a shift,
-    the preconditioner of the solver's Krylov steps.
+    The linear part of -L is c I - T - diag_coef D2 but for the edge rows of
+    D2, where c = -diag, the kernel mass beyond h/2, is nearly the same at
+    every node. `eig` holds the eigenvalues of its circulant on the FFT
+    embedding (diagonal mean(-diag), periodic D2); circulant_solve
+    inverts that circulant plus a shift, the solver's Krylov preconditioner.
     """
 
     def __init__(self, kernel: KernelSpec, g: GridProfile):
