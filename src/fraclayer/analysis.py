@@ -1,11 +1,16 @@
-"""Decay-rate fitting, envelope extraction, and finite-difference oracles."""
+"""Decay-rate fitting, envelope extraction, finite-difference oracles and a
+bracketed root-finder."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import math
+
 import numpy as np
+
+from .errors import NotBracketed, RootNotConverged
 
 
 @dataclass
@@ -164,3 +169,78 @@ def fd_derivative(f: Callable, x: float, order: int, h0: float | None = None):
     floor = 8.0 * np.finfo(float).eps * coeff_mass * abs(float(f(x))) \
         / (h0 / 4.0) ** order
     return r, abs(r - r2) + floor + np.finfo(float).eps * abs(r)
+
+
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+BRENT_MAXITER = 100
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float,
+               xtol: float = 2e-12, fa: float | None = None,
+               fb: float | None = None) -> float:
+    """Root of f on the sign-changing bracket [a, b] by Brent's method
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4), to within xtol + 4 eps |root|.
+
+    An iteration-for-iteration port of the C core of scipy.optimize.brentq
+    at its default rtol = 4 eps and 100 iterations, in Python floats, so it
+    returns the same roots bit for bit. Passing the known end values
+    fa = f(a) and fb = f(b) saves those two calls. A value of exactly 0.0
+    ends the search at that point, so f may signal convergence that way.
+    Raises NotBracketed when f(a) and f(b) share a sign, RootNotConverged
+    after 100 steps without convergence or at a NaN value of f.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise RootNotConverged(f"f is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre = call(xpre) if fa is None else float(fa)
+    fcur = call(xcur) if fb is None else float(fb)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NotBracketed(f"f({xpre!r}) = {fpre!r} and f({xcur!r}) = "
+                           f"{fcur!r} have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        # [xcur, xblk] brackets the root, xcur has the smaller |f|, and
+        # xpre is the previous iterate
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf      # bisect unless interpolation is taken
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic; a zero denominator (inf in C) bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = call(xcur)
+    raise RootNotConverged(f"no convergence in {BRENT_MAXITER} iterations "
+                           f"on [{a!r}, {b!r}] (last x={xcur!r})")

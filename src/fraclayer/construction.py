@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .analysis import brent_root
 from .cutoffs import (CutoffStats, eta_tilde, logistic_derivs, measure_cutoff,
                       w_weight, w_weight_argmax, z_derivs)
-from .errors import (BridgeNotMonotone, LogRangeOverflow, OutOfPiece,
-                     ParamOrderViolated)
+from .errors import (BridgeNotMonotone, LogRangeOverflow, NotBracketed,
+                     OutOfPiece, ParamOrderViolated)
 from .jets import LogArray, hermite_bridge, jet_compose, leibniz
 from .reports import SIDE_LABEL
 
@@ -55,12 +55,22 @@ def threshold_params(s: float, beta: float = 5.0, delta: float = 5.0,
     """Parameters whose sufficiency threshold lands at rho_target.
 
     Solves r ln r = rho_target / (32 eta_bar/eta_0) for the exponent ratio r
-    and applies it on both sides, so the returned params run exactly at their
-    own threshold.
+    in (1, 3] and applies it on both sides, so the returned params run exactly
+    at their own threshold. Raises ParamOrderViolated, naming the attainable
+    range, when no such r exists.
     """
     stats = measure_cutoff()
-    c = rho_target / (32.0 * stats.ratio)
-    r = brentq(lambda t: t * math.log(t) - c, 1.0 + 1e-15, 3.0)
+    scale = 32.0 * stats.ratio
+    c = rho_target / scale
+    lo, hi = 1.0 + 1e-15, 3.0
+    try:
+        r = brent_root(lambda t: t * math.log(t) - c, lo, hi)
+    except NotBracketed:
+        raise ParamOrderViolated(
+            f"rho_target={rho_target!r} is unattainable: r ln r = rho_target"
+            f" / (32 eta_bar/eta_0) has a root r in [{lo}, {hi}] only for"
+            f" rho_target in [{scale * lo * math.log(lo):.4g}, "
+            f"{scale * hi * math.log(hi):.4g}]") from None
     gamma = 1.0 + (delta - 1.0) * r
     alpha = 1.0 + (beta - 1.0) * r
     rho = sufficiency_rho(s, alpha, beta, gamma, delta, stats)
@@ -92,6 +102,12 @@ class LayerParams:
             raise ParamOrderViolated(f"unknown mode {self.mode!r}")
         if self.k_max < 0:
             raise ParamOrderViolated("k_max must be >= 0")
+
+    def side(self, s: int) -> tuple[float, float]:
+        """(g, d), larger well exponent first, of the side s = +/-1: the
+        right tail and the well at +1 have (gamma, delta), the left tail and
+        the well at -1 (alpha, beta)."""
+        return (self.gamma, self.delta) if s > 0 else (self.alpha, self.beta)
 
 
 @dataclass
@@ -196,8 +212,7 @@ def build_constants(params: LayerParams) -> ConstructionConstants:
         rho = 128.0 * stats.ratio
     else:
         rho = p.rho if p.rho is not None else 3.0
-    rt = _side_constants(1, p.s, p.gamma, p.delta, rho)
-    lf = _side_constants(-1, p.s, p.alpha, p.beta, rho)
+    rt, lf = (_side_constants(sg, p.s, *p.side(sg), rho) for sg in (1, -1))
     if not (0.0 < rt.xbar < 1.0 and 0.0 < lf.xbar < 1.0):
         raise ParamOrderViolated("critical points left (0,1)")
 
@@ -208,7 +223,7 @@ def build_constants(params: LayerParams) -> ConstructionConstants:
             + lf.c_out * math.exp(-lf.e_hi * la) - 1.8
 
     if gap(math.log(a0)) > 0.0:
-        la = brentq(gap, math.log(a0), 2000.0)
+        la = brent_root(gap, math.log(a0), 2000.0)
         a0 = math.exp(la)
 
     n = p.k_max + 2

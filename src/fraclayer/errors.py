@@ -83,3 +83,11 @@ class PanelBudgetExceeded(FracLayerError):
 
 class InputFileError(FracLayerError):
     """An input file is missing or malformed, or holds too few usable points."""
+
+
+class NotBracketed(FracLayerError):
+    """A root-find's bracket ends have function values of the same sign."""
+
+
+class RootNotConverged(FracLayerError):
+    """A root-find ran out of iterations or met a NaN function value."""

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .analysis import envelope_exponents, fit_power_decay
-from .construction import LayerProfile
+from .analysis import brent_root, envelope_exponents, fit_power_decay
+from .construction import LayerParams, LayerProfile
 from .errors import OutOfRange
 from .kernels import KernelSpec
 from .panels import panel_integrals
@@ -55,23 +54,15 @@ def profile_as_fn(prof: LayerProfile, order_cap: int = 4) -> ProfileFn:
     )
 
 
-def _brent(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
-    """Brent's root of f on [a, b], reusing the known f(a) and f(b).
-
-    brentq returns at once where f returns exactly 0.0, so f signals
-    convergence that way; the point returned is always one f was called at.
-    """
-    known = {a: fa, b: fb}
-    return brentq(lambda t: known[t] if t in known else f(t), a, b,
-                  xtol=xtol)
-
-
 def invert_profile(prof: LayerProfile, r: float, tol: float = 1e-12,
                    max_log: float = 690.0) -> float:
     """x with u~(x) = r on the working domain |x| <= sinh(max_log).
 
-    A bracketed root-find (Brent) split by region, reading the profile only
-    through ``prof.eval`` and ``prof.cx.a0``.
+    A bracketed root-find split by region, reading the profile only through
+    ``prof.eval`` and ``prof.cx.a0``. Both regions call
+    ``analysis.brent_root`` with the bracket's end values already known, and
+    signal convergence by returning exactly 0.0, so the point returned is
+    always one the profile was evaluated at.
 
     - Bridge, r between u~(-a0) and u~(a0): solve u~(x) = r for x in
       [-a0, a0], down to |u~(x) - r| <= 2 eps, the rounding level of u~.
@@ -104,8 +95,8 @@ def invert_profile(prof: LayerProfile, r: float, tol: float = 1e-12,
     if off(u_hi) >= 0.0:
         u_lo = u(-xb)
         if off(u_lo) <= 0.0:
-            return _brent(lambda x: off(u(x)), -xb, off(u_lo), xb,
-                          off(u_hi), EPS * xb)
+            return brent_root(lambda x: off(u(x)), -xb, xb, EPS * xb,
+                              off(u_lo), off(u_hi))
         side, u_a0 = -1.0, u_lo
     else:
         side, u_a0 = 1.0, u_hi
@@ -127,8 +118,8 @@ def invert_profile(prof: LayerProfile, r: float, tol: float = 1e-12,
     g_out = ln_gap_off(u(at(l_max)))
     if g_out > 0.0:
         raise out_of_range
-    return at(_brent(lambda l: ln_gap_off(u(at(l))), 0.0, ln_gap_off(u_a0),
-                     l_max, g_out, 4.0 * EPS))
+    return at(brent_root(lambda l: ln_gap_off(u(at(l))), 0.0, l_max,
+                         4.0 * EPS, ln_gap_off(u_a0), g_out))
 
 
 def graded_nodes(depth_decades: float = 12.0, per_decade: int = 12,
@@ -266,7 +257,7 @@ def verify_potential_regularity(tab: PotentialTable,
                        f"lipschitz={lip:.6g}")
 
 
-def verify_well_envelopes(tab: PotentialTable, params,
+def verify_well_envelopes(tab: PotentialTable, params: LayerParams,
                           tol: float = 0.3) -> list[CheckRecord]:
     """Fitted envelope exponents of V'' against the well powers.
 
@@ -278,9 +269,7 @@ def verify_well_envelopes(tab: PotentialTable, params,
     """
     out = []
     for side in (1, -1):
-        # the well at +1 has exponents (gamma, delta), the one at -1 (alpha, beta)
-        g, d = ((params.gamma, params.delta) if side > 0
-                else (params.alpha, params.beta))
+        g, d = params.side(side)
         m = (side * tab.r > 1.0 - 0.05) & (tab.V2 > 0)
         gap = 1.0 - side * tab.r[m]
         v = tab.V2[m]

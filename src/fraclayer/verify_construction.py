@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import fd_derivative
 from .cutoffs import eta_tilde, measure_cutoff, w_weight
-from .construction import (PIECE_NAMES, ConstructionConstants,
+from .construction import (PIECE_NAMES, ConstructionConstants, LayerParams,
                            LayerProfile, SideConstants, _cell_boundaries,
                            _side_constants)
 from .jets import jet_compose
@@ -43,8 +43,8 @@ def exponent_ordering_slack(s, g, d):
 def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
     """Run every constant-level inequality over a sweep of parameter tuples.
 
-    Each tuple is (s, alpha, beta, gamma, delta); surrogate scale factors
-    cover the k-dependence. The sweep covers:
+    Each tuple is (s, alpha, beta, gamma, delta), valid LayerParams;
+    surrogate scale factors cover the k-dependence. The sweep covers:
       - the derivative-rate ordering (with equality detection),
       - A <= min{B(g-d+1), 2s-(d-2)phi}, B >= max{A(d-g+1), 2s-(g-2)phi}
         and the mirrored D/E forms, on a dense ramp grid,
@@ -61,8 +61,9 @@ def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
 
     for (s, alpha, beta, gamma, delta) in tuples:
         tag = f"s={s:.3g},a={alpha:.4g},b={beta:.4g},g={gamma:.4g},d={delta:.4g}"
-        sides = [_side_constants(1, s, gamma, delta, rhos[0]),
-                 _side_constants(-1, s, alpha, beta, rhos[0])]
+        p = LayerParams(s, alpha, beta, gamma, delta)
+        sides = [_side_constants(sg, s, *p.side(sg), rhos[0])
+                 for sg in (1, -1)]
         for sc in sides:
             _rec(records, f"derivative-rate-ordering-{sc.label}",
                  exponent_ordering_slack(s, sc.g, sc.d), tag, tol=1e-13)

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from fraclayer.analysis import (envelope_exponents, fd_derivative,
+from fraclayer.analysis import (brent_root, envelope_exponents, fd_derivative,
                                 fit_power_decay)
+from fraclayer.errors import FracLayerError, NotBracketed, RootNotConverged
 
 
 def test_exact_power_law():
@@ -84,3 +88,53 @@ def test_fd_sine():
     v, e = fd_derivative(np.sin, 0.0, 1)
     assert v == pytest.approx(1.0, abs=1e-10)
 
+
+
+# smooth functions with their root-containing bracket; tlogt is
+# construction.threshold_params's equation
+BRENT_CASES = {
+    "cubic": (lambda x: x ** 3 - 2.0 * x - 5.0, (1.5, 3.0)),
+    "cos": (lambda x: math.cos(x) - x, (-1.0, 2.0)),
+    "exp": (lambda x: math.exp(x) - 3.0, (-2.0, 4.0)),
+    "atan": (lambda x: math.atan(5.0 * (x - 0.3)), (-3.0, 4.0)),
+    "tlogt": (lambda t: t * math.log(t) - 0.7, (1.0 + 1e-15, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRENT_CASES))
+def test_brent_root_matches_scipy_brentq_bitwise(name):
+    """On 50 seeded brackets around the root, at three tolerances, with and
+    without the known end values, the port returns scipy's root bit for
+    bit."""
+    f, (lo, hi) = BRENT_CASES[name]
+    root = brentq(f, lo, hi, xtol=1e-15)
+    rng = np.random.default_rng(sorted(BRENT_CASES).index(name))
+    for _ in range(50):
+        a = lo + (root - lo) * rng.uniform()
+        b = root + (hi - root) * rng.uniform()
+        if rng.uniform() < 0.5:
+            a, b = b, a
+        for xtol in (1e-12, 2e-12, 4.0 * np.finfo(float).eps * abs(b)):
+            ref = brentq(f, a, b, xtol=xtol)
+            plain, known = [], []
+            assert brent_root(lambda x: plain.append(x) or f(x), a, b,
+                              xtol).hex() == ref.hex()
+            assert brent_root(lambda x: known.append(x) or f(x), a, b, xtol,
+                              fa=f(a), fb=f(b)).hex() == ref.hex()
+            # the known end values replace exactly the first two calls
+            assert plain[:2] == [a, b] and known == plain[2:]
+
+
+def test_brent_root_without_sign_change_is_a_typed_error():
+    with pytest.raises(NotBracketed, match="same sign"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 2.0)
+    assert issubclass(NotBracketed, FracLayerError)
+    assert not issubclass(NotBracketed, ValueError)
+
+
+def test_brent_root_out_of_iterations_is_a_typed_error():
+    """sign(x) on [-1, 2] at xtol 1e-300 needs about 1000 bisections."""
+    with pytest.raises(RootNotConverged, match="100 iterations"):
+        brent_root(lambda x: float(np.sign(x)), -1.0, 2.0, 1e-300)
+    assert issubclass(RootNotConverged, FracLayerError)
+    assert not issubclass(RootNotConverged, RuntimeError)

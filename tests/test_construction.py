@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ def test_sufficiency_threshold_construction():
     cx = build_constants(p)
     rep = cx.sufficiency_report()
     assert all(v for k, v in rep.items() if isinstance(v, bool))
+
+
+@pytest.mark.parametrize("rho_target", [8e5, 0.0, -1.0])
+def test_unattainable_threshold_is_a_typed_error(rho_target):
+    """r ln r = rho_target / (32 eta_bar/eta_0) has no root in (1, 3] past
+    32 (eta_bar/eta_0) 3 ln 3 ~ 7.2e5, nor for rho_target <= 0; the error
+    names the attainable range."""
+    hi = 32.0 * measure_cutoff().ratio * 3.0 * math.log(3.0)
+    assert 7.0e5 < hi < 7.5e5
+    with pytest.raises(ParamOrderViolated,
+                       match="unattainable.*" + re.escape(f" {hi:.4g}]")):
+        threshold_params(0.5, rho_target=rho_target)
 
 
 def test_ramp_interpolant_endpoints(desk_profile):

@@ -1,9 +1,12 @@
 """Every module-level import in src/fraclayer is used by its module, every
-top-level def and class in it is named somewhere else in the repository, and
-the third-party modules it imports are exactly the declared dependencies."""
+top-level def and class in it is named somewhere else in the repository, the
+third-party modules it imports are exactly the declared dependencies, and a
+run of the program loads neither scipy nor mpmath."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -167,3 +170,43 @@ def test_dependency_check_flags_an_undeclared_import(tmp_path):
 def test_imports_match_declared_dependencies():
     assert _third_party_imports(PACKAGE) == _declared_dependencies(
         ROOT / "pyproject.toml")
+
+
+def test_program_loads_no_scipy_and_no_mpmath():
+    """In a fresh interpreter: import every module of the package, build the
+    desk profile and invert it at a few graded nodes, call threshold_params
+    and run a small solve. No scipy module is loaded (scipy.optimize alone
+    costs about 0.45 s and 45 MB of resident memory to import, scipy.sparse
+    about 0.4 s), and no mpmath module: only the mpmath oracles import it,
+    inside their bodies."""
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py")
+                     if p.stem != "__init__")
+    code = "\n".join([
+        "import importlib, sys",
+        f"for m in {modules!r}:",
+        "    importlib.import_module('fraclayer.' + m)",
+        "from fraclayer.construction import (LayerParams, build_profile,",
+        "                                    threshold_params)",
+        "from fraclayer.kernels import fractional_kernel",
+        "from fraclayer.potentials import WellParams, make_potential",
+        "from fraclayer.reconstruct import graded_nodes, invert_profile",
+        "from fraclayer.solver import SolveConfig, make_grid, minimize_energy",
+        "prof = build_profile(LayerParams(s=0.5, alpha=5.8, beta=5.0,",
+        "                                 gamma=5.5, delta=5.0, rho=2.1))",
+        "for r in graded_nodes(8.0, 12)[::40]:",
+        "    invert_profile(prof, float(r))",
+        "threshold_params(0.5, rho_target=2.05)",
+        "pot = make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,",
+        "                                mu=0.5))",
+        "res = minimize_energy(make_grid(40.0, 128), pot,",
+        "                      fractional_kernel(0.5), SolveConfig(tol=1e-5))",
+        "assert res.converged",
+        "loaded = sorted(m for m in sys.modules",
+        "                if m.startswith(('scipy', 'mpmath')))",
+        "assert not loaded, loaded",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

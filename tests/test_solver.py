@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fraclayer
 from fraclayer import solver
 
 from fraclayer.errors import StalledAboveTolerance
@@ -278,29 +273,6 @@ def test_gmres_reaches_its_rtol(rtol, rng, monkeypatch):
         assert 0 < its <= len(b)
         if default:
             assert (its > solver.KRYLOV_RESTART) == restarted
-
-
-def test_solver_never_imports_scipy_sparse():
-    """The Krylov solve is numpy alone: scipy.sparse costs about 0.4 s and
-    30 MB of resident memory to import."""
-    code = "\n".join([
-        "import sys",
-        "from fraclayer.kernels import fractional_kernel",
-        "from fraclayer.potentials import WellParams, make_potential",
-        "from fraclayer.solver import SolveConfig, make_grid, minimize_energy",
-        "pot = make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,",
-        "                                mu=0.5))",
-        "res = minimize_energy(make_grid(40.0, 128), pot,",
-        "                      fractional_kernel(0.5), SolveConfig(tol=1e-5))",
-        "assert res.converged",
-        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'",
-    ])
-    src = str(Path(fraclayer.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
 
 
 def test_convergence_waits_for_a_fresh_exterior_refit(kernel_half_mod):
