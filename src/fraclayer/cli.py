@@ -260,7 +260,7 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
     """Relax [solver] L, n to tol; max_iter caps minimize_energy's passes,
     each a pseudo-transient step of up to a hundred matvecs."""
     from .gridop import GridOperator
-    from .potentials import make_potential
+    from .potentials import make_potential, well_envelope_records
     from .solver import (SolveConfig, make_grid, minimize_energy,
                          tail_exponent)
 
@@ -271,6 +271,7 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
     sc = SolveConfig(tol=get(cfg, 1e-6, "solver", "tol"),
                      max_iter=int(get(cfg, 30000, "solver", "max_iter")))
     rep = Report("solve", cfg)
+    rep.add_records(well_envelope_records(pot))
     res = minimize_energy(make_grid(L, n), pot, kern, sc)
     rep.add("solver-converged", res.converged, sc.tol - res.residual,
             f"iterations={res.iterations}")

@@ -77,11 +77,6 @@ def _smoothstep_upto(r, order: int) -> list:
     return out
 
 
-def smoothstep(r, order: int = 0):
-    """S^{(order)}(r) with S = 0 for r <= 0 and S = 1 for r >= 1."""
-    return _smoothstep_upto(r, order)[order]
-
-
 def eta_derivs(x, order: int) -> list:
     """[eta, eta', ..., eta^{(order)}] at x in one pass, order <= 4."""
     ders = _smoothstep_upto(2.0 * (0.75 - np.asarray(x, dtype=float)), order)

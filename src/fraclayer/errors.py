@@ -13,10 +13,6 @@ class TruncationDominates(FracLayerError):
     """Estimated tail remainder exceeds the requested tolerance."""
 
 
-class GridTooCoarse(FracLayerError):
-    """Singular-cell correction is not small against the assembled sum."""
-
-
 class RegularityMismatch(FracLayerError):
     """Profile lacks the derivative order a check requires."""
 
@@ -63,10 +59,6 @@ class OutOfPiece(FracLayerError):
 
 class OutOfRange(FracLayerError):
     """Value outside the attained range of the profile on its working domain."""
-
-
-class SampleOutsideWell(FracLayerError):
-    """Sample point outside the well interval a bound applies to."""
 
 
 class Diverged(FracLayerError):

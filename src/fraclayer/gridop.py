@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse
 from .kernels import KernelSpec
 
 
@@ -128,8 +127,6 @@ class GridOperator:
         self.eig = (float(np.mean(-self.diag)) - self._w_hat + self.diag_coef
                     * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / self._m)))
         self.update_exterior(g)
-        # midpoint-versus-cell weight differences, for error estimates
-        self._w_err = np.abs(self.w - h * kernel.k(np.arange(1, n) * h))
 
     def update_exterior(self, g: GridProfile) -> None:
         self.ext_power = exterior_power_vector(self.kernel, g)
@@ -163,43 +160,3 @@ class GridOperator:
     def row_sum_scale(self) -> float:
         """Stability scale: max total outflow coefficient of a node."""
         return float(np.max(self.outflow()))
-
-    def error_estimate(self, u: np.ndarray) -> np.ndarray:
-        """Per-node bound covering midpoint-vs-cell weights and the diag fit."""
-        n = len(u)
-        est = np.zeros(n)
-        for l in range(1, n):
-            d = self._w_err[l - 1] * np.abs(u[l:] - u[:-l])
-            est[l:] += d
-            est[:-l] += d
-        d2 = np.zeros(n)
-        d2[1:-1] = np.abs(u[2:] + u[:-2] - 2 * u[1:-1])
-        return est + d2 * self.diag_coef + 64 * np.finfo(float).eps
-
-
-def eval_lk_grid(kernel: KernelSpec, g: GridProfile,
-                 check_coarse: bool = True,
-                 op: GridOperator | None = None):
-    """Operator values and error estimates at every node.
-
-    The error estimate covers the difference against a brute-force double sum
-    with midpoint weights, plus half the diagonal correction. Raises
-    GridTooCoarse when the singular-cell correction dominates the assembled
-    sum on most interior nodes.
-    """
-    if op is None:
-        op = GridOperator(kernel, g)
-    op.update_exterior(g)
-    values = op.apply(g.values)
-    errors = op.error_estimate(g.values)
-    if check_coarse:
-        n = len(g.values)
-        u = g.values
-        diag = np.zeros(n)
-        diag[1:-1] = (u[2:] + u[:-2] - 2 * u[1:-1]) * op.diag_coef
-        rest = np.abs(values - diag) + 1e-300
-        bad = np.abs(diag) > rest
-        if n > 8 and np.count_nonzero(bad[1:-1]) > 0.5 * (n - 2):
-            raise GridTooCoarse(
-                "singular-cell correction dominates the assembled sum")
-    return values, errors

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import legint, legval, legvander
 
-from .errors import BridgeNotPositive, DegenerateOscillation, SampleOutsideWell
+from .errors import BridgeNotPositive, DegenerateOscillation
 from .jets import hermite_bridge
 from .panels import gauss_rule
 from .reports import SIDE_LABEL, CheckRecord
@@ -238,21 +238,6 @@ class PotentialFn:
         t = np.linspace(-1.0, 1.0, n)
         return float(np.max(np.abs(self.W2(t))))
 
-    def holder_spotcheck_w2(self, n: int = 400) -> dict:
-        """Divided-difference Hölder estimate of W'' near each well (report only)."""
-        p = self.params
-        theta = min(min(p.beta, p.delta) - 2.0, 1.0)
-        out = {}
-        d = np.geomspace(1e-8, p.mu / 4, n)
-        for side in (-1, 1):
-            t1, t2 = side * (1.0 - d), side * (1.0 - 2 * d)
-            num = np.abs(self.W2(t2) - self.W2(t1))
-            den = np.abs(t2 - t1) ** theta if theta > 0 else np.ones_like(d)
-            ratio = num / den if theta > 0 else num
-            out[SIDE_LABEL[side]] = float(np.max(ratio))
-        out["theta"] = theta
-        return out
-
 
 def make_potential(params: WellParams) -> PotentialFn:
     """Assemble W from the well data and a positive degree-5 middle bridge."""
@@ -329,70 +314,27 @@ def _to_unit_monomial(coef_window: np.ndarray) -> np.ndarray:
     return out
 
 
-def _increment_record(side, slack, r, t) -> CheckRecord:
-    i = int(np.argmin(slack))
-    return CheckRecord(f"well-increment-bounds-{side}",
-                       bool(slack[i] >= -1e-12), float(slack[i]),
-                       f"r={r[i]:.12g},t={t[i]:.12g}")
+def well_envelope_records(pot: PotentialFn) -> list[CheckRecord]:
+    """The theorem's hypothesis on W: c_lo v^(g-2) <= W''(t) <= c_hi v^(d-2)
+    near each well, with v = 1 - s t, on 1000 gaps geometric in [1e-10, mu].
 
-
-def check_well_increment_bounds(pot: PotentialFn, samples) -> list[CheckRecord]:
-    """Two-sided integrated bounds on W(t)-W(r) and W'(t)-W'(r) in the wells.
-
-    Each sample is an (r, t) pair with r <= t, both inside one well interval.
-    Each well with samples gives one record `well-increment-bounds-{side}`,
-    left before right: the worst slack over its pairs, which passes down to
-    -1e-12, located at its worst pair.
+    Each well gives one record `well-envelope-{side}`, left before right.
+    Its slack is relative: the minimum over the gaps of
+    (W'' - c_lo v^(g-2)) / W'' and (c_hi v^(d-2) - W'') / W''. It passes at
+    slack >= 0 and is located at the worst gap.
     """
     p = pot.params
-    mu = p.mu
-    pairs = {-1: [], 1: []}
-    for (r, t) in samples:
-        if r > t:
-            r, t = t, r
-        for s in (-1, 1):
-            near, far = (s * r, s * t)[::s]
-            if 1.0 - mu <= near <= far <= 1.0:
-                pairs[s].append((r, t))
-                break
-        else:
-            raise SampleOutsideWell(f"pair ({r}, {t}) not inside a well interval")
-
-    reports = []
-    for s in (-1, 1):
-        if not pairs[s]:
-            continue
-        arr = np.array(pairs[s])
-        r, t = arr[:, 0], arr[:, 1]
-        dW = pot.W(t) - pot.W(r)
-        dW1 = pot.W1(t) - pot.W1(r)
-        g, d, c_lo, c_hi = p.side(s)
-        # distances to the well; W'' > 0 there, so W'(t) - W'(r) is the
-        # envelope integrated from the nearer distance to the farther
-        vr, vt = 1.0 - s * r, 1.0 - s * t
-        v_in, v_out = np.minimum(vr, vt), np.maximum(vr, vt)
-        lo1 = c_lo / (g - 1) * (v_out ** (g - 1) - v_in ** (g - 1))
-        hi1 = c_hi / (d - 1) * (v_out ** (d - 1) - v_in ** (d - 1))
-        # W's increments are negative near +1, which puts the (c_hi, d)
-        # expression below and the (c_lo, g) expression above
-        lo0, hi0 = (c_lo / (g * (g - 1)) * (vt ** g - vr ** g),
-                    c_hi / (d * (d - 1)) * (vt ** d - vr ** d))[::-s]
-        slack = np.minimum(np.minimum(dW - lo0, hi0 - dW),
-                           np.minimum(dW1 - lo1, hi1 - dW1))
-        reports.append(_increment_record(SIDE_LABEL[s], slack, r, t))
-    return reports
-
-
-def envelope_slack(pot: PotentialFn, n: int = 1000) -> float:
-    """Worst signed violation of the two-sided W'' envelope (<= 0 passes)."""
-    p = pot.params
-    worst = -np.inf
+    out = []
     for s in (-1, 1):
         g, d, c_lo, c_hi = p.side(s)
-        t = s * (1.0 - np.geomspace(1e-10, p.mu, n))
+        t = s * (1.0 - np.geomspace(1e-10, p.mu, 1000))
         # the envelopes take the gap that t realizes after rounding
         v = 1.0 - s * t
         w2 = pot.W2(t)
-        worst = max(worst, float(np.max(c_lo * v ** (g - 2.0) - w2)),
-                    float(np.max(w2 - c_hi * v ** (d - 2.0))))
-    return worst
+        slack = np.minimum(w2 - c_lo * v ** (g - 2.0),
+                           c_hi * v ** (d - 2.0) - w2) / w2
+        i = int(np.argmin(slack))
+        out.append(CheckRecord(f"well-envelope-{SIDE_LABEL[s]}",
+                               bool(slack[i] >= 0.0), float(slack[i]),
+                               f"gap={v[i]:.12g}"))
+    return out

@@ -119,25 +119,6 @@ class ProfileFn:
         )
 
 
-def combine(a: float, u: ProfileFn, b: float, v: ProfileFn) -> ProfileFn:
-    """a*u + b*v with whatever derivatives both factors can supply."""
-    nder = min(len(u.derivs), len(v.derivs))
-    derivs = tuple(
-        (lambda du, dv: (lambda x: a * du(x) + b * dv(x)))(u.derivs[i], v.derivs[i])
-        for i in range(nder))
-    lu = u.limits or (0.0, 0.0)
-    lv = v.limits or (0.0, 0.0)
-    limits = (a * lu[0] + b * lv[0], a * lu[1] + b * lv[1])
-    return ProfileFn(
-        fn=lambda x: a * u(x) + b * v(x),
-        derivs=derivs,
-        limits=limits,
-        tail=None,
-        features=u.features + v.features,
-        name=f"{a}*{u.name}+{b}*{v.name}",
-    )
-
-
 def constant(c: float) -> ProfileFn:
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return ProfileFn(

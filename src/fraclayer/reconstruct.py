@@ -246,11 +246,13 @@ def verify_potential_regularity(tab: PotentialTable,
         slope = np.polyfit(np.log(gap[good]), np.log(proxy[good]), 1)[0]
         return float(slope)
 
-    gap_r = 1.0 - 0.5 * (r[:-1] + r[1:])
-    gap_l = 1.0 + 0.5 * (r[:-1] + r[1:])
-    right_slope = trend(gap_r[-n_fit:], dV2[-n_fit:])
-    left_slope = trend(gap_l[:n_fit], dV2[:n_fit])
-    slack = min(right_slope, left_slope) - 0.2
+    mid = 0.5 * (r[:-1] + r[1:])
+    slopes = []
+    for s in (1, -1):
+        # the n_fit intervals nearest the well at s, in table order
+        near = slice(-n_fit, None) if s > 0 else slice(n_fit)
+        slopes.append(trend(1.0 - s * mid[near], dV2[near]))
+    slack = min(slopes) - 0.2
     if not (math.isfinite(lip) and math.isfinite(slack)):
         slack = -math.inf
     return CheckRecord("curvature-regularity", slack > 0.0, slack,

@@ -80,6 +80,11 @@ def test_solve_and_fit_decay(tmp_path):
     cfgp = _cfg(tmp_path)
     assert main(["solve", "--config", cfgp, "--out", str(tmp_path)]) == 0
     assert (tmp_path / "solution.csv").exists()
+    rep = json.loads((tmp_path / "solve_report.json").read_text())
+    envelopes = [c for c in rep["checks"]
+                 if c["id"].startswith("well-envelope-")]
+    assert [(c["id"], c["pass"]) for c in envelopes] == [
+        ("well-envelope-left", True), ("well-envelope-right", True)]
     conv = json.loads((tmp_path / "convergence.json").read_text())
     assert conv["final-residual"] < 2e-5
     # one residual per pass, one tau and Krylov count per step

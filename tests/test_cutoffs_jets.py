@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import fraclayer
-from fraclayer.cutoffs import (BETA44, eta, eta_derivs, eta_tilde,
-                               measure_cutoff, smoothstep, w_weight,
+from fraclayer.cutoffs import (BETA44, _smoothstep_upto, eta, eta_derivs,
+                               eta_tilde, measure_cutoff, w_weight,
                                w_weight_argmax)
 from fraclayer import verify_construction as vc
 
@@ -51,11 +51,13 @@ def test_smoothstep_matches_mpmath():
         ref = np.array([[float(d) for d in mp.diffs(S, mp.mpf(float(x)), 4)]
                         for x in r]).T
     for k in range(5):
-        err = np.max(np.abs(smoothstep(r, k) - ref[k]))
+        err = np.max(np.abs(_smoothstep_upto(r, k)[k] - ref[k]))
         assert err <= 1e-14 * np.max(np.abs(ref[k])), k
-    assert np.all(smoothstep(np.array([-1.0, 0.0, 1.0, 2.0])) == [0, 0, 1, 1])
+    steps = _smoothstep_upto(np.array([-1.0, 0.0, 1.0, 2.0]), 0)[0]
+    assert np.all(steps == [0, 0, 1, 1])
     for k in range(1, 5):
-        assert np.all(smoothstep(np.array([0.0, 1e-300, 1.0]), k) == 0.0)
+        ends = _smoothstep_upto(np.array([0.0, 1e-300, 1.0]), k)[k]
+        assert np.all(ends == 0.0)
 
 
 def test_eta_endpoints_exact_and_orders_in_one_pass():

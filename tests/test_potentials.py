@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fraclayer.errors import DegenerateOscillation, SampleOutsideWell
+from fraclayer.errors import DegenerateOscillation
 from fraclayer.potentials import (WellParams, _LogAxisCumulative,
-                                  check_well_increment_bounds,
-                                  envelope_slack, make_potential)
+                                  make_potential, well_envelope_records)
 
 QUARTIC = WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2, c2=2, c3=2,
                      c4=2, mu=0.5)
@@ -19,6 +18,10 @@ OSC = WellParams(alpha=5.8, beta=5.0, gamma=5.5, delta=5.0, mode="oscillatory")
 # criterion 9c's wells
 OSC_9C = WellParams(alpha=4.5, beta=4.0, gamma=4.5, delta=4.0,
                     mode="oscillatory")
+# pure-power wells with four different constants
+MIXED_POWER = WellParams(alpha=3.0, beta=3.0, gamma=4.0, delta=4.0, c1=1.5,
+                         c2=2.0, c3=0.5, c4=3.0, mu=0.4)
+ENVELOPE_IDS = ["well-envelope-left", "well-envelope-right"]
 
 
 def test_param_validation():
@@ -33,13 +36,22 @@ def test_param_validation():
 
 
 def test_quartic_closed_form():
-    pot = make_potential(QUARTIC)
-    t = 0.99
-    assert pot.W(t) == pytest.approx((1 - t) ** 2, rel=1e-12)
-    assert pot.W(1.0) == 0.0
-    assert pot.W(-1.0) == 0.0
-    assert abs(pot.W1(-1.0)) < 1e-12
-    assert abs(pot.W1(1.0)) < 1e-12
+    """Pure-power wells against W = c v^a / (a (a-1)) and
+    W' = -s c v^(a-1) / (a-1) on a geometric ladder of gaps v = 1 - s t in
+    both wells, with (a, c) = (alpha, c1) at -1 and (gamma, c3) at +1."""
+    for p in (QUARTIC, MIXED_POWER):
+        pot = make_potential(p)
+        for s in (-1, 1):
+            a, _, c, _ = p.side(s)
+            t = s * (1.0 - np.geomspace(1e-12, p.mu, 60))
+            v = 1.0 - s * t     # the gap that the rounded t realizes
+            np.testing.assert_allclose(pot.W(t), c * v ** a / (a * (a - 1)),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(pot.W1(t),
+                                       -s * c * v ** (a - 1) / (a - 1),
+                                       rtol=1e-12, atol=0)
+            assert pot.W(float(s)) == 0.0
+            assert abs(pot.W1(float(s))) < 1e-12
 
 
 def test_positivity_inside():
@@ -50,7 +62,9 @@ def test_positivity_inside():
 
 def test_oscillatory_envelope_with_unit_constants():
     pot = make_potential(OSC)
-    assert envelope_slack(pot) <= 1e-12
+    recs = well_envelope_records(pot)
+    assert [r.id for r in recs] == ENVELOPE_IDS
+    assert all(r.passed for r in recs)
     d = np.geomspace(1e-9, OSC.mu, 1000)
     ratio = pot.W2(-1.0 + d) * d ** (2.0 - OSC.beta)
     assert np.all(ratio <= 1.0 + 1e-12)
@@ -67,36 +81,23 @@ def test_derivatives_consistent_fd():
     assert np.max(np.abs(fd2 - pot.W2(ts)) / np.abs(pot.W2(ts))) < 1e-4
 
 
-def test_increment_bounds_on_pairs(rng):
-    pot = make_potential(OSC)
-    r = -1 + 0.5 * rng.random(1000)
-    t = r + (-0.5 - r) * rng.random(1000)
-    reps = check_well_increment_bounds(pot, list(zip(r, t)))
-    r2 = 0.5 + 0.5 * rng.random(1000)
-    t2 = r2 + (1 - r2) * rng.random(1000)
-    reps += check_well_increment_bounds(pot, list(zip(r2, t2)))
-    assert all(rep.passed for rep in reps)
+def test_pure_power_bounds_coincide():
+    """Pure-power W'' is c_lo v^(g-2) exactly: the lower envelope is met
+    with zero slack, and with c1 = c2 and c3 = c4 the upper one too."""
+    for p in (QUARTIC, MIXED_POWER):
+        recs = well_envelope_records(make_potential(p))
+        assert [(r.id, r.passed, r.worst_slack) for r in recs] == [
+            (i, True, 0.0) for i in ENVELOPE_IDS]
 
 
-def test_increment_bounds_equal_pair():
-    pot = make_potential(QUARTIC)
-    reps = check_well_increment_bounds(pot, [(-0.7, -0.7)])
-    assert reps[0].passed and reps[0].worst_slack == 0.0
-
-
-def test_sample_outside_well():
-    pot = make_potential(QUARTIC)
-    with pytest.raises(SampleOutsideWell):
-        check_well_increment_bounds(pot, [(-0.2, 0.2)])
-
-
-def test_pure_power_bounds_coincide(rng):
-    pot = make_potential(QUARTIC)
-    r = -1 + 0.5 * rng.random(100)
-    t = np.minimum(r + 0.4 * rng.random(100), -0.5)
-    t = np.maximum(t, r)
-    reps = check_well_increment_bounds(pot, list(zip(r, t)))
-    assert all(rep.passed for rep in reps)
+@pytest.mark.parametrize("p", [QUARTIC, MIXED_POWER, OSC],
+                         ids=["quartic", "mixed-power", "osc"])
+def test_halved_curvature_fails_both_envelopes(p):
+    pot = make_potential(p)
+    half = dataclasses.replace(pot, W2=lambda t: 0.5 * pot.W2(t))
+    recs = well_envelope_records(half)
+    assert [r.id for r in recs] == ENVELOPE_IDS
+    assert all(not r.passed and r.worst_slack < 0.0 for r in recs)
 
 
 def test_symmetric_params_give_even_potential():
@@ -113,33 +114,17 @@ def _swapped(p: WellParams) -> WellParams:
                                c4=p.c2)
 
 
-@pytest.mark.parametrize("p", [
-    WellParams(alpha=3.0, beta=3.0, gamma=4.0, delta=4.0, c1=1.5, c2=2.0,
-               c3=0.5, c4=3.0, mu=0.4), OSC], ids=["pure-power", "osc"])
-def test_swapping_the_wells_mirrors_the_bounds(p, rng):
-    """Swapped wells and mirrored pairs (r, t) -> (-t, -r) give the same
-    increment-bound and envelope slacks, with the sides exchanged."""
-    pot, mirr = make_potential(p), make_potential(_swapped(p))
-    r, t = np.sort(p.mu * rng.random((2, 300)), axis=0)
-    pairs = list(zip(-1.0 + r, -1.0 + t)) + list(zip(1.0 - t, 1.0 - r))
-    reps = check_well_increment_bounds(pot, pairs)
-    back = check_well_increment_bounds(mirr, [(-b, -a) for a, b in pairs])
-    assert [rep.id for rep in reps] == ["well-increment-bounds-left",
-                                        "well-increment-bounds-right"]
-    for rep, rev in zip(reps, back[::-1]):
-        assert (rev.passed, rev.worst_slack) == (rep.passed, rep.worst_slack)
-        a, b = (float(v.split("=")[1]) for v in rep.location.split(","))
-        assert rev.location == f"r={-b:.12g},t={-a:.12g}"
-    assert envelope_slack(mirr) == envelope_slack(pot)
-    hold, hold_m = pot.holder_spotcheck_w2(), mirr.holder_spotcheck_w2()
-    assert (hold_m["left"], hold_m["right"]) == (hold["right"], hold["left"])
-
-
-def test_holder_spotcheck_reports():
-    pot = make_potential(OSC)
-    rep = pot.holder_spotcheck_w2()
-    assert rep["theta"] == 1.0
-    assert np.isfinite(rep["left"]) and np.isfinite(rep["right"])
+@pytest.mark.parametrize("p", [MIXED_POWER, OSC], ids=["pure-power", "osc"])
+def test_swapping_the_wells_mirrors_the_bounds(p):
+    """Swapped wells give the same envelope records, bit for bit, with the
+    left and right records exchanged."""
+    recs = well_envelope_records(make_potential(p))
+    back = well_envelope_records(make_potential(_swapped(p)))
+    assert [r.id for r in recs] == [r.id for r in back] == ENVELOPE_IDS
+    for rec, rev in zip(recs, back[::-1]):
+        assert (rev.passed, rev.worst_slack, rev.location) == (
+            rec.passed, rec.worst_slack, rec.location)
+    assert all(r.passed for r in recs)
 
 
 def test_config_roundtrip():
@@ -158,7 +143,9 @@ def test_oscillatory_family_contracts(base, spread, mu):
     p = WellParams(alpha=alpha, beta=beta, gamma=alpha, delta=beta,
                    mu=mu, mode="oscillatory")
     pot = make_potential(p)
-    assert envelope_slack(pot, n=200) <= 1e-10
+    recs = well_envelope_records(pot)
+    assert [r.id for r in recs] == ENVELOPE_IDS
+    assert all(r.passed for r in recs)
     t = np.linspace(-0.999, 0.999, 501)
     assert np.min(pot.W(t)) > 0.0
 

@@ -81,8 +81,14 @@ def test_linearity(kernel_half):
     x = 0.8
     lu = eval_lk(kernel_half, u, x, CFG)
     lv = eval_lk(kernel_half, v, x, CFG)
-    lc = eval_lk(kernel_half, pr.combine(a, u, b, v), x,
-                 QuadConfig(tol=1e-4))
+    # a u + b v with the derivatives of both and no tail model
+    combo = pr.ProfileFn(
+        fn=lambda y: a * u(y) + b * v(y),
+        derivs=tuple((lambda du, dv: lambda y: a * du(y) + b * dv(y))(du, dv)
+                     for du, dv in zip(u.derivs, v.derivs)),
+        limits=tuple(a * p + b * q for p, q in zip(u.limits, v.limits)),
+        features=u.features + v.features)
+    lc = eval_lk(kernel_half, combo, x, QuadConfig(tol=1e-4))
     assert lc.value == pytest.approx(a * lu.value + b * lv.value,
                                      abs=3 * (abs(a) * lu.error
                                               + abs(b) * lv.error + lc.error

@@ -27,8 +27,7 @@ and once:
   envelope records);
 - for a pure-power well pair with four different constants and for the
   oscillatory wells (5.8, 5 | 5.5, 5): W, W' and W'' on a uniform and a
-  graded grid in [-1, 1], `check_well_increment_bounds` on seeded pairs in
-  both wells, `envelope_slack` and `holder_spotcheck_w2`;
+  graded grid in [-1, 1], and the `well_envelope_records`;
 - `minimize_energy` under the s = 0.5 kernel over [-60, 60] with 256
   nodes, tol 2e-5, on quartic wells (c = 2) and on wells with a quadratic
   left and a cubic right degeneracy: values, exterior models, iteration
@@ -89,8 +88,8 @@ def _reconstruction(out: dict, prof) -> None:
 
 
 def _potentials(out: dict) -> None:
-    from fraclayer.potentials import (WellParams, check_well_increment_bounds,
-                                      envelope_slack, make_potential)
+    from fraclayer.potentials import (WellParams, make_potential,
+                                      well_envelope_records)
 
     wells = {
         "power": WellParams(alpha=3.0, beta=3.0, gamma=4.0, delta=4.0,
@@ -99,20 +98,12 @@ def _potentials(out: dict) -> None:
                                   mode="oscillatory")}
     ladder = 1.0 - np.geomspace(1e-12, 0.9, 500)
     t = np.concatenate([np.linspace(-1.0, 1.0, 4001), ladder, -ladder])
-    rng = np.random.default_rng(11)
     for name, p in wells.items():
         pot = make_potential(p)
         for m, f in enumerate((pot.W, pot.W1, pot.W2)):
             out[f"{name}/W{m}"] = f(t)
         out[f"{name}/W0_scalar"] = np.array([pot.W(v) for v in t[::97]])
-        v = p.mu * rng.random((2, 400))
-        r, q = np.sort(v, axis=0)
-        pairs = list(zip(-1.0 + r, -1.0 + q)) + list(zip(1.0 - q, 1.0 - r))
-        _records(out, f"{name}/increment_bounds",
-                 check_well_increment_bounds(pot, pairs))
-        out[f"{name}/envelope_slack"] = np.array(envelope_slack(pot))
-        for key, val in pot.holder_spotcheck_w2().items():
-            out[f"{name}/holder/{key}"] = np.array(val)
+        _records(out, f"{name}/well_envelope", well_envelope_records(pot))
 
 
 def _solver(out: dict) -> None:
