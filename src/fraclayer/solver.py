@@ -72,44 +72,17 @@ def make_grid(L: float, n: int, init: str = "tanh",
 
 def energy(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
            op: GridOperator | None = None) -> float:
-    """(1/4) sum_{(i,j) not both exterior} (u_i - u_j)^2 w_ij + h sum W(u_i).
-
-    Interior pair weights are the exact kernel integrals over the partner
-    cell times the cell width h; each interior-exterior pair appears twice
-    with the constant far-field levels. The interior double sum equals
-    -2 u . (T u - r u), with T the operator's Toeplitz part and r its row
-    sums, so it costs one FFT matvec.
-    """
-    h = g.h
-    u = g.values
-    if op is None:
-        op = GridOperator(kernel, g)
-    inter = -2.0 * float(np.dot(u, op.toeplitz_apply(u) - op.row_sums * u))
-    ext = 2.0 * float(np.dot((u - g.ext_left.limit) ** 2, op.wl)
-                      + np.dot((u - g.ext_right.limit) ** 2, op.wr))
-    return 0.25 * h * (inter + ext) + h * float(np.sum(pot.W(u)))
-
-
-def _lyapunov_from_energy(e: float, g: GridProfile,
-                          op: GridOperator) -> float:
-    """Add the diagonal-cell and exterior power-correction terms to e."""
-    u = g.values
-    h = g.h
-    e += 0.5 * h * op.diag_coef * float(np.sum(np.diff(u) ** 2))
-    e -= h * float(np.dot(op.ext_power, u))
-    return e
+    """The discrete energy of g (GridOperator.energy); a given op must have
+    seen g's exterior models."""
+    op = op if op is not None else GridOperator(kernel, g)
+    return op.energy(g.values, pot.W(g.values))
 
 
 def lyapunov(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
              op: GridOperator) -> float:
-    """Gradient-consistent functional the descent actually decreases.
-
-    Adds to the energy the diagonal-cell quadratic term and the linear
-    exterior power-correction term, whose gradients the operator carries;
-    the latter is the power vector of op's last update_exterior, which must
-    have seen g's exterior models.
-    """
-    return _lyapunov_from_energy(energy(g, pot, kernel, op), g, op)
+    """The functional the descent decreases (GridOperator.lyapunov); op
+    must have seen g's exterior models."""
+    return op.lyapunov(g.values, energy(g, pot, kernel, op))
 
 
 def _outer_gap(g: GridProfile, side: int, m: int):
@@ -222,16 +195,16 @@ def gmres(matvec, b: np.ndarray, precond):
     return x, its
 
 
-def _step(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
-          op: GridOperator, F: np.ndarray, tau: float, tau0: float,
-          ref: float, it: int):
+def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
+          F: np.ndarray, tau: float, tau0: float, ref: float, it: int):
     """Take step `it` from g.values: solve (I/tau - J) delta = F by GMRES
     and set g.values to sort(clamp(u + delta, -1, 1)), halving tau, down to
     tau0, while that raises the Lyapunov functional beyond DIVERGENCE_SLACK
-    over ref. The preconditioner is op's circulant of -L's linear part,
-    shifted by 1/tau + mean(max(W''(u), 0)): it carries the operator's
-    |xi|^(2s) spectrum, which a diagonal cannot. Returns the tau taken, the
-    new plain and Lyapunov energies, the GMRES iterations and the halvings.
+    over ref. The preconditioner is op.precondition, the circulant of -L's
+    linear part shifted by 1/tau + mean(max(W''(u), 0)): it carries the
+    operator's |xi|^(2s) spectrum, which a diagonal cannot. Returns the tau
+    taken, the new plain and Lyapunov energies, the GMRES iterations and the
+    halvings.
     The step's vectors are freed on return, before the exterior refit, whose
     quadrature sets a solve's peak memory.
     """
@@ -242,12 +215,12 @@ def _step(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     while True:
         shift = 1.0 / tau + w2_mean
         delta, k = gmres(
-            lambda v: v / tau + w2 * v - (op.apply(v) - op.offset), F,
-            lambda v: op.circulant_solve(v, shift))
+            lambda v: v / tau + w2 * v - op.jacobian_apply(v), F,
+            lambda v: op.precondition(v, shift))
         krylov += k
         g.values = np.sort(np.clip(u + delta, -1.0, 1.0))
-        e_plain = energy(g, pot, kernel, op)
-        e = _lyapunov_from_energy(e_plain, g, op)
+        e_plain = op.energy(g.values, pot.W(g.values))
+        e = op.lyapunov(g.values, e_plain)
         if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
             return tau, e_plain, e, krylov, halvings
         if tau <= tau0:
@@ -265,18 +238,14 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     unless it has converged, takes one step: it solves (I/tau - J) delta = F,
     with J v = (L v - offset) - W''(u) v, by GMRES to KRYLOV_RTOL under the
     circulant preconditioner C + 1/tau + mean(max(W''(u), 0)), C the
-    circulant of -L's linear part (GridOperator.circulant_solve), and sets
+    circulant of -L's linear part (GridOperator.precondition), and sets
     u <- sort(clamp(u + delta, -1, 1)). tau_0 is the explicit descent's
     stable step and its floor; tau grows by switched evolution relaxation,
     tau <- tau clamp(r_old / r_new, SER_CLAMP), r the interior sup residual,
-    up to 1 / (eps min diag(-L)). The circulant's eigenvalues are the
-    differences mean(diag(-L)) - (FFT of the lag weights), exact only to
-    about eps diag(-L), and every node's diag(-L) is near the kernel mass
-    beyond h/2; so a shift 1/tau below that is lost in their rounding, as
-    it is in the diagonal of I/tau - J. A step that raises the Lyapunov
-    functional beyond DIVERGENCE_SLACK is retried with tau halved, down to
-    tau_0; one that still raises it there raises Diverged. The sort is
-    recorded as a projection, not proven energy-decreasing.
+    up to the cap of GridOperator.tau_bounds. A step that raises the
+    Lyapunov functional beyond DIVERGENCE_SLACK is retried with tau halved,
+    down to tau_0; one that still raises it there raises Diverged. The sort
+    is recorded as a projection, not proven energy-decreasing.
 
     The exterior power models are refit every REFIT_EVERY steps, and
     convergence (residual < cfg.tol) is declared only right after a refit
@@ -287,10 +256,10 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     """
     g = g0.copy_with(g0.values.copy())
     op = GridOperator(kernel, g)
-    tau0 = tau = 0.4 / (op.row_sum_scale() + pot.max_w2())
-    tau_max = 1.0 / (np.finfo(float).eps * float(np.min(op.outflow())))
-    e_plain = energy(g, pot, kernel, op)
-    ref = _lyapunov_from_energy(e_plain, g, op)
+    tau0, tau_max = op.tau_bounds(pot.max_w2())
+    tau = tau0
+    e_plain = op.energy(g.values, pot.W(g.values))
+    ref = op.lyapunov(g.values, e_plain)
     res = SolveResult(profile=g, iterations=0, residual=np.inf,
                       energy_trace=[e_plain], converged=False)
     resid = np.inf
@@ -309,7 +278,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
             g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
             op.update_exterior(g)
             # the plain energy does not depend on the exterior power model
-            ref = _lyapunov_from_energy(e_plain, g, op)
+            ref = op.lyapunov(u, e_plain)
             F = op.apply(u) - w1
             resid = float(np.max(np.abs(F[1:-1])))
             res.refit_steps.append(it)
@@ -318,7 +287,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
         if resid < cfg.tol:
             break
         tau, e_plain, ref, krylov, halvings = _step(
-            g, pot, kernel, op, F, tau, tau0, ref, it)
+            g, pot, op, F, tau, tau0, ref, it)
         res.rejected_steps += halvings
         res.tau_trace.append(tau)
         res.krylov_iterations.append(krylov)

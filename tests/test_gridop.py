@@ -49,12 +49,14 @@ def test_exterior_power_correction_direction(kernel_half):
 def test_uniformity_check_accepts_fine_linspace_grids(L, k):
     from fraclayer.solver import make_grid
 
+    kern = fractional_kernel(0.5)
     g = make_grid(L, 2 ** k)
-    assert len(g.x) == 2 ** k
+    assert len(GridOperator(kern, g).w) == 2 ** k - 1
     x = g.x.copy()
-    x[len(x) // 3] += 1e-6 * g.h          # one interior node off the grid
+    x[len(x) // 3] += 1e-6 * (x[1] - x[0])   # one interior node off the grid
+    off = GridProfile(x, g.values)
     with pytest.raises(ValueError, match="uniform"):
-        GridProfile(x, g.values)
+        GridOperator(kern, off)
 
 
 def test_lag_weights_match_interval(kernel_half):
@@ -75,7 +77,8 @@ def test_exterior_power_vector_matches_per_node_calls():
     x = np.linspace(-20.0, 20.0, 41)
     g = GridProfile(x, np.tanh(x), ExteriorModel(-1.0, 0.3, 1.3),
                     ExteriorModel(1.0, -0.4, 0.8))
-    lo, hi = g.edges
+    h = x[1] - x[0]
+    lo, hi = x[0] - h / 2, x[-1] + h / 2
     for kern in (fractional_kernel(0.4), perturbed_kernel(0.4, 0.5, 2.0)):
         each = [-0.4 * kern.power_tail_integral(hi - xi, xi, 0.8, 1.0)
                 + 0.3 * kern.power_tail_integral(xi - lo, xi, 1.3, -1.0)
@@ -87,7 +90,7 @@ def test_exterior_power_vector_matches_per_node_calls():
 def _dense_reference(kern, g):
     """The dense assembly: M (n x n) and the offset."""
     n = len(g.x)
-    h = g.h
+    h = g.x[1] - g.x[0]
     w = lag_weights(kern, h, n)
     M = toeplitz(np.concatenate([[0.0], w]))
     wl, wr = exterior_constant_weights(kern, g)
@@ -114,10 +117,15 @@ def test_fft_operator_matches_dense_toeplitz(kern, n):
                     ExteriorModel(1.0, -0.4, 0.8))
     M, offset = _dense_reference(kern, g)
     op = GridOperator(kern, g)
-    assert op.row_sum_scale() == pytest.approx(np.max(-np.diag(M)),
-                                               rel=1e-13)
+    outflow = -np.diag(M)
+    assert op.tau_bounds(0.0) == pytest.approx(
+        (0.4 / np.max(outflow), 1.0 / (np.finfo(float).eps * np.min(outflow))),
+        rel=1e-13)
+    scale = np.max(outflow)
     np.testing.assert_allclose(op.apply(u), M @ u + offset, rtol=0,
-                               atol=1e-12 * op.row_sum_scale())
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(op.jacobian_apply(u), M @ u, rtol=0,
+                               atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("kern", [fractional_kernel(0.5),
@@ -150,6 +158,6 @@ def test_circulant_solve_inverts_the_dense_circulant(kern, rng):
     col[[1, -1]] -= op.diag_coef
     v = rng.standard_normal(n)
     ref = np.linalg.solve(circulant(col), np.concatenate([v, np.zeros(m - n)]))
-    got = op.circulant_solve(v, shift)
+    got = op.precondition(v, shift)
     np.testing.assert_allclose(got, ref[:n], rtol=0,
                                atol=1e-12 * np.max(np.abs(ref)))

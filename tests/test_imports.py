@@ -1,8 +1,8 @@
 """Every module-level import in src/fraclayer is used by its module, every
 top-level def and class in it is named somewhere else in the program (src,
 perfbench or tools), the third-party modules it imports are exactly the
-declared dependencies, and a run of the program loads neither scipy nor
-mpmath."""
+declared dependencies, the solver reads a grid only through the operator
+interface, and a run of the program loads neither scipy nor mpmath."""
 
 import ast
 import os
@@ -128,6 +128,35 @@ def test_every_def_is_named_elsewhere():
     """Program code only: a def that only tests name is dead."""
     assert _unreferenced_defs(PACKAGE, [ROOT / d for d in (
         "src", "perfbench", "tools")]) == []
+
+
+# what solver.py may read of the grid operator (op) and of a GridProfile
+# (g, g0): the interface an operator on another grid implements
+SOLVER_READS = {
+    "op": {"apply", "update_exterior", "energy", "lyapunov", "jacobian_apply",
+           "precondition", "tau_bounds"},
+    "g": {"x", "values", "ext_left", "ext_right", "copy_with"},
+}
+SOLVER_READS["g0"] = SOLVER_READS["g"]
+
+
+def _foreign_reads(source: str) -> list:
+    """Attributes of op, g or g0 that the source uses outside SOLVER_READS."""
+    return [f"{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.attr not in SOLVER_READS.get(node.value.id, {node.attr})]
+
+
+def test_interface_check_flags_a_grid_internal():
+    source = ("def f(g, op, u):\n    e = op.energy(u, g.values)\n"
+              "    return e + g.h * op.offset[0] + u.size\n")
+    assert _foreign_reads(source) == ["3: g.h", "3: op.offset"]
+
+
+def test_solver_reads_the_grid_through_the_operator_interface():
+    assert _foreign_reads((PACKAGE / "solver.py").read_text()) == []
 
 
 def _third_party_imports(package: Path) -> set:

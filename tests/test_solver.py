@@ -21,7 +21,7 @@ QUARTIC = WellParams(alpha=2, beta=2, gamma=2, delta=2, c1=2, c2=2, c3=2,
 def energy_bruteforce(g, pot, kernel) -> float:
     """Naive double-loop evaluation of the solver's discrete functional."""
     n = len(g.x)
-    h = g.h
+    h = g.x[1] - g.x[0]
     u = g.values
     w = lag_weights(kernel, h, n)
     acc = 0.0
@@ -96,7 +96,7 @@ def test_interface_cross_energy(kernel_half_mod):
     assert e == pytest.approx(energy_bruteforce(g, pot, kernel_half_mod),
                               rel=1e-12)
     op = GridOperator(kernel_half_mod, g)
-    ref = 0.25 * g.h * float(np.sum(2.0 * 4.0 * op.wl))
+    ref = 0.25 * (x[1] - x[0]) * float(np.sum(2.0 * 4.0 * op.wl))
     assert e == pytest.approx(ref, rel=1e-12)
 
 
@@ -107,7 +107,7 @@ def test_solver_converges_and_is_monotone(small_solution, kernel_half_mod):
     assert el_residual(res.profile, pot, kernel_half_mod) < 1e-4
     # recentring pins the interpolated zero crossing
     z = np.interp(0.0, res.profile.values, res.profile.x)
-    assert abs(z) < res.profile.h
+    assert abs(z) < res.profile.x[1] - res.profile.x[0]
 
 
 def test_energy_descent_trace(small_solution):
@@ -164,7 +164,7 @@ def test_projection_consistency(small_solution, kernel_half_mod):
     pot, res = small_solution
     op = GridOperator(kernel_half_mod, res.profile)
     r = op.apply(res.profile.values) - pot.W1(res.profile.values)
-    tau = 0.4 / (op.row_sum_scale() + pot.max_w2())
+    tau = op.tau_bounds(pot.max_w2())[0]
     stepped = np.clip(res.profile.values + tau * r, -1.0, 1.0)
     assert np.max(np.abs(stepped - res.profile.values)) < 1e-5
 
@@ -201,6 +201,37 @@ def test_fft_energy_matches_bruteforce(kern, powered, rng):
     g = GridProfile(x, u, *ext)
     assert energy(g, pot, kern) == pytest.approx(
         energy_bruteforce(g, pot, kern), rel=1e-12)
+
+
+@pytest.mark.parametrize("kern", [fractional_kernel(0.5),
+                                  perturbed_kernel(0.4, 0.5, 2.0)],
+                         ids=["fractional", "perturbed"])
+def test_lyapunov_gradient_is_the_residual(kern, rng):
+    """The central difference of the Lyapunov functional is h (W'(u) - L u)
+    at the interior nodes. The edge rows of L lack the diagonal-cell second
+    difference, so there it differs by h diag_coef (u_0 - u_1) and
+    h diag_coef (u_{n-1} - u_{n-2}). The values stay inside the wells,
+    where W is smooth: W'' jumps at +-1. At step 1e-5 both errors measure
+    below 9e-10 of max |h (W' - L u)|, and the edge terms 5e-3 to 2e-2."""
+    pot = make_potential(QUARTIC)
+    n = 101
+    x = np.linspace(-25.0, 25.0, n)
+    u = np.clip(0.8 * np.tanh(x / 3) + 0.05 * rng.standard_normal(n),
+                -0.99, 0.99)
+    g = GridProfile(x, u, ExteriorModel(-1.0, 0.3, 1.3),
+                    ExteriorModel(1.0, -0.4, 0.8))
+    op = GridOperator(kern, g)
+
+    def lyap(v):
+        return op.lyapunov(v, op.energy(v, pot.W(v)))
+
+    d = 1e-5 * np.eye(n)
+    fd = np.array([lyap(u + d[i]) - lyap(u - d[i]) for i in range(n)]) / 2e-5
+    h = x[1] - x[0]
+    grad = h * (pot.W1(u) - op.apply(u))
+    grad[[0, -1]] += h * op.diag_coef * (u[[0, -1]] - u[[1, -2]])
+    np.testing.assert_allclose(fd, grad, rtol=0,
+                               atol=1e-8 * np.max(np.abs(grad)))
 
 
 def test_operator_and_energy_memory_at_n_2_16(kernel_half_mod):
@@ -292,8 +323,7 @@ def test_convergence_waits_for_a_fresh_exterior_refit(kernel_half_mod):
     assert res.refit_steps[-1] == res.iterations
     # the last steps grow tau tenfold each, up to where 1/tau drops below
     # the preconditioner's rounding
-    cap = 1.0 / (np.finfo(float).eps
-                 * GridOperator(kernel_half_mod, g).outflow().min())
+    cap = GridOperator(kernel_half_mod, g).tau_bounds(pot.max_w2())[1]
     assert max(res.tau_trace) == pytest.approx(cap, rel=1e-12)
 
 

@@ -34,8 +34,10 @@ and once:
   count, residual and energy trace, and `tail_exponent` on both sides;
 - criterion 9's three solves as `perfbench/workloads.py`'s SOLVE_CASES
   define them (9a quartic and 9b degenerate wells at n = 2048, 9c
-  oscillatory wells at n = 4096, each at its own tolerance): the right
-  `tail_exponent`, the residual and the iteration count.
+  oscillatory wells at n = 4096, each at its own tolerance): the relaxed
+  values, the right `tail_exponent`, the residual and the iteration count;
+- for every solve, its step record: the Krylov count and tau of each step,
+  the refit passes, the rejected steps and the residual of each pass.
 
 Run it against two source trees to check that a refactor keeps every
 number: `compare` exits 1 and names each array that differs
@@ -106,6 +108,14 @@ def _potentials(out: dict) -> None:
         _records(out, f"{name}/well_envelope", well_envelope_records(pot))
 
 
+def _steps(out: dict, key: str, res) -> None:
+    """The step record of one solve: Krylov counts, tau, refits,
+    rejections and residuals."""
+    for field in ("krylov_iterations", "tau_trace", "refit_steps",
+                  "rejected_steps", "residual_trace"):
+        out[f"{key}/{field}"] = np.array(getattr(res, field))
+
+
 def _solver(out: dict) -> None:
     from fraclayer.kernels import fractional_kernel
     from fraclayer.potentials import WellParams, make_potential
@@ -126,6 +136,7 @@ def _solver(out: dict) -> None:
         out[f"{name}/iterations"] = np.array(res.iterations)
         out[f"{name}/residual"] = np.array(res.residual)
         out[f"{name}/energy_trace"] = np.array(res.energy_trace)
+        _steps(out, name, res)
         for side, ext in (("left", g.ext_left), ("right", g.ext_right)):
             out[f"{name}/ext_{side}"] = np.array([ext.limit, ext.c, ext.p])
         # the default side is the right one; -1 is the left
@@ -156,6 +167,8 @@ def _criterion9(out: dict) -> None:
             tail_exponent(res.profile).exponent)
         out[f"criterion9/{name}/residual"] = np.array(res.residual)
         out[f"criterion9/{name}/steps"] = np.array(res.iterations)
+        out[f"criterion9/{name}/values"] = res.profile.values
+        _steps(out, f"criterion9/{name}", res)
 
 
 def dump(path: str) -> None:
