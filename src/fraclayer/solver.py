@@ -7,7 +7,8 @@ term. Minimization is pseudo-transient continuation (Kelley & Keyes, SINUM
 F = L u - W'(u) and its Jacobian J by restarted GMRES, then clamps the values
 to [-1, 1] and applies a monotone rearrangement projection (sorting). tau
 starts at the explicit gradient-flow step and grows by switched evolution
-relaxation, so the step moves from descent u + tau F towards Newton. GMRES
+relaxation, at least doubling after each step not halved, so the step moves
+from descent u + tau F towards Newton within a few steps. GMRES
 is preconditioned by the FFT circulant of the grid operator's linear part
 (Chan & Ng, SIAM Review 38, 1996), which carries its |xi|^(2s) spectrum, so
 the Krylov count per step does not grow as h shrinks.
@@ -36,6 +37,9 @@ KRYLOV_RESTART = 20         # GMRES basis size per cycle
 KRYLOV_CYCLES = 5           # restarts before a step takes its best delta
 KRYLOV_RTOL = 1e-2          # relative GMRES residual of an inexact step
 SER_CLAMP = (0.5, 10.0)     # bounds on one step's tau growth factor
+TAU_GROWTH_FLOOR = 2.0      # least growth factor after a step not halved:
+                            # the residual falls ~10 % per step at tau_0, so
+                            # r_old / r_new alone crawls up from it
 
 
 @dataclass
@@ -241,11 +245,13 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     circulant of -L's linear part (GridOperator.precondition), and sets
     u <- sort(clamp(u + delta, -1, 1)). tau_0 is the explicit descent's
     stable step and its floor; tau grows by switched evolution relaxation,
-    tau <- tau clamp(r_old / r_new, SER_CLAMP), r the interior sup residual,
-    up to the cap of GridOperator.tau_bounds. A step that raises the
-    Lyapunov functional beyond DIVERGENCE_SLACK is retried with tau halved,
-    down to tau_0; one that still raises it there raises Diverged. The sort
-    is recorded as a projection, not proven energy-decreasing.
+    tau <- tau clamp(max(r_old / r_new, TAU_GROWTH_FLOOR), SER_CLAMP) after a
+    step taken at its tau and tau <- tau clamp(r_old / r_new, SER_CLAMP)
+    after one that halved it, r the interior sup residual, up to the cap of
+    GridOperator.tau_bounds. A step that raises the Lyapunov functional
+    beyond DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one
+    that still raises it there raises Diverged. The sort is recorded as a
+    projection, not proven energy-decreasing.
 
     The exterior power models are refit every REFIT_EVERY steps, and
     convergence (residual < cfg.tol) is declared only right after a refit
@@ -271,13 +277,19 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
         r_new = float(np.max(np.abs(F[1:-1])))
         if it > 1:
             growth = resid / r_new if r_new > 0.0 else SER_CLAMP[1]
+            if not halvings:
+                growth = max(growth, TAU_GROWTH_FLOOR)
             tau = min(max(tau * min(max(growth, SER_CLAMP[0]), SER_CLAMP[1]),
                           tau0), tau_max)
         resid = r_new
         if since_refit == REFIT_EVERY or resid < cfg.tol:
+            limits = g.ext_left.limit, g.ext_right.limit
             g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
             op.update_exterior(g)
-            # the plain energy does not depend on the exterior power model
+            # the plain energy reads the exterior limits (a refit sets them
+            # to -1 and 1) but not the power model
+            if (g.ext_left.limit, g.ext_right.limit) != limits:
+                e_plain = op.energy(u, pot.W(u))
             ref = op.lyapunov(u, e_plain)
             F = op.apply(u) - w1
             resid = float(np.max(np.abs(F[1:-1])))

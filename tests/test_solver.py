@@ -351,6 +351,37 @@ def test_solve_result_records_every_step(small_solution):
     assert res.refit_steps[-1] == k and np.all(gaps <= REFIT_EVERY)
 
 
+def test_tau_at_least_doubles_after_every_clean_step(small_solution,
+                                                   kernel_half_mod):
+    """No step is halved here, so tau starts at the explicit step and at
+    least doubles per step up to its cap: 13 passes, where growth by
+    r_old / r_new alone crawled up from tau_0 in 23."""
+    pot, res = small_solution
+    tau0, tau_max = GridOperator(kernel_half_mod, make_grid(
+        100.0, 512)).tau_bounds(pot.max_w2())
+    assert res.rejected_steps == 0
+    assert res.tau_trace[0] == tau0
+    for old, new in zip(res.tau_trace, res.tau_trace[1:]):
+        assert new >= min(2.0 * old, tau_max)
+
+
+def test_a_refit_that_moves_the_limits_renews_the_reference(kernel_half_mod):
+    """A grid started with exterior limits -0.5 and 0.5: the first refit
+    sets them to -1 and 1, which changes the plain energy, so the next step
+    is checked against the energy under the new limits. Checked against the
+    old limits' energy, that step raised Diverged."""
+    x = np.linspace(-60.0, 60.0, 256)
+    g = GridProfile(x, 0.5 * np.tanh(x / 5.0), ExteriorModel(-0.5),
+                    ExteriorModel(0.5))
+    pot = make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,
+                                    mu=0.5))
+    res = minimize_energy(g, pot, kernel_half_mod,
+                          SolveConfig(max_iter=5000, tol=1e-6))
+    assert res.converged and res.residual < 1e-6
+    assert (res.profile.ext_left.limit, res.profile.ext_right.limit) == (
+        -1.0, 1.0)
+
+
 def test_circulant_preconditioner_is_mesh_independent(kernel_half_mod):
     """Degenerate wells on [-100, 100]: halving h leaves the costliest
     step's GMRES count unchanged. Measured 4 at n = 512 and n = 1024 (a
