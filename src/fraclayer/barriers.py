@@ -124,13 +124,12 @@ def step_barrier_operator(kernel: KernelSpec, b: StepBarrier,
 
 
 @lru_cache(maxsize=16)
-def step_constant_cap(s: float, lam: float = 1.0, Lam: float = 1.0,
-                      safety: float = 2.0) -> float:
+def step_constant_cap(s: float, lam: float = 1.0, Lam: float = 1.0) -> float:
     """Empirical constant for the step-barrier tail estimate.
 
-    Calibrated once on the pure power kernel at xbar = 1 over a grid of
-    barrier shapes and evaluation points; the barrier check is one-sided
-    with this cap.
+    Twice the worst residual of the pure power kernel at xbar = 1 over a
+    grid of barrier shapes and evaluation points; the barrier check is
+    one-sided with this cap.
     """
     kern = fractional_kernel(s, lam, Lam)
     worst = 0.0
@@ -142,12 +141,11 @@ def step_constant_cap(s: float, lam: float = 1.0, Lam: float = 1.0,
                 v = x ** (2.0 * s) * step_barrier_operator(kern, bar, x)
                 resid = (v + lam * (1.0 - bar.B) / (2.0 * s)) * x ** A / alpha
                 worst = max(worst, resid)
-    return safety * worst
+    return 2.0 * worst
 
 
 @dataclass
 class StepBarrierReport:
-    xs: list[float]
     values: list[float]          # x^(2s) L phi(x)
     bound: list[float]           # -lam(1-B)/(2s) + alpha C_cap x^(-A)
     passed: bool
@@ -170,7 +168,7 @@ def verify_step_barrier(kernel: KernelSpec, b: StepBarrier, xs,
         vals.append(v)
         bnds.append(bound)
     passed = all(v <= bnd for v, bnd in zip(vals, bnds))
-    return StepBarrierReport(xs=xs, values=vals, bound=bnds, passed=passed,
+    return StepBarrierReport(values=vals, bound=bnds, passed=passed,
                              negative=all(v < 0 for v in vals))
 
 
@@ -199,32 +197,28 @@ def lower_bound_barrier(s: float, exponent: float, xbar: float,
 # tail barrier asymptotics
 # ---------------------------------------------------------------------------
 
-def flatness_proxy(tb: TailBarrier, x: float, n: int = 33) -> float:
-    """x^3 * sup |phi''| over [x/2, 3x/2] (mirrored for x < 0)."""
+def flatness_proxy(tb: TailBarrier, x: float) -> float:
+    """x^3 * max |phi''| at 33 points of [x/2, 3x/2] (mirrored for x < 0)."""
     d2 = tb.body.deriv(2)
     lo, hi = (x / 2, 3 * x / 2) if x > 0 else (3 * x / 2, x / 2)
-    ys = np.linspace(lo, hi, n)
+    ys = np.linspace(lo, hi, 33)
     return abs(x) ** 3 * float(np.max(np.abs(d2(ys))))
 
 
 @dataclass
 class LimitReport:
-    xs: list[float]
-    scaled: list[float]          # |x|^(1+2s) L phi(x)
     estimate: float
     bound: float
     passed: bool
 
 
 def asymptotic_operator_limit(kernel: KernelSpec, tb: TailBarrier, xs,
-                              orientation: str = "upper",
-                              rel_slack: float = 0.05,
-                              cfg: QuadConfig | None = None) -> LimitReport:
+                              orientation: str = "upper") -> LimitReport:
     """Extrapolated |x|^(1+2s) L phi against the tail-mass bound.
 
-    orientation 'upper': limit <= Lam * S; 'lower': limit >= lam * S. The
-    extrapolation is a linear fit in x^(-e), e = min(sigma, tau, 1), through
-    the last three points.
+    orientation 'upper': limit <= 1.05 Lam S; 'lower': limit >= 0.95 lam S.
+    L phi is evaluated to tolerance 1e-7. The extrapolation is a linear fit
+    in x^(-e), e = min(sigma, tau, 1), through the last three points.
     """
     xs = sorted(float(x) for x in xs)
     if not xs:
@@ -235,7 +229,7 @@ def asymptotic_operator_limit(kernel: KernelSpec, tb: TailBarrier, xs,
     if any(b > a * 1.2 + 1e-12 for a, b in zip(proxies, proxies[1:])):
         raise FlatnessViolated(
             f"x^3 sup|phi''| fails to decrease: {proxies}")
-    cfg = cfg or QuadConfig(tol=1e-7)
+    cfg = QuadConfig(tol=1e-7)
     scaled = []
     for x in xs:
         ov = eval_lk(kernel, tb.body, x, cfg)
@@ -252,24 +246,22 @@ def asymptotic_operator_limit(kernel: KernelSpec, tb: TailBarrier, xs,
     S = tb.bracket_base()
     if orientation == "upper":
         bound = kernel.Lam * S
-        passed = est <= bound * (1.0 + rel_slack)
+        passed = est <= bound * 1.05
     else:
         bound = kernel.lam * S
-        passed = est >= bound * (1.0 - rel_slack)
-    return LimitReport(xs=xs, scaled=scaled, estimate=est, bound=bound,
-                       passed=passed)
+        passed = est >= bound * 0.95
+    return LimitReport(estimate=est, bound=bound, passed=passed)
 
 
 def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
                        delta: float, xbar: float,
-                       middle_budget: float | None = None,
-                       bump_height: float | None = None) -> TailBarrier:
+                       middle_budget: float | None = None) -> TailBarrier:
     """Smooth positive profile with the exact slow-side derivative tails.
 
     phi(x) = |x|^-(1 + 2s(beta-alpha+1)/(beta-1)) for x <= -xbar and
     |x|^-(1 + 2s(delta-gamma+1)/(delta-1)) for x >= xbar; a cutoff-based
-    interior bump keeps phi positive and is rescaled so the interior mass
-    fits middle_budget when one is given.
+    interior bump of height xbar^-min(sigma, tau) keeps phi positive and is
+    lowered so the interior mass fits middle_budget when one is given.
     """
     if max(alpha - beta, gamma - delta) >= 1.0:
         raise ExponentNotIntegrable(
@@ -302,8 +294,7 @@ def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
 
     fixed_mass = _fixed_tail_mass(sig, tau, xb, w_minus, w_plus)
     bump_mass = float(panel_integrals(bump, -xb, xb, 64))
-    if bump_height is None:
-        bump_height = xb ** (-min(sig, tau))
+    bump_height = xb ** (-min(sig, tau))
     if middle_budget is not None:
         if fixed_mass > middle_budget:
             raise InvariantViolated(

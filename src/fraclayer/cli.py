@@ -36,29 +36,32 @@ def _kernel_from(cfg: dict) -> KernelSpec:
     form = get(cfg, "fractional", "kernel", "form")
     lam = get(cfg, 1.0, "kernel", "lam")
     Lam = get(cfg, 1.0, "kernel", "Lam")
-    if form == "fractional":
-        return fractional_kernel(s, lam, Lam)
-    if form == "scaled-fractional":
-        return KernelSpec(s=s, lam=lam, Lam=Lam, form=form,
-                          scale=get(cfg, 0.5 * (lam + Lam), "kernel", "scale"))
-    if form == "tabulated-perturbation":
-        return perturbed_kernel(s, lam, Lam,
-                                wobble=get(cfg, 0.5, "kernel", "wobble"))
+    try:
+        if form == "fractional":
+            return fractional_kernel(s, lam, Lam)
+        if form == "scaled-fractional":
+            return KernelSpec(s=s, lam=lam, Lam=Lam, form=form, scale=get(
+                cfg, 0.5 * (lam + Lam), "kernel", "scale"))
+        if form == "tabulated-perturbation":
+            return perturbed_kernel(s, lam, Lam,
+                                    wobble=get(cfg, 0.5, "kernel", "wobble"))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"kernel: {e}") from e
     raise ConfigError(f"unknown kernel.form {form!r}")
 
 
 def _well_from(cfg: dict):
     from .potentials import WellParams
 
-    return WellParams(
-        alpha=require(cfg, "potential", "alpha"),
-        beta=require(cfg, "potential", "beta"),
-        gamma=require(cfg, "potential", "gamma"),
-        delta=require(cfg, "potential", "delta"),
-        c1=get(cfg, 1.0, "potential", "c1"), c2=get(cfg, 1.0, "potential", "c2"),
-        c3=get(cfg, 1.0, "potential", "c3"), c4=get(cfg, 1.0, "potential", "c4"),
-        mu=get(cfg, 0.5, "potential", "mu"),
-        mode=get(cfg, "pure-power", "potential", "mode"))
+    kw = {k: require(cfg, "potential", k)
+          for k in ("alpha", "beta", "gamma", "delta")}
+    kw.update({k: get(cfg, 1.0, "potential", k)
+               for k in ("c1", "c2", "c3", "c4")})
+    try:
+        return WellParams(**kw, mu=get(cfg, 0.5, "potential", "mu"),
+                          mode=get(cfg, "pure-power", "potential", "mode"))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"potential: {e}") from e
 
 
 def _layer_params_from(cfg: dict, mode: str):
@@ -79,12 +82,18 @@ def cmd_operator_eval(cfg, out, seed, mode) -> Report:
     from .quadrature import QuadConfig, eval_lk
 
     kern = _kernel_from(cfg)
-    pts = [float(v) for v in
-           str(get(cfg, "0.0,0.5,1.0", "operator", "points")).split(",")]
+    try:
+        pts = [float(v) for v in
+               str(get(cfg, "0.0,0.5,1.0", "operator", "points")).split(",")]
+    except ValueError as e:
+        raise ConfigError(f"operator.points: {e}") from e
     name = get(cfg, "cosine", "operator", "profile")
     omega = get(cfg, 1.0, "operator", "omega")
-    u = {"cosine": pr.cosine(omega), "tanh": pr.tanh_profile(),
-         "gaussian": pr.gaussian(), "constant": pr.constant(0.7)}[name]
+    profiles = {"cosine": pr.cosine(omega), "tanh": pr.tanh_profile(),
+                "gaussian": pr.gaussian(), "constant": pr.constant(0.7)}
+    if name not in profiles:
+        raise ConfigError(f"unknown operator.profile {name!r}")
+    u = profiles[name]
     qc = QuadConfig(tol=get(cfg, 1e-6, "operator", "tol"))
     rep = Report("operator-eval", cfg)
     rows = []
@@ -266,8 +275,15 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
 
     kern = _kernel_from(cfg)
     pot = make_potential(_well_from(cfg))
-    L = get(cfg, 200.0, "solver", "L")
-    n = int(get(cfg, 2048, "solver", "n"))
+    try:
+        L = float(get(cfg, 200.0, "solver", "L"))
+        n = int(get(cfg, 2048, "solver", "n"))
+    except ValueError as e:
+        raise ConfigError(f"solver.L, solver.n: {e}") from e
+    # the grid operator needs a uniform grid of three nodes at least
+    if not (L > 0 and n >= 3):
+        raise ConfigError(f"need solver.L > 0 and solver.n >= 3, "
+                          f"got L = {L:g}, n = {n}")
     sc = SolveConfig(tol=get(cfg, 1e-6, "solver", "tol"),
                      max_iter=int(get(cfg, 30000, "solver", "max_iter")))
     rep = Report("solve", cfg)

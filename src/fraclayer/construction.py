@@ -50,9 +50,9 @@ def sufficiency_rho(s: float, alpha: float, beta: float, gamma: float,
     return 32.0 * stats.ratio * max(rab * math.log(rab), rde * math.log(rde))
 
 
-def threshold_params(s: float, beta: float = 5.0, delta: float = 5.0,
-                     rho_target: float = 2.05, k_max: int = 3) -> "LayerParams":
-    """Parameters whose sufficiency threshold lands at rho_target.
+def threshold_params(s: float, rho_target: float = 2.05) -> "LayerParams":
+    """Desk parameters with beta = delta = 5 whose sufficiency threshold
+    lands at rho_target.
 
     Solves r ln r = rho_target / (32 eta_bar/eta_0) for the exponent ratio r
     in (1, 3] and applies it on both sides, so the returned params run exactly
@@ -71,11 +71,10 @@ def threshold_params(s: float, beta: float = 5.0, delta: float = 5.0,
             f" / (32 eta_bar/eta_0) has a root r in [{lo}, {hi}] only for"
             f" rho_target in [{scale * lo * math.log(lo):.4g}, "
             f"{scale * hi * math.log(hi):.4g}]") from None
-    gamma = 1.0 + (delta - 1.0) * r
-    alpha = 1.0 + (beta - 1.0) * r
-    rho = sufficiency_rho(s, alpha, beta, gamma, delta, stats)
-    return LayerParams(s=s, alpha=alpha, beta=beta, gamma=gamma, delta=delta,
-                       rho=rho, mode="desk", k_max=k_max)
+    alpha = gamma = 1.0 + 4.0 * r
+    rho = sufficiency_rho(s, alpha, 5.0, gamma, 5.0, stats)
+    return LayerParams(s=s, alpha=alpha, beta=5.0, gamma=gamma, delta=5.0,
+                       rho=rho)
 
 
 @dataclass(frozen=True)
@@ -483,8 +482,7 @@ class LayerProfile:
                 terms, int(np.count_nonzero(m)), order)
         return base, d, absd
 
-    def gap_jet_log(self, side: int, L: np.ndarray, order: int = 4,
-                    piece_override: int | None = None) -> tuple:
+    def gap_jet_log(self, side: int, L: np.ndarray, order: int = 4) -> tuple:
         """y-derivatives 0..order of the gap on one side at L = ln y, as a
         tuple of `LogArray`s of L's shape.
 
@@ -495,7 +493,7 @@ class LayerProfile:
         L = np.atleast_1d(np.asarray(L, dtype=float))
         Lf = L.ravel()
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            base, d, _ = self._gap_L(side, Lf, order, piece_override)
+            base, d, _ = self._gap_L(side, Lf, order)
             jets = [_y_order(base, d, Lf, k) for k in range(order + 1)]
         return tuple(LogArray(sg.reshape(L.shape), lm.reshape(L.shape))
                      for sg, lm in jets)
@@ -583,8 +581,9 @@ class LayerProfile:
 
     # -- junctions ------------------------------------------------------------
 
-    def junction_mismatches(self, orders=(0, 1, 2, 3)) -> list[dict]:
-        """Relative mismatch of the gap jets across every interior junction.
+    def junction_mismatches(self) -> list[dict]:
+        """Relative mismatch of the gap jets, orders 0-3, across every
+        interior junction.
 
         Both neighbor pieces are evaluated at the junction in L-space: on
         each, y^m g^(m) = e^base (s1 @ d)[m], taken over the larger of the
@@ -592,13 +591,13 @@ class LayerProfile:
         materializing x. The bridge ends compare u~^(m) as floats.
         """
         out = []
-        n = max(orders)
-        s1 = _STIRLING1[:n + 1, :n + 1]
+        orders = range(4)
+        s1 = _STIRLING1[:4, :4]
         for side in (+1, -1):
             for j in range(1, len(self._refs)):
                 Lj = np.array([self._edges[j]])
                 (ba, da, _), (bb, db, _) = (
-                    self.gap_jet_L(side, Lj, n, piece_override=p)
+                    self.gap_jet_L(side, Lj, 3, piece_override=p)
                     for p in (j - 1, j))
                 top = max(ba[0], bb[0])
                 a = math.exp(ba[0] - top) * (s1 @ da)[:, 0]
@@ -632,11 +631,10 @@ class LayerProfile:
 
     # -- dense sampling --------------------------------------------------------
 
-    def log_samples(self, side: int, n: int, L_hi: float | None = None):
+    def log_samples(self, side: int, n: int):
         """n log-spaced sample L's from a0 to the last finite junction."""
-        lo = self.log_a0
-        hi = L_hi if L_hi is not None else self._edges[-1]
-        return np.linspace(lo * (1 + 1e-9), hi * (1 - 1e-9), n)
+        return np.linspace(self.log_a0 * (1 + 1e-9),
+                           self._edges[-1] * (1 - 1e-9), n)
 
     def monotone_report(self, n: int = 10000) -> dict:
         """Sign of u~' at n log-spaced points per side plus the bridge."""
@@ -657,11 +655,11 @@ class LayerProfile:
 
     # -- export -----------------------------------------------------------------
 
-    def export_csv(self, path, n_per_side: int = 400) -> None:
+    def export_csv(self, path) -> None:
         """CSV columns: ln_x_signed, utilde, d1, d2, d3, piece, cell.
 
-        Tail rows carry side * ln|x| in the first column. The 101 bridge
-        rows (piece -1, cell 0) carry asinh(x) there instead."""
+        400 tail rows per side carry side * ln|x| in the first column. The
+        101 bridge rows (piece -1, cell 0) carry asinh(x) there instead."""
         rows = []
         xb = np.linspace(-self.cx.a0 * 0.999, self.cx.a0 * 0.999, 101)
         for xi in xb:
@@ -669,7 +667,7 @@ class LayerProfile:
                     for m in range(4)]
             rows.append((math.asinh(xi), *vals, -1, 0))
         for side in (+1, -1):
-            L = self.log_samples(side, n_per_side)
+            L = self.log_samples(side, 400)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 comps = [self._utilde(side, L, m) for m in range(4)]
             for i, (k, piece) in enumerate(self._refs[j]

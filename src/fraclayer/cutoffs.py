@@ -124,7 +124,6 @@ class CutoffStats:
     eta_0: float            # min(eta(1/2), 1 - eta(1/2))
     eta_bar4: float         # same including order 4, for smooth-join fits
     slope_min: float        # most negative eta' on the transition
-    grid_points: int
 
     @property
     def ratio(self) -> float:
@@ -132,13 +131,13 @@ class CutoffStats:
 
 
 @lru_cache(maxsize=1)
-def measure_cutoff(grid_points: int = 20001) -> CutoffStats:
-    """Sample eta and its derivatives on a fine grid.
+def measure_cutoff() -> CutoffStats:
+    """Sample eta and its derivatives on 20001 points of [0, 1].
 
     Also verifies the construction constraints: eta' in (-4, 0) strictly
     inside the transition, eta(1/2) = 1/2.
     """
-    x = np.linspace(0.0, 1.0, grid_points)
+    x = np.linspace(0.0, 1.0, 20001)
     sups = [float(np.max(np.abs(v))) for v in eta_derivs(x, 4)]
     half = float(eta(np.array([0.5]))[0])
     eta_0 = min(half, 1.0 - half)
@@ -152,8 +151,7 @@ def measure_cutoff(grid_points: int = 20001) -> CutoffStats:
     if not math.isclose(half, 0.5, abs_tol=1e-12):
         raise ValueError("eta(1/2) must equal 1/2")
     return CutoffStats(eta_bar=max(sups[:4]), eta_0=eta_0,
-                       eta_bar4=max(sups), slope_min=slope_min,
-                       grid_points=grid_points)
+                       eta_bar4=max(sups), slope_min=slope_min)
 
 
 def w_weight(coef: float, x):

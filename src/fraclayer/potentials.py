@@ -24,8 +24,7 @@ for spread 0.94 at base 2.2 and 6.0, and for six wells drawn from
 2.4e-12 at base 6, spread 0.94.
 
 The middle region is a degree-5 bridge matching value and two derivatives at
-both junctions, verified positive by dense sampling plus a
-Bernstein-coefficient certificate.
+both junctions, verified positive by dense sampling.
 """
 
 from __future__ import annotations
@@ -199,28 +198,6 @@ def _well_side(exp_hi: float, exp_lo: float, c: float, mode: str, mu: float):
     return J2, J1, d2
 
 
-def _bernstein_nonneg(coeffs: np.ndarray, depth: int = 10) -> bool:
-    """Certify p(u) >= 0 on [0, 1] from monomial coefficients (low first)."""
-    n = len(coeffs) - 1
-    from math import comb
-    B = np.array([sum(coeffs[j] * comb(k, j) / comb(n, j) for j in range(k + 1))
-                  for k in range(n + 1)])
-    if np.all(B >= 0):
-        return True
-    if depth == 0:
-        return False
-    # subdivide into p(u/2) and p(1/2 + u/2)
-    pows = 0.5 ** np.arange(n + 1)
-    left = coeffs * pows
-    q = np.zeros(n + 1)
-    for j, cj in enumerate(coeffs):
-        for i in range(j + 1):
-            q[i] += cj * comb(j, i) * 0.5 ** (j - i)
-    right = q * pows
-    return (_bernstein_nonneg(left, depth - 1)
-            and _bernstein_nonneg(right, depth - 1))
-
-
 @dataclass
 class PotentialFn:
     """Double-well potential with wells pinned at -1 and +1."""
@@ -229,13 +206,13 @@ class PotentialFn:
     W: Callable
     W1: Callable
     W2: Callable
-    bridge_certificate: str = "sampled"
 
     def __call__(self, t):
         return self.W(t)
 
-    def max_w2(self, n: int = 4001) -> float:
-        t = np.linspace(-1.0, 1.0, n)
+    def max_w2(self) -> float:
+        """max |W''| at 4001 uniform points of [-1, 1]."""
+        t = np.linspace(-1.0, 1.0, 4001)
         return float(np.max(np.abs(self.W2(t))))
 
 
@@ -252,7 +229,7 @@ def make_potential(params: WellParams) -> PotentialFn:
         tuple((-s) ** k * float(wells[s][k](mu_arr)[0]) for k in range(3))
         for s in (-1, 1))
     a, b = -1.0 + mu, 1.0 - mu
-    bridge, certificate = _solve_bridge(a, b, left_data, right_data)
+    bridge = _solve_bridge(a, b, left_data, right_data)
     polys = (bridge, bridge.deriv(), bridge.deriv().deriv())
 
     def evaluate(t, order: int):
@@ -274,7 +251,6 @@ def make_potential(params: WellParams) -> PotentialFn:
         W=lambda t: evaluate(t, 0),
         W1=lambda t: evaluate(t, 1),
         W2=lambda t: evaluate(t, 2),
-        bridge_certificate=certificate,
     )
     return pot
 
@@ -287,31 +263,12 @@ def _solve_bridge(a: float, b: float, left_data, right_data):
     """
     poly = hermite_bridge(a, b, left_data, right_data)
     ts = np.linspace(a, b, 10001)
-    vals = poly(ts)
-    certificate = "sampled"
-    if np.all(vals > 0) and _bernstein_nonneg(_to_unit_monomial(poly.coef)):
-        certificate = "bernstein"
-    if np.min(vals) <= 0:
+    if np.min(poly(ts)) <= 0:
         poly = hermite_bridge(a, b, left_data, right_data,
                               mid=max(left_data[0], right_data[0]))
-        vals = poly(ts)
-        if np.min(vals) <= 0:
+        if np.min(poly(ts)) <= 0:
             raise BridgeNotPositive("middle bridge not positive after raise")
-        certificate = "sampled+raised"
-    return poly, certificate
-
-
-def _to_unit_monomial(coef_window: np.ndarray) -> np.ndarray:
-    """Map coefficients in the window variable xi in [-1,1] to u in [0,1]."""
-    from numpy.polynomial import polynomial as P
-    # xi = 2u - 1
-    out = np.zeros_like(coef_window)
-    for j, cj in enumerate(coef_window):
-        sub = np.zeros(j + 1)
-        for i in range(j + 1):
-            sub[i] = math.comb(j, i) * (2.0) ** i * (-1.0) ** (j - i)
-        out[:j + 1] += cj * sub
-    return out
+    return poly
 
 
 def well_envelope_records(pot: PotentialFn) -> list[CheckRecord]:

@@ -147,34 +147,34 @@ def cosine(omega: float = 1.0) -> ProfileFn:
     )
 
 
-def tanh_profile(scale: float = 1.0) -> ProfileFn:
-    a = float(scale)
+def tanh_profile() -> ProfileFn:
+    """tanh(x) with four derivatives, named "tanh(x/1.0)"."""
 
     def f(x):
-        return np.tanh(x / a)
+        return np.tanh(x)
 
     def d1(x):
-        t = np.tanh(x / a)
-        return (1 - t ** 2) / a
+        t = np.tanh(x)
+        return 1 - t ** 2
 
     def d2(x):
-        t = np.tanh(x / a)
-        return -2.0 / a ** 2 * t * (1 - t ** 2)
+        t = np.tanh(x)
+        return -2.0 * t * (1 - t ** 2)
 
     def d3(x):
-        t = np.tanh(x / a)
-        return (1 - t ** 2) * (6 * t ** 2 - 2) / a ** 3
+        t = np.tanh(x)
+        return (1 - t ** 2) * (6 * t ** 2 - 2)
 
     def d4(x):
-        t = np.tanh(x / a)
-        return (1 - t ** 2) * (16 * t - 24 * t ** 3) / a ** 4
+        t = np.tanh(x)
+        return (1 - t ** 2) * (16 * t - 24 * t ** 3)
 
     # exponentially small tails: power model with zero coefficient
     return ProfileFn(
         fn=f, derivs=(d1, d2, d3, d4), limits=(-1.0, 1.0),
         tail=PowerTail(2.0, 0.0, 2.0, 0.0),
-        features=((0.0, 4.0 * a),),
-        name=f"tanh(x/{a})",
+        features=((0.0, 4.0),),
+        name="tanh(x/1.0)",
     )
 
 
@@ -204,16 +204,15 @@ def gaussian(width: float = 1.0) -> ProfileFn:
     )
 
 
-def lipschitz_bump(width: float = 1.0) -> ProfileFn:
-    """max(0, 1 - |x|/width): Lipschitz but not C^1; no derivative data."""
-    a = float(width)
+def lipschitz_bump() -> ProfileFn:
+    """max(0, 1 - |x|): Lipschitz but not C^1; no derivative data."""
     return ProfileFn(
-        fn=lambda x: np.maximum(0.0, 1.0 - np.abs(np.asarray(x, float)) / a),
+        fn=lambda x: np.maximum(0.0, 1.0 - np.abs(np.asarray(x, float))),
         derivs=(),
         limits=(0.0, 0.0),
         tail=PowerTail(2.0, 0.0, 2.0, 0.0),
         locally_c2=False,
-        features=((0.0, 2.0 * a),),
+        features=((0.0, 2.0),),
         name="lip-bump",
     )
 

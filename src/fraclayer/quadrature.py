@@ -311,7 +311,6 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
 
 @dataclass
 class CommutationReport:
-    xs: list[float]
     discrepancies: list[float]
     tolerance: float
     passed: bool
@@ -319,9 +318,10 @@ class CommutationReport:
 
 def check_derivative_commutation(kernel: KernelSpec, u: ProfileFn,
                                  xs: Sequence[float], h: float = 1e-3,
-                                 cfg: QuadConfig = QuadConfig(),
-                                 tol: float = 1e-4) -> CommutationReport:
-    """Compare d/dx [L u] (central difference, spacing h) with L u'.
+                                 cfg: QuadConfig = QuadConfig()
+                                 ) -> CommutationReport:
+    """Compare d/dx [L u] (central difference, spacing h) with L u'; the
+    report passes when every discrepancy is below 1e-4.
 
     For 2s >= 1 the identity needs one more derivative order from u, so the
     profile must supply u'' as well as u'.
@@ -337,8 +337,8 @@ def check_derivative_commutation(kernel: KernelSpec, u: ProfileFn,
                - eval_lk(kernel, u, x - h, cfg).value) / (2.0 * h)
         rhs = eval_lk(kernel, du, x, cfg).value
         out.append(abs(lhs - rhs))
-    return CommutationReport(xs=list(map(float, xs)), discrepancies=out,
-                             tolerance=tol, passed=all(d < tol for d in out))
+    return CommutationReport(discrepancies=out, tolerance=1e-4,
+                             passed=all(d < 1e-4 for d in out))
 
 
 def check_holder_transfer(kernel: KernelSpec, u: ProfileFn,

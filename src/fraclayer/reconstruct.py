@@ -9,7 +9,7 @@ envelopes can be fit over many decades of 1 -/+ r.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +26,16 @@ EPS = float(np.finfo(float).eps)
 LN_GAP_FLOOR = math.log(EPS / 4.0)   # a gap that rounds u~ to +/-1 is <= this
 
 
-def profile_as_fn(prof: LayerProfile, order_cap: int = 4) -> ProfileFn:
-    """Wrap the assembled profile for the quadrature, with a fitted tail."""
+def profile_as_fn(prof: LayerProfile) -> ProfileFn:
+    """Wrap the assembled profile, derivatives 1-4 included, for the
+    quadrature, with a fitted tail."""
     cx = prof.cx
 
     def fn(x):
         return prof.eval(x, 0)
 
     derivs = tuple((lambda m: (lambda x: prof.eval(x, m)))(m)
-                   for m in range(1, order_cap + 1))
+                   for m in range(1, 5))
     # tail model: straight-line fit of ln(gap) against ln(x) over the window
     # where truncated-quadrature probes live
     L_lo = math.log(cx.a0) + 2.0
@@ -54,7 +55,7 @@ def profile_as_fn(prof: LayerProfile, order_cap: int = 4) -> ProfileFn:
     )
 
 
-def invert_profile(prof: LayerProfile, r: float, tol: float = 1e-12,
+def invert_profile(prof: LayerProfile, r: float,
                    max_log: float = 690.0) -> float:
     """x with u~(x) = r on the working domain |x| <= sinh(max_log).
 
@@ -72,9 +73,9 @@ def invert_profile(prof: LayerProfile, r: float, tol: float = 1e-12,
       ln(1 -/+ u~(+/-a0 e^l)) = log1p(-/+ r) for l in [0, ln(x_max / a0)].
       The gap decays between the rates x^-A and x^-B, so its logarithm is
       nearly linear in l and a few steps cover the whole log range. The
-      search stops at |u~(x) - r| <= max(tol (1 - |r|), 2 eps): the gap to
-      relative accuracy tol, with a floor of a few ulps of u~ that keeps it
-      from chasing the rounding of u~ near the wells.
+      search stops at |u~(x) - r| <= max(1e-12 (1 - |r|), 2 eps): the gap
+      to relative accuracy 1e-12, with a floor of a few ulps of u~ that keeps
+      it from chasing the rounding of u~ near the wells.
     """
     if not -1.0 < r < 1.0:
         raise OutOfRange("r must be strictly inside (-1, 1)")
@@ -102,7 +103,7 @@ def invert_profile(prof: LayerProfile, r: float, tol: float = 1e-12,
         side, u_a0 = 1.0, u_hi
     if x_max <= a0:
         raise out_of_range
-    tail_target = max(tol * (1.0 - abs(r)), 2.0 * EPS)
+    tail_target = max(1e-12 * (1.0 - abs(r)), 2.0 * EPS)
     ln_gap_r = math.log1p(-side * r)
 
     def at(l):
@@ -122,16 +123,17 @@ def invert_profile(prof: LayerProfile, r: float, tol: float = 1e-12,
                          4.0 * EPS, ln_gap_off(u_a0), g_out))
 
 
-def graded_nodes(depth_decades: float = 12.0, per_decade: int = 12,
-                 n_mid: int = 201) -> np.ndarray:
-    """r-nodes: uniform middle plus geometric ladders toward both wells.
+def graded_nodes(depth_decades: float = 12.0,
+                 per_decade: int = 12) -> np.ndarray:
+    """r-nodes: 201 uniform in the middle plus geometric ladders toward both
+    wells.
 
     The ladder in 1 -/+ r starts at 1/4 and shrinks by 10^(1/per_decade) per
     step, giving per_decade points per decade for the envelope fits.
     """
     j_max = int(depth_decades * per_decade)
     gaps = 0.25 * 10.0 ** (-np.arange(0, j_max + 1) / per_decade)
-    mid = np.linspace(-0.75, 0.75, n_mid)   # abuts the ladder start exactly
+    mid = np.linspace(-0.75, 0.75, 201)   # abuts the ladder start exactly
     right = 1.0 - gaps[gaps > 1e-300]
     left = -right
     nodes = np.unique(np.concatenate([mid, right, left]))
@@ -167,7 +169,6 @@ class PotentialTable:
     V: np.ndarray
     V1: np.ndarray           # h(r) = V'(r)
     V2: np.ndarray           # divided differences of V1
-    provenance: dict = field(default_factory=dict)
 
     def interior_min(self) -> float:
         return float(np.min(self.V))
@@ -188,18 +189,17 @@ class PotentialTable:
 
 
 def reconstruct_potential(prof: LayerProfile, kernel: KernelSpec,
-                          depth_decades: float = 10.0,
-                          per_decade: int = 12,
-                          cfg: QuadConfig | None = None) -> PotentialTable:
-    """Build the table: invert nodes, evaluate the operator, integrate.
+                          depth_decades: float = 10.0) -> PotentialTable:
+    """Build the table: invert 12 nodes per decade, evaluate the operator,
+    integrate.
 
     The left-end contribution to V on (-1, r_min] comes from the fitted
     power model of h (`_end_mass`) rather than truncation, keeping the
     equal-depth closure honest.
     """
     u = profile_as_fn(prof)
-    cfg = cfg or QuadConfig(tol=1e-5, panels_per_decade=5, nodes_per_panel=10)
-    r = graded_nodes(depth_decades, per_decade)
+    cfg = QuadConfig(tol=1e-5, panels_per_decade=5, nodes_per_panel=10)
+    r = graded_nodes(depth_decades)
     x = np.array([invert_profile(prof, float(ri)) for ri in r])
     h = np.empty_like(r)
     for i, xi in enumerate(x):
@@ -216,19 +216,15 @@ def reconstruct_potential(prof: LayerProfile, kernel: KernelSpec,
                 + h[1:-1] * (dp ** 2 - dm ** 2)) / (dp * dm * (dp + dm))
     V2[0] = V2[1]
     V2[-1] = V2[-2]
-    return PotentialTable(
-        r=r, x=x, V=V, V1=h, V2=V2,
-        provenance={"params": vars(prof.cx.params), "rho": prof.cx.rho,
-                    "kernel_s": kernel.s})
+    return PotentialTable(r=r, x=x, V=V, V1=h, V2=V2)
 
 
-def verify_potential_regularity(tab: PotentialTable,
-                                n_fit: int = 12) -> CheckRecord:
+def verify_potential_regularity(tab: PotentialTable) -> CheckRecord:
     """Third-derivative proxies must decay toward both wells.
 
     The proxy is the divided difference of V2, which carries the designed
     log-periodic wobble, so the decay is asserted through the slope of
-    ln(proxy) against ln(well gap) over the last n_fit nodes per side: both
+    ln(proxy) against ln(well gap) over the last 12 nodes per side: both
     slopes must exceed 0.2, and the slack is the smaller slope minus 0.2.
     The Lipschitz-constant estimate of V2, the largest divided difference,
     must be finite; its value is stated in the location. A NaN or inf in V2
@@ -249,8 +245,8 @@ def verify_potential_regularity(tab: PotentialTable,
     mid = 0.5 * (r[:-1] + r[1:])
     slopes = []
     for s in (1, -1):
-        # the n_fit intervals nearest the well at s, in table order
-        near = slice(-n_fit, None) if s > 0 else slice(n_fit)
+        # the 12 intervals nearest the well at s, in table order
+        near = slice(-12, None) if s > 0 else slice(12)
         slopes.append(trend(1.0 - s * mid[near], dV2[near]))
     slack = min(slopes) - 0.2
     if not (math.isfinite(lip) and math.isfinite(slack)):

@@ -40,14 +40,14 @@ def exponent_ordering_slack(s, g, d):
              - (-1.0 - 2 * s * (1.0 - (g - 2.0) * (g - d)) / (g - 1.0)))
 
 
-def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
+def inequality_sweep(tuples) -> list[CheckRecord]:
     """Run every constant-level inequality over a sweep of parameter tuples.
 
     Each tuple is (s, alpha, beta, gamma, delta), valid LayerParams;
     surrogate scale factors cover the k-dependence. The sweep covers:
       - the derivative-rate ordering (with equality detection),
       - A <= min{B(g-d+1), 2s-(d-2)phi}, B >= max{A(d-g+1), 2s-(g-2)phi}
-        and the mirrored D/E forms, on a dense ramp grid,
+        and the mirrored D/E forms, on a 257-point ramp grid,
       - x^(A-phi) <= exp(2 A ln2 / zeta) on [b, 2b] (and the outer mirror),
       - critical points xbar in (0,1), weight positivity and unique maximum,
       - C2 > 2, C_in(T) in (2, C2) for T in (0,1), and the c4-side mirror,
@@ -55,7 +55,7 @@ def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
     """
     stats = measure_cutoff()
     records: list[CheckRecord] = []
-    w = np.linspace(0.0, 1.0, n_grid)
+    w = np.linspace(0.0, 1.0, 257)
     rhos = [128.0 * stats.ratio, 6.0, 2.5]
     t_in = np.linspace(0.0, math.log(2.0), 65)
 
@@ -137,15 +137,16 @@ def inequality_sweep(tuples, n_grid: int = 257) -> list[CheckRecord]:
     return records
 
 
-def equality_case_records(s: float = 0.5) -> list[CheckRecord]:
-    """Exact equality of the rate ordering at gamma = delta and delta = 2."""
+def equality_case_records() -> list[CheckRecord]:
+    """Exact equality of the rate ordering at gamma = delta and delta = 2,
+    at s = 0.5."""
     records = []
     for (g, d, lab) in ((4.0, 4.0, "gamma=delta"), (3.5, 2.0, "delta=2")):
         _rec(records, f"ordering-equality-{lab}",
-             -abs(exponent_ordering_slack(s, g, d)), lab, tol=1e-14)
+             -abs(exponent_ordering_slack(0.5, g, d)), lab, tol=1e-14)
     # strictness away from the equality cases
     _rec(records, "ordering-strict-generic",
-         exponent_ordering_slack(s, 4.0, 3.0) - 1e-12, "gamma=4,delta=3")
+         exponent_ordering_slack(0.5, 4.0, 3.0) - 1e-12, "gamma=4,delta=3")
     return records
 
 
@@ -186,20 +187,20 @@ def check_log_power_ode(a: float, b: float, mu: float, f0: float,
                        worst_slack=1e-8 - worst, location=f"x={where:.4g}")
 
 
-def check_ramp_ode_identity(cx: ConstructionConstants,
-                            n: int = 101) -> CheckRecord:
-    """phi(t) = -(zeta/(c-b)) phi'(t) X ln X with X = t(c-b)+b, at cell 0."""
+def check_ramp_ode_identity(cx: ConstructionConstants) -> CheckRecord:
+    """phi(t) = -(zeta/(c-b)) phi'(t) X ln X with X = t(c-b)+b, at cell 0,
+    on every tenth of 101 points t."""
     k = 0
     if not np.isfinite(cx.lnc[k]) or cx.lnc[k] > 700.0:
         raise ValueError("cell 0 not materializable; use desk mode")
     bk = math.exp(cx.lnb[k])
     ck = math.exp(cx.lnc[k])
-    t = np.linspace(1e-4, 1.0 - 1e-4, n)
+    t = np.linspace(1e-4, 1.0 - 1e-4, 101)
     X = t * (ck - bk) + bk
     sc = cx.right
     phi = sc.e_hi * (cx.lnb[k] / np.log(X)) ** (1.0 / sc.zeta)
     worst = 0.0
-    for i in range(0, n, 10):
+    for i in range(0, 101, 10):
         def phif(tt):
             XX = tt * (ck - bk) + bk
             return sc.e_hi * (cx.lnb[k] / math.log(XX)) ** (1.0 / sc.zeta)
@@ -215,23 +216,22 @@ def check_ramp_ode_identity(cx: ConstructionConstants,
 # touchpoint identities
 # ---------------------------------------------------------------------------
 
-def touchpoint_reduced_records(cx: ConstructionConstants,
-                               k_range=range(4),
-                               seed: int = 7) -> list[CheckRecord]:
+def touchpoint_reduced_records(cx: ConstructionConstants) -> list[CheckRecord]:
     """The six per-scale identities, verified in reduced variables to 1e-12.
 
     The k-dependence enters only through the touch factor T in (0, 1); the
-    identities must cancel exactly for every admissible T, so k is swept via
-    deterministic surrogates in addition to the constructed values when those
-    are representable.
+    identities must cancel exactly for every admissible T, so each cell
+    k = 0..k_max is checked at three surrogates T drawn from a generator
+    seeded with 7, in addition to the constructed value when that is
+    representable.
     """
     records: list[CheckRecord] = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
 
     eps = np.finfo(float).eps
     for sc in (cx.right, cx.left):
         lab = sc.label
-        for k in k_range:
+        for k in range(cx.k_max + 1):
             t_real = sc.touch_factor(cx.lnc[k])
             Ts = [t_real] if t_real > 1e-10 else []
             Ts += list(0.01 + 0.98 * rng.random(3))
@@ -454,14 +454,14 @@ def second_derivative_bound_records(prof: LayerProfile,
     return records
 
 
-def _fd_sample_points(prof: LayerProfile, rng, min_width: float = 0.3,
-                      L_cap: float = 580.0, per_piece: int = 2) -> np.ndarray:
-    """Mid-piece L samples: FD stencils must not straddle junctions."""
-    edges = prof._edges[prof._edges < L_cap]
+def _fd_sample_points(prof: LayerProfile, rng) -> np.ndarray:
+    """Two mid-piece L samples in every piece at least 0.3 wide below
+    L = 580: FD stencils must not straddle junctions."""
+    edges = prof._edges[prof._edges < 580.0]
     mids = []
     for a, b in zip(edges[:-1], edges[1:]):
-        if b - a >= min_width:
-            mids.extend(a + (b - a) * rng.uniform(0.35, 0.65, per_piece))
+        if b - a >= 0.3:
+            mids.extend(a + (b - a) * rng.uniform(0.35, 0.65, 2))
     return np.asarray(sorted(mids))
 
 
@@ -597,17 +597,16 @@ def _mp_piece_formula(cx: ConstructionConstants, sc: SideConstants, k: int,
 _STIRLING1 = {1: [1], 2: [-1, 1], 3: [2, -3, 1], 4: [-6, 11, -6, 1]}
 
 
-def highprec_agreement_records(prof: LayerProfile,
-                               rel_tol: float = 2e-6) -> list[CheckRecord]:
+def highprec_agreement_records(prof: LayerProfile) -> list[CheckRecord]:
     """Gap jets against 50-digit mpmath differentiation of the exact piece
     formulas, one interior point per piece per side, orders 0..4.
 
     The exact formulas are differentiated in the log variable t with
     y = e^(L + t) (perfectly scaled at any magnitude) and converted back to
     y-derivatives with the signed Stirling numbers of the first kind. The
-    tolerance allows the double-precision noise of the smoothstep's third and
-    fourth derivative evaluations (~1e-7); structural errors would show as
-    O(1) disagreements.
+    relative tolerance rel_tol = 2e-6 allows the double-precision noise of
+    the smoothstep's third and fourth derivative evaluations (~1e-7);
+    structural errors would show as O(1) disagreements.
 
     One info record per side, `highprec-cancellation-{side}`, states the
     worst cancellation factor sum |terms| / |sum| (`gap_rounding`) over all
@@ -617,6 +616,7 @@ def highprec_agreement_records(prof: LayerProfile,
     """
     import mpmath as mp
 
+    rel_tol = 2e-6
     cx = prof.cx
     records = []
     offsets = {0: 0.5, 1: 0.37, 2: 0.5, 3: 0.61, 4: 0.43, 5: 0.57}

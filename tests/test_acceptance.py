@@ -123,7 +123,7 @@ def test_criterion_5_touchpoint_identities_paper_mode():
     p = LayerParams(s=0.5, alpha=5.8, beta=5.0, gamma=5.5, delta=5.0,
                     mode="paper")
     cx = build_constants(p)
-    recs = vc.touchpoint_reduced_records(cx, k_range=range(4))
+    recs = vc.touchpoint_reduced_records(cx)
     fails = [r for r in recs if not r.passed]
     _verdict("criterion-5 touchpoint identities (paper mode)", not fails,
              f"{len(recs)} identities, k=0..3" +
@@ -322,10 +322,10 @@ def test_criterion_10_barrier_suite():
         all_neg &= rep.negative and rep.passed
     tb = exact_power_bump(2.0, 1.0)
     xs = [1e3, 1e4, 1e5]
-    up = asymptotic_operator_limit(kern, tb, xs, "upper", rel_slack=0.05)
+    up = asymptotic_operator_limit(kern, tb, xs, "upper")
     lo_tb = TailBarrier(Cbar=0.5 * tb.Cbar, kappa=1.0, sigma=2.0, tau=2.0,
                         gamma_low=tb.gamma_low, body=tb.body)
-    lo = asymptotic_operator_limit(kern, lo_tb, xs, "lower", rel_slack=0.05)
+    lo = asymptotic_operator_limit(kern, lo_tb, xs, "lower")
     _verdict("criterion-10 barrier suite",
              all_neg and up.passed and lo.passed,
              f"bracket [{lo.bound:.3f} <= {up.estimate:.3f} <= {up.bound:.3f}]")

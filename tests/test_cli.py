@@ -145,3 +145,37 @@ def test_verify_counterexample_paper_mode(tmp_path):
     assert all(c["pass"] for c in rep["checks"])
     ids = {c["id"] for c in rep["checks"]}
     assert any("touch-derivative-bracket" in i for i in ids)
+
+
+@pytest.mark.parametrize("mode", ["paper", "desk"])
+@pytest.mark.parametrize("k_max", [0, 1, 6])
+def test_verify_counterexample_checks_cells_up_to_k_max(tmp_path, k_max,
+                                                        mode):
+    """The reduced touchpoint identities cover cells 0..k_max of the
+    configured construction, fewer than four cells included."""
+    text = (BASE + f"counterexample.k_max = {k_max}\n"
+            "counterexample.n_sweep = 2\n")
+    assert main(["verify-counterexample", "--config", _cfg(tmp_path, text),
+                 "--out", str(tmp_path), "--mode", mode]) == 0
+    rep = json.loads(
+        (tmp_path / "verify_counterexample_report.json").read_text())
+    cells = {c["location"].split(",")[0] for c in rep["checks"]
+             if c["id"].startswith("touch-derivative-bracket-")}
+    assert cells == {f"k={k}" for k in range(k_max + 1)}
+
+
+@pytest.mark.parametrize("command, line", [
+    ("operator-eval", "operator.profile = sine"),
+    ("operator-eval", "operator.points = 0.1,abc"),
+    ("operator-eval", "kernel.s = 1.5"),
+    ("solve", "potential.alpha = 3\npotential.beta = 4"),
+    ("solve", "solver.n = 2"),
+], ids=["profile", "points", "kernel", "well", "grid"])
+def test_rejected_config_value_is_usage_error(tmp_path, capsys, command,
+                                              line):
+    """A value the constructors reject exits 2 with a one-line message,
+    not with a traceback and the exit code of a failed check."""
+    assert main([command, "--config", _cfg(tmp_path, BASE + line + "\n"),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -78,7 +78,6 @@ def test_measure_cutoff_pinned():
               "ratio": 6785.316731488672}
     for name, want in pinned.items():
         assert getattr(stats, name) == pytest.approx(want, rel=1e-12), name
-    assert stats.grid_points == 20001
 
 
 def test_cutoff_users_never_import_sympy():

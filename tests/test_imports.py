@@ -1,8 +1,10 @@
 """Every module-level import in src/fraclayer is used by its module, every
 top-level def and class in it is named somewhere else in the program (src,
-perfbench or tools), the third-party modules it imports are exactly the
-declared dependencies, the solver reads a grid only through the operator
-interface, and a run of the program loads neither scipy nor mpmath."""
+perfbench or tools), every class member is read and every defaulted
+parameter is passed somewhere (tests included), the third-party modules it
+imports are exactly the declared dependencies, the solver reads a grid only
+through the operator interface, and a run of the program loads neither
+scipy nor mpmath."""
 
 import ast
 import os
@@ -83,12 +85,16 @@ def _referenced_names(node) -> set:
     return names
 
 
+def _trees(roots) -> dict:
+    return {path: ast.parse(path.read_text())
+            for root in roots for path in sorted(root.rglob("*.py"))}
+
+
 def _unreferenced_defs(package: Path, roots) -> list:
     """Top-level defs and classes of the package's modules that no code under
     the roots names outside their own definition. One of the roots must
     contain the package."""
-    trees = {path: ast.parse(path.read_text())
-             for root in roots for path in sorted(root.rglob("*.py"))}
+    trees = _trees(roots)
     per_stmt = {path: [_referenced_names(stmt) for stmt in tree.body]
                 for path, tree in trees.items()}
     out = []
@@ -128,6 +134,168 @@ def test_every_def_is_named_elsewhere():
     """Program code only: a def that only tests name is dead."""
     assert _unreferenced_defs(PACKAGE, [ROOT / d for d in (
         "src", "perfbench", "tools")]) == []
+
+
+ALL_CODE = [ROOT / d for d in ("src", "perfbench", "tools", "tests")]
+
+
+def _attribute_reads(tree, reads: dict) -> None:
+    """Add to reads, per attribute name, the class-body statements that
+    read it (the tree's root outside any). A read is an attribute load, or
+    a string constant in a function that calls getattr."""
+
+    def visit(node, owner, in_class_body):
+        if in_class_body:
+            owner = node
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.attr, set()).add(owner)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                and c.func.id == "getattr" for c in ast.walk(node)):
+            for c in ast.walk(node):
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    reads.setdefault(c.value, set()).add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, isinstance(node, ast.ClassDef))
+
+    visit(tree, tree, False)
+
+
+def _unread_members(package: Path, roots) -> list:
+    """Fields, methods and properties of the package's classes that no code
+    under the roots reads outside their own definition. Dunder methods are
+    left out: Python calls them itself."""
+    trees = _trees(roots)
+    reads: dict = {}
+    for tree in trees.values():
+        _attribute_reads(tree, reads)
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    name = node.target.id
+                elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (node.name.startswith("__")
+                               and node.name.endswith("__"))):
+                    name = node.name
+                else:
+                    continue
+                if not reads.get(name, set()) - {node}:
+                    out.append(f"{path.name}:{node.lineno}: {cls.name}.{name}")
+    return out
+
+
+def test_unread_member_finder_flags_a_member_without_a_reader(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "m.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass Rec:\n"
+        "    used: int\n    by_name: int\n    dead: int\n\n"
+        "    def again(self):\n        return self.again()\n\n"
+        "    def total(self):\n        return self.used\n\n"
+        "    @property\n    def doubled(self):\n        return 2\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_m.py").write_text(
+        "def test_x(r):\n    r.dead = 1\n    assert r.total() < r.doubled\n"
+        "    for f in ('by_name',):\n        getattr(r, f)\n")
+    assert _unread_members(pkg, [pkg, tests]) == [
+        "m.py:7: Rec.dead", "m.py:9: Rec.again"]
+
+
+def test_every_member_is_read():
+    assert _unread_members(PACKAGE, ALL_CODE) == []
+
+
+def _defaulted_params(fn) -> list:
+    """(position, name) of each parameter with a default; the position of a
+    keyword-only one is None."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(pos) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                             args.kw_defaults)
+               if d is not None])
+
+
+def _callables(tree):
+    """(call name, def, implicit leading arguments) of each top-level def and
+    method: a method called on an object gets self or cls implicitly, and
+    __init__ is called by its class's name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in m.decorator_list)
+                    yield (node.name if m.name == "__init__" else m.name,
+                           m, 0 if static else 1)
+
+
+def _passes(call, pos, name: str, implicit: int) -> bool:
+    """Whether the call may set the parameter: by keyword, by **mapping, by
+    position, or by *sequence."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return pos is not None and (
+        any(isinstance(a, ast.Starred) for a in call.args)
+        or pos - implicit < len(call.args))
+
+
+def _unpassed_params(package: Path, roots) -> list:
+    """Defaulted parameters of the package's defs and methods that no call
+    under the roots passes. Calls match defs by name. Dataclass constructors
+    have no def and are left out."""
+    trees = _trees(roots)
+    calls: dict = {}
+    for tree in trees.values():
+        for c in ast.walk(tree):
+            if isinstance(c, ast.Call):
+                name = (c.func.id if isinstance(c.func, ast.Name)
+                        else getattr(c.func, "attr", None))
+                calls.setdefault(name, []).append(c)
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for name, fn, implicit in _callables(trees[path]):
+            for pos, arg in _defaulted_params(fn):
+                if not any(_passes(c, pos, arg, implicit
+                                   if isinstance(c.func, ast.Attribute)
+                                   or fn.name == "__init__" else 0)
+                           for c in calls.get(name, ())):
+                    out.append(f"{path.name}:{fn.lineno}: {name}({arg})")
+    return out
+
+
+def test_unpassed_param_finder_flags_a_default_no_call_sets(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "m.py").write_text(
+        "def f(a, b=1, c=2, *, d=3):\n    return f(a, *[b])\n\n"
+        "class K:\n    def __init__(self, x=0):\n        self.x = x\n\n"
+        "    def m(self, y=1, z=2):\n        return y + z\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    test_m = tests / "test_m.py"
+    test_m.write_text("from pkg.m import K, f\n"
+                      "def test_x():\n    f(0, d=4)\n    K(1).m(5)\n")
+    assert _unpassed_params(pkg, [pkg, tests]) == ["m.py:8: m(z)"]
+    test_m.write_text("from pkg.m import K, f\n"
+                      "def test_x():\n    f(0, d=4)\n    K().m(z=5)\n")
+    assert _unpassed_params(pkg, [pkg, tests]) == [
+        "m.py:5: K(x)", "m.py:8: m(y)"]
+
+
+def test_every_default_is_passed_somewhere():
+    assert _unpassed_params(PACKAGE, ALL_CODE) == []
 
 
 # what solver.py may read of the grid operator (op) and of a GridProfile

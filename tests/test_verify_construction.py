@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fraclayer import verify_construction as vc
+from fraclayer.construction import LayerParams, build_constants
 
 
 def _random_tuples(rng, n=30):
@@ -34,6 +35,18 @@ def test_equality_cases_detected():
 def test_reduced_touchpoints(paper_constants):
     recs = vc.touchpoint_reduced_records(paper_constants)
     assert all(r.passed for r in recs)
+
+
+@pytest.mark.parametrize("mode", ["paper", "desk"])
+def test_reduced_touchpoints_cover_all_cells(mode):
+    """Every cell k = 0..k_max is checked, well past the default three."""
+    cx = build_constants(LayerParams(s=0.5, alpha=5.8, beta=5.0, gamma=5.5,
+                                     delta=5.0, mode=mode, k_max=13))
+    recs = vc.touchpoint_reduced_records(cx)
+    assert all(r.passed for r in recs)
+    assert {r.location.split(",")[0] for r in recs
+            if r.id.startswith("touch-exponent-algebra-")} == {
+        f"k={k}" for k in range(14)}
 
 
 def test_desk_touchpoints(desk_profile):

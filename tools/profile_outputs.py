@@ -27,7 +27,19 @@ and once:
   envelope records);
 - for a pure-power well pair with four different constants and for the
   oscillatory wells (5.8, 5 | 5.5, 5): W, W' and W'' on a uniform and a
-  graded grid in [-1, 1], and the `well_envelope_records`;
+  graded grid in [-1, 1], `max_w2` and the `well_envelope_records`;
+- the `measure_cutoff` fields;
+- under the s = 0.5 kernel: `step_constant_cap(0.5)` and
+  `verify_step_barrier` on four seeded step barriers with that cap; the
+  estimate, bound and verdict of `asymptotic_operator_limit` for
+  `exact_power_bump(2, 1)` (both orientations) and for the
+  `derivative_barrier` of the (5.8, 5 | 5.5, 5) wells at xbar = 6 (upper),
+  and that barrier's body and two derivatives on [-12, 12];
+- `check_derivative_commutation` on `verify-regularity`'s corpus (its
+  points, h = 1e-3, tolerance 1e-6), and its `holder-transfer-cap` record
+  on `lipschitz_bump()` under the s = 0.25 kernel at the pairs of seed 0;
+- `tanh_profile()` and `lipschitz_bump()`: values and derivatives on
+  [-3, 3], features and names;
 - `minimize_energy` under the s = 0.5 kernel over [-60, 60] with 256
   nodes, tol 2e-5, on quartic wells (c = 2) and on wells with a quadratic
   left and a cubic right degeneracy: values, exterior models, iteration
@@ -105,7 +117,71 @@ def _potentials(out: dict) -> None:
         for m, f in enumerate((pot.W, pot.W1, pot.W2)):
             out[f"{name}/W{m}"] = f(t)
         out[f"{name}/W0_scalar"] = np.array([pot.W(v) for v in t[::97]])
+        out[f"{name}/max_w2"] = np.array(pot.max_w2())
         _records(out, f"{name}/well_envelope", well_envelope_records(pot))
+
+
+def _operators(out: dict) -> None:
+    """Barriers, commutation and Hölder transfer, the built-in profiles and
+    the cutoff statistics."""
+    from fraclayer import profiles as pr
+    from fraclayer.barriers import (StepBarrier, asymptotic_operator_limit,
+                                    derivative_barrier, exact_power_bump,
+                                    step_constant_cap, verify_step_barrier)
+    from fraclayer.cutoffs import measure_cutoff
+    from fraclayer.kernels import fractional_kernel
+    from fraclayer.quadrature import (QuadConfig,
+                                      check_derivative_commutation,
+                                      check_holder_transfer)
+
+    stats = measure_cutoff()
+    for field in ("eta_bar", "eta_0", "eta_bar4", "slope_min", "ratio"):
+        out[f"cutoff/{field}"] = np.array(getattr(stats, field))
+    kern = fractional_kernel(0.5)
+    cap = step_constant_cap(0.5)
+    out["step/cap"] = np.array(cap)
+    rng = np.random.default_rng(11)
+    for i in range(4):
+        xbar, A, alpha = (rng.uniform(1.0, 4.0), rng.uniform(0.2, 1.5),
+                          rng.uniform(0.05, 0.5))
+        lvl = 1.0 - alpha * xbar ** (-A)
+        b = StepBarrier(xbar=xbar, alpha=alpha, A=A,
+                        B=rng.uniform(0.0, min(0.6, lvl)),
+                        D=rng.uniform(0.0, lvl - 1e-9))
+        r = verify_step_barrier(kern, b, [10 * xbar, 40 * xbar, 200 * xbar],
+                                c_cap=cap)
+        out[f"step/{i}"] = np.array([*r.values, *r.bound, r.passed,
+                                     r.negative])
+    db = derivative_barrier(0.5, 5.8, 5.0, 5.5, 5.0, xbar=6.0)
+    x = np.linspace(-12.0, 12.0, 241)
+    out["derivative_barrier/body"] = np.array(
+        [db.body(x), db.body.deriv(1)(x), db.body.deriv(2)(x)])
+    for name, tb, xs, orients in (
+            ("power_bump", exact_power_bump(2.0, 1.0), [1e3, 1e4, 1e5],
+             ("upper", "lower")),
+            ("derivative_barrier", db, [6e3, 6e4, 6e5], ("upper",))):
+        for orient in orients:
+            r = asymptotic_operator_limit(kern, tb, xs, orient)
+            out[f"{name}/limit_{orient}"] = np.array(
+                [r.estimate, r.bound, r.passed])
+    qc = QuadConfig(tol=1e-6)
+    for u in (pr.gaussian(), pr.tanh_profile(), pr.cosine(1.0)):
+        r = check_derivative_commutation(kern, u, [-1.0, -0.3, 0.0, 0.7, 2.0],
+                                         h=1e-3, cfg=qc)
+        out[f"commutation/{u.name}"] = np.array(
+            [*r.discrepancies, r.tolerance, r.passed])
+    rng = np.random.default_rng(0)
+    pairs = [(a, a + d) for a, d in zip(rng.uniform(-1, 1, 5),
+                                        rng.uniform(0.1, 0.5, 5))]
+    _records(out, "holder_transfer", [check_holder_transfer(
+        fractional_kernel(0.25), pr.lipschitz_bump(), pairs, alpha=1.0,
+        seminorm=1.0, cfg=qc)])
+    x = np.linspace(-3.0, 3.0, 601)
+    for key, u in (("tanh", pr.tanh_profile()), ("lip", pr.lipschitz_bump())):
+        out[f"profile/{key}/values"] = np.array(
+            [u(x)] + [u.deriv(m)(x) for m in range(1, 5) if u.has_deriv(m)])
+        out[f"profile/{key}/features"] = np.array(u.features)
+        out[f"profile/{key}/name"] = np.array(u.name)
 
 
 def _steps(out: dict, key: str, res) -> None:
@@ -224,6 +300,7 @@ def dump(path: str) -> None:
         if name == "desk":
             _reconstruction(out, prof)
     _potentials(out)
+    _operators(out)
     _solver(out)
     _criterion9(out)
     np.savez(path, **out)
