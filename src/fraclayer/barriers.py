@@ -347,7 +347,7 @@ def _fixed_tail_mass(sig, tau, xb, w_minus, w_plus) -> float:
     return float(ml + mr)
 
 
-def exact_power_bump(sigma: float, kappa: float = 1.0) -> TailBarrier:
+def exact_power_bump(sigma: float, kappa: float) -> TailBarrier:
     """(kappa^2/(kappa^2 + x^2))^(sigma/2) * kappa^-sigma: two-sided bracket probe.
 
     Outside [-kappa, kappa] this profile is squeezed between

@@ -12,6 +12,10 @@ still written; 2: usage or configuration error):
   reconstruct-potential  potential table from the profile, shape checks
   solve                  energy minimization on a truncated grid
   fit-decay              power/envelope fits on a profile CSV
+
+Every key a config file may set is declared once, with its type, default
+and bound, in `config.KEYS`. An unknown key, a mistyped value or a value
+past its bound exits 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -23,57 +27,56 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, get, load_config, require
+from .config import ConfigError, floats, load_config, settings, value
 from .errors import FracLayerError, InputFileError
 from .kernels import KernelSpec, fractional_kernel, perturbed_kernel
 from .reports import SIDE_LABEL, Report
 
 USAGE_ERROR = 2
+# the kernel key that a form reads besides s, lam and Lam
+FORM_KEY = {"scaled-fractional": "scale", "tabulated-perturbation": "wobble"}
+
+
+def _build(section: str, ctor, *args, **kw):
+    """ctor(*args, **kw), its ValueError raised as a ConfigError that names
+    the config section."""
+    try:
+        return ctor(*args, **kw)
+    except ValueError as e:
+        raise ConfigError(f"{section}: {e}") from e
 
 
 def _kernel_from(cfg: dict) -> KernelSpec:
-    s = require(cfg, "kernel", "s")
-    form = get(cfg, "fractional", "kernel", "form")
-    lam = get(cfg, 1.0, "kernel", "lam")
-    Lam = get(cfg, 1.0, "kernel", "Lam")
-    try:
-        if form == "fractional":
-            return fractional_kernel(s, lam, Lam)
-        if form == "scaled-fractional":
-            return KernelSpec(s=s, lam=lam, Lam=Lam, form=form, scale=get(
-                cfg, 0.5 * (lam + Lam), "kernel", "scale"))
-        if form == "tabulated-perturbation":
-            return perturbed_kernel(s, lam, Lam,
-                                    wobble=get(cfg, 0.5, "kernel", "wobble"))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"kernel: {e}") from e
-    raise ConfigError(f"unknown kernel.form {form!r}")
+    s, form = value(cfg, "kernel.s"), value(cfg, "kernel.form")
+    for name in FORM_KEY.values():
+        if name in cfg["kernel"] and FORM_KEY.get(form) != name:
+            raise ConfigError(f"kernel.{name} is not read by kernel.form "
+                              f"= {form}")
+    kw = settings(cfg, "kernel", "lam", "Lam")
+    if form == "fractional":
+        return _build("kernel", fractional_kernel, s, **kw)
+    lam, Lam = kw.get("lam", KernelSpec.lam), kw.get("Lam", KernelSpec.Lam)
+    if form == "scaled-fractional":
+        return _build("kernel", KernelSpec, s=s, lam=lam, Lam=Lam, form=form,
+                      scale=cfg["kernel"].get("scale", 0.5 * (lam + Lam)))
+    return _build("kernel", perturbed_kernel, s, lam, Lam,
+                  **settings(cfg, "kernel", "wobble"))
 
 
 def _well_from(cfg: dict):
     from .potentials import WellParams
 
-    kw = {k: require(cfg, "potential", k)
-          for k in ("alpha", "beta", "gamma", "delta")}
-    kw.update({k: get(cfg, 1.0, "potential", k)
-               for k in ("c1", "c2", "c3", "c4")})
-    try:
-        return WellParams(**kw, mu=get(cfg, 0.5, "potential", "mu"),
-                          mode=get(cfg, "pure-power", "potential", "mode"))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"potential: {e}") from e
+    return _build("potential", WellParams, **settings(
+        cfg, "potential", "alpha", "beta", "gamma", "delta", "c1", "c2", "c3",
+        "c4", "mu", "mode"))
 
 
 def _layer_params_from(cfg: dict, mode: str):
     from .construction import LayerParams
 
-    block = cfg.get("counterexample", {})
-    return LayerParams(
-        s=require(cfg, "counterexample", "s"),
-        alpha=block.get("alpha", 5.8), beta=block.get("beta", 5.0),
-        gamma=block.get("gamma", 5.5), delta=block.get("delta", 5.0),
-        rho=block.get("rho"), mode=mode,
-        k_max=int(block.get("k_max", 3)))
+    return LayerParams(mode=mode, **settings(
+        cfg, "counterexample", "s", "alpha", "beta", "gamma", "delta", "rho",
+        "k_max"))
 
 
 def cmd_operator_eval(cfg, out, seed, mode) -> Report:
@@ -82,19 +85,11 @@ def cmd_operator_eval(cfg, out, seed, mode) -> Report:
     from .quadrature import QuadConfig, eval_lk
 
     kern = _kernel_from(cfg)
-    try:
-        pts = [float(v) for v in
-               str(get(cfg, "0.0,0.5,1.0", "operator", "points")).split(",")]
-    except ValueError as e:
-        raise ConfigError(f"operator.points: {e}") from e
-    name = get(cfg, "cosine", "operator", "profile")
-    omega = get(cfg, 1.0, "operator", "omega")
-    profiles = {"cosine": pr.cosine(omega), "tanh": pr.tanh_profile(),
-                "gaussian": pr.gaussian(), "constant": pr.constant(0.7)}
-    if name not in profiles:
-        raise ConfigError(f"unknown operator.profile {name!r}")
-    u = profiles[name]
-    qc = QuadConfig(tol=get(cfg, 1e-6, "operator", "tol"))
+    pts = floats(value(cfg, "operator.points"))
+    name, omega = value(cfg, "operator.profile"), value(cfg, "operator.omega")
+    u = {"cosine": pr.cosine(omega), "tanh": pr.tanh_profile(),
+         "gaussian": pr.gaussian(), "constant": pr.constant(0.7)}[name]
+    qc = _build("operator", QuadConfig, tol=value(cfg, "operator.tol"))
     rep = Report("operator-eval", cfg)
     rows = []
     for x in pts:
@@ -150,7 +145,7 @@ def cmd_verify_barriers(cfg, out, seed, mode) -> Report:
     rep = Report("verify-barriers", cfg)
     rng = np.random.default_rng(seed)
     cap = step_constant_cap(kern.s, kern.lam, kern.Lam)
-    for i in range(int(get(cfg, 10, "barriers", "n_step"))):
+    for i in range(value(cfg, "barriers.n_step")):
         xbar = rng.uniform(1.0, 4.0)
         A = rng.uniform(0.2, 1.5)
         alpha = rng.uniform(0.05, 0.5)
@@ -212,7 +207,7 @@ def cmd_verify_counterexample(cfg, out, seed, mode) -> Report:
     cx = build_constants(p)
     rng = np.random.default_rng(seed)
     tuples = []
-    for _ in range(int(get(cfg, 40, "counterexample", "n_sweep"))):
+    for _ in range(value(cfg, "counterexample.n_sweep")):
         s = rng.uniform(0.1, 0.9)
         beta = rng.uniform(2.0, 6.0)
         delta = rng.uniform(2.0, 6.0)
@@ -250,8 +245,7 @@ def cmd_reconstruct_potential(cfg, out, seed, mode) -> Report:
     rep = Report("reconstruct-potential", cfg)
     prof = build_profile(p)
     tab = reconstruct_potential(
-        prof, kern,
-        depth_decades=get(cfg, 8.0, "reconstruct", "depth_decades"))
+        prof, kern, depth_decades=value(cfg, "reconstruct.depth_decades"))
     tab.to_csv(out / "potential.csv")
     rep.add("potential-positive", tab.interior_min() > 0, tab.interior_min())
     rep.add("equal-depth-closure", tab.closure_defect() <= 0.01,
@@ -275,20 +269,12 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
 
     kern = _kernel_from(cfg)
     pot = make_potential(_well_from(cfg))
-    try:
-        L = float(get(cfg, 200.0, "solver", "L"))
-        n = int(get(cfg, 2048, "solver", "n"))
-    except ValueError as e:
-        raise ConfigError(f"solver.L, solver.n: {e}") from e
-    # the grid operator needs a uniform grid of three nodes at least
-    if not (L > 0 and n >= 3):
-        raise ConfigError(f"need solver.L > 0 and solver.n >= 3, "
-                          f"got L = {L:g}, n = {n}")
-    sc = SolveConfig(tol=get(cfg, 1e-6, "solver", "tol"),
-                     max_iter=int(get(cfg, 30000, "solver", "max_iter")))
+    g0 = _build("solver", make_grid, **settings(cfg, "solver", "L", "n"))
+    sc = _build("solver", SolveConfig,
+                **settings(cfg, "solver", "tol", "max_iter"))
     rep = Report("solve", cfg)
     rep.add_records(well_envelope_records(pot))
-    res = minimize_energy(make_grid(L, n), pot, kern, sc)
+    res = minimize_energy(g0, pot, kern, sc)
     rep.add("solver-converged", res.converged, sc.tol - res.residual,
             f"iterations={res.iterations}")
     inc = bool(np.all(np.diff(res.profile.values) >= -1e-14))
@@ -325,7 +311,7 @@ def cmd_fit_decay(cfg, out, seed, mode) -> Report:
     half its largest value, in file order."""
     from .analysis import fit_power_decay
 
-    path = require(cfg, "fit", "csv")
+    path = value(cfg, "fit.csv")
     rep = Report("fit-decay", cfg)
     try:
         with open(path) as fh:

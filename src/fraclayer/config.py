@@ -1,16 +1,127 @@
-"""Flat `key = value` configuration files with dotted namespaces.
+"""Flat `section.name = value` configuration files, checked against KEYS.
 
 Chosen for diff-ability in golden tests: one assignment per line, `#`
-comments, values parsed as int, float, bool, or string.
+comments, values parsed as int, float, bool, or string. Every key the CLI
+reads is one row of KEYS, which gives its type, its default and, for the
+resource keys and the keys the CLI dispatches on, a bound. `parse_config`
+rejects an unknown key, a value of the wrong type (a bool is no number, 2.7
+is no int), a non-finite float and a value past its bound, with a
+ConfigError that names the key. Domain rules (s in (0, 1), alpha >= beta >=
+2, lam <= Lam, ...) stay with the constructors the CLI passes the values
+to, which raise ValueError.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import math
+import sys
+from typing import Any, NamedTuple
+
+from .kernels import FORMS
+from .potentials import MODES
 
 
 class ConfigError(ValueError):
-    """Parse or validation failure, carrying the offending line."""
+    """Parse or validation failure, naming the offending line or key."""
+
+
+REQUIRED = object()     # no default: the subcommand that reads it fails
+OWN = object()          # the constructor's own default: passed only when set
+
+
+class Key(NamedTuple):
+    type: type          # int, float, str, or list: comma-separated floats
+    default: Any = OWN
+    bound: Any = None   # largest value of a resource key, or the choices
+                        # of a key the CLI dispatches on
+
+
+KEYS = {
+    "kernel.s": Key(float, REQUIRED),
+    "kernel.form": Key(str, "fractional", FORMS),
+    "kernel.lam": Key(float),
+    "kernel.Lam": Key(float),
+    # scaled-fractional only; unset, the CLI takes the midpoint of [lam, Lam]
+    "kernel.scale": Key(float),
+    "kernel.wobble": Key(float),            # tabulated-perturbation only
+    "operator.points": Key(list, "0.0,0.5,1.0"),
+    "operator.profile": Key(str, "cosine",
+                            ("cosine", "tanh", "gaussian", "constant")),
+    "operator.omega": Key(float, 1.0),
+    "operator.tol": Key(float, 1e-6),
+    # per step barrier: 2 records, about 0.6 kB held and 0.5 ms; at the
+    # bound 6 MB and 5 s
+    "barriers.n_step": Key(int, 10, 10 ** 4),
+    "counterexample.s": Key(float, REQUIRED),
+    "counterexample.alpha": Key(float, 5.8),
+    "counterexample.beta": Key(float, 5.0),
+    "counterexample.gamma": Key(float, 5.5),
+    "counterexample.delta": Key(float, 5.0),
+    "counterexample.rho": Key(float),
+    # cells 14-40 fail junction-regularity with slack -1: their scales
+    # are not resolved
+    "counterexample.k_max": Key(int, OWN, 13),
+    # per swept exponent tuple: 144 records, 42 kB held, 21 kB of report
+    # and 1.3 ms; at the bound 42 MB, 21 MB and 1.3 s
+    "counterexample.n_sweep": Key(int, 40, 1000),
+    "potential.alpha": Key(float, REQUIRED),
+    "potential.beta": Key(float, REQUIRED),
+    "potential.gamma": Key(float, REQUIRED),
+    "potential.delta": Key(float, REQUIRED),
+    "potential.c1": Key(float),
+    "potential.c2": Key(float),
+    "potential.c3": Key(float),
+    "potential.c4": Key(float),
+    "potential.mu": Key(float),
+    "potential.mode": Key(str, OWN, MODES),
+    "solver.L": Key(float, 200.0),
+    # building the operator and applying it once peaks at 199 MB RSS at
+    # n = 2^20 (73 MB at 2^18); the GMRES basis of 21 vectors adds 176 MB
+    "solver.n": Key(int, 2048, 2 ** 20),
+    "solver.tol": Key(float),
+    # per pass: about 31 bytes of traces held and up to 100 bytes of
+    # convergence.json, 0.9 ms at n = 256; at the bound 3 MB, 10 MB, 90 s
+    "solver.max_iter": Key(int, OWN, 10 ** 5),
+    # graded_nodes adds no node past about 15.4 decades, but allocates
+    # 12 floats per decade before it filters: 96 GB at a depth of 1e9
+    "reconstruct.depth_decades": Key(float, 8.0, 16.0),
+    "fit.csv": Key(str, REQUIRED),
+}
+
+
+def floats(v: Any) -> list[float]:
+    """The finite floats of a comma-separated list (or of one number);
+    ValueError otherwise."""
+    out = [float(p) for p in str(v).split(",")]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"non-finite value in {v!r}")
+    return out
+
+
+def _problem(key: str, v: Any) -> str | None:
+    """What makes v no value of the key, if anything: an unknown key, a
+    wrong type or a value past the bound."""
+    if key not in KEYS:
+        return f"unknown key {key!r}"
+    t, bound = KEYS[key].type, KEYS[key].bound
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if t is list:
+        try:
+            floats(v)
+        except ValueError:
+            return f"{key}: expected comma-separated finite numbers, got {v!r}"
+    # an int past the float range is no finite number either
+    elif not (t is float and number and abs(v) <= sys.float_info.max
+              or t is int and number and isinstance(v, int)
+              or t is str and isinstance(v, str)):
+        what = {float: "a finite number", int: "an integer",
+                str: "a string"}[t]
+        return f"{key}: expected {what}, got {v!r}"
+    if isinstance(bound, tuple) and v not in bound:
+        return f"{key}: expected one of {', '.join(bound)}, got {v!r}"
+    if bound is not None and not isinstance(bound, tuple) and v > bound:
+        return f"{key}: at most {bound}, got {v!r}"
+    return None
 
 
 def _coerce(raw: str) -> Any:
@@ -31,7 +142,7 @@ def _coerce(raw: str) -> Any:
 
 
 def parse_config(text: str) -> dict:
-    """Parse to a nested dict; dotted keys open namespaces."""
+    """Parse to {section: {name: value}}, checking every line against KEYS."""
     out: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -41,15 +152,12 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, raw = body.partition("=")
         key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        parts = key.split(".")
-        node = out
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"line {lineno}: {p!r} already a value")
-        node[parts[-1]] = _coerce(raw)
+        value = _coerce(raw)
+        problem = _problem(key, value)
+        if problem:
+            raise ConfigError(f"line {lineno}: {problem}")
+        section, name = key.split(".")
+        out.setdefault(section, {})[name] = value
     return out
 
 
@@ -58,20 +166,22 @@ def load_config(path) -> dict:
         return parse_config(fh.read())
 
 
-def require(cfg: dict, *keys: str) -> Any:
-    """Fetch a dotted key, raising ConfigError with the key name if absent."""
-    node: Any = cfg
-    for k in keys:
-        if not isinstance(node, dict) or k not in node:
-            raise ConfigError(f"missing config key {'.'.join(keys)!r}")
-        node = node[k]
-    return node
+def settings(cfg: dict, section: str, *names: str) -> dict:
+    """Keyword arguments from one section: each name's value as set, else
+    its default from KEYS. A name whose default is the constructor's own is
+    left out when unset; a missing required one raises ConfigError."""
+    block = cfg.get(section, {})
+    out = {}
+    for name in names:
+        v = block.get(name, KEYS[f"{section}.{name}"].default)
+        if v is REQUIRED:
+            raise ConfigError(f"missing config key '{section}.{name}'")
+        if v is not OWN:
+            out[name] = v
+    return out
 
 
-def get(cfg: dict, default: Any, *keys: str) -> Any:
-    node: Any = cfg
-    for k in keys:
-        if not isinstance(node, dict) or k not in node:
-            return default
-        node = node[k]
-    return node
+def value(cfg: dict, key: str) -> Any:
+    """One key's value as set, else its default from KEYS."""
+    section, name = key.split(".")
+    return settings(cfg, section, name)[name]

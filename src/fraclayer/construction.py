@@ -37,8 +37,8 @@ PIECE_NAMES = ("inner-power", "ramp-on", "ramp", "ramp-off", "outer-swap",
                "return")
 
 
-def sufficiency_rho(s: float, alpha: float, beta: float, gamma: float,
-                    delta: float, stats: CutoffStats | None = None) -> float:
+def sufficiency_rho(alpha: float, beta: float, gamma: float, delta: float,
+                    stats: CutoffStats | None = None) -> float:
     """Smallest gap exponent for which the monotonicity margins are covered.
 
     zeta >= 32 (A/B) eta_bar/eta_0 and the mirrored xi condition translate to
@@ -50,7 +50,7 @@ def sufficiency_rho(s: float, alpha: float, beta: float, gamma: float,
     return 32.0 * stats.ratio * max(rab * math.log(rab), rde * math.log(rde))
 
 
-def threshold_params(s: float, rho_target: float = 2.05) -> "LayerParams":
+def threshold_params(s: float, rho_target: float) -> "LayerParams":
     """Desk parameters with beta = delta = 5 whose sufficiency threshold
     lands at rho_target.
 
@@ -72,7 +72,7 @@ def threshold_params(s: float, rho_target: float = 2.05) -> "LayerParams":
             f" rho_target in [{scale * lo * math.log(lo):.4g}, "
             f"{scale * hi * math.log(hi):.4g}]") from None
     alpha = gamma = 1.0 + 4.0 * r
-    rho = sufficiency_rho(s, alpha, 5.0, gamma, 5.0, stats)
+    rho = sufficiency_rho(alpha, 5.0, gamma, 5.0, stats)
     return LayerParams(s=s, alpha=alpha, beta=5.0, gamma=gamma, delta=5.0,
                        rho=rho)
 
@@ -482,7 +482,7 @@ class LayerProfile:
                 terms, int(np.count_nonzero(m)), order)
         return base, d, absd
 
-    def gap_jet_log(self, side: int, L: np.ndarray, order: int = 4) -> tuple:
+    def gap_jet_log(self, side: int, L: np.ndarray, order: int) -> tuple:
         """y-derivatives 0..order of the gap on one side at L = ln y, as a
         tuple of `LogArray`s of L's shape.
 
@@ -498,7 +498,7 @@ class LayerProfile:
         return tuple(LogArray(sg.reshape(L.shape), lm.reshape(L.shape))
                      for sg, lm in jets)
 
-    def gap_rounding(self, side: int, L, order: int = 4):
+    def gap_rounding(self, side: int, L, order: int):
         """Cancellation factor and relative rounding bound of each y-order.
 
         Returns (kappa, bound), each of shape (order + 1, L.size). kappa[k]
@@ -631,7 +631,7 @@ class LayerProfile:
 
     # -- dense sampling --------------------------------------------------------
 
-    def log_samples(self, side: int, n: int):
+    def log_samples(self, n: int):
         """n log-spaced sample L's from a0 to the last finite junction."""
         return np.linspace(self.log_a0 * (1 + 1e-9),
                            self._edges[-1] * (1 - 1e-9), n)
@@ -639,8 +639,8 @@ class LayerProfile:
     def monotone_report(self, n: int = 10000) -> dict:
         """Sign of u~' at n log-spaced points per side plus the bridge."""
         bad = []
+        L = self.log_samples(n)
         for side in (+1, -1):
-            L = self.log_samples(side, n)
             d1 = self.gap_jet_log(side, L, order=1)[1]
             # u~' is -g'(y) on both sides, so u~' > 0 needs g' < 0
             ok = d1.sign < 0
@@ -666,8 +666,8 @@ class LayerProfile:
             vals = [float(self._bridge_eval(np.array([xi]), m)[0])
                     for m in range(4)]
             rows.append((math.asinh(xi), *vals, -1, 0))
+        L = self.log_samples(400)
         for side in (+1, -1):
-            L = self.log_samples(side, 400)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 comps = [self._utilde(side, L, m) for m in range(4)]
             for i, (k, piece) in enumerate(self._refs[j]

@@ -41,6 +41,8 @@ from .jets import hermite_bridge
 from .panels import gauss_rule
 from .reports import SIDE_LABEL, CheckRecord
 
+MODES = ("pure-power", "oscillatory")
+
 
 @dataclass(frozen=True)
 class WellParams:
@@ -62,7 +64,7 @@ class WellParams:
             raise ValueError("need 0 < c1 <= c2 and 0 < c3 <= c4")
         if not 0 < self.mu < 1:
             raise ValueError("mu must be in (0, 1)")
-        if self.mode not in ("pure-power", "oscillatory"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "pure-power":
             if self.alpha != self.beta or self.gamma != self.delta:

@@ -130,7 +130,7 @@ def constant(c: float) -> ProfileFn:
     )
 
 
-def cosine(omega: float = 1.0) -> ProfileFn:
+def cosine(omega: float) -> ProfileFn:
     w = float(omega)
     return ProfileFn(
         fn=lambda x: np.cos(w * x),

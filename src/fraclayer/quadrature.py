@@ -161,7 +161,7 @@ def _local_second_derivative(u: ProfileFn, x: float, ux: float,
 
 
 def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
-            cfg: QuadConfig = QuadConfig()) -> OpValue:
+            cfg: QuadConfig) -> OpValue:
     """Approximate L u(x) with an a posteriori error estimate.
 
     The estimate combines the panel-refinement difference, the variation of

@@ -123,8 +123,7 @@ def invert_profile(prof: LayerProfile, r: float,
                          4.0 * EPS, ln_gap_off(u_a0), g_out))
 
 
-def graded_nodes(depth_decades: float = 12.0,
-                 per_decade: int = 12) -> np.ndarray:
+def graded_nodes(depth_decades: float, per_decade: int = 12) -> np.ndarray:
     """r-nodes: 201 uniform in the middle plus geometric ladders toward both
     wells.
 
@@ -189,7 +188,7 @@ class PotentialTable:
 
 
 def reconstruct_potential(prof: LayerProfile, kernel: KernelSpec,
-                          depth_decades: float = 10.0) -> PotentialTable:
+                          depth_decades: float) -> PotentialTable:
     """Build the table: invert 12 nodes per decade, evaluate the operator,
     integrate.
 
@@ -322,7 +321,7 @@ def second_derivative_limit(prof: LayerProfile, kernel: KernelSpec, xs,
     return out
 
 
-def slope_mass(prof: LayerProfile, X: float = 1e20) -> float:
+def slope_mass(prof: LayerProfile, X: float) -> float:
     """Quadrature of u~' over [-X, X] plus the exact gap tails (should be 2).
 
     The tails int_{|y|>X} u~' equal the gaps 1 -/+ u~(+/-X), read off the

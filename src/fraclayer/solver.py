@@ -44,9 +44,16 @@ TAU_GROWTH_FLOOR = 2.0      # least growth factor after a step not halved:
 
 @dataclass
 class SolveConfig:
-    max_iter: int = 20000       # passes of minimize_energy: Newton-like
+    max_iter: int = 30000       # passes of minimize_energy: Newton-like
                                 # steps, not single matvecs
     tol: float = 1e-6
+
+    def __post_init__(self):
+        # a tol of 0 or NaN is never met: the run would spend every pass
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"need a finite tol > 0, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"need max_iter >= 1, got {self.max_iter}")
 
 
 def make_grid(L: float, n: int, init: str = "tanh",
@@ -57,8 +64,11 @@ def make_grid(L: float, n: int, init: str = "tanh",
     init 'tanh' is the default seed; 'power' warms the far field with
     1 - (1 + |x|/l)^(-p) using tail_exponent_seed, which matters for heavy
     tails whose relaxation through gradient flow is slow. Explicit values
-    override init; any other init raises ValueError.
+    override init; any other init raises ValueError, as do L <= 0 and
+    n < 3: the grid operator needs a uniform grid of three nodes at least.
     """
+    if not (L > 0 and n >= 3):
+        raise ValueError(f"need L > 0 and n >= 3, got L = {L:g}, n = {n}")
     x = np.linspace(-L, L, n)
     h = x[1] - x[0]
     if values is not None:
@@ -235,7 +245,7 @@ def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
 
 
 def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
-                    cfg: SolveConfig = SolveConfig()) -> SolveResult:
+                    cfg: SolveConfig) -> SolveResult:
     """Pseudo-transient descent to a layer profile.
 
     Each pass of the loop evaluates the residual F = L u - W'(u) once and,

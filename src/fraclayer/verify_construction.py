@@ -23,7 +23,7 @@ from .jets import jet_compose
 from .reports import CheckRecord
 
 
-def _rec(records, cid, slack, loc="", tol=0.0):
+def _rec(records, cid, slack, loc, tol=0.0):
     """slack >= -tol passes; slack is 'how much room the inequality had'."""
     records.append(CheckRecord(id=cid, passed=bool(slack >= -tol),
                                worst_slack=float(slack), location=loc))
@@ -434,7 +434,7 @@ def second_derivative_bound_records(prof: LayerProfile,
     records = []
     for sc in (cx.right, cx.left):
         side, lab = sc.sign, sc.label
-        L = prof.log_samples(side, n)
+        L = prof.log_samples(n)
         jets = prof.gap_jet_log(side, L, order=3)
         l1, l2, l3 = jets[1].logm, jets[2].logm, jets[3].logm
         # curvature against the slope form (upper bound only: u~'' may

@@ -152,7 +152,7 @@ def test_criterion_6_desk_mode_at_threshold(threshold_pack):
     # envelope fits on (ln x, ln gap) pairs via the log-native interface
     from fraclayer.analysis import envelope_exponents as env
     for side, sc in ((1, cx.right), (-1, cx.left)):
-        L = prof.log_samples(side, 6000)
+        L = prof.log_samples(6000)
         lg = prof.gap_logm(side, L)
         # ln x reaches ~3e4, beyond exp's range: fit on the surrogate
         # x_surr = exp(600 L / Lmax) and scale ln gap by the same factor

@@ -1,10 +1,13 @@
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fraclayer.cli import main
-from fraclayer.config import ConfigError, parse_config, require
+from fraclayer.config import KEYS, ConfigError, parse_config, value
 
 BASE = """
 kernel.s = 0.5
@@ -33,15 +36,19 @@ def _cfg(tmp_path, text=BASE):
 
 
 def test_config_parsing():
-    cfg = parse_config("a.b = 1\n# comment\nc = 2.5\nflag = true\nname='x'")
-    assert cfg["a"]["b"] == 1
-    assert cfg["c"] == 2.5
-    assert cfg["flag"] is True
-    assert cfg["name"] == "x"
+    cfg = parse_config("kernel.s = 0.5\n# comment\nsolver.n = 256  # nodes\n"
+                       "solver.L = 60\nkernel.form='scaled-fractional'\n"
+                       "operator.points = 0.0,0.7\n")
+    assert cfg == {"kernel": {"s": 0.5, "form": "scaled-fractional"},
+                   "solver": {"n": 256, "L": 60},
+                   "operator": {"points": "0.0,0.7"}}
+    # values reach the constructors as parsed: the int 60 stays an int
+    assert type(value(cfg, "solver.L")) is int
+    assert value(cfg, "operator.omega") == 1.0
     with pytest.raises(ConfigError):
         parse_config("novalue")
-    with pytest.raises(ConfigError):
-        require(cfg, "missing", "key")
+    with pytest.raises(ConfigError, match="fit.csv"):
+        value(cfg, "fit.csv")
 
 
 def test_operator_eval_passes(tmp_path):
@@ -179,3 +186,96 @@ def test_rejected_config_value_is_usage_error(tmp_path, capsys, command,
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def _rejected(tmp_path, capsys, command, line, *names):
+    """The line exits 2 with a one-line config error naming every name,
+    and writes no report."""
+    out = tmp_path / "out"
+    assert main([command, "--config", _cfg(tmp_path, BASE + line + "\n"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert all(n in err for n in names), err
+    assert not list(out.glob("*_report.json"))
+
+
+READER = {"kernel": "operator-eval", "operator": "operator-eval",
+          "barriers": "verify-barriers", "counterexample":
+          "verify-counterexample", "potential": "solve", "solver": "solve",
+          "reconstruct": "reconstruct-potential", "fit": "fit-decay"}
+
+
+@pytest.mark.parametrize("key, raw", [
+    *((k, "abc") for k in (
+        "solver.tol", "solver.max_iter", "counterexample.k_max",
+        "operator.tol", "reconstruct.depth_decades", "counterexample.alpha",
+        "counterexample.rho", "operator.omega", "barriers.n_step",
+        "counterexample.n_sweep")),
+    ("solver.L", "inf"), ("operator.omega", "nan"),
+    ("operator.points", "1e400"), ("solver.tolerance", "1e-30"),
+    ("counterexample.k_max", "2.7"), ("solver.n", "2.5"),
+    ("solver.n", "true"), ("fit.csv", "7"),
+])
+def test_bad_value_is_config_error(tmp_path, capsys, key, raw):
+    """A mistyped, non-finite or undeclared value exits 2 naming its key,
+    before the subcommand that would read it starts."""
+    _rejected(tmp_path, capsys, READER[key.split(".")[0]], f"{key} = {raw}",
+              key)
+
+
+@pytest.mark.parametrize("key", sorted(k for k, row in KEYS.items()
+                                       if row.bound is not None))
+def test_value_past_bound_is_config_error(tmp_path, capsys, key):
+    bound = KEYS[key].bound
+    if isinstance(bound, tuple):
+        inside, past = bound[-1], "no-such-choice"
+    else:
+        inside, past = bound, bound + 1
+    assert parse_config(f"{key} = {inside}") == {
+        key.split(".")[0]: {key.split(".")[1]: inside}}
+    _rejected(tmp_path, capsys, READER[key.split(".")[0]], f"{key} = {past}",
+              key)
+
+
+@pytest.mark.parametrize("form, line", [
+    ("fractional", "kernel.wobble = 0.9"),
+    ("fractional", "kernel.scale = 5"),
+    ("scaled-fractional", "kernel.wobble = 0.9"),
+    ("tabulated-perturbation", "kernel.scale = 1"),
+])
+def test_kernel_key_the_form_never_reads_is_config_error(tmp_path, capsys,
+                                                         form, line):
+    _rejected(tmp_path, capsys, "operator-eval",
+              f"kernel.form = {form}\n{line}", line.split(" ")[0], form)
+
+
+def test_kernel_forms_read_their_own_keys(tmp_path):
+    for extra in ("kernel.form = scaled-fractional\nkernel.lam = 0.5\n"
+                  "kernel.Lam = 2\nkernel.scale = 1.5",
+                  "kernel.form = tabulated-perturbation\nkernel.lam = 0.5\n"
+                  "kernel.Lam = 1.5\nkernel.wobble = 0.9"):
+        text = BASE + extra + "\noperator.points = 0.3\n"
+        assert main(["operator-eval", "--config", _cfg(tmp_path, text),
+                     "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("line", [
+    "solver.tol = 0", "solver.tol = -1e-6", "solver.tol = nan",
+    "solver.max_iter = 0"])
+def test_unreachable_solver_tolerance_exits_at_once(tmp_path, capsys, line):
+    """A tolerance no residual can meet exits 2 before the first pass."""
+    t0 = time.perf_counter()
+    _rejected(tmp_path, capsys, "solve", line, "solver")
+    assert time.perf_counter() - t0 < 1.0
+
+
+@given(key=st.sampled_from(sorted(KEYS)),
+       raw=st.one_of(st.text(), st.integers().map(str),
+                     st.floats().map(repr)))
+def test_parse_config_raises_only_config_errors(key, raw):
+    try:
+        cfg = parse_config(f"{key} = {raw}")
+    except ConfigError:
+        return
+    assert isinstance(cfg, dict)

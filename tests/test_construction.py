@@ -84,7 +84,7 @@ def test_paper_mode_double_log():
 
 def test_sufficiency_threshold_construction():
     p = threshold_params(0.5, rho_target=2.05)
-    rho_star = sufficiency_rho(p.s, p.alpha, p.beta, p.gamma, p.delta)
+    rho_star = sufficiency_rho(p.alpha, p.beta, p.gamma, p.delta)
     assert p.rho == pytest.approx(rho_star, rel=1e-12)
     cx = build_constants(p)
     rep = cx.sufficiency_report()

@@ -298,6 +298,118 @@ def test_every_default_is_passed_somewhere():
     assert _unpassed_params(PACKAGE, ALL_CODE) == []
 
 
+def _overridden_defaults(package: Path, roots) -> list:
+    """Defaulted parameters of the package's defs and methods that every
+    call under the roots sets by keyword or plain position, so that no call
+    relies on the default. A call with *sequence or **mapping may rely on
+    it. Calls match defs by name, as in _unpassed_params."""
+    trees = _trees(roots)
+    calls: dict = {}
+    for tree in trees.values():
+        for c in ast.walk(tree):
+            if isinstance(c, ast.Call):
+                name = (c.func.id if isinstance(c.func, ast.Name)
+                        else getattr(c.func, "attr", None))
+                calls.setdefault(name, []).append(c)
+
+    def sets(call, pos, arg, implicit):
+        plain = next((i for i, a in enumerate(call.args)
+                      if isinstance(a, ast.Starred)), len(call.args))
+        return any(k.arg == arg for k in call.keywords) or (
+            pos is not None and pos - implicit < plain)
+
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for name, fn, implicit in _callables(trees[path]):
+            for pos, arg in _defaulted_params(fn):
+                if all(sets(c, pos, arg, implicit
+                            if isinstance(c.func, ast.Attribute)
+                            or fn.name == "__init__" else 0)
+                       for c in calls.get(name, ())):
+                    out.append(f"{path.name}:{fn.lineno}: {name}({arg})")
+    return out
+
+
+def test_overridden_default_finder_flags_a_default_every_call_sets(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "m.py").write_text(
+        "def f(a, b=1, c=2, *, d=3):\n    return f(a, 5, d=4)\n\n"
+        "def g(a, b=1):\n    return g(*a)\n\n"
+        "class K:\n    def m(self, y=1, z=2):\n        return y + z\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_m.py").write_text(
+        "from pkg.m import K, f\n"
+        "def test_x():\n    f(0, 1, d=4)\n    K().m(5, **{})\n")
+    assert _overridden_defaults(pkg, [pkg, tests]) == [
+        "m.py:1: f(b)", "m.py:1: f(d)", "m.py:8: m(y)"]
+
+
+def test_every_default_is_relied_on():
+    """Except where Python allows no required parameter: the cfg of
+    check_derivative_commutation follows its defaulted h."""
+    found = _overridden_defaults(PACKAGE, ALL_CODE)
+    assert [f for f in found if not f.endswith(
+        ": check_derivative_commutation(cfg)")] == []
+
+
+def _unread_params(source: str, exempt=()) -> list:
+    """Parameters of the source's defs that their bodies never read. The
+    first parameter of a method (self, cls) and defs named in exempt are
+    left out."""
+    tree = ast.parse(source)
+    methods = {m for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for m in c.body}
+    out = []
+    for fn in ast.walk(tree):
+        if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or fn.name in exempt):
+            continue
+        a = fn.args
+        params = [p for p in (a.posonlyargs + a.args + a.kwonlyargs
+                              + [a.vararg, a.kwarg]) if p is not None]
+        if fn in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list):
+            params = params[1:]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        out += [f"{fn.lineno}: {fn.name}({p.arg})" for p in params
+                if p.arg not in read]
+    return out
+
+
+def test_unread_param_finder_flags_a_parameter_the_body_ignores():
+    source = ("def f(a, b, *rest, c=1):\n    return a + c\n\n"
+              "def g(x):\n    def inner(y):\n        return x\n"
+              "    return inner\n\n"
+              "class K:\n    def m(self, z):\n        return 1\n\n"
+              "    @staticmethod\n    def s(w):\n        return 2\n\n"
+              "def cmd_x(cfg, out):\n    return out\n")
+    assert _unread_params(source, exempt={"cmd_x"}) == [
+        "1: f(b)", "1: f(rest)", "5: inner(y)", "10: m(z)", "14: s(w)"]
+
+
+def _dispatch_table(source: str) -> set:
+    """The handler names that cli.py's COMMANDS maps subcommands to."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "COMMANDS"):
+            return {v.id for v in node.value.values}
+    return set()
+
+
+def test_every_parameter_is_read():
+    """The subcommand handlers share the signature (cfg, out, seed, mode)
+    through COMMANDS, whether or not each reads every argument."""
+    handlers = _dispatch_table((PACKAGE / "cli.py").read_text())
+    assert handlers
+    found = {p.name: _unread_params(p.read_text(), handlers)
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 # what solver.py may read of the grid operator (op) and of a GridProfile
 # (g, g0): the interface an operator on another grid implements
 SOLVER_READS = {

@@ -49,7 +49,12 @@ and once:
   oscillatory wells at n = 4096, each at its own tolerance): the relaxed
   values, the right `tail_exponent`, the residual and the iteration count;
 - for every solve, its step record: the Krylov count and tau of each step,
-  the refit passes, the rejected steps and the residual of each pass.
+  the refit passes, the rejected steps and the residual of each pass;
+- the CLI: all 8 subcommands on `tests/test_cli.py`'s `BASE` config, in
+  desk and paper mode, at seeds 0 and 7, each pair in its own temporary
+  working directory with `fit.csv` given relative to it (so the echoed
+  path is the same for every tree): the bytes of every report, CSV and
+  `convergence.json`, and each exit code.
 
 Run it against two source trees to check that a refactor keeps every
 number: `compare` exits 1 and names each array that differs
@@ -247,6 +252,47 @@ def _criterion9(out: dict) -> None:
         _steps(out, f"criterion9/{name}", res)
 
 
+def _cli(out: dict) -> None:
+    """Every subcommand on the CLI tests' base config, in process."""
+    import ast
+    import contextlib
+    import io
+    import os
+
+    from fraclayer.cli import COMMANDS, main
+
+    # read, not imported: the test module imports what the tree under test
+    # may not define
+    tests = Path(__file__).resolve().parents[1] / "tests" / "test_cli.py"
+    BASE = next(ast.literal_eval(node.value)
+                for node in ast.parse(tests.read_text()).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "BASE")
+
+    # solve writes the solution.csv that fit-decay reads
+    order = sorted(COMMANDS, key=lambda c: c == "fit-decay")
+    cwd = os.getcwd()
+    for mode in ("desk", "paper"):
+        for seed in (0, 7):
+            with tempfile.TemporaryDirectory() as tmp:
+                os.chdir(tmp)
+                try:
+                    Path("run.cfg").write_text(
+                        BASE + "fit.csv = 'solution.csv'\n")
+                    for cmd in order:
+                        with contextlib.redirect_stdout(io.StringIO()):
+                            rc = main([cmd, "--config", "run.cfg", "--out",
+                                       ".", "--mode", mode, "--seed",
+                                       str(seed)])
+                        out[f"cli/{mode}/{seed}/{cmd}/exit"] = np.array(rc)
+                finally:
+                    os.chdir(cwd)
+                for f in sorted(Path(tmp).iterdir()):
+                    if f.suffix in (".json", ".csv"):
+                        out[f"cli/{mode}/{seed}/{f.name}"] = np.frombuffer(
+                            f.read_bytes(), np.uint8)
+
+
 def dump(path: str) -> None:
     from fraclayer import verify_construction as vc
     from fraclayer.construction import (LayerParams, build_constants,
@@ -303,6 +349,7 @@ def dump(path: str) -> None:
     _operators(out)
     _solver(out)
     _criterion9(out)
+    _cli(out)
     np.savez(path, **out)
 
 
