@@ -139,36 +139,48 @@ _STENCILS = {
 }
 
 
-def _central(f: Callable, x: float, order: int, h: float) -> float:
-    stencil, p = _STENCILS[order]
-    acc = 0.0
-    for k, c in stencil.items():
-        acc += c * f(x + k * h)
-    return acc / h ** p
+def _libm_pow(h: np.ndarray, p: int) -> np.ndarray:
+    """h ** p elementwise as Python floats take it, through the C library's
+    pow: numpy's power rounds some of these values differently."""
+    return np.reshape([v ** p for v in h.ravel().tolist()], h.shape)
 
 
-def fd_derivative(f: Callable, x: float, order: int, h0: float | None = None):
-    """Central-difference derivative with two-level Richardson extrapolation.
+def fd_derivative(f: Callable, x, order: int, h0=None):
+    """Central-difference derivative with two-level Richardson extrapolation,
+    elementwise over x.
 
-    Returns (value, error_estimate). The estimate combines the difference of
-    the two extrapolation levels (truncation) with the rounding floor of the
-    finest stencil, so it bounds the true error on polynomials up to degree 6
-    up to rounding.
+    x and h0 are floats or arrays that broadcast together; h0 defaults to
+    1e-3 (1 + |x|). f must be vectorized: it is called once, on an array
+    stacking x and every stencil point of the three levels h0, h0/2, h0/4,
+    and each level is summed in stencil order, so each element is computed
+    exactly as a scalar call at that point would compute it.
+
+    Returns (value, error_estimate), of the broadcast shape (scalars for
+    scalar input). The estimate combines the difference of the two
+    extrapolation levels (truncation) with the rounding floor of the finest
+    stencil, so it bounds the true error on polynomials up to degree 6 up to
+    rounding.
     """
     if order not in _STENCILS:
         raise ValueError("order must be 1..4")
+    stencil, p = _STENCILS[order]
+    x = np.asarray(x, dtype=float)
     if h0 is None:
-        h0 = 1e-3 * (1.0 + abs(x))
-    d1 = _central(f, x, order, h0)
-    d2 = _central(f, x, order, h0 / 2.0)
-    d3 = _central(f, x, order, h0 / 4.0)
+        h0 = 1e-3 * (1.0 + np.abs(x))
+    x, h0 = np.broadcast_arrays(x, np.asarray(h0, dtype=float))
+    hs = (h0, h0 / 2.0, h0 / 4.0)
+    vals = f(np.stack([x] + [x + k * h for h in hs for k in stencil]))
+    fx, levels = vals[0], vals[1:].reshape((3, len(stencil)) + x.shape)
+    d1, d2, d3 = (sum(c * fk for c, fk in zip(stencil.values(), fv))
+                  / _libm_pow(h, p) for h, fv in zip(hs, levels))
     r1 = (4.0 * d2 - d1) / 3.0
     r2 = (4.0 * d3 - d2) / 3.0
     r = (16.0 * r2 - r1) / 15.0
-    coeff_mass = sum(abs(c) for c in _STENCILS[order][0].values())
-    floor = 8.0 * np.finfo(float).eps * coeff_mass * abs(float(f(x))) \
-        / (h0 / 4.0) ** order
-    return r, abs(r - r2) + floor + np.finfo(float).eps * abs(r)
+    coeff_mass = sum(abs(c) for c in stencil.values())
+    eps = np.finfo(float).eps
+    floor = 8.0 * eps * coeff_mass * np.abs(fx) / _libm_pow(h0 / 4.0, order)
+    est = np.abs(r - r2) + floor + eps * np.abs(r)
+    return r[()], est[()]
 
 
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)

@@ -3,12 +3,13 @@
 Chosen for diff-ability in golden tests: one assignment per line, `#`
 comments, values parsed as int, float, bool, or string. Every key the CLI
 reads is one row of KEYS, which gives its type, its default and, for the
-resource keys and the keys the CLI dispatches on, a bound. `parse_config`
-rejects an unknown key, a value of the wrong type (a bool is no number, 2.7
-is no int), a non-finite float and a value past its bound, with a
-ConfigError that names the key. Domain rules (s in (0, 1), alpha >= beta >=
-2, lam <= Lam, ...) stay with the constructors the CLI passes the values
-to, which raise ValueError.
+resource keys and the keys the CLI dispatches on, a bound: the least and
+the largest value, or the choices. `parse_config` rejects an unknown key, a
+value of the wrong type (a bool is no number, 2.7 is no int), a non-finite
+float and a value outside its bound, with a ConfigError that names the
+key. Domain rules (s in (0, 1), alpha >= beta >= 2, lam <= Lam, ...) stay
+with the constructors the CLI passes the values to, which raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ OWN = object()          # the constructor's own default: passed only when set
 class Key(NamedTuple):
     type: type          # int, float, str, or list: comma-separated floats
     default: Any = OWN
-    bound: Any = None   # largest value of a resource key, or the choices
-                        # of a key the CLI dispatches on
+    bound: Any = None   # (least, largest) value of a resource key, or the
+                        # choices of a str key the CLI dispatches on
 
 
 KEYS = {
@@ -50,8 +51,8 @@ KEYS = {
     "operator.omega": Key(float, 1.0),
     "operator.tol": Key(float, 1e-6),
     # per step barrier: 2 records, about 0.6 kB held and 0.5 ms; at the
-    # bound 6 MB and 5 s
-    "barriers.n_step": Key(int, 10, 10 ** 4),
+    # bound 6 MB and 5 s. With none the suite passes without its step check
+    "barriers.n_step": Key(int, 10, (1, 10 ** 4)),
     "counterexample.s": Key(float, REQUIRED),
     "counterexample.alpha": Key(float, 5.8),
     "counterexample.beta": Key(float, 5.0),
@@ -60,10 +61,11 @@ KEYS = {
     "counterexample.rho": Key(float),
     # cells 14-40 fail junction-regularity with slack -1: their scales
     # are not resolved
-    "counterexample.k_max": Key(int, OWN, 13),
+    "counterexample.k_max": Key(int, OWN, (0, 13)),
     # per swept exponent tuple: 144 records, 42 kB held, 21 kB of report
-    # and 1.3 ms; at the bound 42 MB, 21 MB and 1.3 s
-    "counterexample.n_sweep": Key(int, 40, 1000),
+    # and 1.3 ms; at the bound 42 MB, 21 MB and 1.3 s. With none the
+    # inequality sweep is skipped
+    "counterexample.n_sweep": Key(int, 40, (1, 1000)),
     "potential.alpha": Key(float, REQUIRED),
     "potential.beta": Key(float, REQUIRED),
     "potential.gamma": Key(float, REQUIRED),
@@ -76,15 +78,17 @@ KEYS = {
     "potential.mode": Key(str, OWN, MODES),
     "solver.L": Key(float, 200.0),
     # building the operator and applying it once peaks at 199 MB RSS at
-    # n = 2^20 (73 MB at 2^18); the GMRES basis of 21 vectors adds 176 MB
-    "solver.n": Key(int, 2048, 2 ** 20),
+    # n = 2^20 (73 MB at 2^18); the GMRES basis of 21 vectors adds 176 MB.
+    # The grid operator needs three nodes
+    "solver.n": Key(int, 2048, (3, 2 ** 20)),
     "solver.tol": Key(float),
     # per pass: about 31 bytes of traces held and up to 100 bytes of
     # convergence.json, 0.9 ms at n = 256; at the bound 3 MB, 10 MB, 90 s
-    "solver.max_iter": Key(int, OWN, 10 ** 5),
+    "solver.max_iter": Key(int, OWN, (1, 10 ** 5)),
     # graded_nodes adds no node past about 15.4 decades, but allocates
-    # 12 floats per decade before it filters: 96 GB at a depth of 1e9
-    "reconstruct.depth_decades": Key(float, 8.0, 16.0),
+    # 12 floats per decade before it filters: 96 GB at a depth of 1e9.
+    # Below 2 decades the well envelopes have too few samples to fit
+    "reconstruct.depth_decades": Key(float, 8.0, (2.0, 16.0)),
     "fit.csv": Key(str, REQUIRED),
 }
 
@@ -100,7 +104,7 @@ def floats(v: Any) -> list[float]:
 
 def _problem(key: str, v: Any) -> str | None:
     """What makes v no value of the key, if anything: an unknown key, a
-    wrong type or a value past the bound."""
+    wrong type or a value outside the bound."""
     if key not in KEYS:
         return f"unknown key {key!r}"
     t, bound = KEYS[key].type, KEYS[key].bound
@@ -117,10 +121,13 @@ def _problem(key: str, v: Any) -> str | None:
         what = {float: "a finite number", int: "an integer",
                 str: "a string"}[t]
         return f"{key}: expected {what}, got {v!r}"
-    if isinstance(bound, tuple) and v not in bound:
-        return f"{key}: expected one of {', '.join(bound)}, got {v!r}"
-    if bound is not None and not isinstance(bound, tuple) and v > bound:
-        return f"{key}: at most {bound}, got {v!r}"
+    if bound is None:
+        return None
+    if t is str:
+        if v not in bound:
+            return f"{key}: expected one of {', '.join(bound)}, got {v!r}"
+    elif not bound[0] <= v <= bound[1]:
+        return f"{key}: expected {bound[0]} to {bound[1]}, got {v!r}"
     return None
 
 

@@ -175,16 +175,13 @@ def check_log_power_ode(a: float, b: float, mu: float, f0: float,
     """Richardson-FD residual of the ramp ODE for the closed form."""
     f, rhs = log_power_ode_closed_form(a, b, mu, f0)
     grid = np.asarray(grid, dtype=float)
-    worst = 0.0
-    where = 0.0
-    for x in grid:
-        d, _ = fd_derivative(lambda t: float(f(t)), float(x), 1,
-                             h0=min(1e-3, x / 2, (1 - x) / 2))
-        r = abs(d - float(rhs(x)))
-        if r > worst:
-            worst, where = r, x
-    return CheckRecord(id="ramp-ode-residual", passed=worst < 1e-8,
-                       worst_slack=1e-8 - worst, location=f"x={where:.4g}")
+    d, _ = fd_derivative(f, grid, 1, h0=np.minimum(
+        np.minimum(1e-3, grid / 2), (1 - grid) / 2))
+    r = np.abs(d - rhs(grid))
+    i = int(np.argmax(r))
+    return CheckRecord(id="ramp-ode-residual", passed=bool(r[i] < 1e-8),
+                       worst_slack=float(1e-8 - r[i]),
+                       location=f"x={grid[i]:.4g}")
 
 
 def check_ramp_ode_identity(cx: ConstructionConstants) -> CheckRecord:
@@ -195,19 +192,18 @@ def check_ramp_ode_identity(cx: ConstructionConstants) -> CheckRecord:
         raise ValueError("cell 0 not materializable; use desk mode")
     bk = math.exp(cx.lnb[k])
     ck = math.exp(cx.lnc[k])
-    t = np.linspace(1e-4, 1.0 - 1e-4, 101)
+    t = np.linspace(1e-4, 1.0 - 1e-4, 101)[::10]
     X = t * (ck - bk) + bk
     sc = cx.right
-    phi = sc.e_hi * (cx.lnb[k] / np.log(X)) ** (1.0 / sc.zeta)
-    worst = 0.0
-    for i in range(0, 101, 10):
-        def phif(tt):
-            XX = tt * (ck - bk) + bk
-            return sc.e_hi * (cx.lnb[k] / math.log(XX)) ** (1.0 / sc.zeta)
-        d, _ = fd_derivative(phif, float(t[i]), 1, h0=1e-5)
-        lhs = phi[i]
-        rhs = -sc.zeta / (ck - bk) * d * X[i] * np.log(X[i])
-        worst = max(worst, abs(lhs - rhs) / abs(lhs))
+
+    def phif(tt):
+        return sc.e_hi * (cx.lnb[k] / np.log(tt * (ck - bk) + bk)) \
+            ** (1.0 / sc.zeta)
+
+    d, _ = fd_derivative(phif, t, 1, h0=1e-5)
+    lhs = phif(t)
+    rhs = -sc.zeta / (ck - bk) * d * X * np.log(X)
+    worst = float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
     return CheckRecord(id="ramp-ode-identity", passed=worst < 1e-6,
                        worst_slack=1e-6 - worst, location="cell 0")
 
@@ -307,8 +303,8 @@ def touchpoint_desk_records(prof: LayerProfile) -> list[CheckRecord]:
                 got = float(d1.to_float()[0])
 
                 def gfun(xx):
-                    return float(prof.gap_jet_log(
-                        side, np.array([math.log(xx)]), order=0)[0].to_float()[0])
+                    return prof.gap_jet_log(side, np.log(xx),
+                                            order=0)[0].to_float()
 
                 h_rel = 1e-3
                 fd, _ = fd_derivative(gfun, xt, 1, h0=xt * h_rel)
@@ -478,7 +474,8 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
     branch must also be achieved on at least half the resolvable samples.
     Steps (in L, and relative in x) are at most 1/140 of the sample's piece
     width: on the ln 2-wide cutoff pieces a step of 1e-2 is pre-asymptotic,
-    and the level difference then understates the truncation error.
+    and the level difference then understates the truncation error. Each
+    (side, order) takes one `fd_derivative` call over all the samples.
     """
     records = []
     rng = np.random.default_rng(seed)
@@ -488,48 +485,45 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
     piece = np.searchsorted(prof._edges, mids) - 1
     hmax = (prof._edges[piece + 1] - prof._edges[piece]) / 140.0
     eps = np.finfo(float).eps
+    near = mids < 250.0  # keep h**order inside double range
+    x = np.exp(mids[near])
     for sc in (prof.cx.right, prof.cx.left):
         side, lab = sc.sign, sc.label
+
+        def gfun(xx):
+            return prof.gap_jet_log(side, np.log(xx), order=0)[0].to_float()
+
+        def Gfun(l):
+            return prof.gap_jet_log(side, l, order=0)[0].logm
+
         worst12 = 0.0
-        for L, hm in zip(mids, hmax):
-            if L >= 250.0:  # keep h**order inside double range
-                continue
-            x = math.exp(L)
-
-            def gfun(xx):
-                return float(prof.gap_jet_log(
-                    side, np.array([math.log(xx)]), order=0)[0].to_float()[0])
-
-            jets = prof.gap_jet_log(side, np.array([L]), order=2)
-            g0 = float(jets[0].to_float()[0])
-            for order, h in ((1, min(1e-3, hm)), (2, min(1e-2, hm))):
-                got = float(jets[order].to_float()[0])
-                fd, est = fd_derivative(gfun, x, order, h0=x * h)
-                floor = 64 * 4 ** order * eps * g0 / (x * h) ** order
-                excess = abs(fd - got) - max(1e-7 * abs(got), 8 * est, floor)
+        g = [j.to_float() for j in prof.gap_jet_log(side, mids[near], 2)]
+        for order, cap in ((1, 1e-3), (2, 1e-2)):
+            h = np.minimum(cap, hmax[near])
+            fd, est = fd_derivative(gfun, x, order, h0=x * h)
+            for xi, hi, g0, got, fdi, ei in zip(*(v.tolist() for v in (
+                    x, h, g[0], g[order], fd, est))):
+                floor = 64 * 4 ** order * eps * g0 / (xi * hi) ** order
+                excess = abs(fdi - got) - max(1e-7 * abs(got), 8 * ei, floor)
                 worst12 = max(worst12, excess / max(abs(got), floor))
         _rec(records, f"fd-x-orders12-{lab}", -worst12, f"n={len(mids)}")
 
         worstL = 0.0
         strict_ok = 0
         strict_n = 0
-        for L, hm in zip(mids, hmax):
-            def Gfun(l):
-                return float(prof.gap_jet_log(side, np.array([l]),
-                                              order=0)[0].logm[0])
-
-            lder = _log_derivs_wrt_L(prof, side, np.array([L]), 4)
-            G0 = abs(float(Gfun(float(L)))) + 1.0
-            for order in (1, 2, 3, 4):
-                h = min(2e-2 if order <= 2 else 1e-2, hm)
-                got = float(lder[order][0])
-                fd, est = fd_derivative(Gfun, float(L), order, h0=h)
-                floor = 64 * 4 ** order * eps * G0 / h ** order
-                tol = max(1e-7 * abs(got), 8 * est, floor)
+        lder = _log_derivs_wrt_L(prof, side, mids, 4)
+        G0 = np.abs(Gfun(mids)) + 1.0
+        for order in (1, 2, 3, 4):
+            h = np.minimum(2e-2 if order <= 2 else 1e-2, hmax)
+            fd, est = fd_derivative(Gfun, mids, order, h0=h)
+            for g0, hi, got, fdi, ei in zip(*(v.tolist() for v in (
+                    G0, h, lder[order], fd, est))):
+                floor = 64 * 4 ** order * eps * g0 / hi ** order
+                tol = max(1e-7 * abs(got), 8 * ei, floor)
                 if tol <= 1e-7 * abs(got) * (1 + 1e-9):
                     strict_n += 1
-                    strict_ok += abs(fd - got) <= 1e-7 * abs(got)
-                excess = abs(fd - got) - tol
+                    strict_ok += abs(fdi - got) <= 1e-7 * abs(got)
+                excess = abs(fdi - got) - tol
                 worstL = max(worstL, excess / max(abs(got), floor))
         _rec(records, f"fd-logpos-orders1234-{lab}", -worstL,
              f"n={len(mids)}")
@@ -541,7 +535,15 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
 
 def _mp_piece_formula(cx: ConstructionConstants, sc: SideConstants, k: int,
                       piece: int):
-    """Exact mpmath expression of one gap piece, for the precision oracle."""
+    """Exact mpmath expression of one gap piece, as a function of l = ln y,
+    for the precision oracle.
+
+    Every power and ratio of y goes through l, so an evaluation takes no
+    logarithm: y^(-e) = exp(-e l), y/b = exp(l - ln b),
+    2y/c = exp(l - ln c + ln 2), y/(2c) = exp(l - ln c - ln 2),
+    phi(y) = e_hi (ln b / l)^(1/zeta), and the logistic
+    S(r) = 1 / (1 + exp(q/r - q/(1-r))).
+    """
     import mpmath as mp
 
     lnb = mp.mpf(float(cx.lnb[k]))
@@ -559,9 +561,7 @@ def _mp_piece_formula(cx: ConstructionConstants, sc: SideConstants, k: int,
             return mp.mpf(0)
         if r >= 1:
             return mp.mpf(1)
-        s1 = mp.e ** (-q / r)
-        s2 = mp.e ** (-q / (1 - r))
-        return s1 / (s1 + s2)
+        return 1 / (1 + mp.exp(q / r - q / (1 - r)))
 
     def eta_mp(x):
         return Smp(2 * (mp.mpf(3) / 4 - x))
@@ -571,27 +571,38 @@ def _mp_piece_formula(cx: ConstructionConstants, sc: SideConstants, k: int,
         g = y ** 4 / 4 - mp.mpf(3) / 5 * y ** 5 + y ** 6 / 2 - y ** 7 / 7
         return g * 140
 
-    def phi_mp(y):
-        return ehi * (lnb / mp.log(y)) ** (1 / zl)
+    def y_pow(e, l):
+        return mp.exp(-e * l)
 
-    b = mp.e ** lnb
-    c = mp.e ** lnc
+    def y_pow_phi(l):
+        return mp.exp(-ehi * (lnb / l) ** (1 / zl) * l)
 
-    if piece == 0:
-        return lambda y: cin * y ** (-ehi)
-    if piece == 1:
-        return lambda y: cin * ((1 - eta_mp(y / b - 1)) * y ** (-phi_mp(y))
-                                + eta_mp(y / b - 1) * y ** (-ehi))
-    if piece == 2:
-        return lambda y: cin * y ** (-phi_mp(y))
-    if piece == 3:
-        return lambda y: cin * ((1 - eta_mp(2 * y / c - 1)) * y ** (-elo)
-                                + eta_mp(2 * y / c - 1) * y ** (-phi_mp(y)))
-    if piece == 4:
-        return lambda y: (cout * (1 - etat_mp(y / c - 1))
-                          + cin * etat_mp(y / c - 1)) * y ** (-elo)
-    return lambda y: ((1 - eta_mp(y / (2 * c) - 1)) * cnext * y ** (-ehi)
-                      + eta_mp(y / (2 * c) - 1) * cout * y ** (-elo))
+    # one function per piece, in PIECE_NAMES order; each evaluates its
+    # cutoff once
+    def inner_power(l):
+        return cin * y_pow(ehi, l)
+
+    def ramp_on(l):
+        e = eta_mp(mp.exp(l - lnb) - 1)
+        return cin * ((1 - e) * y_pow_phi(l) + e * y_pow(ehi, l))
+
+    def ramp(l):
+        return cin * y_pow_phi(l)
+
+    def ramp_off(l):
+        e = eta_mp(mp.exp(l - lnc + mp.ln2) - 1)
+        return cin * ((1 - e) * y_pow(elo, l) + e * y_pow_phi(l))
+
+    def outer_swap(l):
+        w = etat_mp(mp.exp(l - lnc) - 1)
+        return (cout * (1 - w) + cin * w) * y_pow(elo, l)
+
+    def return_piece(l):
+        e = eta_mp(mp.exp(l - lnc - mp.ln2) - 1)
+        return (1 - e) * cnext * y_pow(ehi, l) + e * cout * y_pow(elo, l)
+
+    return (inner_power, ramp_on, ramp, ramp_off, outer_swap,
+            return_piece)[piece]
 
 
 _STIRLING1 = {1: [1], 2: [-1, 1], 3: [2, -3, 1], 4: [-6, 11, -6, 1]}
@@ -601,11 +612,13 @@ def highprec_agreement_records(prof: LayerProfile) -> list[CheckRecord]:
     """Gap jets against 50-digit mpmath differentiation of the exact piece
     formulas, one interior point per piece per side, orders 0..4.
 
-    The exact formulas are differentiated in the log variable t with
-    y = e^(L + t) (perfectly scaled at any magnitude) and converted back to
-    y-derivatives with the signed Stirling numbers of the first kind. The
-    relative tolerance rel_tol = 2e-6 allows the double-precision noise of
-    the smoothstep's third and fourth derivative evaluations (~1e-7);
+    The exact formulas are written in l = ln y (`_mp_piece_formula`), which
+    is perfectly scaled at any magnitude, and differentiated in t at
+    l = L + t: one `mp.diffs` call per point yields all five t-derivatives
+    from seven evaluations, the value and six steps. The Stirling numbers of
+    the first kind convert them back to y-derivatives. The relative
+    tolerance rel_tol = 2e-6 allows the double-precision noise of the
+    smoothstep's third and fourth derivative evaluations (~1e-7);
     structural errors would show as O(1) disagreements.
 
     One info record per side, `highprec-cancellation-{side}`, states the
@@ -620,31 +633,27 @@ def highprec_agreement_records(prof: LayerProfile) -> list[CheckRecord]:
     cx = prof.cx
     records = []
     offsets = {0: 0.5, 1: 0.37, 2: 0.5, 3: 0.61, 4: 0.43, 5: 0.57}
+    pts = [(lo + (hi - lo) * offsets[piece], k, piece)
+           for (k, piece), lo, hi in zip(prof._refs, prof._edges[:-1],
+                                        prof._edges[1:])
+           if np.isfinite(hi)]
+    L = np.array([p[0] for p in pts])
     with mp.workdps(50):
         for sc in (cx.right, cx.left):
             side, lab = sc.sign, sc.label
             worst = 0.0
             n = 0
             cancel = (0.0, 0.0, "")
-            for j, (k, piece) in enumerate(prof._refs):
-                lo, hi = prof._edges[j], prof._edges[j + 1]
-                if not np.isfinite(hi):
-                    continue
-                L = lo + (hi - lo) * offsets[piece]
+            jets = prof.gap_jet_log(side, L, order=4)
+            kappa, bound = prof.gap_rounding(side, L, 4)
+            for i, (Li, k, piece) in enumerate(pts):
                 f = _mp_piece_formula(cx, sc, k, piece)
-                Lmp = mp.mpf(L)
-
-                def F(t):
-                    return f(mp.e ** (Lmp + t))
-
-                Fd = [F(mp.mpf(0))] + [mp.diff(F, mp.mpf(0), jj)
-                                       for jj in range(1, 5)]
-                jets = prof.gap_jet_log(side, np.array([L]), order=4)
-                kappa, bound = prof.gap_rounding(side, np.array([L]), 4)
-                o = int(np.argmax(kappa[:, 0]))
-                if kappa[o, 0] > cancel[0]:
-                    cancel = (float(kappa[o, 0]), float(bound[o, 0]),
-                              f"L={L:.6g},piece={PIECE_NAMES[piece]},"
+                Lmp = mp.mpf(Li)
+                Fd = list(mp.diffs(lambda t: f(Lmp + t), 0, 4))
+                o = int(np.argmax(kappa[:, i]))
+                if kappa[o, i] > cancel[0]:
+                    cancel = (float(kappa[o, i]), float(bound[o, i]),
+                              f"L={Li:.6g},piece={PIECE_NAMES[piece]},"
                               f"order={o}")
                 for order in range(5):
                     if order == 0:
@@ -656,13 +665,13 @@ def highprec_agreement_records(prof: LayerProfile) -> list[CheckRecord]:
                         continue
                     # ref equals y^order * f^(order); compare in log scale
                     ref_logm = float(mp.log(abs(ref)))
-                    got_logm = float(jets[order].logm[0]) + order * L
+                    got_logm = float(jets[order].logm[i]) + order * Li
                     # skip zero-crossing neighborhoods of high derivatives
-                    nat = float(jets[0].logm[0]) + (
-                        sum(math.log(sc.e_lo + i) for i in range(order)))
+                    nat = float(jets[0].logm[i]) + (
+                        sum(math.log(sc.e_lo + j) for j in range(order)))
                     if max(ref_logm, got_logm) < nat - 23.0:
                         continue
-                    if float(jets[order].sign[0]) != float(mp.sign(ref)):
+                    if float(jets[order].sign[i]) != float(mp.sign(ref)):
                         worst = max(worst, 1.0)
                         continue
                     worst = max(worst, abs(math.expm1(got_logm - ref_logm)))

@@ -72,22 +72,76 @@ def test_envelope_needs_extrema():
                            window_decades=5.0)
 
 
-def test_fd_polynomial_exactness():
+@pytest.mark.parametrize("x", [2.0, np.array([-1.5, 0.25, 2.0, 3.0])],
+                         ids=["scalar", "array"])
+def test_fd_polynomial_exactness(x):
     f = lambda t: t ** 3
-    v, e = fd_derivative(f, 2.0, 2)
-    assert v == pytest.approx(12.0, abs=1e-8)
-    assert abs(v - 12.0) <= e + 1e-9
+    v, e = fd_derivative(f, x, 2)
+    assert np.allclose(v, 6.0 * x, rtol=0.0, atol=1e-8)
+    assert np.all(np.abs(v - 6.0 * x) <= e + 1e-9)
     v6 = lambda t: t ** 6 - 3 * t ** 4 + t
-    for order, ref in ((1, 6 * 2 ** 5 - 12 * 2 ** 3 + 1), (3, 120 * 2 ** 3 - 72 * 2),
-                       (4, 360 * 2 ** 2 - 72)):
-        v, e = fd_derivative(v6, 2.0, order)
-        assert abs(v - ref) <= max(e * 4, 1e-7 * abs(ref))
+    for order, ref in ((1, 6 * x ** 5 - 12 * x ** 3 + 1),
+                       (3, 120 * x ** 3 - 72 * x), (4, 360 * x ** 2 - 72)):
+        v, e = fd_derivative(v6, x, order)
+        assert np.all(np.abs(v - ref)
+                      <= np.maximum(e * 4, 1e-7 * np.abs(ref)))
 
 
 def test_fd_sine():
     v, e = fd_derivative(np.sin, 0.0, 1)
     assert v == pytest.approx(1.0, abs=1e-10)
 
+
+def _fd_loop_reference(f, x, order, h0=None):
+    """The scalar loop `fd_derivative` replaced: each stencil point is one
+    call of f on a float."""
+    stencil, p = {1: ({-1: -0.5, 1: 0.5}, 1),
+                  2: ({-1: 1.0, 0: -2.0, 1: 1.0}, 2),
+                  3: ({-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5}, 3),
+                  4: ({-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0}, 4)}[order]
+
+    def central(h):
+        acc = 0.0
+        for k, c in stencil.items():
+            acc += c * f(x + k * h)
+        return acc / h ** p
+
+    if h0 is None:
+        h0 = 1e-3 * (1.0 + abs(x))
+    d1, d2, d3 = central(h0), central(h0 / 2.0), central(h0 / 4.0)
+    r1 = (4.0 * d2 - d1) / 3.0
+    r2 = (4.0 * d3 - d2) / 3.0
+    r = (16.0 * r2 - r1) / 15.0
+    eps = np.finfo(float).eps
+    floor = 8.0 * eps * sum(abs(c) for c in stencil.values()) \
+        * abs(float(f(x))) / (h0 / 4.0) ** order
+    return r, abs(r - r2) + floor + eps * abs(r)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_fd_array_call_equals_scalar_loop_bitwise(order):
+    """One call on arrays x and h0, or on array x with the default step,
+    calls f once and returns, bit for bit, what the scalar loop returns at
+    each point, and so does a scalar call."""
+    f = lambda t: np.exp(np.sin(3.0 * t)) / (1.0 + t * t)
+    rng = np.random.default_rng(order)
+    x = rng.uniform(-3.0, 3.0, 40).reshape(8, 5)
+    h0 = 10.0 ** rng.uniform(-5.0, -1.0, x.shape)
+    calls = []
+    for step in (h0, None):
+        v, e = fd_derivative(lambda t: calls.append(t.shape) or f(t), x,
+                             order, step)
+        assert v.shape == e.shape == x.shape
+        for i in np.ndindex(x.shape):
+            hi = None if step is None else float(step[i])
+            ref = _fd_loop_reference(lambda t: float(f(t)), float(x[i]),
+                                     order, hi)
+            got = fd_derivative(f, x[i], order, hi)
+            for vals in ((v[i], e[i]), got):
+                assert [float(u).hex() for u in vals] == [
+                    float(u).hex() for u in ref]
+    # x and the order + 1 stencil points of each of the three levels
+    assert calls == [(1 + 3 * (order + 1),) + x.shape] * 2
 
 
 # smooth functions with their root-containing bracket; tlogt is

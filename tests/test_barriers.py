@@ -120,8 +120,7 @@ def test_derivative_barrier_exact_tails_and_smoothness():
     from fraclayer.analysis import fd_derivative
 
     for x0 in (-2.4, -0.7, 0.0, 1.9, 2.6):
-        fd, est = fd_derivative(lambda t: float(db.body(np.array([t]))[0]),
-                                x0, 1, h0=1e-4)
+        fd, est = fd_derivative(db.body, x0, 1, h0=1e-4)
         an = float(db.body.deriv(1)(np.array([x0]))[0])
         assert abs(fd - an) <= max(1e-8, 10 * est)
 

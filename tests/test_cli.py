@@ -227,15 +227,22 @@ def test_bad_value_is_config_error(tmp_path, capsys, key, raw):
 @pytest.mark.parametrize("key", sorted(k for k, row in KEYS.items()
                                        if row.bound is not None))
 def test_value_past_bound_is_config_error(tmp_path, capsys, key):
+    """Each end of a bound is accepted and the value just past it exits 2
+    before any work; below the least value, counts ran nothing
+    (`barriers.n_step = -4` reported PASS with no step barrier, a negative
+    `counterexample.n_sweep` skipped the sweep) and `depth_decades` < 2 ended
+    in a traceback."""
     bound = KEYS[key].bound
-    if isinstance(bound, tuple):
-        inside, past = bound[-1], "no-such-choice"
+    if KEYS[key].type is str:
+        cases = [(bound[-1], "no-such-choice")]
     else:
-        inside, past = bound, bound + 1
-    assert parse_config(f"{key} = {inside}") == {
-        key.split(".")[0]: {key.split(".")[1]: inside}}
-    _rejected(tmp_path, capsys, READER[key.split(".")[0]], f"{key} = {past}",
-              key)
+        step = 1 if KEYS[key].type is int else 0.5
+        cases = [(bound[1], bound[1] + step), (bound[0], bound[0] - step)]
+    for inside, past in cases:
+        assert parse_config(f"{key} = {inside}") == {
+            key.split(".")[0]: {key.split(".")[1]: inside}}
+        _rejected(tmp_path, capsys, READER[key.split(".")[0]],
+                  f"{key} = {past}", key)
 
 
 @pytest.mark.parametrize("form, line", [

@@ -157,8 +157,7 @@ def _mp_gap_jet_errors(prof, side):
         for i, (Li, k, piece) in enumerate(pts):
             f = vc._mp_piece_formula(cx, sc, k, piece)
             Lmp = mp.mpf(float(Li))
-            Fd = mp.diffs(lambda t: f(mp.e ** (Lmp + t)), 0, 4)
-            Fd = list(Fd)
+            Fd = list(mp.diffs(lambda t: f(Lmp + t), 0, 4))
             for m in range(5):
                 # y^m g^(m) from the t-derivatives of F(t) = g(e^(L + t))
                 ref = Fd[0] if m == 0 else mp.fsum(

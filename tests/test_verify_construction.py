@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from fraclayer import verify_construction as vc
-from fraclayer.construction import LayerParams, build_constants
+from fraclayer.construction import LayerParams, LayerProfile, build_constants
+from fraclayer.jets import LogArray
 
 
 def _random_tuples(rng, n=30):
@@ -81,9 +84,75 @@ def test_fd_agreement_on_cutoff_pieces(desk_profile, seed):
         (r.id, r.worst_slack) for r in recs if not r.passed]
 
 
+@pytest.mark.parametrize("which", ["desk", "threshold"])
+def test_fd_agreement_over_seeds(which, desk_profile, threshold_profile_pack):
+    prof = desk_profile if which == "desk" else threshold_profile_pack[2]
+    for seed in range(20):
+        recs = vc.fd_agreement_records(prof, seed=seed)
+        assert recs and all(r.passed for r in recs), (seed, [
+            (r.id, r.worst_slack) for r in recs if not r.passed])
+
+
 def test_highprec_oracle(desk_profile):
     recs = vc.highprec_agreement_records(desk_profile)
     assert recs and all(r.passed for r in recs)
+
+
+def _failed(recs):
+    return {r.id for r in recs if not r.passed}
+
+
+def _scale_gap_jet_order(monkeypatch, m):
+    """Make `gap_jet_log` report order m too large by a factor 1 + 1e-5."""
+    exact = LayerProfile.gap_jet_log
+
+    def gap_jet_log(self, side, L, order):
+        g = list(exact(self, side, L, order))
+        if order >= m:
+            g[m] = LogArray(g[m].sign, g[m].logm + math.log1p(1e-5))
+        return tuple(g)
+
+    monkeypatch.setattr(LayerProfile, "gap_jet_log", gap_jet_log)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("which", ["desk", "threshold"])
+def test_highprec_oracle_catches_a_1e5_error(monkeypatch, which, m,
+                                             desk_profile,
+                                             threshold_profile_pack):
+    prof = desk_profile if which == "desk" else threshold_profile_pack[2]
+    _scale_gap_jet_order(monkeypatch, m)
+    assert {"highprec-derivative-oracle-right",
+            "highprec-derivative-oracle-left"} <= _failed(
+        vc.highprec_agreement_records(prof))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fd_oracle_catches_a_1e5_error(monkeypatch, m, desk_profile):
+    """An error of 1e-5 relative in derivative order m of the log-position
+    check (m = 1..3), or of the x-space check (m = 1, 2), fails an fd record.
+
+    Order 4 is the high-precision oracle's job: there the FD tolerance
+    holds the rounding floor 64 * 4^4 eps (|G| + 1) / h^4 at h <= 1e-2,
+    which lies above 1e-5 of the derivative, and the same error passes; on
+    the threshold profile order 3 passes for the same reason.
+    """
+    exact = vc._log_derivs_wrt_L
+
+    def log_derivs(prof, side, L, order):
+        d = exact(prof, side, L, order)
+        d[m] = d[m] * (1.0 + 1e-5)
+        return d
+
+    with monkeypatch.context() as mp:
+        mp.setattr(vc, "_log_derivs_wrt_L", log_derivs)
+        assert {"fd-logpos-orders1234-right",
+                "fd-logpos-orders1234-left"} <= _failed(
+            vc.fd_agreement_records(desk_profile))
+    if m <= 2:
+        _scale_gap_jet_order(monkeypatch, m)
+        assert {"fd-x-orders12-right", "fd-x-orders12-left"} <= _failed(
+            vc.fd_agreement_records(desk_profile))
 
 
 def test_ordering_chain_desk_and_paper(desk_profile, paper_constants):
