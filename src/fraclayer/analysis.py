@@ -171,14 +171,15 @@ def fd_derivative(f: Callable, x, order: int, h0=None):
     hs = (h0, h0 / 2.0, h0 / 4.0)
     vals = f(np.stack([x] + [x + k * h for h in hs for k in stencil]))
     fx, levels = vals[0], vals[1:].reshape((3, len(stencil)) + x.shape)
-    d1, d2, d3 = (sum(c * fk for c, fk in zip(stencil.values(), fv))
-                  / _libm_pow(h, p) for h, fv in zip(hs, levels))
+    scales = [_libm_pow(h, p) for h in hs]
+    d1, d2, d3 = (sum(c * fk for c, fk in zip(stencil.values(), fv)) / sc
+                  for sc, fv in zip(scales, levels))
     r1 = (4.0 * d2 - d1) / 3.0
     r2 = (4.0 * d3 - d2) / 3.0
     r = (16.0 * r2 - r1) / 15.0
     coeff_mass = sum(abs(c) for c in stencil.values())
     eps = np.finfo(float).eps
-    floor = 8.0 * eps * coeff_mass * np.abs(fx) / _libm_pow(h0 / 4.0, order)
+    floor = 8.0 * eps * coeff_mass * np.abs(fx) / scales[2]
     est = np.abs(r - r2) + floor + eps * np.abs(r)
     return r[()], est[()]
 

@@ -175,8 +175,8 @@ def check_log_power_ode(a: float, b: float, mu: float, f0: float,
     """Richardson-FD residual of the ramp ODE for the closed form."""
     f, rhs = log_power_ode_closed_form(a, b, mu, f0)
     grid = np.asarray(grid, dtype=float)
-    d, _ = fd_derivative(f, grid, 1, h0=np.minimum(
-        np.minimum(1e-3, grid / 2), (1 - grid) / 2))
+    d, _ = fd_derivative(f, grid, 1,
+                         h0=np.minimum(1e-3, np.minimum(grid, 1 - grid) / 2))
     r = np.abs(d - rhs(grid))
     i = int(np.argmax(r))
     return CheckRecord(id="ramp-ode-residual", passed=bool(r[i] < 1e-8),
