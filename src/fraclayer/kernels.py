@@ -106,16 +106,18 @@ class KernelSpec:
         p = 2.0 * self.s
         if self.form in ("fractional", "scaled-fractional"):
             return self.scale * a ** (-p) / p
-        # bounded multiplier: integrate m against the power over [a, 32a],
-        # then bound-free exact continuation using the multiplier at infinity
-        # is unavailable; fall back to panels until the remainder is tiny.
+        # bounded multiplier: panels over the x4 rungs [a, 4a], [4a, 16a],
+        # ... until the mass beyond, at most Lam lo^(-2s)/(2s), is below
+        # 1e-18 (1 + total) at every a, or the next rung would pass 1e300;
+        # the rest is m(lo) lo^(-2s)/(2s), exact for a constant multiplier
         total = np.zeros_like(a)
         lo = a.copy()
-        for _ in range(40):
+        while True:
             hi = lo * 4.0
             total = total + self.interval_integral(lo, hi)
             lo = hi
-            if np.all(self.Lam * lo ** (-p) / p < 1e-18 * (1.0 + total)):
+            if np.all(self.Lam * lo ** (-p) / p < 1e-18 * (1.0 + total)) \
+                    or np.max(lo) * 4.0 > 1e300:
                 break
         return total + self._mult(lo) * lo ** (-p) / p
 

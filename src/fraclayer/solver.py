@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import fit_power_decay
 from .errors import Diverged, StalledAboveTolerance
-from .gridop import ExteriorModel, GridOperator, GridProfile
+from .gridop import P_FLOOR, ExteriorModel, GridOperator, GridProfile
 from .kernels import KernelSpec
 from .potentials import PotentialFn
 
@@ -117,7 +117,7 @@ def _refit_exterior(g: GridProfile, side: int) -> ExteriorModel:
                                  min_decades=0.15)
     except ValueError:
         return ExteriorModel(limit)
-    if not (0.05 < fitres.exponent < 10.0):
+    if not (P_FLOOR < fitres.exponent < 10.0):
         return ExteriorModel(limit)
     return ExteriorModel(limit, -side * math.exp(fitres.log_const),
                          fitres.exponent)
@@ -219,8 +219,7 @@ def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
     operator's |xi|^(2s) spectrum, which a diagonal cannot. Returns the tau
     taken, the new plain and Lyapunov energies, the GMRES iterations and the
     halvings.
-    The step's vectors are freed on return, before the exterior refit, whose
-    quadrature sets a solve's peak memory.
+    The step's vectors are freed on return, before the exterior refit.
     """
     u = g.values
     w2 = pot.W2(u)

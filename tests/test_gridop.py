@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import circulant, toeplitz
@@ -73,18 +76,104 @@ def test_perturbed_kernel_grid():
     assert np.all(np.isfinite(vals))
 
 
-def test_exterior_power_vector_matches_per_node_calls():
-    x = np.linspace(-20.0, 20.0, 41)
-    g = GridProfile(x, np.tanh(x), ExteriorModel(-1.0, 0.3, 1.3),
-                    ExteriorModel(1.0, -0.4, 0.8))
-    h = x[1] - x[0]
-    lo, hi = x[0] - h / 2, x[-1] + h / 2
-    for kern in (fractional_kernel(0.4), perturbed_kernel(0.4, 0.5, 2.0)):
-        each = [-0.4 * kern.power_tail_integral(hi - xi, xi, 0.8, 1.0)
-                + 0.3 * kern.power_tail_integral(xi - lo, xi, 1.3, -1.0)
-                for xi in x]
-        np.testing.assert_allclose(exterior_power_vector(kern, g), each,
-                                   rtol=1e-13)
+def _multiplier(kern):
+    """(mid, amp) of m(z) = mid + amp cos(ln z): amp = 0 for the power
+    kernel, whose lam = Lam = 1, and m(1) - mid for the perturbed one."""
+    mid = 0.5 * (kern.lam + kern.Lam)
+    return mid, float(kern.k(1.0)) - mid
+
+
+def _exterior_mass(kern, b, d, p):
+    """I_p(d) = int_0^inf (b + w)^(-p) K(d + w) dw to 20 digits, b the
+    edge's |y|. For K = z^(-r) it is b^(-p) d^(1-r) 2F1(p, 1; p + r;
+    1 - d/b) / (p + r - 1); the perturbed multiplier mid + amp cos(ln z) =
+    mid + amp Re z^(-i) adds amp times the real part at r - i."""
+    import mpmath
+
+    mid, amp = _multiplier(kern)
+    with mpmath.workdps(20):
+        b, d, p = mpmath.mpf(b), mpmath.mpf(d), mpmath.mpf(p)
+        r = 1 + 2 * mpmath.mpf(kern.s)
+
+        def power(rr):
+            return b ** -p * d ** (1 - rr) / (p + rr - 1) * mpmath.hyp2f1(
+                p, 1, p + rr, 1 - d / b)
+
+        out = mid * power(r)
+        if amp:
+            out += amp * mpmath.re(power(r - 1j))
+        return float(out)
+
+
+def test_exterior_mass_oracle_matches_quadrature():
+    import mpmath
+
+    for kern in (fractional_kernel(0.25), perturbed_kernel(0.75, 0.5, 2.0)):
+        mid, amp = _multiplier(kern)
+        for b, d, p in ((200.1, 0.05, 0.06), (20.5, 40.0, 2.0)):
+            with mpmath.workdps(20):
+                quad = mpmath.quad(
+                    lambda w: (b + w) ** -p * (d + w) ** (-1 - 2 * kern.s)
+                    * (mid + amp * mpmath.cos(mpmath.log(d + w))),
+                    [0, d, b, 1e3 * (b + d), mpmath.inf])
+            assert _exterior_mass(kern, b, d, p) == pytest.approx(
+                float(quad), rel=1e-14)
+
+
+def test_exterior_power_vector_matches_mpmath():
+    """Each side's c I_p against the 2F1 closed form to 1e-12 relative, at
+    nodes 0, 1, 10, n/2, n-2 and n-1, on a 41-node grid and on criterion
+    9a's L = 200, n = 2048 grid, under both kernel forms. Without its far
+    tail the table errs by 4e-11; with 12 points a piece, by 2e-12."""
+    for (L, n), s, p, side in itertools.product(
+            ((20.0, 41), (200.0, 2048)), (0.25, 0.5, 0.75),
+            (0.06, 0.29, 1.0, 2.0, 9.9), (1, -1)):
+        x = np.linspace(-L, L, n)
+        h = x[1] - x[0]
+        edge = x[-1] + h / 2 if side > 0 else x[0] - h / 2
+        nodes = [0, 1, 10, n // 2, n - 2, n - 1]
+        m, flat = (ExteriorModel(float(side), -0.7 * side, p),
+                   ExteriorModel(-float(side)))
+        g = GridProfile(x, np.tanh(x), *((flat, m) if side > 0 else (m, flat)))
+        for kern in (fractional_kernel(s),
+                     perturbed_kernel(s, 0.5, 2.0, wobble=1.0)):
+            want = [-0.7 * side * _exterior_mass(
+                kern, abs(edge), side * (edge - x[i]), p) for i in nodes]
+            np.testing.assert_allclose(
+                exterior_power_vector(kern, g)[nodes], want, rtol=1e-12,
+                err_msg=f"{kern.form} s={s} p={p} side={side} n={n}")
+
+
+def test_power_model_needs_the_origin_inside_the_grid():
+    """|y|^(-p) beyond the edge would pass its singularity at y = 0."""
+    x = np.linspace(1.0, 5.0, 9)
+    g = GridProfile(x, np.full(9, 0.5), ExteriorModel(0.5, 0.3, 1.0),
+                    ExteriorModel(1.0))
+    with pytest.raises(ValueError, match="origin"):
+        exterior_power_vector(fractional_kernel(0.5), g)
+
+
+def test_refit_allocates_a_few_vectors():
+    """update_exterior at n = 2^16 allocates under 4 MB, 8 n-vectors: its
+    tables were built with the operator, and no n x PIECE_POINTS array is
+    formed (the old 24-node rule took 26.6 MB, 53 n-vectors)."""
+    from fraclayer.solver import make_grid
+
+    g = make_grid(200.0, 2 ** 16)
+    g.ext_left, g.ext_right = (ExteriorModel(-1.0, 0.5, 0.9),
+                               ExteriorModel(1.0, -0.5, 0.9))
+    op = GridOperator(fractional_kernel(0.5), g)
+    g.ext_left, g.ext_right = (ExteriorModel(-1.0, 0.4, 0.6),
+                               ExteriorModel(1.0, -0.4, 0.6))
+    tracemalloc.start()
+    try:
+        op.update_exterior(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    np.testing.assert_allclose(op.ext_power, exterior_power_vector(
+        fractional_kernel(0.5), g), rtol=1e-14)
 
 
 def _dense_reference(kern, g):

@@ -332,11 +332,14 @@ def test_singular_cell_resolves_high_frequencies(s, omega):
 def test_perturbed_kernel_keeps_the_first_order_far_field():
     """A tabulated multiplier has no K', so its oscillatory far field keeps
     the first-order bound: OpValues (value, panel_err, sing_err, tail_err,
-    n_panels) pinned from before the boundary term was added."""
+    n_panels) pinned from before the boundary term was added. The s = 0.25
+    value moved 4 ulps when tail_integral's ladder ran on past 40 rungs:
+    its kernel mass beyond z1 then errs by 8e-18, not 1.8e-15, against the
+    closed form."""
     pinned = {
         (0.5, 1.0, 0.4): (-3.2396113094065697, 2.220446049250313e-15,
                           8.292316983660776e-07, 2.5000000000000004e-07, 3180),
-        (0.25, 2.0, 1.3): (6.740706720363185, 2.6645352591003757e-15,
+        (0.25, 2.0, 1.3): (6.740706720363189, 2.6645352591003757e-15,
                            8.353225311128818e-07, 2.500000000000002e-07,
                            66796),
     }

@@ -50,6 +50,16 @@ and once:
   values, the right `tail_exponent`, the residual and the iteration count;
 - for every solve, its step record: the Krylov count and tau of each step,
   the refit passes, the rejected steps and the residual of each pass;
+- `exterior_power_vector` on criterion 9's three grids, one side at a time,
+  at a fixed exterior model per case (9a c = 1, p = 1; 9b 1.32, 0.29; 9c
+  1.05, 0.41);
+- `perturbed_kernel(s, 0.5, 1.5).tail_integral` for s in {0.1, 0.25, 0.5}
+  at `eval_lk`'s Z = 1e6 (1 + |x|), x on 13 points of [-3, 3], and at the
+  distances of 9a's nodes to an edge;
+- `eval_lk` under `perturbed_kernel(0.5, 0.5, 1.5)` at tol 1e-6 on the
+  `operator` workload's smooth corpus (tanh, gaussian, the (2, 2) power-tail
+  bump, the constant 0.7) at those 13 points: value, error by component
+  and panel count;
 - the CLI: all 8 subcommands on `tests/test_cli.py`'s `BASE` config, in
   desk and paper mode, at seeds 0 and 7, each pair in its own temporary
   working directory with `fit.csv` given relative to it (so the echoed
@@ -252,6 +262,46 @@ def _criterion9(out: dict) -> None:
         _steps(out, f"criterion9/{name}", res)
 
 
+def _tails(out: dict) -> None:
+    """The exterior power integral on criterion 9's grids, the perturbed
+    kernel's tail mass, and eval_lk on the operator workload's smooth
+    corpus under the perturbed kernel."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import SOLVE_CASES
+
+    from fraclayer import profiles as pr
+    from fraclayer.gridop import ExteriorModel, exterior_power_vector
+    from fraclayer.kernels import fractional_kernel, perturbed_kernel
+    from fraclayer.quadrature import QuadConfig, eval_lk
+    from fraclayer.solver import make_grid
+
+    # each case's exterior model (c, p) near where its solve ends
+    models = {"9a": (1.0, 1.0), "9b": (1.32, 0.29), "9c": (1.05, 0.41)}
+    for name, c in SOLVE_CASES.items():
+        g = make_grid(c.L, c.n)
+        amp, p = models[name]
+        for side, (cl, cr) in (("left", (amp, 0.0)), ("right", (0.0, -amp))):
+            g.ext_left, g.ext_right = (ExteriorModel(-1.0, cl, p),
+                                       ExteriorModel(1.0, cr, p))
+            out[f"exterior_power/{name}/{side}"] = exterior_power_vector(
+                fractional_kernel(c.s), g)
+        if name == "9a":     # its nodes' distances to the left edge
+            dist = g.x - g.x[0] + 0.5 * (g.x[1] - g.x[0])
+    x = np.linspace(-3.0, 3.0, 13)
+    for s in (0.1, 0.25, 0.5):
+        kern = perturbed_kernel(s, 0.5, 1.5)
+        out[f"tail_integral/s{s}/Z"] = kern.tail_integral(1e6 * (1.0 + abs(x)))
+        out[f"tail_integral/s{s}/grid"] = kern.tail_integral(dist)
+    kern = perturbed_kernel(0.5, 0.5, 1.5)
+    for u in (pr.tanh_profile(), pr.gaussian(), pr.power_tail_bump(2.0, 2.0),
+              pr.constant(0.7)):
+        out[f"eval_lk_perturbed/{u.name}"] = np.array([
+            (ov.value, ov.error, ov.panel_err, ov.sing_err, ov.tail_err,
+             ov.n_panels) for ov in (eval_lk(kern, u, float(xi),
+                                             QuadConfig(tol=1e-6))
+                                     for xi in x)])
+
+
 def _cli(out: dict) -> None:
     """Every subcommand on the CLI tests' base config, in process."""
     import ast
@@ -349,6 +399,7 @@ def dump(path: str) -> None:
     _operators(out)
     _solver(out)
     _criterion9(out)
+    _tails(out)
     _cli(out)
     np.savez(path, **out)
 
