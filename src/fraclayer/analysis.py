@@ -56,10 +56,12 @@ def fit_power_decay(samples: Sequence[tuple[float, float]] | np.ndarray,
     lv = v if log_values else np.log(v)
     if lx.max() - lx.min() < min_decades * np.log(10.0):
         raise ValueError(f"samples must span at least {min_decades} decades")
-    A = np.column_stack([lx, np.ones_like(lx)])
-    coef, *_ = np.linalg.lstsq(A, lv, rcond=None)
-    resid = lv - A @ coef
-    return DecayFit(exponent=-coef[0], log_const=coef[1],
+    # the regression line in closed form, about the centroid
+    mx, mv = lx.mean(), lv.mean()
+    dx, dv = lx - mx, lv - mv
+    slope = float(dx @ dv) / float(dx @ dx)
+    resid = dv - slope * dx
+    return DecayFit(exponent=-slope, log_const=float(mv - slope * mx),
                     residual=float(np.sqrt(np.mean(resid ** 2))),
                     window=(float(x.min()), float(x.max())),
                     n_points=len(x))

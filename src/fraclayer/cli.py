@@ -300,7 +300,11 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
                    "residual-trace": [float(r) for r in res.residual_trace],
                    "tau-trace": [float(t) for t in res.tau_trace],
                    "krylov-iterations": res.krylov_iterations,
-                   "refit-steps": res.refit_steps,
+                   # per pass, the (c, p) each side's refit chose, null
+                   # for the bare limit
+                   "exterior-trace": [[[m.c, m.p] if m.c else None
+                                       for m in pair]
+                                      for pair in res.exterior_trace],
                    "rejected-steps": res.rejected_steps},
                   fh, indent=1)
     return rep

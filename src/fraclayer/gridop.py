@@ -21,6 +21,9 @@ at every node.
 The grid's layout stays behind GridOperator: apply, update_exterior, energy,
 lyapunov, jacobian_apply, precondition and tau_bounds are all the solver
 reads of it, so an operator on another grid implements those seven methods.
+Of these, apply (with jacobian_apply) and precondition cost an FFT pair
+each; energy reads a given L u, and update_exterior returns how L u moves,
+so a caller keeps the product of its iterate across refits.
 """
 
 from __future__ import annotations
@@ -87,10 +90,18 @@ def _edges(x: np.ndarray) -> tuple[float, float]:
     return float(x[0] - h / 2), float(x[-1] + h / 2)
 
 
-def exterior_constant_weights(kernel: KernelSpec, g: GridProfile):
-    """Kernel mass of each exterior half-line seen from every node."""
-    lo, hi = _edges(g.x)
-    return kernel.tail_integral(g.x - lo), kernel.tail_integral(hi - g.x)
+def exterior_constant_weights(kernel: KernelSpec, h: float, w: np.ndarray):
+    """Kernel mass of each exterior half-line seen from every node of a
+    uniform grid of spacing h with lag weights w, as (left, right).
+
+    Node i lies (i + 1/2) h from the left end, so its mass beyond that end
+    is node i + 1's plus lag weight i + 1: one tail integral at the
+    farthest node and a running sum of w from the far end give all n in
+    O(n) time.
+    """
+    far = kernel.tail_integral((len(w) + 0.5) * h)
+    left = np.cumsum(np.concatenate([[far], w[::-1]]))[::-1]
+    return left, left[::-1]
 
 
 class PowerTailTable:
@@ -234,32 +245,35 @@ class GridOperator:
         col[self._m - n + 1:] = self.w[::-1]
         self._w_hat = np.fft.rfft(col).real   # symmetric column: real
         prefix = np.concatenate([[0.0], np.cumsum(self.w)])
-        self.row_sums = prefix + prefix[::-1]     # sum_{j != i} w_|i-j|
-        self.wl, self.wr = exterior_constant_weights(kernel, g)
+        row_sums = prefix + prefix[::-1]          # sum_{j != i} w_|i-j|
+        self.wl, self.wr = exterior_constant_weights(kernel, h, self.w)
         self._tables = {}         # PowerTailTable per side, on first use
-        self.diag = -(self.row_sums + self.wl + self.wr)
+        self.diag = -(row_sums + self.wl + self.wr)
         # diagonal-cell quadratic fit: mom2/h^2 * (u_{i+1} + u_{i-1} - 2 u_i)
         self.diag_coef = kernel.second_moment_integral(h / 2) / h ** 2
         k = np.arange(len(self._w_hat))
         self.eig = (float(np.mean(-self.diag)) - self._w_hat + self.diag_coef
                     * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / self._m)))
+        self.offset = 0.0
         self.update_exterior(g)
 
-    def update_exterior(self, g: GridProfile) -> None:
+    def update_exterior(self, g: GridProfile) -> np.ndarray:
         """Take g's exterior models: their limits and power corrections,
         the latter from this operator's PowerTailTable of each side, built
-        on the side's first power model."""
+        on the side's first power model. Returns the change of the offset,
+        by which L u moves at every u."""
         self.limits = left, right = g.ext_left.limit, g.ext_right.limit
         self.ext_power = _power_vector(self._tables, self.kernel, g)
-        self.offset = left * self.wl + right * self.wr + self.ext_power
-
-    def toeplitz_apply(self, u: np.ndarray) -> np.ndarray:
-        """T u: sum over j != i of w_|i-j| u_j."""
-        return np.fft.irfft(np.fft.rfft(u, self._m) * self._w_hat,
-                           self._m)[:len(u)]
+        offset = left * self.wl + right * self.wr + self.ext_power
+        change, self.offset = offset - self.offset, offset
+        return change
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        out = self.toeplitz_apply(u) + self.diag * u + self.offset
+        """L u: T u by one FFT pair on the embedding, plus the diagonal,
+        the diagonal-cell second difference and the offset."""
+        tu = np.fft.irfft(np.fft.rfft(u, self._m) * self._w_hat,
+                          self._m)[:len(u)]
+        out = tu + self.diag * u + self.offset
         out[1:-1] += self.diag_coef * (u[2:] + u[:-2] - 2 * u[1:-1])
         return out
 
@@ -267,17 +281,20 @@ class GridOperator:
         """The linear part of L applied to v: L v without the offset."""
         return self.apply(v) - self.offset
 
-    def energy(self, u: np.ndarray, Wu: np.ndarray) -> float:
-        """(1/4) sum_{(i,j) not both exterior} (u_i - u_j)^2 w_ij + h sum Wu.
+    def energy(self, u: np.ndarray, Lu: np.ndarray, Wu: np.ndarray) -> float:
+        """(1/4) sum_{(i,j) not both exterior} (u_i - u_j)^2 w_ij + h sum Wu,
+        given Lu = apply(u).
 
         Interior pair weights are the exact kernel integrals over the partner
         cell times the cell width h; each interior-exterior pair appears
         twice with the constant far-field levels of the last update_exterior.
         The interior double sum equals -2 u . (T u - r u), r the row sums of
-        T, so it costs one FFT matvec.
+        T, and T u - r u = L u - offset + (wl + wr) u - diag_coef D2 u, so it
+        costs no FFT.
         """
-        inter = -2.0 * float(np.dot(u, self.toeplitz_apply(u)
-                                    - self.row_sums * u))
+        tu = Lu - self.offset + (self.wl + self.wr) * u
+        tu[1:-1] -= self.diag_coef * (u[2:] + u[:-2] - 2 * u[1:-1])
+        inter = -2.0 * float(np.dot(u, tu))
         left, right = self.limits
         ext = 2.0 * float(np.dot((u - left) ** 2, self.wl)
                           + np.dot((u - right) ** 2, self.wr))

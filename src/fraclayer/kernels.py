@@ -94,9 +94,17 @@ class KernelSpec:
         if self.form in ("fractional", "scaled-fractional"):
             p = 2.0 * self.s
             return self.scale * (a ** (-p) - b ** (-p)) / p
-        # log substitution keeps the power factor mild on wide intervals
-        return panel_integrals(lambda t: self.k(np.exp(t)) * np.exp(t),
-                               np.log(a), np.log(b), 24)
+        # z = a e^t over [0, ln(b / a)], taken as log1p((b - a) / a): a
+        # narrow cell keeps its width's digits, which ln b - ln a would
+        # lose, and on a wide one the power factor stays mild
+        top = np.log1p((b - a) / a)
+        a = a[..., None]
+
+        def integrand(t):
+            z = a * np.exp(t)
+            return self.k(z) * z
+
+        return panel_integrals(integrand, 0.0, top, 24)
 
     def tail_integral(self, a):
         """integral of K over [a, +inf) for a > 0."""

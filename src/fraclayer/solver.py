@@ -11,7 +11,9 @@ relaxation, at least doubling after each step not halved, so the step moves
 from descent u + tau F towards Newton within a few steps. GMRES
 is preconditioned by the FFT circulant of the grid operator's linear part
 (Chan & Ng, SIAM Review 38, 1996), which carries its |xi|^(2s) spectrum, so
-the Krylov count per step does not grow as h shrinks.
+the Krylov count per step does not grow as h shrinks. Every pass refits the
+far-field power models before it reads the residual, and costs one operator
+product outside GMRES.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .kernels import KernelSpec
 from .potentials import PotentialFn
 
 
-REFIT_EVERY = 5             # exterior power-model refresh, in accepted steps
 TAIL_FRACTION = 0.25        # share of the nodes tail_exponent fits per side
 DIVERGENCE_SLACK = 1e-8     # relative; the projection step is not proven
                             # monotone, only observed
@@ -89,7 +90,7 @@ def energy(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     """The discrete energy of g (GridOperator.energy); a given op must have
     seen g's exterior models."""
     op = op if op is not None else GridOperator(kernel, g)
-    return op.energy(g.values, pot.W(g.values))
+    return op.energy(g.values, op.apply(g.values), pot.W(g.values))
 
 
 def lyapunov(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
@@ -127,14 +128,14 @@ def _refit_exterior(g: GridProfile, side: int) -> ExteriorModel:
 class SolveResult:
     """A relaxed profile and its run record.
 
-    iterations counts the loop's passes: each evaluates the residual once
-    and all but the last take one pseudo-transient step. residual_trace
-    holds each pass's interior sup residual (under the refit exterior where
-    it was refit) and refit_steps the passes that refit it. For each step
-    taken, tau_trace holds the tau it was taken with and krylov_iterations
-    the GMRES iterations it cost (rejected tries included); energy_trace
-    holds the plain energy before the first step and after each one, and
-    rejected_steps counts the tau halvings.
+    iterations counts the loop's passes: each refits the exterior models,
+    evaluates the residual once and, all but the last, takes one
+    pseudo-transient step. Per pass, exterior_trace holds the (left, right)
+    models its refit chose (c = 0: the bare limit), residual_trace the
+    interior sup residual under them and energy_trace the plain energy. For
+    each step taken, tau_trace holds the tau it was taken with and
+    krylov_iterations the GMRES iterations it cost (rejected tries
+    included); rejected_steps counts the tau halvings.
     """
 
     profile: GridProfile
@@ -146,24 +147,20 @@ class SolveResult:
     residual_trace: list = field(default_factory=list)
     tau_trace: list = field(default_factory=list)
     krylov_iterations: list = field(default_factory=list)
-    refit_steps: list = field(default_factory=list)
+    exterior_trace: list = field(default_factory=list)
     rejected_steps: int = 0
 
 
-def gmres(matvec, b: np.ndarray, precond):
+def gmres(matvec, b: np.ndarray, precond, V: np.ndarray):
     """Right-preconditioned restarted GMRES for A x = b from x = 0.
 
     precond(v) applies the inverse preconditioner M^-1. Only the Arnoldi
-    basis V of A M^-1 is stored (KRYLOV_RESTART + 1 vectors); each cycle
-    adds M^-1 V y to x. Stops when the residual norm falls to KRYLOV_RTOL |b|
-    or after KRYLOV_CYCLES cycles, and returns x and the iteration count.
+    basis of A M^-1 is stored, in the caller's (KRYLOV_RESTART + 1) x len(b)
+    array V, which a run of solves reuses; each cycle adds M^-1 V y to x.
+    Stops when the residual norm falls to KRYLOV_RTOL |b| or after
+    KRYLOV_CYCLES cycles, and returns x and the iteration count.
     """
     restart = KRYLOV_RESTART
-    # an anonymous mapping, unmapped on return: a freed malloc block this
-    # size (0.7 MB at n = 4096) raises glibc's mmap threshold, and later
-    # bases then stay resident in the heap
-    V = np.frombuffer(mmap.mmap(-1, (restart + 1) * b.nbytes)).reshape(
-        restart + 1, len(b))
     x = np.zeros_like(b)
     target = KRYLOV_RTOL * np.linalg.norm(b)
     H = np.zeros((restart + 1, restart))
@@ -210,15 +207,16 @@ def gmres(matvec, b: np.ndarray, precond):
 
 
 def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
-          F: np.ndarray, tau: float, tau0: float, ref: float, it: int):
+          F: np.ndarray, tau: float, tau0: float, ref: float, it: int,
+          basis: np.ndarray):
     """Take step `it` from g.values: solve (I/tau - J) delta = F by GMRES
-    and set g.values to sort(clamp(u + delta, -1, 1)), halving tau, down to
-    tau0, while that raises the Lyapunov functional beyond DIVERGENCE_SLACK
-    over ref. The preconditioner is op.precondition, the circulant of -L's
-    linear part shifted by 1/tau + mean(max(W''(u), 0)): it carries the
-    operator's |xi|^(2s) spectrum, which a diagonal cannot. Returns the tau
-    taken, the new plain and Lyapunov energies, the GMRES iterations and the
-    halvings.
+    in the Krylov basis array `basis` and set g.values to
+    sort(clamp(u + delta, -1, 1)), halving tau, down to tau0, while that
+    raises the Lyapunov functional beyond DIVERGENCE_SLACK over ref. The
+    preconditioner is op.precondition, the circulant of -L's linear part
+    shifted by 1/tau + mean(max(W''(u), 0)): it carries the operator's
+    |xi|^(2s) spectrum, which a diagonal cannot. Returns the tau taken, the
+    new values' L u and W(u), the GMRES iterations and the halvings.
     The step's vectors are freed on return, before the exterior refit.
     """
     u = g.values
@@ -229,13 +227,13 @@ def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
         shift = 1.0 / tau + w2_mean
         delta, k = gmres(
             lambda v: v / tau + w2 * v - op.jacobian_apply(v), F,
-            lambda v: op.precondition(v, shift))
+            lambda v: op.precondition(v, shift), basis)
         krylov += k
         g.values = np.sort(np.clip(u + delta, -1.0, 1.0))
-        e_plain = op.energy(g.values, pot.W(g.values))
-        e = op.lyapunov(g.values, e_plain)
+        Lu, Wu = op.apply(g.values), pot.W(g.values)
+        e = op.lyapunov(g.values, op.energy(g.values, Lu, Wu))
         if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
-            return tau, e_plain, e, krylov, halvings
+            return tau, Lu, Wu, krylov, halvings
         if tau <= tau0:
             raise Diverged(f"step {it} raises the energy at the explicit "
                            f"step size ({e} > {ref})")
@@ -247,73 +245,74 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
                     cfg: SolveConfig) -> SolveResult:
     """Pseudo-transient descent to a layer profile.
 
-    Each pass of the loop evaluates the residual F = L u - W'(u) once and,
-    unless it has converged, takes one step: it solves (I/tau - J) delta = F,
-    with J v = (L v - offset) - W''(u) v, by GMRES to KRYLOV_RTOL under the
-    circulant preconditioner C + 1/tau + mean(max(W''(u), 0)), C the
-    circulant of -L's linear part (GridOperator.precondition), and sets
-    u <- sort(clamp(u + delta, -1, 1)). tau_0 is the explicit descent's
-    stable step and its floor; tau grows by switched evolution relaxation,
-    tau <- tau clamp(max(r_old / r_new, TAU_GROWTH_FLOOR), SER_CLAMP) after a
-    step taken at its tau and tau <- tau clamp(r_old / r_new, SER_CLAMP)
-    after one that halved it, r the interior sup residual, up to the cap of
-    GridOperator.tau_bounds. A step that raises the Lyapunov functional
-    beyond DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one
-    that still raises it there raises Diverged. The sort is recorded as a
+    Each pass of the loop refits both exterior power models to the current
+    values, evaluates the residual F = L u - W'(u) once under them and,
+    unless it has converged (residual < cfg.tol), takes one step: it solves
+    (I/tau - J) delta = F, with J v = (L v - offset) - W''(u) v, by GMRES
+    to KRYLOV_RTOL under the circulant preconditioner
+    C + 1/tau + mean(max(W''(u), 0)), C the circulant of -L's linear part
+    (GridOperator.precondition), and sets u <- sort(clamp(u + delta, -1,
+    1)). tau_0 is the explicit descent's stable step and its floor; tau
+    grows by switched evolution relaxation, tau <- tau clamp(max(r_old /
+    r_new, TAU_GROWTH_FLOOR), SER_CLAMP) after a step taken at its tau and
+    tau <- tau clamp(r_old / r_new, SER_CLAMP) after one that halved it, up
+    to the cap of GridOperator.tau_bounds; r_old and r_new are the interior
+    sup residuals before and after the step, both under the exterior models
+    it was taken with. A step that raises the Lyapunov functional beyond
+    DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one that
+    still raises it there raises Diverged. The sort is recorded as a
     projection, not proven energy-decreasing.
 
-    The exterior power models are refit every REFIT_EVERY steps, and
-    convergence (residual < cfg.tol) is declared only right after a refit
-    at the current values: a stale model would stop the run with the tail
-    out of step with its exterior. `iterations` counts passes, one more
-    than the steps taken (the last pass only confirms convergence), and
+    Convergence is thus read right after a refit at the current values: a
+    stale model would stop the run with the tail out of step with its
+    exterior. Each pass costs one operator product outside GMRES: the
+    product L u of an accepted step gives its energy and, moved by the
+    offset change that the next refit returns, that pass's residual. One
+    Krylov basis serves the run. `iterations` counts passes, one more than
+    the steps taken (the last pass only confirms convergence), and
     StalledAboveTolerance is raised after cfg.max_iter of them.
     """
     g = g0.copy_with(g0.values.copy())
     op = GridOperator(kernel, g)
     tau0, tau_max = op.tau_bounds(pot.max_w2())
     tau = tau0
-    e_plain = op.energy(g.values, pot.W(g.values))
-    ref = op.lyapunov(g.values, e_plain)
+    # one anonymous mapping for the run's Krylov basis: a freed malloc block
+    # this size (0.7 MB at n = 4096) raises glibc's mmap threshold, and later
+    # arrays then stay resident in the heap
+    n = len(g.x)
+    basis = np.frombuffer(mmap.mmap(-1, (KRYLOV_RESTART + 1) * 8 * n)
+                          ).reshape(KRYLOV_RESTART + 1, n)
+    Lu, Wu = op.apply(g.values), pot.W(g.values)
     res = SolveResult(profile=g, iterations=0, residual=np.inf,
-                      energy_trace=[e_plain], converged=False)
+                      energy_trace=[], converged=False)
     resid = np.inf
-    since_refit = 0
     for it in range(1, cfg.max_iter + 1):
         u = g.values
-        w1 = pot.W1(u)
-        F = op.apply(u) - w1
-        r_new = float(np.max(np.abs(F[1:-1])))
+        F = Lu - pot.W1(u)
         if it > 1:
+            # the step's own gain, read under the model it was taken with
+            r_new = float(np.max(np.abs(F[1:-1])))
             growth = resid / r_new if r_new > 0.0 else SER_CLAMP[1]
             if not halvings:
                 growth = max(growth, TAU_GROWTH_FLOOR)
             tau = min(max(tau * min(max(growth, SER_CLAMP[0]), SER_CLAMP[1]),
                           tau0), tau_max)
-        resid = r_new
-        if since_refit == REFIT_EVERY or resid < cfg.tol:
-            limits = g.ext_left.limit, g.ext_right.limit
-            g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
-            op.update_exterior(g)
-            # the plain energy reads the exterior limits (a refit sets them
-            # to -1 and 1) but not the power model
-            if (g.ext_left.limit, g.ext_right.limit) != limits:
-                e_plain = op.energy(u, pot.W(u))
-            ref = op.lyapunov(u, e_plain)
-            F = op.apply(u) - w1
-            resid = float(np.max(np.abs(F[1:-1])))
-            res.refit_steps.append(it)
-            since_refit = 0
+        g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
+        res.exterior_trace.append((g.ext_left, g.ext_right))
+        change = op.update_exterior(g)
+        Lu += change
+        F += change
+        e_plain = op.energy(u, Lu, Wu)
+        res.energy_trace.append(e_plain)
+        resid = float(np.max(np.abs(F[1:-1])))
         res.residual_trace.append(resid)
         if resid < cfg.tol:
             break
-        tau, e_plain, ref, krylov, halvings = _step(
-            g, pot, op, F, tau, tau0, ref, it)
+        tau, Lu, Wu, krylov, halvings = _step(
+            g, pot, op, F, tau, tau0, op.lyapunov(u, e_plain), it, basis)
         res.rejected_steps += halvings
         res.tau_trace.append(tau)
         res.krylov_iterations.append(krylov)
-        res.energy_trace.append(e_plain)
-        since_refit += 1
     else:
         raise StalledAboveTolerance(
             f"residual {resid:.3e} after {cfg.max_iter} passes")

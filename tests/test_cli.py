@@ -98,7 +98,10 @@ def test_solve_and_fit_decay(tmp_path):
     assert len(conv["residual-trace"]) == conv["iterations"]
     for key in ("tau-trace", "krylov-iterations"):
         assert len(conv[key]) == conv["iterations"] - 1
-    assert conv["refit-steps"][-1] == conv["iterations"]
+    # one exterior refit per pass; the last one keeps a power model on
+    # each side
+    assert len(conv["exterior-trace"]) == conv["iterations"]
+    assert all(m is not None for m in conv["exterior-trace"][-1])
     assert conv["rejected-steps"] >= 0
     cfg2 = tmp_path / "fit.cfg"
     cfg2.write_text(BASE + f"\nfit.csv = '{tmp_path / 'solution.csv'}'\n")

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,29 @@ def _exterior_mass(kern, b, d, p):
         return float(out)
 
 
+@pytest.mark.parametrize("kern", [fractional_kernel(0.5),
+                                  perturbed_kernel(0.5, 0.5, 2.0, wobble=1)],
+                         ids=["fractional", "perturbed"])
+def test_exterior_constant_weights_match_the_ladder_in_linear_time(kern):
+    """One tail integral at the farthest node plus a running sum of the lag
+    weights gives every node's exterior mass within 1e-12 relative of
+    tail_integral at that node, from both ends, and a 2^16-node build takes
+    under 0.5 s. Run through every rung of the perturbed kernel's ladder,
+    the n distances made that build take 4.6-5.7 s (0.07 s now on a 2-vCPU
+    x86_64 VM)."""
+    n, h = 2 ** 16, 0.25
+    x = (np.arange(n) - (n - 1) / 2) * h      # exactly uniform
+    t0 = time.perf_counter()
+    op = GridOperator(kern, GridProfile(x, np.tanh(x / 5)))
+    took = time.perf_counter() - t0
+    nodes = np.concatenate([np.arange(0, n, 4099), [n - 2, n - 1]])
+    want = kern.tail_integral((nodes + 0.5) * h)
+    np.testing.assert_allclose(op.wl[nodes], want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(op.wr[n - 1 - nodes], want, rtol=1e-12,
+                               atol=0)
+    assert took < 0.5
+
+
 def test_exterior_mass_oracle_matches_quadrature():
     import mpmath
 
@@ -182,7 +206,7 @@ def _dense_reference(kern, g):
     h = g.x[1] - g.x[0]
     w = lag_weights(kern, h, n)
     M = toeplitz(np.concatenate([[0.0], w]))
-    wl, wr = exterior_constant_weights(kern, g)
+    wl, wr = exterior_constant_weights(kern, h, w)
     M[np.arange(n), np.arange(n)] = -(M.sum(axis=1) + wl + wr)
     c = kern.second_moment_integral(h / 2) / h ** 2
     idx = np.arange(1, n - 1)

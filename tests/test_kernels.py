@@ -150,3 +150,24 @@ def test_perturbed_kernel_tails_match_the_closed_form(s):
     close(kern.interval_integral(a, 4.0 * a), _perturbed_mass(kern, a, 4 * a))
     close(kern.interval_integral(a[7], 4.0 * a[7]),
           _perturbed_mass(kern, a[7], 4.0 * a[7]))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_perturbed_interval_integral_keeps_narrow_cells(s):
+    """interval_integral against the closed form on cells narrow against
+    their distance ([1e9, 1e9 + 0.1], a grid's lag cells out to lag 2^16)
+    and wide ones (up to a factor 1e3): rel 1e-13. Integrated in ln z over
+    [ln a, ln b], the width's digits went to the difference of two logs:
+    [1e9, 1e9 + 0.1] erred by 1.8e-5 and lag 4096 of h = 0.2 by 2e-12."""
+    kern = perturbed_kernel(s, 0.5, 1.5)
+    h = 0.1953125
+    lag = np.array([1.0, 10.0, 1000.0, 4096.0, 65535.0])
+    a = np.concatenate([[1e9, 1e6, 1e3], (lag - 0.5) * h,
+                        [1e-3, 0.5, 2.0, 7.0]])
+    b = np.concatenate([[1e9 + 0.1, 1e6 + 0.1, 1e3 + 1e-9], (lag + 0.5) * h,
+                        [1.0, 5.0, 2e3, 70.0]])
+    want = _perturbed_mass(kern, a, b)
+    np.testing.assert_allclose(kern.interval_integral(a, b), want,
+                               rtol=1e-13, atol=0)
+    assert kern.interval_integral(a[0], b[0]) == pytest.approx(want[0],
+                                                               rel=1e-13)

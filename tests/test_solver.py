@@ -1,3 +1,5 @@
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -223,7 +225,7 @@ def test_lyapunov_gradient_is_the_residual(kern, rng):
     op = GridOperator(kern, g)
 
     def lyap(v):
-        return op.lyapunov(v, op.energy(v, pot.W(v)))
+        return op.lyapunov(v, op.energy(v, op.apply(v), pot.W(v)))
 
     d = 1e-5 * np.eye(n)
     fd = np.array([lyap(u + d[i]) - lyap(u - d[i]) for i in range(n)]) / 2e-5
@@ -297,7 +299,8 @@ def test_gmres_reaches_its_rtol(rtol, rng, monkeypatch):
     for A, restarted in _dominant_systems(rng):
         b = rng.standard_normal(len(A))
         exact = np.linalg.solve(A, b)
-        x, its = gmres(lambda v: A @ v, b, lambda v: v / np.diag(A))
+        x, its = gmres(lambda v: A @ v, b, lambda v: v / np.diag(A),
+                       np.empty((solver.KRYLOV_RESTART + 1, len(b))))
         assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
         assert np.linalg.norm(x - exact) <= (
             np.linalg.cond(A) * rtol * np.linalg.norm(exact))
@@ -316,11 +319,13 @@ def test_convergence_waits_for_a_fresh_exterior_refit(kernel_half_mod):
     cfg = SolveConfig(max_iter=5000, tol=1e-5)
     res = minimize_energy(make_grid(100.0, 512), pot, kernel_half_mod, cfg)
     g = res.profile
+    # the last pass refit the models the run ends with
+    assert len(res.exterior_trace) == res.iterations
+    assert res.exterior_trace[-1] == (g.ext_left, g.ext_right)
     g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
     again = minimize_energy(g, pot, kernel_half_mod, cfg)
     assert tail_exponent(again.profile).exponent == pytest.approx(
         tail_exponent(res.profile).exponent, abs=1e-3)
-    assert res.refit_steps[-1] == res.iterations
     # the last steps grow tau tenfold each, up to where 1/tau drops below
     # the preconditioner's rounding
     cap = GridOperator(kernel_half_mod, g).tau_bounds(pot.max_w2())[1]
@@ -334,21 +339,23 @@ def test_stall_raises_after_max_iter_passes(kernel_half_mod):
 
 
 def test_solve_result_records_every_step(small_solution):
-    """One residual per pass; one tau and Krylov count per step, one step
-    per pass but the last; tau starts at the explicit step and refits fall
-    every REFIT_EVERY steps or at the end."""
-    from fraclayer.solver import REFIT_EVERY
-
+    """One residual, energy and exterior refit per pass; one tau and Krylov
+    count per step, one step per pass but the last; tau starts at the
+    explicit step. The tanh seed's tail is below the fit's floor, so the
+    first refit keeps the bare limits; the last pass refit the models the
+    profile ends with."""
     _, res = small_solution
     k = res.iterations
     assert len(res.residual_trace) == len(res.tau_trace) + 1 == k
     assert len(res.krylov_iterations) == k - 1
     assert min(res.krylov_iterations) > 0
-    assert len(res.energy_trace) == k
+    assert len(res.energy_trace) == len(res.exterior_trace) == k
     assert res.residual_trace[-1] == res.residual < 1e-5
     assert res.rejected_steps >= 0 and res.tau_trace[-1] > res.tau_trace[0]
-    gaps = np.diff([1] + res.refit_steps)
-    assert res.refit_steps[-1] == k and np.all(gaps <= REFIT_EVERY)
+    assert res.exterior_trace[0] == (ExteriorModel(-1.0), ExteriorModel(1.0))
+    g = res.profile
+    assert res.exterior_trace[-1] == (g.ext_left, g.ext_right)
+    assert g.ext_left.c > 0 > g.ext_right.c
 
 
 def test_tau_at_least_doubles_after_every_clean_step(small_solution,
@@ -393,3 +400,81 @@ def test_circulant_preconditioner_is_mesh_independent(kernel_half_mod):
                                  ).krylov_iterations)
              for n in (512, 1024)]
     assert max(worst) <= 6
+
+
+def test_each_pass_costs_one_operator_product_outside_gmres(
+        kernel_half_mod, monkeypatch):
+    """Toeplitz products (GridOperator.apply, jacobian_apply's included)
+    over a whole solve: one per GMRES iteration and restart, and one per
+    pass. A basis of 4 vectors makes GMRES restart; no step is halved."""
+    monkeypatch.setattr(solver, "KRYLOV_RESTART", 4)
+    counts = {"apply": 0, "restarts": 0}
+    apply, gmres_ = GridOperator.apply, solver.gmres
+
+    def counted_apply(self, u):
+        counts["apply"] += 1
+        return apply(self, u)
+
+    def counted_gmres(matvec, b, precond, V):
+        calls = []
+        x, its = gmres_(lambda v: calls.append(0) or matvec(v), b, precond,
+                        V)
+        counts["restarts"] += len(calls) - its
+        return x, its
+
+    monkeypatch.setattr(GridOperator, "apply", counted_apply)
+    monkeypatch.setattr(solver, "gmres", counted_gmres)
+    pot = make_potential(WellParams(alpha=2, beta=2, gamma=3, delta=3, c1=2,
+                                    c2=2, c3=1, c4=1.5))
+    res = minimize_energy(make_grid(60.0, 256), pot, kernel_half_mod,
+                          SolveConfig(max_iter=1000, tol=2e-5))
+    assert res.rejected_steps == 0 and counts["restarts"] > 0
+    assert counts["apply"] == (sum(res.krylov_iterations)
+                               + counts["restarts"] + res.iterations)
+
+
+CRITERION_9 = {     # s, wells, L, n, init, tol; measured passes and Krylov
+    "9a": (0.5, dict(alpha=2, beta=2, gamma=2, delta=2, c1=2, c2=2, c3=2,
+                     c4=2, mu=0.5), 200.0, 2048, "tanh", 1e-6, 13, 26),
+    "9b": (0.5, dict(alpha=4, beta=4, gamma=4, delta=4, mu=0.5), 200.0,
+           2048, "tanh", 1e-6, 32, 64),
+    "9c": (0.75, dict(alpha=4.5, beta=4.0, gamma=4.5, delta=4.0,
+                      mode="oscillatory"), 800.0, 4096, "power", 6e-4, 17,
+           40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRITERION_9))
+def test_criterion_9_passes_and_krylov_stay_under_their_ceilings(case):
+    """Criterion 9's solves, as the acceptance test runs them, take at most
+    the measured passes plus 2 and the measured Krylov total plus 10 %.
+    With a refit every 5 steps they took 15 / 48 / 18 passes and 30 / 125 /
+    48 Krylov iterations."""
+    s, wells, L, n, init, tol, passes, krylov = CRITERION_9[case]
+    res = minimize_energy(
+        make_grid(L, n, init=init, tail_exponent_seed=0.5 * (
+            1.5 / 3.0 + 1.5 / 3.5)),
+        make_potential(WellParams(**wells)), fractional_kernel(s),
+        SolveConfig(max_iter=40000, tol=tol))
+    assert res.iterations <= passes + 2
+    assert sum(res.krylov_iterations) <= math.ceil(1.1 * krylov)
+    assert res.rejected_steps == 0
+
+
+def test_perturbed_kernel_run_at_n_8192_converges_quickly():
+    """Quartic-degenerate wells under a log-periodic kernel (s = 0.5,
+    lambda 0.5, Lambda 2, wobble 1) on L = 800, n = 8192: converged to
+    1e-6 in under 2 s, non-decreasing. While the exterior power integral
+    erred at the edge nodes this run stalled at residual 9.0e-4 at node
+    n - 2. It takes 29 passes and about 0.2 s on a 2-vCPU x86_64 VM."""
+    t0 = time.perf_counter()
+    res = minimize_energy(
+        make_grid(800.0, 8192),
+        make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,
+                                  mu=0.5)),
+        perturbed_kernel(0.5, 0.5, 2.0, wobble=1),
+        SolveConfig(max_iter=40000, tol=1e-6))
+    took = time.perf_counter() - t0
+    assert res.converged and res.residual < 1e-6
+    assert np.all(np.diff(res.profile.values) >= -1e-14)
+    assert took <= 2.0

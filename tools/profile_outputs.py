@@ -44,12 +44,18 @@ and once:
   nodes, tol 2e-5, on quartic wells (c = 2) and on wells with a quadratic
   left and a cubic right degeneracy: values, exterior models, iteration
   count, residual and energy trace, and `tail_exponent` on both sides;
+- `minimize_energy` at tol 1e-6 on wells alpha = beta = gamma = delta
+  in {3, 4, 6} (mu = 0.5) under the s = 0.5 and s = 0.75 kernels over
+  [-200, 200] with 1024 nodes, and on the alpha = 4 wells under
+  `perturbed_kernel(0.5, 0.5, 2.0, wobble=1)` over [-800, 800] with 8192
+  nodes: values, iteration count and the right `tail_exponent`;
 - criterion 9's three solves as `perfbench/workloads.py`'s SOLVE_CASES
   define them (9a quartic and 9b degenerate wells at n = 2048, 9c
   oscillatory wells at n = 4096, each at its own tolerance): the relaxed
   values, the right `tail_exponent`, the residual and the iteration count;
 - for every solve, its step record: the Krylov count and tau of each step,
-  the refit passes, the rejected steps and the residual of each pass;
+  the rejected steps, and the residual and refit exterior models of each
+  pass;
 - `exterior_power_vector` on criterion 9's three grids, one side at a time,
   at a fixed exterior model per case (9a c = 1, p = 1; 9b 1.32, 0.29; 9c
   1.05, 0.41);
@@ -200,15 +206,17 @@ def _operators(out: dict) -> None:
 
 
 def _steps(out: dict, key: str, res) -> None:
-    """The step record of one solve: Krylov counts, tau, refits,
-    rejections and residuals."""
-    for field in ("krylov_iterations", "tau_trace", "refit_steps",
-                  "rejected_steps", "residual_trace"):
+    """The step record of one solve: Krylov counts, tau, rejections,
+    residuals and each pass's exterior models, as (limit, c, p) per side."""
+    for field in ("krylov_iterations", "tau_trace", "rejected_steps",
+                  "residual_trace"):
         out[f"{key}/{field}"] = np.array(getattr(res, field))
+    out[f"{key}/exterior_trace"] = np.array(
+        [[(m.limit, m.c, m.p) for m in pair] for pair in res.exterior_trace])
 
 
 def _solver(out: dict) -> None:
-    from fraclayer.kernels import fractional_kernel
+    from fraclayer.kernels import fractional_kernel, perturbed_kernel
     from fraclayer.potentials import WellParams, make_potential
     from fraclayer.solver import (SolveConfig, make_grid, minimize_energy,
                                   tail_exponent)
@@ -236,6 +244,21 @@ def _solver(out: dict) -> None:
             out[f"{name}/tail_{side}"] = np.array(
                 [fit.exponent, fit.log_const, fit.residual, *fit.window,
                  fit.n_points])
+    # pure-power wells of equal exponents (mu = 0.5) across s and alpha,
+    # and the same alpha = 4 wells under a log-periodic kernel on a long grid
+    runs = {f"solve_s{s}_alpha{a}": (fractional_kernel(s), a, 200.0, 1024)
+            for s in (0.5, 0.75) for a in (3, 4, 6)}
+    runs["solve_perturbed"] = (perturbed_kernel(0.5, 0.5, 2.0, wobble=1), 4,
+                               800.0, 8192)
+    for name, (kern, a, L, n) in runs.items():
+        res = minimize_energy(make_grid(L, n), make_potential(WellParams(
+            alpha=a, beta=a, gamma=a, delta=a, mu=0.5)), kern,
+            SolveConfig(max_iter=40000, tol=1e-6))
+        out[f"{name}/values"] = res.profile.values
+        out[f"{name}/iterations"] = np.array(res.iterations)
+        out[f"{name}/exponent"] = np.array(
+            tail_exponent(res.profile).exponent)
+        _steps(out, name, res)
 
 
 def _criterion9(out: dict) -> None:
