@@ -361,8 +361,9 @@ def test_solve_result_records_every_step(small_solution):
 def test_tau_at_least_doubles_after_every_clean_step(small_solution,
                                                    kernel_half_mod):
     """No step is halved here, so tau starts at the explicit step and at
-    least doubles per step up to its cap: 13 passes, where growth by
-    r_old / r_new alone crawled up from tau_0 in 23."""
+    least doubles per step up to its cap: 11 passes (13 with a refit every
+    5 steps), where growth by r_old / r_new alone crawled up from tau_0 in
+    23."""
     pot, res = small_solution
     tau0, tau_max = GridOperator(kernel_half_mod, make_grid(
         100.0, 512)).tau_bounds(pot.max_w2())
