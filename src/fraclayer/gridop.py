@@ -5,8 +5,9 @@ from node i is the exact kernel integral over the cell, which depends only on
 the lag |i - j| on a uniform grid, so the interior interaction is a symmetric
 Toeplitz matrix applied by circulant embedding and FFT in O(n log n) time and
 O(n) memory. The diagonal cell is handled by the second-order increment with
-a local quadratic fit, and the exterior of the grid contributes through
-constant limits plus an optional fitted power correction.
+a local quadratic fit, a second difference with Neumann ends, so the linear
+part of the operator is symmetric; the exterior of the grid contributes
+through constant limits plus an optional fitted power correction.
 
 The power correction c |y|^(-p) beyond an edge e costs c I_p(d) at a node
 at distance d from e, I_p(d) = integral_0^inf |e + side w|^(-p) K(d + w) dw.
@@ -22,8 +23,8 @@ The grid's layout stays behind GridOperator: apply, update_exterior, energy,
 lyapunov, jacobian_apply, precondition and tau_bounds are all the solver
 reads of it, so an operator on another grid implements those seven methods.
 Of these, apply (with jacobian_apply) and precondition cost an FFT pair
-each; energy reads a given L u, and update_exterior returns how L u moves,
-so a caller keeps the product of its iterate across refits.
+each; energy and lyapunov read a given L u, and update_exterior returns
+how L u moves, so a caller keeps the product of its iterate across refits.
 """
 
 from __future__ import annotations
@@ -210,18 +211,21 @@ def exterior_power_vector(kernel: KernelSpec, g: GridProfile) -> np.ndarray:
 
 
 class GridOperator:
-    """L u = T u + diag u + diag_coef (interior second difference) + offset.
+    """L u = T u - outflow u + diag_coef D u + offset.
 
     T is the symmetric Toeplitz matrix of the lag weights w (zero diagonal),
     applied by FFT on a circulant embedding; only O(n) vectors are stored.
-    diag folds the interior row sums of T and the exterior constant mass;
-    the offset carries the exterior limits and the optional power corrections.
+    outflow, one scalar, is a node's interior row sum of T plus its exterior
+    constant mass: the kernel mass beyond h/2 on both sides, the same at
+    every node. D is the second difference with Neumann ends (u_1 - u_0 at
+    node 0), the diagonal-cell term; the offset carries the exterior limits
+    and the optional power corrections.
 
-    The linear part of -L is c I - T - diag_coef D2 but for the edge rows of
-    D2, where c = -diag, the kernel mass beyond h/2, is nearly the same at
-    every node. `eig` holds the eigenvalues of its circulant on the FFT
-    embedding (diagonal mean(-diag), periodic D2); precondition inverts
-    that circulant plus a shift, the solver's Krylov preconditioner.
+    The linear part of L is symmetric: -1/h times the Hessian of the
+    quadratic part of lyapunov. `eig` holds the eigenvalues of its
+    circulant on the FFT embedding (diagonal outflow, periodic D);
+    precondition inverts that circulant plus a shift, the solver's Krylov
+    preconditioner.
     """
 
     def __init__(self, kernel: KernelSpec, g: GridProfile):
@@ -244,15 +248,13 @@ class GridOperator:
         col[1:n] = self.w
         col[self._m - n + 1:] = self.w[::-1]
         self._w_hat = np.fft.rfft(col).real   # symmetric column: real
-        prefix = np.concatenate([[0.0], np.cumsum(self.w)])
-        row_sums = prefix + prefix[::-1]          # sum_{j != i} w_|i-j|
         self.wl, self.wr = exterior_constant_weights(kernel, h, self.w)
         self._tables = {}         # PowerTailTable per side, on first use
-        self.diag = -(row_sums + self.wl + self.wr)
+        self.outflow = 2.0 * float(self.wl[0])
         # diagonal-cell quadratic fit: mom2/h^2 * (u_{i+1} + u_{i-1} - 2 u_i)
         self.diag_coef = kernel.second_moment_integral(h / 2) / h ** 2
         k = np.arange(len(self._w_hat))
-        self.eig = (float(np.mean(-self.diag)) - self._w_hat + self.diag_coef
+        self.eig = (self.outflow - self._w_hat + self.diag_coef
                     * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / self._m)))
         self.offset = 0.0
         self.update_exterior(g)
@@ -269,13 +271,12 @@ class GridOperator:
         return change
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """L u: T u by one FFT pair on the embedding, plus the diagonal,
+        """L u: T u by one FFT pair on the embedding, minus outflow u, plus
         the diagonal-cell second difference and the offset."""
         tu = np.fft.irfft(np.fft.rfft(u, self._m) * self._w_hat,
                           self._m)[:len(u)]
-        out = tu + self.diag * u + self.offset
-        out[1:-1] += self.diag_coef * (u[2:] + u[:-2] - 2 * u[1:-1])
-        return out
+        return (tu - self.outflow * u + self.offset + self.diag_coef
+                * np.diff(np.diff(u), prepend=0, append=0))
 
     def jacobian_apply(self, v: np.ndarray) -> np.ndarray:
         """The linear part of L applied to v: L v without the offset."""
@@ -289,24 +290,25 @@ class GridOperator:
         cell times the cell width h; each interior-exterior pair appears
         twice with the constant far-field levels of the last update_exterior.
         The interior double sum equals -2 u . (T u - r u), r the row sums of
-        T, and T u - r u = L u - offset + (wl + wr) u - diag_coef D2 u, so it
-        costs no FFT.
+        T. As r + wl + wr = outflow and u . D u = -sum (u_{i+1} - u_i)^2, it
+        is -2 (u . (L u - offset + (wl + wr) u) + diag_coef sum (u_{i+1} -
+        u_i)^2), which costs no FFT.
         """
         tu = Lu - self.offset + (self.wl + self.wr) * u
-        tu[1:-1] -= self.diag_coef * (u[2:] + u[:-2] - 2 * u[1:-1])
-        inter = -2.0 * float(np.dot(u, tu))
+        inter = -2.0 * (float(np.dot(u, tu))
+                        + self.diag_coef * float(np.sum(np.diff(u) ** 2)))
         left, right = self.limits
         ext = 2.0 * float(np.dot((u - left) ** 2, self.wl)
                           + np.dot((u - right) ** 2, self.wr))
         return 0.25 * self.h * (inter + ext) + self.h * float(np.sum(Wu))
 
-    def lyapunov(self, u: np.ndarray, e: float) -> float:
-        """The energy e of u plus the diagonal-cell quadratic term and the
-        linear exterior power-correction term, whose gradients L carries:
-        the functional the solver's descent decreases."""
-        e += 0.5 * self.h * self.diag_coef * float(np.sum(np.diff(u) ** 2))
-        e -= self.h * float(np.dot(self.ext_power, u))
-        return e
+    def lyapunov(self, u: np.ndarray, Lu: np.ndarray, Wu: np.ndarray) -> float:
+        """h (sum Wu - u . (L u + offset) / 2), given Lu = apply(u), the
+        functional the solver's descent decreases: the energy plus (1/2) h
+        diag_coef sum (u_{i+1} - u_i)^2, minus h ext_power . u and a constant
+        of the exterior limits. Its gradient is h (W'(u) - L u)."""
+        return self.h * (float(np.sum(Wu))
+                         - 0.5 * float(np.dot(u, Lu + self.offset)))
 
     def precondition(self, v: np.ndarray, shift: float) -> np.ndarray:
         """(C + shift I)^-1 v on the embedding, cut to the grid: C the
@@ -315,13 +317,11 @@ class GridOperator:
                             self._m)[:len(v)]
 
     def tau_bounds(self, w2_max: float) -> tuple[float, float]:
-        """(tau_0, tau_max) = (0.4 / (max outflow + w2_max), 1 / (eps min
-        outflow)), a node's outflow being minus the diagonal of L's linear
-        part and w2_max a bound on W''. tau_0 is the explicit descent's
-        stable step. Every outflow is near the kernel mass beyond h/2, and
-        `eig` is exact only to about eps times it, so a shift 1/tau below
-        that is lost in its rounding, as in the diagonal of I/tau - J."""
-        out = -self.diag
-        out[1:-1] += 2 * self.diag_coef
-        return (0.4 / (float(np.max(out)) + w2_max),
-                1.0 / (np.finfo(float).eps * float(np.min(out))))
+        """(tau_0, tau_max) = (0.4 / (outflow + 2 diag_coef + w2_max), 1 /
+        (eps (outflow + diag_coef))), from the largest and the smallest
+        diagonal of -L's linear part and a bound w2_max on W''. tau_0 is the
+        explicit descent's stable step; `eig` is exact only to about eps
+        times the outflow, so a shift 1/tau below that is lost in its
+        rounding, as in the diagonal of I/tau - J."""
+        return (0.4 / (self.outflow + 2.0 * self.diag_coef + w2_max),
+                1.0 / (np.finfo(float).eps * (self.outflow + self.diag_coef)))

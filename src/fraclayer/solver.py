@@ -5,11 +5,10 @@ weights, exterior folded in through the far-field models) plus the potential
 term. Minimization is pseudo-transient continuation (Kelley & Keyes, SINUM
 35, 1998): each step solves (I/tau - J) delta = F for the operator residual
 F = L u - W'(u) and its Jacobian J by restarted GMRES, then clamps the values
-to [-1, 1] and applies a monotone rearrangement projection (sorting). tau
-starts at the explicit gradient-flow step and grows by switched evolution
-relaxation, at least doubling after each step not halved, so the step moves
-from descent u + tau F towards Newton within a few steps. GMRES
-is preconditioned by the FFT circulant of the grid operator's linear part
+to [-1, 1]. tau starts at the explicit gradient-flow step and grows by
+switched evolution relaxation, at least doubling after each step not halved,
+so the step moves from descent u + tau F towards Newton within a few steps.
+GMRES is preconditioned by the FFT circulant of the grid operator's linear part
 (Chan & Ng, SIAM Review 38, 1996), which carries its |xi|^(2s) spectrum, so
 the Krylov count per step does not grow as h shrinks. Every pass refits the
 far-field power models before it reads the residual, and costs one operator
@@ -32,7 +31,7 @@ from .potentials import PotentialFn
 
 
 TAIL_FRACTION = 0.25        # share of the nodes tail_exponent fits per side
-DIVERGENCE_SLACK = 1e-8     # relative; the projection step is not proven
+DIVERGENCE_SLACK = 1e-8     # relative; the clamped step is not proven
                             # monotone, only observed
 KRYLOV_RESTART = 20         # GMRES basis size per cycle
 KRYLOV_CYCLES = 5           # restarts before a step takes its best delta
@@ -94,10 +93,12 @@ def energy(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
 
 
 def lyapunov(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
-             op: GridOperator) -> float:
-    """The functional the descent decreases (GridOperator.lyapunov); op
-    must have seen g's exterior models."""
-    return op.lyapunov(g.values, energy(g, pot, kernel, op))
+             op: GridOperator | None) -> float:
+    """The functional the descent decreases (GridOperator.lyapunov), under
+    op, or under a new operator on g if op is None; a given op must have
+    seen g's exterior models."""
+    op = op if op is not None else GridOperator(kernel, g)
+    return op.lyapunov(g.values, op.apply(g.values), pot.W(g.values))
 
 
 def _outer_gap(g: GridProfile, side: int, m: int):
@@ -211,7 +212,7 @@ def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
           basis: np.ndarray):
     """Take step `it` from g.values: solve (I/tau - J) delta = F by GMRES
     in the Krylov basis array `basis` and set g.values to
-    sort(clamp(u + delta, -1, 1)), halving tau, down to tau0, while that
+    clamp(u + delta, -1, 1), halving tau, down to tau0, while that
     raises the Lyapunov functional beyond DIVERGENCE_SLACK over ref. The
     preconditioner is op.precondition, the circulant of -L's linear part
     shifted by 1/tau + mean(max(W''(u), 0)): it carries the operator's
@@ -229,9 +230,9 @@ def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
             lambda v: v / tau + w2 * v - op.jacobian_apply(v), F,
             lambda v: op.precondition(v, shift), basis)
         krylov += k
-        g.values = np.sort(np.clip(u + delta, -1.0, 1.0))
+        g.values = np.clip(u + delta, -1.0, 1.0)
         Lu, Wu = op.apply(g.values), pot.W(g.values)
-        e = op.lyapunov(g.values, op.energy(g.values, Lu, Wu))
+        e = op.lyapunov(g.values, Lu, Wu)
         if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
             return tau, Lu, Wu, krylov, halvings
         if tau <= tau0:
@@ -251,8 +252,8 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     (I/tau - J) delta = F, with J v = (L v - offset) - W''(u) v, by GMRES
     to KRYLOV_RTOL under the circulant preconditioner
     C + 1/tau + mean(max(W''(u), 0)), C the circulant of -L's linear part
-    (GridOperator.precondition), and sets u <- sort(clamp(u + delta, -1,
-    1)). tau_0 is the explicit descent's stable step and its floor; tau
+    (GridOperator.precondition), and sets u <- clamp(u + delta, -1, 1).
+    tau_0 is the explicit descent's stable step and its floor; tau
     grows by switched evolution relaxation, tau <- tau clamp(max(r_old /
     r_new, TAU_GROWTH_FLOOR), SER_CLAMP) after a step taken at its tau and
     tau <- tau clamp(r_old / r_new, SER_CLAMP) after one that halved it, up
@@ -260,8 +261,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     sup residuals before and after the step, both under the exterior models
     it was taken with. A step that raises the Lyapunov functional beyond
     DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one that
-    still raises it there raises Diverged. The sort is recorded as a
-    projection, not proven energy-decreasing.
+    still raises it there raises Diverged.
 
     Convergence is thus read right after a refit at the current values: a
     stale model would stop the run with the tail out of step with its
@@ -302,14 +302,13 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
         change = op.update_exterior(g)
         Lu += change
         F += change
-        e_plain = op.energy(u, Lu, Wu)
-        res.energy_trace.append(e_plain)
+        res.energy_trace.append(op.energy(u, Lu, Wu))
         resid = float(np.max(np.abs(F[1:-1])))
         res.residual_trace.append(resid)
         if resid < cfg.tol:
             break
         tau, Lu, Wu, krylov, halvings = _step(
-            g, pot, op, F, tau, tau0, op.lyapunov(u, e_plain), it, basis)
+            g, pot, op, F, tau, tau0, op.lyapunov(u, Lu, Wu), it, basis)
         res.rejected_steps += halvings
         res.tau_trace.append(tau)
         res.krylov_iterations.append(krylov)

@@ -209,10 +209,8 @@ def _dense_reference(kern, g):
     wl, wr = exterior_constant_weights(kern, h, w)
     M[np.arange(n), np.arange(n)] = -(M.sum(axis=1) + wl + wr)
     c = kern.second_moment_integral(h / 2) / h ** 2
-    idx = np.arange(1, n - 1)
-    M[idx, idx] -= 2 * c
-    M[idx, idx - 1] += c
-    M[idx, idx + 1] += c
+    D = np.diff(np.eye(n), axis=0)      # Neumann second difference: -D^T D
+    M -= c * D.T @ D
     offset = (g.ext_left.limit * wl + g.ext_right.limit * wr
               + exterior_power_vector(kern, g))
     return M, offset
@@ -239,6 +237,10 @@ def test_fft_operator_matches_dense_toeplitz(kern, n):
                                atol=1e-12 * scale)
     np.testing.assert_allclose(op.jacobian_apply(u), M @ u, rtol=0,
                                atol=1e-12 * scale)
+    v, w = rng.standard_normal((2, n))
+    asym = v @ op.jacobian_apply(w) - w @ op.jacobian_apply(v)
+    assert abs(asym) <= (1e-13 * op.outflow * np.linalg.norm(v)
+                         * np.linalg.norm(w))
 
 
 @pytest.mark.parametrize("kern", [fractional_kernel(0.5),
@@ -246,7 +248,7 @@ def test_fft_operator_matches_dense_toeplitz(kern, n):
                                   perturbed_kernel(0.5, 0.5, 2.0)],
                          ids=["s0.5", "s0.9", "perturbed"])
 def test_circulant_eigenvalues_are_positive(kern):
-    """mean(-diag) is the kernel mass beyond h/2, which bounds every lag
+    """The outflow is the kernel mass beyond h/2, which bounds every lag
     weight sum of the embedding, so the preconditioner is never singular."""
     for n, L in ((64, 8.0), (2048, 200.0)):
         op = GridOperator(kern, _grid(n=n, L=L))
@@ -258,14 +260,14 @@ def test_circulant_eigenvalues_are_positive(kern):
                          ids=["fractional", "perturbed"])
 def test_circulant_solve_inverts_the_dense_circulant(kern, rng):
     """The m x m circulant of -L's linear part (periodic second difference,
-    diagonal mean(-diag)) plus the shift, solved densely on the zero-padded
+    diagonal outflow) plus the shift, solved densely on the zero-padded
     vector and cut to the grid."""
     n = 64
     op = GridOperator(kern, _grid(n=n))
     m = op._m
     shift = 0.3
     col = np.zeros(m)
-    col[0] = np.mean(-op.diag) + 2 * op.diag_coef + shift
+    col[0] = op.outflow + 2 * op.diag_coef + shift
     col[1:n] = -op.w
     col[m - n + 1:] = -op.w[::-1]
     col[[1, -1]] -= op.diag_coef
