@@ -32,6 +32,15 @@ class DecayFit:
             raise ValueError("residual must be >= 0")
 
 
+def regression_line(lx: np.ndarray, lv: np.ndarray):
+    """The least-squares line lv ~ log_const + slope lx, in closed form
+    about the centroid, as (slope, log_const, residuals); no checks."""
+    mx, mv = lx.mean(), lv.mean()
+    dx, dv = lx - mx, lv - mv
+    slope = float(dx @ dv) / float(dx @ dx)
+    return slope, float(mv - slope * mx), dv - slope * dx
+
+
 def fit_power_decay(samples: Sequence[tuple[float, float]] | np.ndarray,
                     log_values: bool = False,
                     min_decades: float = 1.0) -> DecayFit:
@@ -56,12 +65,8 @@ def fit_power_decay(samples: Sequence[tuple[float, float]] | np.ndarray,
     lv = v if log_values else np.log(v)
     if lx.max() - lx.min() < min_decades * np.log(10.0):
         raise ValueError(f"samples must span at least {min_decades} decades")
-    # the regression line in closed form, about the centroid
-    mx, mv = lx.mean(), lv.mean()
-    dx, dv = lx - mx, lv - mv
-    slope = float(dx @ dv) / float(dx @ dx)
-    resid = dv - slope * dx
-    return DecayFit(exponent=-slope, log_const=float(mv - slope * mx),
+    slope, log_const, resid = regression_line(lx, lv)
+    return DecayFit(exponent=-slope, log_const=log_const,
                     residual=float(np.sqrt(np.mean(resid ** 2))),
                     window=(float(x.min()), float(x.max())),
                     n_points=len(x))

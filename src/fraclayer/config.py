@@ -77,8 +77,9 @@ KEYS = {
     "potential.mu": Key(float),
     "potential.mode": Key(str, OWN, MODES),
     "solver.L": Key(float, 200.0),
-    # building the operator and applying it once peaks at 199 MB RSS at
-    # n = 2^20 (73 MB at 2^18); the GMRES basis of 21 vectors adds 176 MB.
+    # building the operator with power models on both sides and applying
+    # it once peaks at 296 MB RSS at n = 2^20 (98 MB at 2^18; 167 and 65 MB
+    # with bare limits); the GMRES basis of 21 vectors adds 176 MB.
     # The grid operator needs three nodes
     "solver.n": Key(int, 2048, (3, 2 ** 20)),
     "solver.tol": Key(float),

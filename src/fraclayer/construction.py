@@ -508,6 +508,12 @@ class LayerProfile:
         rounding eps |L| in L, which the rate R = max_j |D_L^j G / G|^(1/j)
         amplifies; kappa carries both into the sum, so
         bound = 4 eps kappa (1 + |base| + (k + R) |L|).
+
+        It is not batch-invariant: the BLAS matmuls `np.abs(s1) @ absd` and
+        `s1 @ d` round by batch shape, so kappa and bound at one L may
+        differ in the last bits between a call on that point alone and a
+        call on many. The `highprec-cancellation-*` records are unchanged
+        either way on the desk and the threshold profiles.
         """
         L = np.asarray(L, dtype=float).ravel()
         base, d, absd = self.gap_jet_L(side, L, order)

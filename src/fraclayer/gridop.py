@@ -11,13 +11,15 @@ through constant limits plus an optional fitted power correction.
 
 The power correction c |y|^(-p) beyond an edge e costs c I_p(d) at a node
 at distance d from e, I_p(d) = integral_0^inf |e + side w|^(-p) K(d + w) dw.
-PowerTailTable tabulates its p-free part once per grid side: the kernel at
-the Chebyshev points of short pieces of ln d times the Gauss weights of a
-few hundred w-nodes, which reach far enough that the rest is a small share
-for a far-tail rule. A refit with a new p then costs a few hundred powers,
-one small mat-vec and a Clenshaw sum of PIECE_POINTS terms at each node,
-O(n) time and memory, and matches the closed form to about 3e-13 relative
-at every node.
+The nodes lie at the distances (j + 1/2) h from either edge, and
+PowerTailTable tabulates the p-free part of I_p once per grid on that
+lattice: each node's Chebyshev basis in ln d, one n x PIECE_POINTS array,
+and per edge distance |e| the kernel at the Chebyshev points of short
+pieces of ln d times the Gauss weights of a few hundred w-nodes, which
+reach far enough that the rest is a small share for a far-tail rule. A
+refit with a new p then costs a few hundred powers, one small mat-vec and
+one basis product per piece, in O(n) time and memory, and matches the
+closed form to about 3e-13 relative at every node.
 
 The grid's layout stays behind GridOperator: apply, update_exterior, energy,
 lyapunov, jacobian_apply, precondition and tau_bounds are all the solver
@@ -106,126 +108,153 @@ def exterior_constant_weights(kernel: KernelSpec, h: float, w: np.ndarray):
 
 
 class PowerTailTable:
-    """I_p at the nodes of one side of a uniform grid, for any exponent p.
+    """I_p at the nodes of a uniform grid, for either exterior and any p.
 
     I_p(d) = integral_0^inf |e + side w|^(-p) K(d + w) dw is the kernel mass
     that the exterior model |y|^(-p) carries, y = e + side w beyond the edge
     e, seen from the node at distance d from e (side +1: the right end, -1:
-    the left). The part that does not depend on p is tabulated once:
+    the left). Node j lies d = (j + 1/2) h from the left edge and node
+    n - 1 - j as far from the right one, so both sides share one lattice of
+    distances, and the part that does not depend on p is tabulated once:
 
-    - the nodes' distances [h/2, (n - 1/2) h] split, in ln d, into pieces no
-      longer than PIECE_SPAN, each with PIECE_POINTS Chebyshev points d_j:
+    - the lattice [h/2, (n - 1/2) h] splits, in ln d, into pieces no longer
+      than PIECE_SPAN, each with PIECE_POINTS Chebyshev points d_j:
       d^(2s) I_p(d) is analytic in ln d and varies by a bounded factor, so
       each piece's Chebyshev series converges geometrically (Trefethen,
-      Approximation Theory and Approximation Practice, SIAM 2013);
-    - Gauss nodes w_k, W_PANEL_NODES to a panel, on [0, a] and on panels
-      of ratio W_PANEL_RATIO from a = min(h/2, |e|) out to a reach R,
-      shared by every d_j; with the pieces' Chebyshev transforms folded
-      in, d_j^(2s) K(d_j + w_k) times the Gauss weights is one matrix;
+      Approximation Theory and Approximation Practice, SIAM 2013); the
+      nodes of a piece are contiguous, and each keeps its piece's Chebyshev
+      basis times d^(-2s), one n x PIECE_POINTS array;
+    - per edge distance |e| (one on a grid symmetric about 0), Gauss nodes
+      w_k, W_PANEL_NODES to a panel, on [0, a] and on panels of ratio
+      W_PANEL_RATIO from a = min(h/2, |e|) out to a reach R, shared by
+      every d_j; with the pieces' Chebyshev transforms folded in,
+      d_j^(2s) K(d_j + w_k) times the Gauss weights is one matrix;
     - R leaves at most FAR_SHARE of I_p beyond it for the smallest q = p +
       2s the tables are built for, P_FLOOR + 2s. There R dwarfs |e| + d,
       so that far tail is int_R^inf w^(-p) K(w) dw to a relative
       (p + 2)(|e| + d)/R, one KernelSpec.power_tail_integral call at x = 0.
 
-    A call then costs a few hundred powers, one mat-vec, one far-tail call
-    and a Clenshaw sum of PIECE_POINTS terms at the n nodes, in a few
-    n-vectors of memory and no n x PIECE_POINTS array. Against the 2F1
-    closed form at 20 digits it is within 3e-13 relative at nodes 0, 1,
-    10, n/2, n-2 and n-1, under both kernel forms, for s from 0.1 to 0.9,
-    p from 0.06 to 9.9 and n from 41 to 2^20.
+    A call then costs a few hundred powers, one small mat-vec, one far-tail
+    call and one basis-times-coefficients product per piece, in O(n) time
+    and one n-vector; the table holds the basis and arrays of a few
+    thousand entries, under PIECE_POINTS + 1 n-vectors. Against the 2F1
+    closed form at 20 digits and the rounded node positions it is within
+    3e-13 relative at nodes 0, 1, 10, n/2, n-2 and n-1, under both kernel
+    forms, for s from 0.1 to 0.9, p from 0.06 to 9.9 and n from 41 to
+    2^16. At n = 2^20 over [-800, 800] it is within 2.8e-12: the lattice
+    (j + 1/2) h carries the rounding of h = x_1 - x_0 into the far nodes.
     """
 
-    def __init__(self, kernel: KernelSpec, x: np.ndarray, side: int):
-        lo, hi = _edges(x)
-        e = hi if side > 0 else lo
-        if side * e <= 0.0:
-            raise ValueError("an exterior power model needs the origin "
-                             "inside the grid")
+    def __init__(self, kernel: KernelSpec, x: np.ndarray):
         self.kernel = kernel
-        s2 = 2.0 * kernel.s
-        d = side * (e - x)
+        self._ends = _edges(x)
+        n = len(x)
+        self._h = h = float(x[1] - x[0])
+        self._s2 = s2 = 2.0 * kernel.s
+        d = (np.arange(n) + 0.5) * h
+        self._d_max = float(d[-1])
         t = np.log(d)
-        ta, tb = float(np.min(t)), float(np.max(t))
+        ta, tb = float(t[0]), float(t[-1])
         pieces = max(1, math.ceil((tb - ta) / PIECE_SPAN))
         half = 0.5 * (tb - ta) / pieces
         mids = ta + half * (2.0 * np.arange(pieces) + 1.0)
         theta = np.pi * (np.arange(PIECE_POINTS) + 0.5) / PIECE_POINTS
-        dj = np.exp(mids[:, None] + half * np.cos(theta))   # pieces x points
+        self._dj = np.exp(mids[:, None] + half * np.cos(theta))  # piece, point
         # Chebyshev coefficients of a piece from its values at the points
-        cheb = 2.0 / PIECE_POINTS * np.cos(np.outer(np.arange(PIECE_POINTS),
-                                                   theta))
-        cheb[0] *= 0.5
-        a = min(float(np.min(d)), abs(e))
-        q_min = P_FLOOR + s2
-        reach = (abs(e) + float(np.max(d))) * FAR_SHARE ** (-1.0 / q_min)
-        ends = np.concatenate([[0.0], a * W_PANEL_RATIO ** np.arange(
-            math.ceil(math.log(reach / a, W_PANEL_RATIO)) + 1)])
-        gt, gw = gauss_rule(W_PANEL_NODES)
-        halves = 0.5 * np.diff(ends)
-        w = (ends[:-1, None] + halves[:, None] * (1.0 + gt)).ravel()
-        self._y = abs(e) + w                     # |y| at the w-nodes
-        self._reach = ends[-1]
-        scaled = dj ** s2
-        self._kw = np.einsum("ij,mjk->mik", cheb, scaled[..., None] * (
-            kernel.k(dj[..., None] + w) * (halves[:, None] * gw).ravel())
-            ).reshape(pieces * PIECE_POINTS, -1)
-        self._far = scaled @ cheb.T              # d^(2s) times a constant
-        self._piece = np.minimum(((t - ta) / (2.0 * half)).astype(int),
-                                 pieces - 1)
-        self._u2 = 2.0 * (t - mids[self._piece]) / half   # 2u, u in [-1, 1]
-        self._scale = d ** -s2
+        self._cheb = 2.0 / PIECE_POINTS * np.cos(np.outer(
+            np.arange(PIECE_POINTS), theta))
+        self._cheb[0] *= 0.5
+        self._far = self._dj ** s2 @ self._cheb.T   # d^(2s) times a constant
+        piece = np.minimum(((t - ta) / (2.0 * half)).astype(int), pieces - 1)
+        self._bounds = np.searchsorted(piece, np.arange(pieces + 1))
+        u = (t - mids[piece]) / half              # in [-1, 1] on each piece
+        basis = np.empty((n, PIECE_POINTS))
+        basis[:, 0] = d ** -s2
+        basis[:, 1] = u * basis[:, 0]
+        for k in range(2, PIECE_POINTS):
+            basis[:, k] = 2.0 * u * basis[:, k - 1] - basis[:, k - 2]
+        self._basis = basis
+        self._weights = {}        # per |e|: the p-free matrix, |y|, reach
 
-    def __call__(self, p: float) -> np.ndarray:
-        """I_p at every node."""
-        far = self.kernel.power_tail_integral(self._reach, 0.0, p, 1.0)
-        c = ((self._kw @ self._y ** -p).reshape(self._far.shape)
-             + far * self._far).T                # points x pieces
-        # Clenshaw's recurrence, each node taking its piece's coefficients
-        b1 = b2 = 0.0
-        for ck in c[:0:-1]:
-            b1, b2 = ck[self._piece] + self._u2 * b1 - b2, b1
-        return (c[0][self._piece] + 0.5 * self._u2 * b1 - b2) * self._scale
+    def _edge_weights(self, r: float):
+        """The p-free matrix, |y| at the w-nodes and the reach for an edge
+        at distance r from the origin, built on the first call."""
+        if r not in self._weights:
+            a = min(0.5 * self._h, r)
+            reach = ((r + self._d_max)
+                     * FAR_SHARE ** (-1.0 / (P_FLOOR + self._s2)))
+            ends = np.concatenate([[0.0], a * W_PANEL_RATIO ** np.arange(
+                math.ceil(math.log(reach / a, W_PANEL_RATIO)) + 1)])
+            gt, gw = gauss_rule(W_PANEL_NODES)
+            halves = 0.5 * np.diff(ends)
+            w = (ends[:-1, None] + halves[:, None] * (1.0 + gt)).ravel()
+            dj = self._dj
+            kw = np.einsum("ij,mjk->mik", self._cheb, (dj ** self._s2)[
+                ..., None] * (self.kernel.k(dj[..., None] + w)
+                              * (halves[:, None] * gw).ravel()))
+            self._weights[r] = (kw.reshape(dj.size, -1), r + w, ends[-1])
+        return self._weights[r]
+
+    def __call__(self, p: float, side: int) -> np.ndarray:
+        """I_p of the exterior beyond side +/-1 at every node."""
+        e = self._ends[side > 0]
+        if side * e <= 0.0:
+            raise ValueError("an exterior power model needs the origin "
+                             "inside the grid")
+        kw, y, reach = self._edge_weights(abs(e))
+        far = self.kernel.power_tail_integral(reach, 0.0, p, 1.0)
+        c = (kw @ y ** -p).reshape(self._far.shape) + far * self._far
+        out = np.empty(len(self._basis))
+        b = self._bounds
+        for k in range(len(c)):
+            out[b[k]:b[k + 1]] = self._basis[b[k]:b[k + 1]] @ c[k]
+        return out[::-side]
 
 
-def _power_vector(tables: dict, kernel: KernelSpec,
-                  g: GridProfile) -> np.ndarray:
-    """exterior_power_vector, building each side's table into `tables`
-    (keyed by side) on its first use."""
+def _power_vector(table: PowerTailTable | None, kernel: KernelSpec,
+                  g: GridProfile) -> tuple[np.ndarray, PowerTailTable | None]:
+    """exterior_power_vector and the table it read, which is built here on
+    g's first power model if `table` is None."""
     out = np.zeros_like(g.x)
     for side, m in ((1, g.ext_right), (-1, g.ext_left)):
         if m.c != 0.0:
-            if side not in tables:
-                tables[side] = PowerTailTable(kernel, g.x, side)
-            out += m.c * tables[side](m.p)
-    return out
+            if table is None:
+                table = PowerTailTable(kernel, g.x)
+            out += m.c * table(m.p, side)
+    return out, table
 
 
 def exterior_power_vector(kernel: KernelSpec, g: GridProfile) -> np.ndarray:
     """integral over both exteriors of (u_model(y) - limit) K(x_i - y) dy:
     c I_p per side with a power model, from a PowerTailTable built for the
-    call (a GridOperator keeps its tables across refits). It is within
+    call (a GridOperator keeps its table across refits). It is within
     3e-13 relative of the closed form at every node; a table costs about
-    1 ms to build at n = 2048, and each p then a few hundred powers and a
-    PIECE_POINTS-term sum per node."""
-    return _power_vector({}, kernel, g)
+    1 ms to build at n = 2048, and each p then a few hundred powers and one
+    n x PIECE_POINTS product."""
+    return _power_vector(None, kernel, g)[0]
 
 
 class GridOperator:
     """L u = T u - outflow u + diag_coef D u + offset.
 
-    T is the symmetric Toeplitz matrix of the lag weights w (zero diagonal),
-    applied by FFT on a circulant embedding; only O(n) vectors are stored.
+    T is the symmetric Toeplitz matrix of the lag weights w (zero diagonal).
     outflow, one scalar, is a node's interior row sum of T plus its exterior
     constant mass: the kernel mass beyond h/2 on both sides, the same at
     every node. D is the second difference with Neumann ends (u_1 - u_0 at
     node 0), the diagonal-cell term; the offset carries the exterior limits
     and the optional power corrections.
 
+    The cell stencil sits in the FFT symbol: the circulant embedding's
+    column carries diag_coef at lags +-1 beside w, so one FFT pair applies
+    T plus diag_coef times the neighbour sum, and apply then subtracts
+    (outflow + 2 diag_coef) u and adds diag_coef u back at the two ends.
+    Only O(n) vectors are stored.
+
     The linear part of L is symmetric: -1/h times the Hessian of the
-    quadratic part of lyapunov. `eig` holds the eigenvalues of its
-    circulant on the FFT embedding (diagonal outflow, periodic D);
-    precondition inverts that circulant plus a shift, the solver's Krylov
-    preconditioner.
+    quadratic part of lyapunov. `eig`, that diagonal minus the symbol,
+    holds the eigenvalues of -L's circulant on the FFT embedding (diagonal
+    outflow, periodic D); precondition inverts that circulant plus a
+    shift, the solver's Krylov preconditioner.
     """
 
     def __init__(self, kernel: KernelSpec, g: GridProfile):
@@ -240,43 +269,49 @@ class GridOperator:
         n = len(g.x)
         self.h = h = float(g.x[1] - g.x[0])
         self.w = lag_weights(kernel, h, n)
+        # diagonal-cell quadratic fit: mom2/h^2 * (u_{i+1} + u_{i-1} - 2 u_i)
+        self.diag_coef = kernel.second_moment_integral(h / 2) / h ** 2
         # circulant embedding: column [0, w_1..w_{n-1}, 0.., w_{n-1}..w_1] of
-        # power-of-two length >= 2n - 1. numpy.fft, not scipy.fft: importing
-        # scipy.fft also loads scipy.special, ~0.1 s of every solver start.
+        # power-of-two length >= 2n - 1, with diag_coef added at lags +-1.
+        # numpy.fft, not scipy.fft: importing scipy.fft also loads
+        # scipy.special, ~0.1 s of every solver start.
         self._m = 1 << (2 * n - 2).bit_length()
         col = np.zeros(self._m)
         col[1:n] = self.w
         col[self._m - n + 1:] = self.w[::-1]
+        col[[1, -1]] += self.diag_coef
         self._w_hat = np.fft.rfft(col).real   # symmetric column: real
         self.wl, self.wr = exterior_constant_weights(kernel, h, self.w)
-        self._tables = {}         # PowerTailTable per side, on first use
+        self._table = None        # PowerTailTable, on the first power model
         self.outflow = 2.0 * float(self.wl[0])
-        # diagonal-cell quadratic fit: mom2/h^2 * (u_{i+1} + u_{i-1} - 2 u_i)
-        self.diag_coef = kernel.second_moment_integral(h / 2) / h ** 2
-        k = np.arange(len(self._w_hat))
-        self.eig = (self.outflow - self._w_hat + self.diag_coef
-                    * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / self._m)))
+        self._center = self.outflow + 2.0 * self.diag_coef
+        self.eig = self._center - self._w_hat
         self.offset = 0.0
         self.update_exterior(g)
 
     def update_exterior(self, g: GridProfile) -> np.ndarray:
         """Take g's exterior models: their limits and power corrections,
-        the latter from this operator's PowerTailTable of each side, built
-        on the side's first power model. Returns the change of the offset,
-        by which L u moves at every u."""
+        the latter from this operator's PowerTailTable, built on the first
+        power model of either side. Returns the change of the offset, by
+        which L u moves at every u."""
         self.limits = left, right = g.ext_left.limit, g.ext_right.limit
-        self.ext_power = _power_vector(self._tables, self.kernel, g)
+        self.ext_power, self._table = _power_vector(self._table,
+                                                    self.kernel, g)
         offset = left * self.wl + right * self.wr + self.ext_power
         change, self.offset = offset - self.offset, offset
         return change
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """L u: T u by one FFT pair on the embedding, minus outflow u, plus
-        the diagonal-cell second difference and the offset."""
-        tu = np.fft.irfft(np.fft.rfft(u, self._m) * self._w_hat,
+        """L u: the symbol's product by one FFT pair on the embedding, minus
+        (outflow + 2 diag_coef) u, plus diag_coef u at the two Neumann ends,
+        plus the offset."""
+        lu = np.fft.irfft(np.fft.rfft(u, self._m) * self._w_hat,
                           self._m)[:len(u)]
-        return (tu - self.outflow * u + self.offset + self.diag_coef
-                * np.diff(np.diff(u), prepend=0, append=0))
+        lu -= self._center * u
+        lu[0] += self.diag_coef * u[0]
+        lu[-1] += self.diag_coef * u[-1]
+        lu += self.offset
+        return lu
 
     def jacobian_apply(self, v: np.ndarray) -> np.ndarray:
         """The linear part of L applied to v: L v without the offset."""

@@ -12,16 +12,14 @@ integrating twice from the well with zero data:
 In oscillatory mode beta <= p(t) <= alpha, and since 0 < 1+t < 1 the two-sided
 power envelope holds with unit constants. Its two integrations are tabulated
 once, at construction, on panels in y = ln(gap): each panel stores the
-Legendre series of the integral of its 16-node interpolant, so W' and W cost
-one polynomial per point. Their error is that interpolation's, which grows
+Chebyshev series of the integral of its 16-node interpolant, so W' and W cost
+one Clenshaw sum per point. Their error is that interpolation's, which grows
 with the 16th power of the panel's width times the integrand's log-slope,
 about alpha + (alpha - beta)/2 |y|: the exponent swings by (alpha - beta)/2 |y|
 over each period. Panels are therefore at most 0.4 wide and narrow where
-that slope is large. Against mpmath at 20-40 gaps in 1e-12..mu the error is
-at most 7e-14 relative for the (4.5, 4.0) and (5.8, 5.0 | 5.5, 5.0) wells,
-for spread 0.94 at base 2.2 and 6.0, and for six wells drawn from
-2.2 <= beta <= 6, alpha - beta <= 0.94; with a fixed 0.4 width it was
-2.4e-12 at base 6, spread 0.94.
+that slope is large. Against mpmath at 40 gaps in 1e-12..mu the error is at
+most 7e-14 relative for the (4.5, 4.0) and (5.8, 5.0 | 5.5, 5.0) wells and
+for spread 0.94 at base 2.2 (3.1405, 2.2 | 6.94, 6.0).
 
 The middle region is a degree-5 bridge matching value and two derivatives at
 both junctions, verified positive by dense sampling.
@@ -34,7 +32,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import legint, legval, legvander
+from numpy.polynomial.chebyshev import chebpts1, chebvander
+from numpy.polynomial.legendre import legint, legvander
 
 from .errors import BridgeNotPositive, DegenerateOscillation
 from .jets import hermite_bridge
@@ -94,15 +93,17 @@ class _LogAxisCumulative:
     SPAN / (rate + swing |y|) wide at its upper edge, so that the integrand
     changes by a bounded factor across it. At construction the integrand is
     sampled once at each panel's 16 Gauss-Legendre nodes; the whole-panel
-    sums `cum` come from that rule, and each panel keeps the Legendre series
-    P_j of the antiderivative of its degree-15 interpolant, zero at the
-    panel's lower edge. A call costs one `searchsorted` and one Clenshaw sum
-    per point, J(y) = below + cum[j] + P_j(xi), and never calls f. The rule
-    is interpolatory, so P_j at the upper edge is the rule's panel sum; the
-    only error beyond rounding is that of interpolating f on 16 nodes over
-    a panel, which grows like the 16th power of the log-slope times the
-    panel's width. Below the ladder the integral is the pure-power
-    envelope's.
+    sums `cum` come from that rule, and each panel keeps the Chebyshev
+    series P_j of the antiderivative of its degree-15 interpolant, zero at
+    the panel's lower edge: the discrete Legendre transform gives its
+    Legendre series, and one (NODES + 1)^2 matrix turns those into
+    Chebyshev series for all panels. A call costs one `searchsorted` and
+    one Clenshaw sum of three operations a term per point, J(y) = below +
+    cum[j] + P_j(xi), and never calls f. The rule is interpolatory, so P_j
+    at the upper edge is the rule's panel sum; the only error beyond
+    rounding is that of interpolating f on 16 nodes over a panel, which
+    grows like the 16th power of the log-slope times the panel's width.
+    Below the ladder the integral is the pure-power envelope's.
     """
 
     NODES = 16
@@ -129,14 +130,32 @@ class _LogAxisCumulative:
         coef = (vals * w) @ legvander(t, self.NODES - 1) \
             * (np.arange(self.NODES) + 0.5)
         anti = legint(coef, lbnd=-1, axis=1) * half[:, None]
+        # the same polynomials as Chebyshev series, whose Clenshaw step costs
+        # three array operations to legval's five: one conversion matrix
+        # from the two Vandermonde matrices at NODES + 1 Chebyshev points
+        xc = chebpts1(self.NODES + 1)
+        to_cheb = np.linalg.solve(chebvander(xc, self.NODES),
+                                  legvander(xc, self.NODES))
         # a zero panel at the top edge, so that y_max lands at its xi = -1
-        self.coef = np.vstack([anti, np.zeros(self.NODES + 1)]).T.copy()
+        self.coef = np.vstack([anti @ to_cheb.T,
+                               np.zeros(self.NODES + 1)]).T.copy()
         self.width = np.append(2.0 * half, 1.0)
         # P_j(-1) as the Clenshaw sum computes it, subtracted so that a point
         # on an edge returns below + cum exactly
-        self.start = legval(np.full(n + 1, -1.0), self.coef, tensor=False)
+        self.start = self._series(np.full(n + 1, -1.0), np.arange(n + 1))
         # mass below the ladder, bounded by the pure-power envelope
         self.below = math.exp(self.edges[0] * decay) / decay
+        self.base = self.below + self.cum         # J at each panel's edge
+
+    def _series(self, xi: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Panel j's Chebyshev series at xi, pointwise, by Clenshaw's
+        recurrence."""
+        c = self.coef[:, j]
+        x2 = 2.0 * xi
+        b1, b2 = c[-1], 0.0
+        for ck in c[-2:0:-1]:
+            b1, b2 = ck + x2 * b1 - b2, b1
+        return c[0] + xi * b1 - b2
 
     def __call__(self, u):
         """integral of f over (0, u], vectorized (any shape)."""
@@ -148,8 +167,7 @@ class _LogAxisCumulative:
         yc = np.clip(y, self.edges[0], self.edges[-1])
         j = np.searchsorted(self.edges, yc, side="right") - 1
         xi = 2.0 * (yc - self.edges[j]) / self.width[j] - 1.0
-        part = legval(xi, self.coef[:, j], tensor=False) - self.start[j]
-        out = (self.below + self.cum[j]) + part
+        out = self.base[j] + (self._series(xi, j) - self.start[j])
         # below the ladder: pure-power envelope approximation (negligible mass)
         under = y < self.edges[0]
         if np.any(under):

@@ -145,27 +145,39 @@ def test_exterior_mass_oracle_matches_quadrature():
 
 
 def test_exterior_power_vector_matches_mpmath():
-    """Each side's c I_p against the 2F1 closed form to 1e-12 relative, at
-    nodes 0, 1, 10, n/2, n-2 and n-1, on a 41-node grid and on criterion
-    9a's L = 200, n = 2048 grid, under both kernel forms. Without its far
-    tail the table errs by 4e-11; with 12 points a piece, by 2e-12."""
-    for (L, n), s, p, side in itertools.product(
-            ((20.0, 41), (200.0, 2048)), (0.25, 0.5, 0.75),
-            (0.06, 0.29, 1.0, 2.0, 9.9), (1, -1)):
-        x = np.linspace(-L, L, n)
+    """c I_p against the 2F1 closed form to 1e-12 relative, at nodes 0, 1,
+    10, n/2, n-2 and n-1, under both kernel forms: each side alone on a
+    41-node grid and on criterion 9a's L = 200, n = 2048 grid, and both
+    sides at once, with different exponents, on those and on a grid over
+    [-20, 30], whose edges lie at different distances from the origin.
+    Without its far tail the table errs by 4e-11; with 12 points a piece,
+    by 2e-12."""
+    for (lo, hi, n), s, p, sides in itertools.product(
+            ((-20.0, 20.0, 41), (-200.0, 200.0, 2048), (-20.0, 30.0, 2048)),
+            (0.25, 0.5, 0.75), (0.06, 0.29, 1.0, 2.0, 9.9),
+            ((1,), (-1,), (1, -1))):
+        if lo != -hi and len(sides) == 1:
+            continue
+        x = np.linspace(lo, hi, n)
         h = x[1] - x[0]
-        edge = x[-1] + h / 2 if side > 0 else x[0] - h / 2
         nodes = [0, 1, 10, n // 2, n - 2, n - 1]
-        m, flat = (ExteriorModel(float(side), -0.7 * side, p),
-                   ExteriorModel(-float(side)))
-        g = GridProfile(x, np.tanh(x), *((flat, m) if side > 0 else (m, flat)))
+        # the left side, when both have a model, decays at another rate
+        ps = {side: p if side > 0 or len(sides) == 1 else 0.5 * p + 0.05
+              for side in sides}
+        m = [ExteriorModel(float(side), -0.7, ps[side]) if side in ps
+             else ExteriorModel(float(side)) for side in (-1, 1)]
+        g = GridProfile(x, np.tanh(x), *m)
         for kern in (fractional_kernel(s),
                      perturbed_kernel(s, 0.5, 2.0, wobble=1.0)):
-            want = [-0.7 * side * _exterior_mass(
-                kern, abs(edge), side * (edge - x[i]), p) for i in nodes]
+            want = np.zeros(len(nodes))
+            for side in sides:
+                edge = x[-1] + h / 2 if side > 0 else x[0] - h / 2
+                want -= [0.7 * _exterior_mass(
+                    kern, abs(edge), side * (edge - x[i]), ps[side])
+                    for i in nodes]
             np.testing.assert_allclose(
                 exterior_power_vector(kern, g)[nodes], want, rtol=1e-12,
-                err_msg=f"{kern.form} s={s} p={p} side={side} n={n}")
+                err_msg=f"{kern.form} s={s} p={p} sides={sides} n={n}")
 
 
 def test_power_model_needs_the_origin_inside_the_grid():
@@ -177,13 +189,27 @@ def test_power_model_needs_the_origin_inside_the_grid():
         exterior_power_vector(fractional_kernel(0.5), g)
 
 
+def _array_bytes(obj) -> int:
+    """Bytes of the ndarrays in obj, a dict or a tuple of them."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (dict, tuple, list)):
+        vals = obj.values() if isinstance(obj, dict) else obj
+        return sum(_array_bytes(v) for v in vals)
+    return 0
+
+
 def test_refit_allocates_a_few_vectors():
-    """update_exterior at n = 2^16 allocates under 4 MB, 8 n-vectors: its
-    tables were built with the operator, and no n x PIECE_POINTS array is
-    formed (the old 24-node rule took 26.6 MB, 53 n-vectors)."""
+    """update_exterior at n = 2^16 allocates under 4 MB, 8 n-vectors: the
+    table's basis is built once, with the operator, and a refit forms no
+    n x PIECE_POINTS array (the old 24-node rule took 26.6 MB, 53
+    n-vectors). With power models on both sides the table holds one basis,
+    under PIECE_POINTS + 4 n-vectors in all."""
+    from fraclayer.gridop import PIECE_POINTS
     from fraclayer.solver import make_grid
 
-    g = make_grid(200.0, 2 ** 16)
+    n = 2 ** 16
+    g = make_grid(200.0, n)
     g.ext_left, g.ext_right = (ExteriorModel(-1.0, 0.5, 0.9),
                                ExteriorModel(1.0, -0.5, 0.9))
     op = GridOperator(fractional_kernel(0.5), g)
@@ -196,6 +222,7 @@ def test_refit_allocates_a_few_vectors():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+    assert _array_bytes(vars(op._table)) < (PIECE_POINTS + 4) * 8 * n
     np.testing.assert_allclose(op.ext_power, exterior_power_vector(
         fractional_kernel(0.5), g), rtol=1e-14)
 
