@@ -19,7 +19,7 @@ pieces of ln d times the Gauss weights of a few hundred w-nodes, which
 reach far enough that the rest is a small share for a far-tail rule. A
 refit with a new p then costs a few hundred powers, one small mat-vec and
 one basis product per piece, in O(n) time and memory, and matches the
-closed form to about 3e-13 relative at every node.
+closed form to about 3e-13 relative at every node up to n = 2^16.
 
 The grid's layout stays behind GridOperator: apply, update_exterior, energy,
 lyapunov, jacobian_apply, precondition and tau_bounds are all the solver
@@ -228,9 +228,9 @@ def exterior_power_vector(kernel: KernelSpec, g: GridProfile) -> np.ndarray:
     """integral over both exteriors of (u_model(y) - limit) K(x_i - y) dy:
     c I_p per side with a power model, from a PowerTailTable built for the
     call (a GridOperator keeps its table across refits). It is within
-    3e-13 relative of the closed form at every node; a table costs about
-    1 ms to build at n = 2048, and each p then a few hundred powers and one
-    n x PIECE_POINTS product."""
+    3e-13 relative of the closed form at every node up to n = 2^16; a
+    table costs about 1 ms to build at n = 2048, and each p then a few
+    hundred powers and one n x PIECE_POINTS product."""
     return _power_vector(None, kernel, g)[0]
 
 
@@ -358,5 +358,5 @@ class GridOperator:
         explicit descent's stable step; `eig` is exact only to about eps
         times the outflow, so a shift 1/tau below that is lost in its
         rounding, as in the diagonal of I/tau - J."""
-        return (0.4 / (self.outflow + 2.0 * self.diag_coef + w2_max),
+        return (0.4 / (self._center + w2_max),
                 1.0 / (np.finfo(float).eps * (self.outflow + self.diag_coef)))
