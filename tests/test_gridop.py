@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import circulant, toeplitz
 
-from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
-                              exterior_constant_weights,
+from fraclayer.gridop import (PIECE_POINTS, ExteriorModel, GridOperator,
+                              GridProfile, exterior_constant_weights,
                               exterior_power_vector, lag_weights)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
 
@@ -161,12 +161,11 @@ def test_exterior_power_vector_matches_mpmath():
         x = np.linspace(lo, hi, n)
         h = x[1] - x[0]
         nodes = [0, 1, 10, n // 2, n - 2, n - 1]
-        # the left side, when both have a model, decays at another rate
-        ps = {side: p if side > 0 or len(sides) == 1 else 0.5 * p + 0.05
-              for side in sides}
-        m = [ExteriorModel(float(side), -0.7, ps[side]) if side in ps
-             else ExteriorModel(float(side)) for side in (-1, 1)]
-        g = GridProfile(x, np.tanh(x), *m)
+        # with both sides modelled, the left decays at another rate
+        ps = {1: p, -1: p if len(sides) == 1 else 0.5 * p + 0.05}
+        g = GridProfile(x, np.tanh(x), *(
+            ExteriorModel(float(side), -0.7, ps[side]) if side in sides
+            else ExteriorModel(float(side)) for side in (-1, 1)))
         for kern in (fractional_kernel(s),
                      perturbed_kernel(s, 0.5, 2.0, wobble=1.0)):
             want = np.zeros(len(nodes))
@@ -193,7 +192,7 @@ def _array_bytes(obj) -> int:
     """Bytes of the ndarrays in obj, a dict or a tuple of them."""
     if isinstance(obj, np.ndarray):
         return obj.nbytes
-    if isinstance(obj, (dict, tuple, list)):
+    if isinstance(obj, (dict, tuple)):
         vals = obj.values() if isinstance(obj, dict) else obj
         return sum(_array_bytes(v) for v in vals)
     return 0
@@ -205,7 +204,6 @@ def test_refit_allocates_a_few_vectors():
     n x PIECE_POINTS array (the old 24-node rule took 26.6 MB, 53
     n-vectors). With power models on both sides the table holds one basis,
     under PIECE_POINTS + 4 n-vectors in all."""
-    from fraclayer.gridop import PIECE_POINTS
     from fraclayer.solver import make_grid
 
     n = 2 ** 16
