@@ -5,9 +5,11 @@ weights, exterior folded in through the far-field models) plus the potential
 term. Minimization is pseudo-transient continuation (Kelley & Keyes, SINUM
 35, 1998): each step solves (I/tau - J) delta = F for the operator residual
 F = L u - W'(u) and its Jacobian J by restarted GMRES, then clamps the values
-to [-1, 1]. tau starts at the explicit gradient-flow step and grows by
-switched evolution relaxation, at least doubling after each step not halved,
-so the step moves from descent u + tau F towards Newton within a few steps.
+to [-1, 1]. tau starts at the explicit gradient-flow step and grows tenfold
+after each step not halved, as Marquardt's damping 1/tau shrinks on success
+(SIAM J. Appl. Math. 11, 1963), so the step moves from descent u + tau F
+towards Newton within a few steps; after a halved step it grows by switched
+evolution relaxation.
 GMRES is preconditioned by the FFT circulant of the grid operator's linear part
 (Chan & Ng, SIAM Review 38, 1996), which carries its |xi|^(2s) spectrum, so
 the Krylov count per step does not grow as h shrinks. Every pass refits the
@@ -36,10 +38,8 @@ DIVERGENCE_SLACK = 1e-8     # relative; the clamped step is not proven
 KRYLOV_RESTART = 20         # GMRES basis size per cycle
 KRYLOV_CYCLES = 5           # restarts before a step takes its best delta
 KRYLOV_RTOL = 1e-2          # relative GMRES residual of an inexact step
-SER_CLAMP = (0.5, 10.0)     # bounds on one step's tau growth factor
-TAU_GROWTH_FLOOR = 2.0      # least growth factor after a step not halved:
-                            # the residual falls ~10 % per step at tau_0, so
-                            # r_old / r_new alone crawls up from it
+SER_CLAMP = (0.5, 10.0)     # bounds on one step's tau growth factor; a
+                            # step not halved takes the upper one
 
 
 @dataclass
@@ -150,16 +150,20 @@ class SolveResult:
     rejected_steps: int = 0
 
 
-def gmres(matvec, b: np.ndarray, precond, V: np.ndarray):
+def gmres(matvec, b: np.ndarray, precond, basis: np.ndarray):
     """Right-preconditioned restarted GMRES for A x = b from x = 0.
 
-    precond(v) applies the inverse preconditioner M^-1. Only the Arnoldi
-    basis of A M^-1 is stored, in the caller's (KRYLOV_RESTART + 1) x len(b)
-    array V, which a run of solves reuses; each cycle adds M^-1 V y to x.
+    precond(v) applies the inverse preconditioner M^-1. The caller's
+    (2 KRYLOV_RESTART + 1) x len(b) array `basis`, which a run of solves
+    reuses, holds the Arnoldi basis V of A M^-1 in its first KRYLOV_RESTART
+    + 1 rows and each z_j = M^-1 v_j in the rest, as flexible GMRES keeps
+    them (Saad, SIAM J. Sci. Comput. 14, 1993); each cycle adds Z y to x,
+    so M^-1 is applied once per iteration and not again at a cycle's end.
     Stops when the residual norm falls to KRYLOV_RTOL |b| or after
     KRYLOV_CYCLES cycles, and returns x and the iteration count.
     """
     restart = KRYLOV_RESTART
+    V, Z = basis[:restart + 1], basis[restart + 1:]
     x = np.zeros_like(b)
     target = KRYLOV_RTOL * np.linalg.norm(b)
     H = np.zeros((restart + 1, restart))
@@ -175,7 +179,8 @@ def gmres(matvec, b: np.ndarray, precond, V: np.ndarray):
         z[0] = beta
         H[:] = 0.0
         for j in range(restart):
-            w = matvec(precond(V[j]))
+            Z[j] = precond(V[j])
+            w = matvec(Z[j])
             its += 1
             for _ in range(2):    # classical Gram-Schmidt, reorthogonalized
                 c = V[:j + 1] @ w
@@ -198,7 +203,7 @@ def gmres(matvec, b: np.ndarray, precond, V: np.ndarray):
         y = np.zeros(k)
         for i in range(k - 1, -1, -1):     # back substitution
             y[i] = (z[i] - H[i, i + 1:k] @ y[i + 1:k]) / H[i, i]
-        x += precond(y @ V[:k])
+        x += y @ Z[:k]
         if abs(z[k]) <= target or cycle == KRYLOV_CYCLES - 1:
             break
         r = b - matvec(x)
@@ -252,12 +257,12 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     C + 1/tau + mean(max(W''(u), 0)), C the circulant of -L's linear part
     (GridOperator.precondition), and sets u <- clamp(u + delta, -1, 1).
     tau_0 is the explicit descent's stable step and its floor; tau
-    grows by switched evolution relaxation, tau <- tau clamp(max(r_old /
-    r_new, TAU_GROWTH_FLOOR), SER_CLAMP) after a step taken at its tau and
-    tau <- tau clamp(r_old / r_new, SER_CLAMP) after one that halved it, up
-    to the cap of GridOperator.tau_bounds; r_old and r_new are the interior
-    sup residuals before and after the step, both under the exterior models
-    it was taken with. A step that raises the Lyapunov functional beyond
+    grows tenfold, tau <- SER_CLAMP[1] tau, after a step taken at its tau,
+    and by switched evolution relaxation, tau <- tau clamp(r_old / r_new,
+    SER_CLAMP), after one that halved it, up to the cap of
+    GridOperator.tau_bounds; r_old and r_new are the interior sup residuals
+    before and after the halved step, both under the exterior models it was
+    taken with. A step that raises the Lyapunov functional beyond
     DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one that
     still raises it there raises Diverged.
 
@@ -274,12 +279,12 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     op = GridOperator(kernel, g)
     tau0, tau_max = op.tau_bounds(pot.max_w2())
     tau = tau0
-    # one anonymous mapping for the run's Krylov basis: a freed malloc block
-    # this size (0.7 MB at n = 4096) raises glibc's mmap threshold, and later
-    # arrays then stay resident in the heap
-    n = len(g.x)
-    basis = np.frombuffer(mmap.mmap(-1, (KRYLOV_RESTART + 1) * 8 * n)
-                          ).reshape(KRYLOV_RESTART + 1, n)
+    # one anonymous mapping for the run's Krylov basis and its preconditioned
+    # rows: a freed malloc block this size (1.3 MB at n = 4096) raises glibc's
+    # mmap threshold, and later arrays then stay resident in the heap; only
+    # the rows GMRES touches become resident
+    n, rows = len(g.x), 2 * KRYLOV_RESTART + 1
+    basis = np.frombuffer(mmap.mmap(-1, rows * 8 * n)).reshape(rows, n)
     Lu, Wu = op.apply(g.values), pot.W(g.values)
     res = SolveResult(profile=g, iterations=0, residual=np.inf,
                       energy_trace=[], converged=False)
@@ -288,13 +293,14 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
         u = g.values
         F = Lu - pot.W1(u)
         if it > 1:
-            # the step's own gain, read under the model it was taken with
-            r_new = float(np.max(np.abs(F[1:-1])))
-            growth = resid / r_new if r_new > 0.0 else SER_CLAMP[1]
-            if not halvings:
-                growth = max(growth, TAU_GROWTH_FLOOR)
-            tau = min(max(tau * min(max(growth, SER_CLAMP[0]), SER_CLAMP[1]),
-                          tau0), tau_max)
+            growth = SER_CLAMP[1]
+            if halvings:
+                # the step's own gain, read under the model it was taken with
+                r_new = float(np.max(np.abs(F[1:-1])))
+                if r_new > 0.0:
+                    growth = min(max(resid / r_new, SER_CLAMP[0]),
+                                 SER_CLAMP[1])
+            tau = min(max(tau * growth, tau0), tau_max)
         g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
         res.exterior_trace.append((g.ext_left, g.ext_right))
         change = op.update_exterior(g)
