@@ -79,7 +79,8 @@ KEYS = {
     "solver.L": Key(float, 200.0),
     # building the operator with power models on both sides and applying
     # it once peaks at 296 MB RSS at n = 2^20 (98 MB at 2^18; 167 and 65 MB
-    # with bare limits); the GMRES basis of 21 vectors adds 176 MB.
+    # with bare limits); the GMRES mapping of 41 vectors (21 basis, 20
+    # preconditioned) adds up to 344 MB, 8 MB per row that a step touches.
     # The grid operator needs three nodes
     "solver.n": Key(int, 2048, (3, 2 ** 20)),
     "solver.tol": Key(float),

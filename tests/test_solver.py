@@ -369,6 +369,43 @@ def test_tau_grows_tenfold_after_every_clean_step(small_solution,
         assert new == min(solver.SER_CLAMP[1] * old, tau_max)
 
 
+def test_tau_after_a_halved_step_follows_the_residual_ratio(monkeypatch):
+    """With SER_CLAMP's cap raised to 100, degenerate wells at s = 0.75
+    halve steps (7 here, none at the cap of 10). After a halved step tau
+    grows by r_old / r_new clamped to SER_CLAMP, r_old and r_new the
+    interior sup residuals before and after it under the model it was
+    taken with; after any other step by the cap. The run still reaches the
+    profile of the run that halves none."""
+    pot = make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,
+                                    mu=0.5))
+    kern = fractional_kernel(0.75)
+    args = (make_grid(100.0, 512), pot, kern,
+            SolveConfig(max_iter=5000, tol=1e-5))
+    ref = minimize_energy(*args)
+    monkeypatch.setattr(solver, "SER_CLAMP", (0.5, 100.0))
+    steps, step = [], solver._step
+
+    def recorded_step(g, pot, op, F, tau, *rest):
+        r_old = float(np.max(np.abs(F[1:-1])))
+        taken, Lu, Wu, krylov, halvings = step(g, pot, op, F, tau, *rest)
+        r_new = float(np.max(np.abs((Lu - pot.W1(g.values))[1:-1])))
+        steps.append((tau, taken, halvings, r_old / r_new))
+        return taken, Lu, Wu, krylov, halvings
+
+    monkeypatch.setattr(solver, "_step", recorded_step)
+    res = minimize_energy(*args)
+    tau0, tau_max = GridOperator(kern, make_grid(100.0, 512)).tau_bounds(
+        pot.max_w2())
+    assert ref.rejected_steps == 0 < res.rejected_steps
+    assert res.rejected_steps == sum(s[2] for s in steps)
+    for (_, taken, halvings, ratio), (tau, *_) in zip(steps, steps[1:]):
+        growth = min(max(ratio, 0.5), 100.0) if halvings else 100.0
+        assert tau == pytest.approx(
+            min(max(taken * growth, tau0), tau_max), rel=1e-12)
+    assert res.residual < 1e-5
+    assert np.max(np.abs(res.profile.values - ref.profile.values)) < 1e-5
+
+
 def test_a_refit_that_moves_the_limits_renews_the_reference(kernel_half_mod):
     """A grid started with exterior limits -0.5 and 0.5: the first refit
     sets them to -1 and 1, which changes the plain energy, so the next step
