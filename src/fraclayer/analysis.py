@@ -72,21 +72,25 @@ def fit_power_decay(samples: Sequence[tuple[float, float]] | np.ndarray,
                     n_points=len(x))
 
 
-def envelope_exponents(samples, trend: str, window_decades: float = 0.5,
-                       log_values: bool = False) -> DecayFit:
+ENVELOPE_WINDOW_DECADES = 0.5   # width of the sliding extremum windows
+
+
+def envelope_exponents(samples, trend: str) -> DecayFit:
     """Power-law fit of the upper or lower envelope of oscillatory decay data.
 
-    A pilot plain fit gives exponent p0; per sliding log-window extrema of
-    v * x^p0 are extracted and the extremal subsequence refit. One fixed-point
-    refinement of the pilot is applied (extrema locations barely move for
-    small pilot error).
+    samples holds (x, ln v) pairs: log values reach below the double
+    underflow threshold. A pilot plain fit gives exponent p0; the extrema of
+    v * x^p0 over sliding windows ENVELOPE_WINDOW_DECADES wide in x are
+    extracted and the extremal subsequence refit. One fixed-point refinement
+    of the pilot is applied (extrema locations barely move for small pilot
+    error).
     """
     if trend not in ("upper", "lower"):
         raise ValueError("trend must be 'upper' or 'lower'")
     arr = np.asarray(samples, dtype=float)
     order = np.argsort(arr[:, 0])
     x = arr[order, 0]
-    lv = arr[order, 1] if log_values else np.log(arr[order, 1])
+    lv = arr[order, 1]
     if len(x) < 16:
         raise ValueError("need log-dense samples (>= 16)")
     lx = np.log(x)
@@ -100,7 +104,7 @@ def envelope_exponents(samples, trend: str, window_decades: float = 0.5,
     pilot = fit_power_decay(np.column_stack([x, lv]), log_values=True)
     p0 = pilot.exponent
     for _ in range(2):
-        sel = _window_extrema(lx, lv + p0 * lx, window_decades, trend)
+        sel = _window_extrema(lx, lv + p0 * lx, trend)
         if len(sel) < 2:
             raise ValueError("fewer than 2 envelope extrema found")
         if len(sel) >= 4 and lx[sel].max() - lx[sel].min() >= np.log(10.0):
@@ -118,9 +122,9 @@ def envelope_exponents(samples, trend: str, window_decades: float = 0.5,
     return fit
 
 
-def _window_extrema(lx, lw, window_decades, trend):
+def _window_extrema(lx, lw, trend):
     """Indices of per-window extrema of lw over sliding log-windows."""
-    width = window_decades * np.log(10.0)
+    width = ENVELOPE_WINDOW_DECADES * np.log(10.0)
     edges = np.arange(lx.min(), lx.max() + width, width)
     picks = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -152,15 +156,15 @@ def _libm_pow(h: np.ndarray, p: int) -> np.ndarray:
     return np.reshape([v ** p for v in h.ravel().tolist()], h.shape)
 
 
-def fd_derivative(f: Callable, x, order: int, h0=None):
+def fd_derivative(f: Callable, x, order: int, h0):
     """Central-difference derivative with two-level Richardson extrapolation,
     elementwise over x.
 
-    x and h0 are floats or arrays that broadcast together; h0 defaults to
-    1e-3 (1 + |x|). f must be vectorized: it is called once, on an array
-    stacking x and every stencil point of the three levels h0, h0/2, h0/4,
-    and each level is summed in stencil order, so each element is computed
-    exactly as a scalar call at that point would compute it.
+    x and the step h0 are floats or arrays that broadcast together. f must
+    be vectorized: it is called once, on an array stacking x and every
+    stencil point of the three levels h0, h0/2, h0/4, and each level is
+    summed in stencil order, so each element is computed exactly as a
+    scalar call at that point would compute it.
 
     Returns (value, error_estimate), of the broadcast shape (scalars for
     scalar input). The estimate combines the difference of the two
@@ -171,10 +175,8 @@ def fd_derivative(f: Callable, x, order: int, h0=None):
     if order not in _STENCILS:
         raise ValueError("order must be 1..4")
     stencil, p = _STENCILS[order]
-    x = np.asarray(x, dtype=float)
-    if h0 is None:
-        h0 = 1e-3 * (1.0 + np.abs(x))
-    x, h0 = np.broadcast_arrays(x, np.asarray(h0, dtype=float))
+    x, h0 = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                np.asarray(h0, dtype=float))
     hs = (h0, h0 / 2.0, h0 / 4.0)
     vals = f(np.stack([x] + [x + k * h for h in hs for k in stencil]))
     fx, levels = vals[0], vals[1:].reshape((3, len(stencil)) + x.shape)

@@ -153,13 +153,12 @@ class StepBarrierReport:
 
 
 def verify_step_barrier(kernel: KernelSpec, b: StepBarrier, xs,
-                        c_cap: float | None = None) -> StepBarrierReport:
-    """Check x^(2s) L phi <= -lam(1-B)/(2s) + alpha C_cap x^(-A), x >= 2 xbar."""
+                        c_cap: float) -> StepBarrierReport:
+    """Check x^(2s) L phi <= -lam(1-B)/(2s) + alpha C_cap x^(-A), x >= 2 xbar,
+    with C_cap = c_cap (step_constant_cap gives the calibrated one)."""
     xs = [float(x) for x in xs]
     if any(x < 2.0 * b.xbar for x in xs):
         raise ValueError("evaluation points must satisfy x >= 2 xbar")
-    if c_cap is None:
-        c_cap = step_constant_cap(kernel.s, kernel.lam, kernel.Lam)
     vals, bnds = [], []
     for x in xs:
         v = x ** (2.0 * kernel.s) * step_barrier_operator(kernel, b, x)
@@ -213,7 +212,7 @@ class LimitReport:
 
 
 def asymptotic_operator_limit(kernel: KernelSpec, tb: TailBarrier, xs,
-                              orientation: str = "upper") -> LimitReport:
+                              orientation: str) -> LimitReport:
     """Extrapolated |x|^(1+2s) L phi against the tail-mass bound.
 
     orientation 'upper': limit <= 1.05 Lam S; 'lower': limit >= 0.95 lam S.
@@ -254,14 +253,12 @@ def asymptotic_operator_limit(kernel: KernelSpec, tb: TailBarrier, xs,
 
 
 def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
-                       delta: float, xbar: float,
-                       middle_budget: float | None = None) -> TailBarrier:
+                       delta: float, xbar: float) -> TailBarrier:
     """Smooth positive profile with the exact slow-side derivative tails.
 
     phi(x) = |x|^-(1 + 2s(beta-alpha+1)/(beta-1)) for x <= -xbar and
     |x|^-(1 + 2s(delta-gamma+1)/(delta-1)) for x >= xbar; a cutoff-based
-    interior bump of height xbar^-min(sigma, tau) keeps phi positive and is
-    lowered so the interior mass fits middle_budget when one is given.
+    interior bump of height xbar^-min(sigma, tau) keeps phi positive.
     """
     if max(alpha - beta, gamma - delta) >= 1.0:
         raise ExponentNotIntegrable(
@@ -292,17 +289,7 @@ def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
             return -p * ax ** (-p - 1.0) * sgn
         return p * (p + 1.0) * ax ** (-p - 2.0)
 
-    fixed_mass = _fixed_tail_mass(sig, tau, xb, w_minus, w_plus)
-    bump_mass = float(panel_integrals(bump, -xb, xb, 64))
-    bump_height = xb ** (-min(sig, tau))
-    if middle_budget is not None:
-        if fixed_mass > middle_budget:
-            raise InvariantViolated(
-                f"pinned tail overlap mass {fixed_mass:.3g} already exceeds "
-                f"the interior budget {middle_budget:.3g}; increase xbar")
-        bump_height = min(bump_height,
-                          0.999 * (middle_budget - fixed_mass) / bump_mass)
-    c0 = bump_height
+    c0 = xb ** (-min(sig, tau))
 
     def val(x, order=0):
         x = np.asarray(x, dtype=float)
@@ -337,14 +324,6 @@ def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
         raise InvariantViolated("interior floor is not positive")
     return TailBarrier(Cbar=1.0, kappa=xb, sigma=sig, tau=tau,
                        gamma_low=gamma_low, body=body)
-
-
-def _fixed_tail_mass(sig, tau, xb, w_minus, w_plus) -> float:
-    """Interior mass of the pinned tail overlaps on [-xbar, xbar]."""
-    ml = panel_integrals(lambda y: w_minus(y) * np.abs(y) ** (-sig),
-                         -xb, -xb / 2.0, 64)
-    mr = panel_integrals(lambda y: w_plus(y) * y ** (-tau), xb / 2.0, xb, 64)
-    return float(ml + mr)
 
 
 def exact_power_bump(sigma: float, kappa: float) -> TailBarrier:

@@ -38,13 +38,13 @@ PIECE_NAMES = ("inner-power", "ramp-on", "ramp", "ramp-off", "outer-swap",
 
 
 def sufficiency_rho(alpha: float, beta: float, gamma: float, delta: float,
-                    stats: CutoffStats | None = None) -> float:
-    """Smallest gap exponent for which the monotonicity margins are covered.
+                    stats: CutoffStats) -> float:
+    """Smallest gap exponent for which the monotonicity margins are covered,
+    with eta_bar/eta_0 = stats.ratio (from measure_cutoff).
 
     zeta >= 32 (A/B) eta_bar/eta_0 and the mirrored xi condition translate to
     rho >= 32 (eta_bar/eta_0) max{(A/B) ln(A/B), (D/E) ln(D/E)}.
     """
-    stats = stats or measure_cutoff()
     rab = (gamma - 1.0) / (delta - 1.0)
     rde = (alpha - 1.0) / (beta - 1.0)
     return 32.0 * stats.ratio * max(rab * math.log(rab), rde * math.log(rde))
@@ -450,7 +450,7 @@ class LayerProfile:
 
     # -- gap evaluation ------------------------------------------------------
 
-    def gap_jet_L(self, side: int, L, order: int = 4,
+    def gap_jet_L(self, side: int, L, order: int,
                   piece_override: int | None = None):
         """L-derivatives of G(L) = gap(e^L) on one side, in scaled form.
 

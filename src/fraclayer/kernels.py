@@ -167,21 +167,6 @@ class KernelSpec:
         return self.scale * Z ** (-2.0 * self.s) / q * panel_integrals(
             integrand, 0.0, 1.0, 24)
 
-    def symmetry_slack(self, zs) -> float:
-        """max |K(z) - K(-z)| over the sample; 0 for admissible kernels."""
-        zs = np.asarray(zs, dtype=float)
-        return float(np.max(np.abs(self.k(zs) - self.k(-zs)), initial=0.0))
-
-    def ellipticity_slack(self, zs) -> float:
-        """Worst signed violation of the two-sided power bounds (<=0 passes)."""
-        zs = np.asarray(zs, dtype=float)
-        zs = zs[zs != 0]
-        base = np.abs(zs) ** (-1.0 - 2.0 * self.s)
-        kv = self.k(zs)
-        lo = np.max(self.lam * base - kv, initial=-np.inf)
-        hi = np.max(kv - self.Lam * base, initial=-np.inf)
-        return float(max(lo, hi))
-
 
 def symbol_constant(s: float) -> float:
     """C(s) = 2 * integral_0^inf (1 - cos v) v^(-1-2s) dv.

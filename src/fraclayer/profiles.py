@@ -7,7 +7,7 @@ at -inf/+inf, and a tail model describing how fast the limits are approached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,25 +71,6 @@ class ProfileFn:
             raise RegularityMismatch(
                 f"{self.name}: derivative of order {order} unavailable")
         return self.derivs[order - 1]
-
-    def shifted(self, c: float) -> "ProfileFn":
-        """x -> u(x - c), with features and the oscillatory antiderivative
-        moved accordingly."""
-        fn = self.fn
-        new_derivs = tuple((lambda d: (lambda x: d(np.asarray(x) - c)))(d)
-                           for d in self.derivs)
-        tail = self.tail
-        if isinstance(tail, OscillatoryTail):
-            U = tail.antiderivative
-            tail = replace(tail, antiderivative=lambda y: U(np.asarray(y) - c))
-        return replace(
-            self,
-            fn=lambda x, _f=fn: _f(np.asarray(x) - c),
-            derivs=new_derivs,
-            tail=tail,
-            features=tuple((a + c, w) for a, w in self.features),
-            name=f"{self.name}-shifted",
-        )
 
     def derivative_profile(self) -> "ProfileFn":
         """Profile for u' (drops one derivative order)."""
@@ -178,8 +159,12 @@ def tanh_profile() -> ProfileFn:
     )
 
 
-def gaussian(width: float = 1.0) -> ProfileFn:
-    a = float(width)
+GAUSSIAN_WIDTH = 1.0
+
+
+def gaussian() -> ProfileFn:
+    """exp(-(x/a)^2) at a = GAUSSIAN_WIDTH, with four derivatives."""
+    a = float(GAUSSIAN_WIDTH)
 
     def f(x):
         return np.exp(-(x / a) ** 2)

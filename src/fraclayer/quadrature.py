@@ -317,9 +317,8 @@ class CommutationReport:
 
 
 def check_derivative_commutation(kernel: KernelSpec, u: ProfileFn,
-                                 xs: Sequence[float], h: float = 1e-3,
-                                 cfg: QuadConfig = QuadConfig()
-                                 ) -> CommutationReport:
+                                 xs: Sequence[float], h: float,
+                                 cfg: QuadConfig) -> CommutationReport:
     """Compare d/dx [L u] (central difference, spacing h) with L u'; the
     report passes when every discrepancy is below 1e-4.
 
@@ -341,23 +340,25 @@ def check_derivative_commutation(kernel: KernelSpec, u: ProfileFn,
                              passed=all(d < 1e-4 for d in out))
 
 
+HOLDER_CAP_MULTIPLE = 50.0   # the Hölder-transfer cap over Lam * seminorm
+
+
 def check_holder_transfer(kernel: KernelSpec, u: ProfileFn,
                           pairs: Sequence[tuple[float, float]],
                           alpha: float, seminorm: float,
-                          cap_multiple: float = 50.0,
-                          cfg: QuadConfig = QuadConfig()) -> CheckRecord:
+                          cfg: QuadConfig) -> CheckRecord:
     """Empirical Hölder-transfer check (boundedness only, constant untracked).
 
     For each pair takes |L u(x1) - L u(x2)| / |x1 - x2|^(alpha - 2s); the
     record `holder-transfer-cap` passes when no ratio exceeds
-    cap = cap_multiple * Lam * seminorm, with slack cap - max(ratios). The
-    exponent alpha - 2s must be positive (case 2s < alpha <= 1).
+    cap = HOLDER_CAP_MULTIPLE * Lam * seminorm, with slack cap - max(ratios).
+    The exponent alpha - 2s must be positive (case 2s < alpha <= 1).
     """
     if alpha - 2.0 * kernel.s <= 0:
         raise ValueError("need alpha > 2s for the transfer exponent")
     if not pairs:
         raise ValueError("need at least one pair")
-    cap = cap_multiple * kernel.Lam * seminorm
+    cap = HOLDER_CAP_MULTIPLE * kernel.Lam * seminorm
     ratios = []
     for x1, x2 in pairs:
         if x1 == x2:

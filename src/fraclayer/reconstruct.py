@@ -24,6 +24,9 @@ from .reports import SIDE_LABEL, CheckRecord
 
 EPS = float(np.finfo(float).eps)
 LN_GAP_FLOOR = math.log(EPS / 4.0)   # a gap that rounds u~ to +/-1 is <= this
+INVERT_MAX_LOG = 690.0    # invert_profile's working domain: |x| <= sinh of it
+ENVELOPE_TOL = 0.3        # largest miss of a curvature envelope exponent
+LIMIT_REL_TOL = 0.10      # relative error allowed of each curvature limit
 
 
 def profile_as_fn(prof: LayerProfile) -> ProfileFn:
@@ -55,9 +58,8 @@ def profile_as_fn(prof: LayerProfile) -> ProfileFn:
     )
 
 
-def invert_profile(prof: LayerProfile, r: float,
-                   max_log: float = 690.0) -> float:
-    """x with u~(x) = r on the working domain |x| <= sinh(max_log).
+def invert_profile(prof: LayerProfile, r: float) -> float:
+    """x with u~(x) = r on the working domain |x| <= sinh(INVERT_MAX_LOG).
 
     A bracketed root-find split by region, reading the profile only through
     ``prof.eval`` and ``prof.cx.a0``. Both regions call
@@ -82,7 +84,7 @@ def invert_profile(prof: LayerProfile, r: float,
     out_of_range = OutOfRange(
         f"r={r} beyond values attained on the working domain")
     a0 = prof.cx.a0
-    x_max = math.sinh(max_log)
+    x_max = math.sinh(INVERT_MAX_LOG)
 
     def u(x):
         return float(prof.eval(x))
@@ -254,15 +256,15 @@ def verify_potential_regularity(tab: PotentialTable) -> CheckRecord:
                        f"lipschitz={lip:.6g}")
 
 
-def verify_well_envelopes(tab: PotentialTable, params: LayerParams,
-                          tol: float = 0.3) -> list[CheckRecord]:
+def verify_well_envelopes(tab: PotentialTable,
+                          params: LayerParams) -> list[CheckRecord]:
     """Fitted envelope exponents of V'' against the well powers.
 
     Right well: V'' oscillates between (1-r)^(gamma-2) (lower envelope) and
     (1-r)^(delta-2) (upper); left well mirrored with (alpha, beta). Each
     side's record `curvature-envelopes-{side}` passes when both exponents
-    lie within tol of their targets; the slack is tol minus the larger
-    miss.
+    lie within ENVELOPE_TOL of their targets; the slack is ENVELOPE_TOL
+    minus the larger miss.
     """
     out = []
     for side in (1, -1):
@@ -272,26 +274,27 @@ def verify_well_envelopes(tab: PotentialTable, params: LayerParams,
         v = tab.V2[m]
         # in the variable w = 1/gap the curvature decays like w^-(power-2)
         samples = np.column_stack([1.0 / gap, np.log(v)])
-        lo_fit = envelope_exponents(samples, "lower", log_values=True)
-        hi_fit = envelope_exponents(samples, "upper", log_values=True)
+        lo_fit = envelope_exponents(samples, "lower")
+        hi_fit = envelope_exponents(samples, "upper")
         miss_lo = abs(lo_fit.exponent - (g - 2.0))
         miss_hi = abs(hi_fit.exponent - (d - 2.0))
         out.append(CheckRecord(
             f"curvature-envelopes-{SIDE_LABEL[side]}",
-            miss_lo <= tol and miss_hi <= tol, tol - max(miss_lo, miss_hi),
+            miss_lo <= ENVELOPE_TOL and miss_hi <= ENVELOPE_TOL,
+            ENVELOPE_TOL - max(miss_lo, miss_hi),
             f"lower={lo_fit.exponent:.3f},upper={hi_fit.exponent:.3f}"))
     return out
 
 
-def second_derivative_limit(prof: LayerProfile, kernel: KernelSpec, xs,
-                            rel_tol: float = 0.10) -> list[CheckRecord]:
+def second_derivative_limit(prof: LayerProfile, kernel: KernelSpec,
+                            xs) -> list[CheckRecord]:
     """|x|^(2+2s) L u~'' -> -/+ 2 (1 + 2s) as x -> +/- inf.
 
     The total slope mass is 2; the limit constant is the mass times
     (1 + 2s), with the sign opposite to the side. Each side's record
     `curvature-operator-limit-side{+1,-1}` passes when the extrapolated
-    limit is within rel_tol of it; the slack is rel_tol minus the relative
-    error.
+    limit is within LIMIT_REL_TOL of it; the slack is LIMIT_REL_TOL minus
+    the relative error.
     """
     u = profile_as_fn(prof)
     base = u.derivative_profile().derivative_profile()
@@ -317,7 +320,8 @@ def second_derivative_limit(prof: LayerProfile, kernel: KernelSpec, xs,
         est = best[1]
         rel = abs(est - target) / abs(target)
         out.append(CheckRecord(f"curvature-operator-limit-side{side:+d}",
-                               rel <= rel_tol, rel_tol - rel, f"est={est:.4f}"))
+                               rel <= LIMIT_REL_TOL, LIMIT_REL_TOL - rel,
+                               f"est={est:.4f}"))
     return out
 
 

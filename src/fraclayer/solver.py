@@ -57,37 +57,34 @@ class SolveConfig:
 
 
 def make_grid(L: float, n: int, init: str = "tanh",
-              values: np.ndarray | None = None,
               tail_exponent_seed: float | None = None) -> GridProfile:
     """Uniform grid over [-L, L] with a layer-shaped initial guess.
 
     init 'tanh' is the default seed; 'power' warms the far field with
     1 - (1 + |x|/l)^(-p) using tail_exponent_seed, which matters for heavy
-    tails whose relaxation through gradient flow is slow. Explicit values
-    override init; any other init raises ValueError, as do L <= 0 and
-    n < 3: the grid operator needs a uniform grid of three nodes at least.
+    tails whose relaxation through gradient flow is slow. Any other init
+    raises ValueError, as do L <= 0 and n < 3: the grid operator needs a
+    uniform grid of three nodes at least.
     """
     if not (L > 0 and n >= 3):
         raise ValueError(f"need L > 0 and n >= 3, got L = {L:g}, n = {n}")
     x = np.linspace(-L, L, n)
     h = x[1] - x[0]
-    if values is not None:
-        u = np.clip(np.asarray(values, dtype=float), -1.0, 1.0)
-    elif init == "tanh":
+    if init == "tanh":
         u = np.tanh(x / (5.0 * h))
     elif init == "power":
         p = tail_exponent_seed if tail_exponent_seed is not None else 1.0
         u = np.sign(x) * (1.0 - (1.0 + np.abs(x) / (5.0 * h)) ** (-p))
     else:
-        raise ValueError(f"unknown init {init!r}: use 'tanh', 'power' or "
-                         "explicit values")
+        raise ValueError(f"unknown init {init!r}: use 'tanh' or 'power'")
     return GridProfile(x, u, ExteriorModel(-1.0), ExteriorModel(1.0))
 
 
 def energy(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
-           op: GridOperator | None = None) -> float:
-    """The discrete energy of g (GridOperator.energy); a given op must have
-    seen g's exterior models."""
+           op: GridOperator | None) -> float:
+    """The discrete energy of g (GridOperator.energy), under op, or under a
+    new operator on g if op is None; a given op must have seen g's exterior
+    models."""
     op = op if op is not None else GridOperator(kernel, g)
     return op.energy(g.values, op.apply(g.values), pot.W(g.values))
 

@@ -342,7 +342,13 @@ def _sandwich(cid, lo_logs, hi_logs, n, passed,
                        location=f"n={n},hi={hi:.4g}")
 
 
-def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord]:
+BOUND_SAMPLES = 4000        # ramp-cell samples of profile_bound_records
+CURVATURE_SAMPLES = 1500    # samples of second_derivative_bound_records
+FD_POINTS = 24              # most L samples of fd_agreement_records
+FD_SEED = 3                 # seed of fd_agreement_records' sample draw
+
+
+def profile_bound_records(prof: LayerProfile) -> list[CheckRecord]:
     """Every piecewise sandwich of the construction, with fitted constants.
 
     On the ramp cells the gap and slope are normalized by the interpolant
@@ -363,7 +369,7 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
         ratios_d1_lo = []
         for k, b in enumerate(cells):
             lnb_k, lnc_k = b[1], b[4]
-            L = np.linspace(lnb_k, lnc_k, n // len(cells))
+            L = np.linspace(lnb_k, lnc_k, BOUND_SAMPLES // len(cells))
             jets = prof.gap_jet_log(side, L, order=1)
             phi = sc.phi(lnb_k, L)
             lg = jets[0].logm
@@ -422,11 +428,12 @@ def profile_bound_records(prof: LayerProfile, n: int = 4000) -> list[CheckRecord
     return records
 
 
-def second_derivative_bound_records(prof: LayerProfile,
-                                    n: int = 1500) -> list[CheckRecord]:
+def second_derivative_bound_records(prof: LayerProfile) -> list[CheckRecord]:
     """|u~''| <= C min{x^(-2-eps), u~' x^(-1+e_lo(g-d))} and the third-
-    derivative envelope |u~'''| <= C x^(-e_lo-3), fitted per side."""
+    derivative envelope |u~'''| <= C x^(-e_lo-3), fitted per side on
+    CURVATURE_SAMPLES points."""
     cx = prof.cx
+    n = CURVATURE_SAMPLES
     records = []
     for sc in (cx.right, cx.left):
         side, lab = sc.sign, sc.label
@@ -461,11 +468,11 @@ def _fd_sample_points(prof: LayerProfile, rng) -> np.ndarray:
     return np.asarray(sorted(mids))
 
 
-def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
-                         seed: int = 3) -> list[CheckRecord]:
+def fd_agreement_records(prof: LayerProfile) -> list[CheckRecord]:
     """Analytic gap derivatives against Richardson finite differences.
 
-    The comparison runs in the log-position parameterization
+    It compares at most FD_POINTS mid-piece samples, drawn with seed
+    FD_SEED. The comparison runs in the log-position parameterization
     G(L) = ln gap(e^L), which stays conditioned at every scale, plus a direct
     x-space check for orders 1 and 2. Each discrepancy must stay below
     max(1e-7 relative, the oracle's own resolution): rounding noise of an
@@ -478,10 +485,9 @@ def fd_agreement_records(prof: LayerProfile, n_pts: int = 24,
     (side, order) takes one `fd_derivative` call over all the samples.
     """
     records = []
-    rng = np.random.default_rng(seed)
-    mids = _fd_sample_points(prof, rng)
-    if len(mids) > n_pts:
-        mids = mids[np.linspace(0, len(mids) - 1, n_pts).astype(int)]
+    mids = _fd_sample_points(prof, np.random.default_rng(FD_SEED))
+    if len(mids) > FD_POINTS:
+        mids = mids[np.linspace(0, len(mids) - 1, FD_POINTS).astype(int)]
     piece = np.searchsorted(prof._edges, mids) - 1
     hmax = (prof._edges[piece + 1] - prof._edges[piece]) / 140.0
     eps = np.finfo(float).eps

@@ -159,10 +159,8 @@ def test_criterion_6_desk_mode_at_threshold(threshold_pack):
         # 600/Lmax, so d(ln gap)/d(ln x), the fitted exponent, is unchanged
         scale = 600.0 / np.max(L)
         x_surr = np.exp(L * scale)
-        lo = env(np.column_stack([x_surr, lg * scale]), "lower",
-                 log_values=True)
-        hi = env(np.column_stack([x_surr, lg * scale]), "upper",
-                 log_values=True)
+        lo = env(np.column_stack([x_surr, lg * scale]), "lower")
+        hi = env(np.column_stack([x_surr, lg * scale]), "upper")
         e_lo, e_hi = lo.exponent, hi.exponent
         env_ok &= abs(e_lo - sc.e_hi) <= 0.02 and abs(e_hi - sc.e_lo) <= 0.02
         env_msg.append(f"side{side:+d}: {e_lo:.4f}/{sc.e_hi:.4f}, "
@@ -210,7 +208,7 @@ def test_criterion_8_reconstruction(desk_pack):
     ok_pos = tab.interior_min() > 0.0
     closure = tab.closure_defect()
     reg = verify_potential_regularity(tab)
-    envs = verify_well_envelopes(tab, p, tol=0.3)
+    envs = verify_well_envelopes(tab, p)
     mass = slope_mass(prof, X=1e40)
     lims = second_derivative_limit(prof, kern,
                                    [3e6, 1e7, 3e7, 1e8, 3e8, 1e9])

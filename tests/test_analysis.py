@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from fraclayer import analysis
 from fraclayer.analysis import (brent_root, envelope_exponents, fd_derivative,
                                 fit_power_decay)
 from fraclayer.errors import FracLayerError, NotBracketed, RootNotConverged
@@ -47,7 +48,7 @@ def test_fit_scale_equivariance(p, cv, cx):
 
 def test_envelopes_non_oscillatory_agree():
     x = np.geomspace(1.0, 1e4, 200)
-    v = np.column_stack([x, x ** -0.25])
+    v = np.column_stack([x, np.log(x ** -0.25)])
     up = envelope_exponents(v, "upper")
     lo = envelope_exponents(v, "lower")
     assert up.exponent == pytest.approx(0.25, abs=1e-6)
@@ -58,41 +59,42 @@ def test_envelopes_two_power_oscillation():
     x = np.geomspace(1.0, 1e8, 400)
     # alternate smoothly between x^-0.25 and x^-0.2 envelopes
     mix = 0.5 * (1.0 + np.sin(0.9 * np.log(x)))
-    v = np.exp(mix * np.log(x ** -0.25) + (1 - mix) * np.log(2 * x ** -0.2))
-    lo = envelope_exponents(np.column_stack([x, v]), "lower")
-    up = envelope_exponents(np.column_stack([x, v]), "upper")
+    lv = mix * np.log(x ** -0.25) + (1 - mix) * np.log(2 * x ** -0.2)
+    lo = envelope_exponents(np.column_stack([x, lv]), "lower")
+    up = envelope_exponents(np.column_stack([x, lv]), "upper")
     assert lo.exponent == pytest.approx(0.25, abs=0.02)
     assert up.exponent == pytest.approx(0.2, abs=0.02)
 
 
-def test_envelope_needs_extrema():
+def test_envelope_needs_extrema(monkeypatch):
     x = np.geomspace(1.0, 20.0, 40)
+    monkeypatch.setattr(analysis, "ENVELOPE_WINDOW_DECADES", 5.0)
     with pytest.raises(ValueError):
-        envelope_exponents(np.column_stack([x, x ** -0.5]), "upper",
-                           window_decades=5.0)
+        envelope_exponents(np.column_stack([x, np.log(x ** -0.5)]), "upper")
 
 
 def test_fd_polynomial_exactness():
     f = lambda t: t ** 3
     v6 = lambda t: t ** 6 - 3 * t ** 4 + t
     for x in (2.0, np.array([-1.5, 0.25, 2.0, 3.0])):
-        v, e = fd_derivative(f, x, 2)
+        h0 = 1e-3 * (1.0 + np.abs(x))
+        v, e = fd_derivative(f, x, 2, h0)
         assert np.allclose(v, 6.0 * x, rtol=0.0, atol=1e-8)
         assert np.all(np.abs(v - 6.0 * x) <= e + 1e-9)
         for order, ref in ((1, 6 * x ** 5 - 12 * x ** 3 + 1),
                            (3, 120 * x ** 3 - 72 * x),
                            (4, 360 * x ** 2 - 72)):
-            v, e = fd_derivative(v6, x, order)
+            v, e = fd_derivative(v6, x, order, h0)
             assert np.all(np.abs(v - ref)
                           <= np.maximum(e * 4, 1e-7 * np.abs(ref)))
 
 
 def test_fd_sine():
-    v, e = fd_derivative(np.sin, 0.0, 1)
+    v, e = fd_derivative(np.sin, 0.0, 1, 1e-3)
     assert v == pytest.approx(1.0, abs=1e-10)
 
 
-def _fd_loop_reference(f, x, order, h0=None):
+def _fd_loop_reference(f, x, order, h0):
     """The scalar loop `fd_derivative` replaced: each stencil point is one
     call of f on a float."""
     stencil, p = {1: ({-1: -0.5, 1: 0.5}, 1),
@@ -106,8 +108,6 @@ def _fd_loop_reference(f, x, order, h0=None):
             acc += c * f(x + k * h)
         return acc / h ** p
 
-    if h0 is None:
-        h0 = 1e-3 * (1.0 + abs(x))
     d1, d2, d3 = central(h0), central(h0 / 2.0), central(h0 / 4.0)
     r1 = (4.0 * d2 - d1) / 3.0
     r2 = (4.0 * d3 - d2) / 3.0
@@ -120,20 +120,20 @@ def _fd_loop_reference(f, x, order, h0=None):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_fd_array_call_equals_scalar_loop_bitwise(order):
-    """One call on arrays x and h0, or on array x with the default step,
-    calls f once and returns, bit for bit, what the scalar loop returns at
-    each point, and so does a scalar call."""
+    """One call on arrays x and h0, or on array x with the step
+    1e-3 (1 + |x|), calls f once and returns, bit for bit, what the scalar
+    loop returns at each point, and so does a scalar call."""
     f = lambda t: np.exp(np.sin(3.0 * t)) / (1.0 + t * t)
     rng = np.random.default_rng(order)
     x = rng.uniform(-3.0, 3.0, 40).reshape(8, 5)
     h0 = 10.0 ** rng.uniform(-5.0, -1.0, x.shape)
     calls = []
-    for step in (h0, None):
+    for step in (h0, 1e-3 * (1.0 + np.abs(x))):
         v, e = fd_derivative(lambda t: calls.append(t.shape) or f(t), x,
                              order, step)
         assert v.shape == e.shape == x.shape
         for i in np.ndindex(x.shape):
-            hi = None if step is None else float(step[i])
+            hi = float(step[i])
             ref = _fd_loop_reference(lambda t: float(f(t)), float(x[i]),
                                      order, hi)
             got = fd_derivative(f, x[i], order, hi)

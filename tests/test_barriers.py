@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fraclayer import profiles
 from fraclayer.barriers import (StepBarrier, TailBarrier,
                                 asymptotic_operator_limit, derivative_barrier,
                                 exact_power_bump, flatness_proxy,
@@ -9,7 +10,7 @@ from fraclayer.barriers import (StepBarrier, TailBarrier,
 from fraclayer.errors import (ExponentNotIntegrable, FlatnessViolated,
                               InvariantViolated)
 from fraclayer.kernels import fractional_kernel
-from fraclayer.profiles import PowerTail, ProfileFn, gaussian
+from fraclayer.profiles import PowerTail, ProfileFn
 
 
 def test_step_barrier_invariant():
@@ -36,10 +37,11 @@ def test_no_jump_barrier_closed_form(kernel_half):
 
 def test_step_barrier_suite(kernel_half):
     b = StepBarrier(xbar=2.0, alpha=0.1, A=0.25, B=0.5, D=0.5)
-    rep = verify_step_barrier(kernel_half, b, [10.0, 100.0, 1000.0])
+    cap = step_constant_cap(0.5)
+    rep = verify_step_barrier(kernel_half, b, [10.0, 100.0, 1000.0], cap)
     assert rep.negative and rep.passed
     with pytest.raises(ValueError):
-        verify_step_barrier(kernel_half, b, [3.0])
+        verify_step_barrier(kernel_half, b, [3.0], cap)
 
 
 def test_exact_power_two_sided_bracket(kernel_half):
@@ -54,9 +56,10 @@ def test_exact_power_two_sided_bracket(kernel_half):
     assert lo.bound <= up.estimate <= up.bound
 
 
-def test_compact_bump_limit_is_mass(kernel_half):
+def test_compact_bump_limit_is_mass(kernel_half, monkeypatch):
     """Fast-decaying bump: both kappa terms vanish, the limit is the mass."""
-    body = gaussian(0.5)
+    monkeypatch.setattr(profiles, "GAUSSIAN_WIDTH", 0.5)
+    body = profiles.gaussian()
     tb = TailBarrier(Cbar=1e-10, kappa=1.5, sigma=3.0, tau=3.0,
                      gamma_low=float(body(np.array([1.5]))[0]), body=body)
     rep = asymptotic_operator_limit(kernel_half, tb, [300.0, 1e3, 3e3],
@@ -72,9 +75,10 @@ def test_flatness_violation_detected(kernel_half):
     tb = TailBarrier(Cbar=1.0, kappa=1.0, sigma=2.0, tau=2.0, gamma_low=0.5,
                      body=wavy)
     with pytest.raises(FlatnessViolated):
-        asymptotic_operator_limit(kernel_half, tb, [10.0, 100.0, 1000.0])
+        asymptotic_operator_limit(kernel_half, tb, [10.0, 100.0, 1000.0],
+                                  "upper")
     with pytest.raises(ValueError):
-        asymptotic_operator_limit(kernel_half, tb, [])
+        asymptotic_operator_limit(kernel_half, tb, [], "upper")
 
 
 def test_lower_bound_barrier_formulas():
@@ -95,20 +99,14 @@ def test_lower_bound_barrier_near_one_profile():
     assert b.D <= 1.0 - b.alpha * b.xbar ** (-b.A)
 
 
-def test_derivative_barrier_exponents_and_budget(kernel_half):
+def test_derivative_barrier_exponents():
     db = derivative_barrier(0.5, 5.0, 5.0 - 1e-12, 5.0, 5.0 - 1e-12, xbar=4.0)
     # equal exponents: tails are 1 + 2s/(beta-1) on both sides
     assert db.sigma == pytest.approx(1.0 + 1.0 / 4.0, rel=1e-9)
     assert db.tau == pytest.approx(1.0 + 1.0 / 4.0, rel=1e-9)
-    db2 = derivative_barrier(0.5, 5.8, 5.0, 5.5, 5.0, xbar=6.0,
-                             middle_budget=0.7)
-    assert db2.interior_mass() <= 0.7
-    assert db2.gamma_low > 0
+    assert derivative_barrier(0.5, 5.8, 5.0, 5.5, 5.0, xbar=6.0).gamma_low > 0
     with pytest.raises(ExponentNotIntegrable):
         derivative_barrier(0.5, 6.0, 5.0, 6.2, 5.0, xbar=4.0)
-    with pytest.raises(InvariantViolated):
-        derivative_barrier(0.5, 5.8, 5.0, 5.5, 5.0, xbar=6.0,
-                           middle_budget=1e-9)
 
 
 def test_derivative_barrier_exact_tails_and_smoothness():

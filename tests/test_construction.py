@@ -84,7 +84,8 @@ def test_paper_mode_double_log():
 
 def test_sufficiency_threshold_construction():
     p = threshold_params(0.5, rho_target=2.05)
-    rho_star = sufficiency_rho(p.alpha, p.beta, p.gamma, p.delta)
+    rho_star = sufficiency_rho(p.alpha, p.beta, p.gamma, p.delta,
+                               measure_cutoff())
     assert p.rho == pytest.approx(rho_star, rel=1e-12)
     cx = build_constants(p)
     rep = cx.sufficiency_report()
@@ -265,7 +266,8 @@ def test_swapping_the_wells_mirrors_the_sides(desk_params):
                 assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
     L = np.linspace(prof.log_a0, prof._edges[-1], 997)
     for side in (1, -1):
-        for u, v in zip(prof.gap_jet_L(side, L), mirr.gap_jet_L(-side, L)):
+        for u, v in zip(prof.gap_jet_L(side, L, 4),
+                        mirr.gap_jet_L(-side, L, 4)):
             assert np.array_equal(u, v)
     x = np.exp(np.linspace(prof.log_a0, 600.0, 501))
     for m in range(5):

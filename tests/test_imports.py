@@ -1,10 +1,11 @@
-"""Every module-level import in src/fraclayer is used by its module, every
-top-level def and class in it is named somewhere else in the program (src,
-perfbench or tools), every class member is read and every defaulted
-parameter is passed somewhere (tests included), the third-party modules it
-imports are exactly the declared dependencies, the solver reads a grid only
-through the operator interface, and a run of the program loads neither
-scipy nor mpmath."""
+"""Every module-level import in src/fraclayer is used by its module. The
+program (src, perfbench and tools; tests are not callers) names every
+top-level def and class elsewhere, reads every class member, passes every
+defaulted parameter somewhere and leaves each default to at least one call:
+a knob that only tests turn is a constant. Every parameter is read, the
+third-party modules the package imports are exactly the declared
+dependencies, the solver reads a grid only through the operator interface,
+and a run of the program loads neither scipy nor mpmath."""
 
 import ast
 import os
@@ -15,6 +16,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fraclayer"
+# the program's code: the callers and readers the guards below count
+PROGRAM = [ROOT / d for d in ("src", "perfbench", "tools")]
 
 
 def _annotations(tree):
@@ -132,11 +135,7 @@ def test_dead_code_finder_flags_an_unused_def(tmp_path):
 
 def test_every_def_is_named_elsewhere():
     """Program code only: a def that only tests name is dead."""
-    assert _unreferenced_defs(PACKAGE, [ROOT / d for d in (
-        "src", "perfbench", "tools")]) == []
-
-
-ALL_CODE = [ROOT / d for d in ("src", "perfbench", "tools", "tests")]
+    assert _unreferenced_defs(PACKAGE, PROGRAM) == []
 
 
 def _attribute_reads(tree, reads: dict) -> None:
@@ -209,7 +208,8 @@ def test_unread_member_finder_flags_a_member_without_a_reader(tmp_path):
 
 
 def test_every_member_is_read():
-    assert _unread_members(PACKAGE, ALL_CODE) == []
+    """Program code only: a member that only tests read is dead."""
+    assert _unread_members(PACKAGE, PROGRAM) == []
 
 
 def _defaulted_params(fn) -> list:
@@ -253,8 +253,12 @@ def _passes(call, pos, name: str, implicit: int) -> bool:
 
 def _unpassed_params(package: Path, roots) -> list:
     """Defaulted parameters of the package's defs and methods that no call
-    under the roots passes. Calls match defs by name. Dataclass constructors
-    have no def and are left out."""
+    under the roots passes. Dataclass constructors have no def and are left
+    out.
+
+    Calls match defs by bare name, so a call of a method that shares a
+    def's name counts as a call of that def, and may pass for one that sets
+    the def's parameter."""
     trees = _trees(roots)
     calls: dict = {}
     for tree in trees.values():
@@ -295,14 +299,20 @@ def test_unpassed_param_finder_flags_a_default_no_call_sets(tmp_path):
 
 
 def test_every_default_is_passed_somewhere():
-    assert _unpassed_params(PACKAGE, ALL_CODE) == []
+    """Program code only: a default that only tests override is a
+    constant."""
+    assert _unpassed_params(PACKAGE, PROGRAM) == []
 
 
 def _overridden_defaults(package: Path, roots) -> list:
     """Defaulted parameters of the package's defs and methods that every
     call under the roots sets by keyword or plain position, so that no call
     relies on the default. A call with *sequence or **mapping may rely on
-    it. Calls match defs by name, as in _unpassed_params."""
+    it. Calls match defs by bare name, as in _unpassed_params, so a
+    same-named method's calls count too: `op.energy(u, Lu, Wu)`, a call of
+    GridOperator.energy, reads as a call of solver.energy that leaves its
+    fourth parameter, op, unset. A default there would go unflagged though
+    every program call of solver.energy sets it."""
     trees = _trees(roots)
     calls: dict = {}
     for tree in trees.values():
@@ -347,11 +357,31 @@ def test_overridden_default_finder_flags_a_default_every_call_sets(tmp_path):
 
 
 def test_every_default_is_relied_on():
-    """Except where Python allows no required parameter: the cfg of
-    check_derivative_commutation follows its defaulted h."""
-    found = _overridden_defaults(PACKAGE, ALL_CODE)
-    assert [f for f in found if not f.endswith(
-        ": check_derivative_commutation(cfg)")] == []
+    """Program code only: a default that every program call overrides is a
+    required parameter."""
+    assert _overridden_defaults(PACKAGE, PROGRAM) == []
+
+
+def test_guards_do_not_count_tests_as_callers(tmp_path):
+    """A default that only a test sets, and a member that only a test
+    reads, pass with tests among the roots and are flagged with program
+    code alone."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "m.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass\nclass Rec:\n    used: int\n    probe: int\n\n"
+        "def f(r, n=4):\n    return r.used * n\n\n"
+        "def g():\n    return f(Rec(1, 2))\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_m.py").write_text(
+        "from pkg.m import Rec, f\n"
+        "def test_x():\n    r = Rec(1, 2)\n    assert f(r, n=2) == r.probe\n")
+    assert _unpassed_params(pkg, [pkg, tests]) == []
+    assert _unread_members(pkg, [pkg, tests]) == []
+    assert _unpassed_params(pkg, [pkg]) == ["m.py:8: f(n)"]
+    assert _unread_members(pkg, [pkg]) == ["m.py:6: Rec.probe"]
 
 
 def _unread_params(source: str, exempt=()) -> list:

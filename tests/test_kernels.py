@@ -23,8 +23,11 @@ def test_symmetry_and_ellipticity():
                          -np.geomspace(1e-6, 1e6, 200)])
     for kern in (fractional_kernel(0.3),
                  perturbed_kernel(0.7, 0.5, 2.0, wobble=0.9)):
-        assert kern.symmetry_slack(zs) == 0.0
-        assert kern.ellipticity_slack(zs) <= 1e-12
+        kv = kern.k(zs)
+        assert np.array_equal(kv, kern.k(-zs))
+        base = np.abs(zs) ** (-1.0 - 2.0 * kern.s)
+        assert np.all(kern.lam * base - kv <= 1e-12)
+        assert np.all(kv - kern.Lam * base <= 1e-12)
 
 
 def test_interval_integral_fractional():

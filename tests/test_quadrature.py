@@ -1,8 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fraclayer import quadrature
 from fraclayer import profiles as pr
 from fraclayer.errors import (NonIntegrable, PanelBudgetExceeded,
                               TruncationDominates)
@@ -95,13 +97,28 @@ def test_linearity(kernel_half):
                                               + 1e-9))
 
 
+def _shifted(u: pr.ProfileFn, c: float) -> pr.ProfileFn:
+    """x -> u(x - c), with features and the oscillatory antiderivative
+    moved accordingly."""
+    tail = u.tail
+    if isinstance(tail, pr.OscillatoryTail):
+        U = tail.antiderivative
+        tail = replace(tail, antiderivative=lambda y: U(np.asarray(y) - c))
+    return replace(
+        u, fn=lambda x: u.fn(np.asarray(x) - c),
+        derivs=tuple((lambda d: (lambda x: d(np.asarray(x) - c)))(d)
+                     for d in u.derivs),
+        tail=tail, features=tuple((a + c, w) for a, w in u.features),
+        name=f"{u.name}-shifted")
+
+
 def test_translation_equivariance(kernel_half):
     """The shift moves the cosine's antiderivative with it: the far field's
     boundary term reads U at x + c -+ z1."""
     c = 1.3
     for u in (pr.gaussian(), pr.cosine(2.0)):
         base = eval_lk(kernel_half, u, 0.4, CFG)
-        shifted = eval_lk(kernel_half, u.shifted(c), 0.4 + c, CFG)
+        shifted = eval_lk(kernel_half, _shifted(u, c), 0.4 + c, CFG)
         assert shifted.value == pytest.approx(base.value, abs=1e-8)
 
 
@@ -134,7 +151,7 @@ def test_commutation_gaussian_low_order():
 
 def test_commutation_constant(kernel_half):
     rep = check_derivative_commutation(kernel_half, pr.constant(0.3),
-                                       [0.0, 1.0], cfg=CFG)
+                                       [0.0, 1.0], h=1e-3, cfg=CFG)
     assert max(rep.discrepancies) < 1e-10
 
 
@@ -175,7 +192,8 @@ def test_holder_transfer_cap_and_preconditions():
     assert rep.passed and np.isfinite(rep.worst_slack)
     for bad in ([(0.3, 0.3)], []):
         with pytest.raises(ValueError):
-            check_holder_transfer(kern, u, bad, alpha=1.0, seminorm=1.0)
+            check_holder_transfer(kern, u, bad, alpha=1.0, seminorm=1.0,
+                                  cfg=CFG)
     const = pr.constant(0.2)
     rep2 = check_holder_transfer(kern, const, [(0.0, 1.0)], alpha=1.0,
                                  seminorm=1.0, cfg=CFG)
@@ -183,12 +201,14 @@ def test_holder_transfer_cap_and_preconditions():
     assert rep2.worst_slack > 50.0 * kern.Lam - 1e-8
 
 
-def test_holder_transfer_verdict_is_slack_sign():
+def test_holder_transfer_verdict_is_slack_sign(monkeypatch):
     kern = fractional_kernel(0.25)
-    recs = [check_holder_transfer(kern, pr.lipschitz_bump(),
-                                  [(-0.5, 0.1), (0.0, 1.4)], alpha=1.0,
-                                  seminorm=1.0, cap_multiple=m, cfg=CFG)
-            for m in (50.0, 1e-6)]
+    recs = []
+    for m in (50.0, 1e-6):
+        monkeypatch.setattr(quadrature, "HOLDER_CAP_MULTIPLE", m)
+        recs.append(check_holder_transfer(
+            kern, pr.lipschitz_bump(), [(-0.5, 0.1), (0.0, 1.4)], alpha=1.0,
+            seminorm=1.0, cfg=CFG))
     assert [r.passed for r in recs] == [True, False]
     for rec in recs:
         assert rec.passed == (rec.worst_slack >= 0), rec

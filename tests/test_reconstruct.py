@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fraclayer import reconstruct
 from fraclayer.errors import OutOfRange
 from fraclayer.quadrature import QuadConfig, eval_lk
 from fraclayer.reconstruct import (PotentialTable, graded_nodes,
@@ -85,19 +86,21 @@ def test_inversion_over_graded_nodes(which, desk_profile_mod,
     assert max(calls) <= 40
 
 
-def test_inversion_out_of_range(desk_profile_mod):
+def test_inversion_out_of_range(desk_profile_mod, monkeypatch):
     prof = desk_profile_mod
     for r in (-1.0, 1.0):
         with pytest.raises(OutOfRange):
             invert_profile(prof, r)
     # |x| <= sinh(20) reaches u~ = 0.9 but neither 0.99999 nor -0.999
-    assert abs(invert_profile(prof, 0.9, max_log=20.0)) <= math.sinh(20.0)
+    monkeypatch.setattr(reconstruct, "INVERT_MAX_LOG", 20.0)
+    assert abs(invert_profile(prof, 0.9)) <= math.sinh(20.0)
     for r in (0.99999, -0.999):
         with pytest.raises(OutOfRange):
-            invert_profile(prof, r, max_log=20.0)
+            invert_profile(prof, r)
     # sinh(5) < a0: the working domain lies inside the bridge
+    monkeypatch.setattr(reconstruct, "INVERT_MAX_LOG", 5.0)
     with pytest.raises(OutOfRange):
-        invert_profile(prof, 0.9, max_log=5.0)
+        invert_profile(prof, 0.9)
 
 
 def test_inversion_reads_only_eval_and_cx(desk_profile_mod):
@@ -153,23 +156,24 @@ def test_regularity_fails_on_non_finite_curvature(table):
 
 
 def test_envelopes(table, desk_profile_mod):
-    reps = verify_well_envelopes(table, desk_profile_mod.cx.params, tol=0.3)
+    reps = verify_well_envelopes(table, desk_profile_mod.cx.params)
     for rep in reps:
         assert rep.passed, rep
 
 
-def test_verdict_is_slack_sign(table, desk_profile_mod, kernel_half_mod):
+def test_verdict_is_slack_sign(table, desk_profile_mod, kernel_half_mod,
+                               monkeypatch):
     """Each record passes exactly when its slack is >= 0, failing or not."""
     flat = dataclasses.replace(table, V2=np.ones_like(table.V2))
     recs = [verify_potential_regularity(table),
             verify_potential_regularity(flat)]
     for tol in (0.3, 0.05):
-        recs += verify_well_envelopes(table, desk_profile_mod.cx.params,
-                                      tol=tol)
+        monkeypatch.setattr(reconstruct, "ENVELOPE_TOL", tol)
+        recs += verify_well_envelopes(table, desk_profile_mod.cx.params)
     for rel_tol in (0.10, 1e-3):
+        monkeypatch.setattr(reconstruct, "LIMIT_REL_TOL", rel_tol)
         recs += second_derivative_limit(desk_profile_mod, kernel_half_mod,
-                                        [3e6, 1e7, 3e7, 1e8, 3e8, 1e9],
-                                        rel_tol=rel_tol)
+                                        [3e6, 1e7, 3e7, 1e8, 3e8, 1e9])
     assert [r.passed for r in recs] == [True, False] + [True] * 2 \
         + [False] * 2 + [True] * 2 + [False] * 2
     for rec in recs:

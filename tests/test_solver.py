@@ -59,21 +59,17 @@ def kernel_half_mod():
 
 def test_energy_zero_at_pure_state(kernel_half_mod):
     pot = make_potential(QUARTIC)
-    g = make_grid(20.0, 64, values=np.ones(64))
-    from fraclayer.gridop import ExteriorModel, GridProfile
-
-    g = GridProfile(g.x, np.ones(64), ExteriorModel(1.0), ExteriorModel(1.0))
-    assert energy(g, pot, kernel_half_mod) == pytest.approx(0.0, abs=1e-14)
+    g = GridProfile(np.linspace(-20.0, 20.0, 64), np.ones(64),
+                    ExteriorModel(1.0), ExteriorModel(1.0))
+    assert energy(g, pot, kernel_half_mod, None) == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_make_grid_rejects_an_unknown_init():
-    """A misspelled init raises instead of seeding some other guess;
-    explicit values need no init."""
+    """A misspelled init raises instead of seeding some other guess."""
     for init in ("powr", "linear", "custom"):
         with pytest.raises(ValueError, match="init"):
             make_grid(10.0, 16, init=init)
-    g = make_grid(10.0, 16, init="powr", values=np.zeros(16))
-    assert np.array_equal(g.values, np.zeros(16))
 
 
 def test_energy_matches_bruteforce(kernel_half_mod, rng):
@@ -82,7 +78,7 @@ def test_energy_matches_bruteforce(kernel_half_mod, rng):
     g = make_grid(10.0, n)
     u = np.clip(np.tanh(g.x) + 0.1 * rng.standard_normal(n), -1, 1)
     g = g.copy_with(u)
-    assert energy(g, pot, kernel_half_mod) == pytest.approx(
+    assert energy(g, pot, kernel_half_mod, None) == pytest.approx(
         energy_bruteforce(g, pot, kernel_half_mod), rel=1e-12)
 
 
@@ -94,7 +90,7 @@ def test_interface_cross_energy(kernel_half_mod):
 
     x = np.linspace(-10, 10, n)
     g = GridProfile(x, np.ones(n), ExteriorModel(-1.0), ExteriorModel(1.0))
-    e = energy(g, pot, kernel_half_mod)
+    e = energy(g, pot, kernel_half_mod, None)
     assert e == pytest.approx(energy_bruteforce(g, pot, kernel_half_mod),
                               rel=1e-12)
     op = GridOperator(kernel_half_mod, g)
@@ -138,7 +134,7 @@ def test_mirrored_grid_swaps_the_tail_fits():
     """x -> -x[::-1], u -> -u[::-1] swaps the two sides' fits, bit for bit."""
     x = np.linspace(-60.0, 60.0, 301)
     u = np.sign(x) * (1.0 - (1.0 + np.abs(x)) ** np.where(x > 0, -0.8, -1.3))
-    g = make_grid(60.0, 301, values=u)
+    g = make_grid(60.0, 301).copy_with(u)
     m = GridProfile(-g.x[::-1], -g.values[::-1])
     for side in (1, -1):
         assert tail_exponent(m, -side) == tail_exponent(g, side)
@@ -156,8 +152,8 @@ def test_comparison_of_energies(small_solution, kernel_half_mod):
     res_half = minimize_energy(make_grid(100.0, 512), pot_half,
                                kernel_half_mod,
                                SolveConfig(max_iter=6000, tol=1e-5))
-    e1 = energy(res.profile, pot, kernel_half_mod)
-    e2 = energy(res_half.profile, pot_half, kernel_half_mod)
+    e1 = energy(res.profile, pot, kernel_half_mod, None)
+    e2 = energy(res_half.profile, pot_half, kernel_half_mod, None)
     assert e1 >= e2
 
 
@@ -176,8 +172,8 @@ def test_translation_shift_energy(small_solution, kernel_half_mod):
     u = res.profile.values
     shifted = np.concatenate([[u[0]], u[:-1]])
     g2 = res.profile.copy_with(shifted)
-    e1 = energy(res.profile, pot, kernel_half_mod)
-    e2 = energy(g2, pot, kernel_half_mod)
+    e1 = energy(res.profile, pot, kernel_half_mod, None)
+    e2 = energy(g2, pot, kernel_half_mod, None)
     assert abs(e1 - e2) < 0.02 * (1 + abs(e1))
 
 
@@ -201,7 +197,7 @@ def test_fft_energy_matches_bruteforce(kern, powered, rng):
     else:
         ext = ExteriorModel(-1.0), ExteriorModel(1.0)
     g = GridProfile(x, u, *ext)
-    assert energy(g, pot, kern) == pytest.approx(
+    assert energy(g, pot, kern, None) == pytest.approx(
         energy_bruteforce(g, pot, kern), rel=1e-12)
 
 

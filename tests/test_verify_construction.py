@@ -57,38 +57,44 @@ def test_desk_touchpoints(desk_profile):
     assert recs and all(r.passed for r in recs)
 
 
-def test_profile_bounds(desk_profile):
-    recs = vc.profile_bound_records(desk_profile, n=800)
+def test_profile_bounds(desk_profile, monkeypatch):
+    monkeypatch.setattr(vc, "BOUND_SAMPLES", 800)
+    recs = vc.profile_bound_records(desk_profile)
     assert recs and all(r.passed for r in recs)
 
 
-def test_second_third_derivative_bounds(desk_profile):
-    recs = vc.second_derivative_bound_records(desk_profile, n=400)
+def test_second_third_derivative_bounds(desk_profile, monkeypatch):
+    monkeypatch.setattr(vc, "CURVATURE_SAMPLES", 400)
+    recs = vc.second_derivative_bound_records(desk_profile)
     assert recs and all(r.passed for r in recs)
 
 
-def test_fd_agreement(desk_profile):
-    recs = vc.fd_agreement_records(desk_profile, n_pts=10)
+def test_fd_agreement(desk_profile, monkeypatch):
+    monkeypatch.setattr(vc, "FD_POINTS", 10)
+    recs = vc.fd_agreement_records(desk_profile)
     assert recs and all(r.passed for r in recs)
 
 
 @pytest.mark.parametrize("seed", [10, 29])
-def test_fd_agreement_on_cutoff_pieces(desk_profile, seed):
+def test_fd_agreement_on_cutoff_pieces(desk_profile, seed, monkeypatch):
     """These seeds sample ln 2-wide cutoff pieces where fixed steps of 1e-2
     were pre-asymptotic: at seed 10 the order-3 stencil in L (L ~ 77.4)
     erred by 1.1e-3 while its Richardson estimate read 1.2e-4, and at seed
     29 the order-2 stencil in x (L ~ 77.2) by 2.7e-5 relative against a
     tolerance of 1.4e-5."""
-    recs = vc.fd_agreement_records(desk_profile, seed=seed)
+    monkeypatch.setattr(vc, "FD_SEED", seed)
+    recs = vc.fd_agreement_records(desk_profile)
     assert recs and all(r.passed for r in recs), [
         (r.id, r.worst_slack) for r in recs if not r.passed]
 
 
 @pytest.mark.parametrize("which", ["desk", "threshold"])
-def test_fd_agreement_over_seeds(which, desk_profile, threshold_profile_pack):
+def test_fd_agreement_over_seeds(which, desk_profile, threshold_profile_pack,
+                                 monkeypatch):
     prof = desk_profile if which == "desk" else threshold_profile_pack[2]
     for seed in range(20):
-        recs = vc.fd_agreement_records(prof, seed=seed)
+        monkeypatch.setattr(vc, "FD_SEED", seed)
+        recs = vc.fd_agreement_records(prof)
         assert recs and all(r.passed for r in recs), (seed, [
             (r.id, r.worst_slack) for r in recs if not r.passed])
 
