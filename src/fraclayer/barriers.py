@@ -313,8 +313,7 @@ def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
     body = ProfileFn(
         fn=lambda x: val(x, 0),
         derivs=(lambda x: val(x, 1), lambda x: val(x, 2)),
-        limits=(0.0, 0.0),
-        tail=PowerTail(sig, 1.0, tau, 1.0),
+        tail=(PowerTail(0.0, 1.0, sig), PowerTail(0.0, 1.0, tau)),
         features=((0.0, 2.0 * xb),),
         name="derivative-barrier",
     )

@@ -528,10 +528,6 @@ class LayerProfile:
                                      + (ks + rate) * np.abs(L))
         return kappa, bound
 
-    def gap_logm(self, side: int, L: np.ndarray) -> np.ndarray:
-        """ln(gap) fast path (order 0)."""
-        return self.gap_jet_log(side, L, order=0)[0].logm
-
     # -- full profile at float x ---------------------------------------------
 
     def eval(self, x, order: int = 0) -> np.ndarray:

@@ -7,7 +7,8 @@ Toeplitz matrix applied by circulant embedding and FFT in O(n log n) time and
 O(n) memory. The diagonal cell is handled by the second-order increment with
 a local quadratic fit, a second difference with Neumann ends, so the linear
 part of the operator is symmetric; the exterior of the grid contributes
-through constant limits plus an optional fitted power correction.
+through one profiles.PowerTail per side, u(y) = limit + c |y|^(-p): its
+constant limit plus an optional fitted power correction.
 
 The power correction c |y|^(-p) beyond an edge e costs c I_p(d) at a node
 at distance d from e, I_p(d) = integral_0^inf |e + side w|^(-p) K(d + w) dw.
@@ -38,6 +39,7 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .panels import gauss_rule
+from .profiles import PowerTail
 
 PIECE_SPAN = math.log(4.0)   # longest piece of ln d: a factor 4 in d
 PIECE_POINTS = 14            # Chebyshev points per piece: 3e-13 (12: 5e-12)
@@ -48,23 +50,14 @@ FAR_SHARE = 1e-10            # share of I_p the w-nodes leave to the far tail
 P_FLOOR = 0.05               # least exterior p the solver's refit returns
 
 
-@dataclass(frozen=True)
-class ExteriorModel:
-    """u(y) = limit + c * |y|^(-p) outside the grid (c signed, may be 0)."""
-
-    limit: float
-    c: float = 0.0
-    p: float = 1.0
-
-
 @dataclass
 class GridProfile:
     """Values on a grid plus exterior far-field models."""
 
     x: np.ndarray
     values: np.ndarray
-    ext_left: ExteriorModel = ExteriorModel(-1.0)
-    ext_right: ExteriorModel = ExteriorModel(1.0)
+    ext_left: PowerTail = PowerTail(-1.0)
+    ext_right: PowerTail = PowerTail(1.0)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -73,8 +66,6 @@ class GridProfile:
             raise ValueError("x and values must be matching 1-d arrays")
         if np.any(np.abs(self.values) > 1.0 + 1e-12):
             raise ValueError("values must lie in [-1, 1]")
-        if self.ext_left.p <= 0 or self.ext_right.p <= 0:
-            raise ValueError("exterior exponents must be positive")
 
     def copy_with(self, values: np.ndarray) -> "GridProfile":
         return GridProfile(self.x, np.asarray(values, float),

@@ -145,8 +145,8 @@ class KernelSpec:
     def power_tail_integral(self, Z, x, p: float, sign: float):
         """integral_Z^inf |x + sign z|^(-p) K(z) dz, vectorized in Z and x.
 
-        sign is +1 or -1; with -1 the power stays off its singularity only
-        for Z > |x|. The substitution z = Z / v, v = u^(1/q), q = p + 2s,
+        sign is +1 or -1; the power stays off its singularity only for
+        Z > -sign x. The substitution z = Z / v, v = u^(1/q), q = p + 2s,
         turns the integrand into (1/q) Z^(-2s) m(Z/v) |x v + sign Z|^(-p)
         over u in (0, 1], m the multiplier (scale for the power forms):
         bounded, with one power per point, and scale Z^(-2s)/q taken out of

@@ -1,8 +1,10 @@
 """Evaluable profiles with derivative and far-field metadata.
 
 A ProfileFn bundles what the nonlocal quadrature needs to know about a
-function: pointwise values, analytic derivatives when available, the limits
-at -inf/+inf, and a tail model describing how fast the limits are approached.
+function: pointwise values, analytic derivatives when available, and its far
+field. That is either a (left, right) pair of PowerTail models, each side's
+limit plus a signed power correction, or an OscillatoryTail. PowerTail is the
+one far-field power model: the grid solver's exteriors use it too.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ from .errors import RegularityMismatch
 
 @dataclass(frozen=True)
 class PowerTail:
-    """u(x) ~ limit + c * |x|^(-p) far out on each side (c signed, may be 0)."""
+    """u(y) = limit + c |y|^(-p) far out on one side (c signed, may be 0)."""
 
-    p_left: float
-    c_left: float
-    p_right: float
-    c_right: float
+    limit: float
+    c: float = 0.0
+    p: float = 1.0
+
+    def __post_init__(self):
+        if not self.p > 0:
+            raise ValueError(f"a far-field exponent must be positive, "
+                             f"got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -46,17 +52,18 @@ class OscillatoryTail:
 
 @dataclass(frozen=True)
 class ProfileFn:
-    """u: R -> R with optional analytic derivatives up to order 4.
+    """u: R -> R with its far field and optional analytic derivatives up to
+    order 4.
 
     ``fn`` and each entry of ``derivs`` return an array of the input's shape,
     0-d included: ``quadrature.eval_lk`` reads ``float(u(np.array(x)))``.
+    ``tail`` is a (left, right) pair of PowerTail models or an
+    OscillatoryTail.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
+    tail: tuple[PowerTail, PowerTail] | OscillatoryTail
     derivs: tuple = ()
-    limits: tuple[float, float] | None = (-1.0, 1.0)
-    tail: PowerTail | OscillatoryTail | None = None
-    locally_c2: bool = True
     features: tuple[tuple[float, float], ...] = ()   # (center, halfwidth)
     name: str = "profile"
 
@@ -76,24 +83,20 @@ class ProfileFn:
         """Profile for u' (drops one derivative order)."""
         if not self.has_deriv(1):
             raise RegularityMismatch(f"{self.name}: u' unavailable")
-        tail = None
-        if isinstance(self.tail, PowerTail):
-            # d/dx [limit + c |x|^-p]: the sign flips on the right side only
-            tail = PowerTail(self.tail.p_left + 1.0,
-                             self.tail.c_left * self.tail.p_left,
-                             self.tail.p_right + 1.0,
-                             -self.tail.c_right * self.tail.p_right)
-        elif isinstance(self.tail, OscillatoryTail):
+        if isinstance(self.tail, OscillatoryTail):
             # u' has mean 0, and u - mean is its zero-mean antiderivative
             t = self.tail
             tail = OscillatoryTail(mean=0.0,
                                    amplitude=t.amplitude * 2 * np.pi / t.osc_scale,
                                    osc_scale=t.osc_scale,
                                    antiderivative=lambda y: self(y) - t.mean)
+        else:
+            # d/dy [limit + c |y|^-p] = -s c p |y|^-(p+1) on side s = -1, +1
+            tail = tuple(PowerTail(0.0, -s * m.c * m.p, m.p + 1.0)
+                         for s, m in zip((-1.0, 1.0), self.tail))
         return ProfileFn(
             fn=self.derivs[0],
             derivs=self.derivs[1:],
-            limits=(0.0, 0.0),
             tail=tail,
             features=self.features,
             name=f"{self.name}-d1",
@@ -105,8 +108,7 @@ def constant(c: float) -> ProfileFn:
     return ProfileFn(
         fn=lambda x: np.full_like(np.asarray(x, dtype=float), c),
         derivs=(z, z, z, z),
-        limits=(c, c),
-        tail=PowerTail(1.0, 0.0, 1.0, 0.0),
+        tail=(PowerTail(c), PowerTail(c)),
         name=f"const({c})",
     )
 
@@ -121,7 +123,6 @@ def cosine(omega: float) -> ProfileFn:
             lambda x: w ** 3 * np.sin(w * x),
             lambda x: w ** 4 * np.cos(w * x),
         ),
-        limits=None,
         tail=OscillatoryTail(mean=0.0, amplitude=1.0, osc_scale=2 * np.pi / w,
                              antiderivative=lambda y: np.sin(w * y) / w),
         name=f"cos({w}x)",
@@ -152,8 +153,8 @@ def tanh_profile() -> ProfileFn:
 
     # exponentially small tails: power model with zero coefficient
     return ProfileFn(
-        fn=f, derivs=(d1, d2, d3, d4), limits=(-1.0, 1.0),
-        tail=PowerTail(2.0, 0.0, 2.0, 0.0),
+        fn=f, derivs=(d1, d2, d3, d4),
+        tail=(PowerTail(-1.0, 0.0, 2.0), PowerTail(1.0, 0.0, 2.0)),
         features=((0.0, 4.0),),
         name="tanh(x/1.0)",
     )
@@ -182,8 +183,8 @@ def gaussian() -> ProfileFn:
         return (16 * x ** 4 / a ** 8 - 48 * x ** 2 / a ** 6 + 12 / a ** 4) * f(x)
 
     return ProfileFn(
-        fn=f, derivs=(d1, d2, d3, d4), limits=(0.0, 0.0),
-        tail=PowerTail(3.0, 0.0, 3.0, 0.0),
+        fn=f, derivs=(d1, d2, d3, d4),
+        tail=(PowerTail(0.0, 0.0, 3.0), PowerTail(0.0, 0.0, 3.0)),
         features=((0.0, 4.0 * a),),
         name=f"gauss({a})",
     )
@@ -193,10 +194,7 @@ def lipschitz_bump() -> ProfileFn:
     """max(0, 1 - |x|): Lipschitz but not C^1; no derivative data."""
     return ProfileFn(
         fn=lambda x: np.maximum(0.0, 1.0 - np.abs(np.asarray(x, float))),
-        derivs=(),
-        limits=(0.0, 0.0),
-        tail=PowerTail(2.0, 0.0, 2.0, 0.0),
-        locally_c2=False,
+        tail=(PowerTail(0.0, 0.0, 2.0), PowerTail(0.0, 0.0, 2.0)),
         features=((0.0, 2.0),),
         name="lip-bump",
     )
@@ -226,8 +224,8 @@ def power_tail_bump(sigma: float, tau: float, kappa: float = 1.0) -> ProfileFn:
         return (-q / k ** 2) * u ** (-q / 2.0 - 2.0) * (u - (q + 2.0) * (x / k) ** 2)
 
     return ProfileFn(
-        fn=f, derivs=(d1, d2), limits=(0.0, 0.0),
-        tail=PowerTail(q, k ** q, q, k ** q),
+        fn=f, derivs=(d1, d2),
+        tail=(PowerTail(0.0, k ** q, q), PowerTail(0.0, k ** q, q)),
         features=((0.0, 4.0 * k),),
         name=f"power-bump({q})",
     )

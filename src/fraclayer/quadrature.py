@@ -5,10 +5,12 @@ The operator is evaluated through the second-order increment form
     L u(x) = integral_0^inf (u(x+z) + u(x-z) - 2 u(x)) K(z) dz,
 
 which mirrors the +z and -z contributions pairwise, so odd-part cancellation
-is exact. The singular cell [0, r0] uses the local second derivative (analytic
-when available, else a three-point quadratic fit); the far field beyond the
+is exact. The singular cell [0, r0] uses the profile's analytic u''; a profile
+without it is taken as merely Lipschitz, integrable only for 2s < 1, with the
+cell's whole contribution charged to the error. The far field beyond the
 truncation radius is replaced by the analytic contribution of the profile's
-tail model.
+tail model: per side s = +1, -1, limit + c |x + s z|^(-p), with the model's
+misfit at three probe radii charged to the error.
 
 For an oscillatory tail u = mean + g under a power kernel, the far field
 beyond z1 is integrated by parts once against the zero-mean antiderivative U
@@ -32,7 +34,7 @@ from .errors import (NonIntegrable, PanelBudgetExceeded, RegularityMismatch,
                      TruncationDominates)
 from .kernels import KernelSpec
 from .panels import panel_integrals
-from .profiles import OscillatoryTail, PowerTail, ProfileFn
+from .profiles import OscillatoryTail, ProfileFn
 from .reports import CheckRecord
 
 # Coarse panels per block of the streamed panel sums: a block's abscissae,
@@ -154,20 +156,14 @@ def _panel_sums(kern: KernelSpec, u: ProfileFn, x: float, ux: float,
     return coarse, fine, n_fine
 
 
-def _local_second_derivative(u: ProfileFn, x: float, ux: float,
-                             h: float) -> float:
-    return float((u(np.array(x + h)) + u(np.array(x - h)) - 2.0 * ux)
-                 / h ** 2)
-
-
 def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
             cfg: QuadConfig) -> OpValue:
     """Approximate L u(x) with an a posteriori error estimate.
 
     The estimate combines the panel-refinement difference, the variation of
     u'' across the singular cell, and the analytic tail remainder bound.
-    Raises NonIntegrable when u offers neither second-derivative data nor a
-    local quadratic fit, and TruncationDominates when the tail remainder alone
+    Raises NonIntegrable when u offers no second-derivative data at
+    2s >= 1, and TruncationDominates when the tail remainder alone
     exceeds the configured tolerance; both are raised before any panel is
     laid out.
 
@@ -206,16 +202,13 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
                   abs(float(d2(np.array(x - r0))) - u2))
         sing = u2 * mom2
         sing_err = var * mom2
-    elif u.locally_c2:
-        u2 = _local_second_derivative(u, x, ux, r0)
-        u2_half = _local_second_derivative(u, x, ux, r0 / 2.0)
-        sing = u2_half * mom2
-        sing_err = abs(u2 - u2_half) * mom2
     elif 2.0 * kernel.s < 1.0:
         # merely Lipschitz: the increment is O(z) K(z), still integrable;
         # the quadratic-fit cell correction vanishes as r0 -> 0 but is not
         # trusted, so it is charged to the error in full
-        u2 = _local_second_derivative(u, x, ux, r0 / 2.0)
+        h = r0 / 2.0
+        u2 = float((u(np.array(x + h)) + u(np.array(x - h)) - 2.0 * ux)
+                   / h ** 2)
         sing = u2 * mom2
         sing_err = abs(sing) + abs(u2) * mom2
     else:
@@ -253,33 +246,25 @@ def eval_lk(kernel: KernelSpec, u: ProfileFn, x: float,
             # falls and U(x-z) - U(x+z) = -d/dz (V(x-z) + V(x+z))
             ends = u.tail.antiderivative(np.array([x - z1, x + z1]))
             tail_val += float(kernel.k(z1)) * float(ends[0] - ends[1])
-    elif u.limits is not None:
-        lm, lp = u.limits
-        tail_val = (lp + lm - 2.0 * ux) * ktail
-        if isinstance(u.tail, PowerTail):
-            tl = u.tail
-            if tl.c_right != 0.0:
-                # u(x+z) = lp + c_right (x+z)^-p beyond the truncation
-                tail_val += tl.c_right * kernel.power_tail_integral(
-                    z1, x, tl.p_right, 1.0)
-            if tl.c_left != 0.0 and z1 > abs(x):
-                tail_val += tl.c_left * kernel.power_tail_integral(
-                    z1, x, tl.p_left, -1.0)
-            # charge the measured model misfit at 3 probe radii to the error
-            probes = z1 * np.array([1.0, 3.0, 10.0])
-            probes = probes[x + probes < 1e306]
-            misfit = 0.0
-            if len(probes):
-                mr = lp + tl.c_right * (x + probes) ** (-tl.p_right)
-                misfit = float(np.max(np.abs(u(x + probes) - mr)))
-                if z1 > abs(x):
-                    ml = lm + tl.c_left * (probes - x) ** (-tl.p_left)
-                    misfit = max(misfit, float(np.max(np.abs(u(x - probes) - ml))))
-            tail_err = 2.0 * misfit * ktail * kernel.Lam / max(kernel.lam, 1e-300)
-        else:
-            tail_err = 2.0 * kernel.Lam * z1 ** (-2.0 * kernel.s) / (2.0 * kernel.s)
     else:
-        raise NonIntegrable(f"{u.name}: no limits and no oscillatory model")
+        left, right = u.tail
+        tail_val = (right.limit + left.limit - 2.0 * ux) * ktail
+        # charge the measured model misfit at 3 probe radii to the error
+        probes = z1 * np.array([1.0, 3.0, 10.0])
+        probes = probes[x + probes < 1e306]
+        misfits = []
+        for s, m in ((1.0, right), (-1.0, left)):
+            if z1 <= -s * x:      # |x + s z| would vanish beyond z1
+                continue
+            if m.c != 0.0:
+                # u(x + s z) = limit + c |x + s z|^-p beyond the truncation
+                tail_val += m.c * kernel.power_tail_integral(z1, x, m.p, s)
+            if len(probes):
+                model = m.limit + m.c * (s * x + probes) ** (-m.p)
+                misfits.append(float(np.max(np.abs(u(x + s * probes)
+                                                   - model))))
+        tail_err = (2.0 * max(misfits, default=0.0) * ktail * kernel.Lam
+                    / max(kernel.lam, 1e-300))
 
     if tail_err > cfg.tol:
         raise TruncationDominates(

@@ -39,20 +39,19 @@ def profile_as_fn(prof: LayerProfile) -> ProfileFn:
 
     derivs = tuple((lambda m: (lambda x: prof.eval(x, m)))(m)
                    for m in range(1, 5))
-    # tail model: straight-line fit of ln(gap) against ln(x) over the window
-    # where truncated-quadrature probes live
+    # tail model u = s (1 - c |x|^-p) on side s: straight-line fit of ln(gap)
+    # against ln(x) over the window where truncated-quadrature probes live
     L_lo = math.log(cx.a0) + 2.0
     L_hi = min(150.0, 0.8 * prof._edges[-1])
-    tails = []
-    for side in (+1, -1):
-        Ls = np.linspace(L_lo, max(L_hi, L_lo + 5.0), 60)
-        lg = prof.gap_logm(side, Ls)
+    Ls = np.linspace(L_lo, max(L_hi, L_lo + 5.0), 60)
+    tail = []
+    for side in (-1, +1):
+        lg = prof.gap_jet_log(side, Ls, 0)[0].logm
         slope, intercept = np.polyfit(Ls, lg, 1)
-        tails.append((-slope, math.exp(intercept)))
-    (p_r, c_r), (p_l, c_l) = tails
+        tail.append(PowerTail(float(side), -side * math.exp(intercept),
+                              -slope))
     return ProfileFn(
-        fn=fn, derivs=derivs, limits=(-1.0, 1.0),
-        tail=PowerTail(p_left=p_l, c_left=c_l, p_right=p_r, c_right=-c_r),
+        fn=fn, derivs=derivs, tail=tuple(tail),
         features=((0.0, 2.0 * cx.a0),),
         name="layer-profile",
     )
@@ -343,6 +342,6 @@ def slope_mass(prof: LayerProfile, X: float) -> float:
                 lambda y, sgn=sgn: prof.eval(sgn * y, 1),
                 edges[:-1], edges[1:], 12)))
     LX = np.array([math.log(X)])
-    total += math.exp(prof.gap_logm(+1, LX)[0])
-    total += math.exp(prof.gap_logm(-1, LX)[0])
+    total += math.exp(prof.gap_jet_log(+1, LX, 0)[0].logm[0])
+    total += math.exp(prof.gap_jet_log(-1, LX, 0)[0].logm[0])
     return total

@@ -27,9 +27,10 @@ import numpy as np
 
 from .analysis import fit_power_decay, regression_line
 from .errors import Diverged, StalledAboveTolerance
-from .gridop import P_FLOOR, ExteriorModel, GridOperator, GridProfile
+from .gridop import P_FLOOR, GridOperator, GridProfile
 from .kernels import KernelSpec
 from .potentials import PotentialFn
+from .profiles import PowerTail
 
 
 TAIL_FRACTION = 0.25        # share of the nodes tail_exponent fits per side
@@ -77,7 +78,7 @@ def make_grid(L: float, n: int, init: str = "tanh",
         u = np.sign(x) * (1.0 - (1.0 + np.abs(x) / (5.0 * h)) ** (-p))
     else:
         raise ValueError(f"unknown init {init!r}: use 'tanh' or 'power'")
-    return GridProfile(x, u, ExteriorModel(-1.0), ExteriorModel(1.0))
+    return GridProfile(x, u, PowerTail(-1.0), PowerTail(1.0))
 
 
 def energy(g: GridProfile, pot: PotentialFn, kernel: KernelSpec,
@@ -104,7 +105,7 @@ def _outer_gap(g: GridProfile, side: int, m: int):
     return side * g.x[::side][-m:], 1.0 - side * g.values[::side][-m:]
 
 
-def _refit_exterior(g: GridProfile, side: int) -> ExteriorModel:
+def _refit_exterior(g: GridProfile, side: int) -> PowerTail:
     """Fit the outer quarter of nodes on side s = +/-1 to s (1 - c |x|^(-p)),
     by fit_power_decay's regression line; the span the guard asks for, a
     factor 1.5, exceeds the 0.15 decades that fit would require."""
@@ -113,11 +114,11 @@ def _refit_exterior(g: GridProfile, side: int) -> ExteriorModel:
     good = (gap > 1e-12) & (y > 0)
     y = y[good]
     if len(y) < 6 or y.max() / y.min() < 1.5:
-        return ExteriorModel(limit)
+        return PowerTail(limit)
     slope, log_const, _ = regression_line(np.log(y), np.log(gap[good]))
     if not (P_FLOOR < -slope < 10.0):
-        return ExteriorModel(limit)
-    return ExteriorModel(limit, -side * math.exp(log_const), -slope)
+        return PowerTail(limit)
+    return PowerTail(limit, -side * math.exp(log_const), -slope)
 
 
 @dataclass

@@ -185,27 +185,27 @@ def check_log_power_ode(a: float, b: float, mu: float, f0: float,
 
 
 def check_ramp_ode_identity(cx: ConstructionConstants) -> CheckRecord:
-    """phi(t) = -(zeta/(c-b)) phi'(t) X ln X with X = t(c-b)+b, at cell 0,
-    on every tenth of 101 points t."""
-    k = 0
-    if not np.isfinite(cx.lnc[k]) or cx.lnc[k] > 700.0:
-        raise ValueError("cell 0 not materializable; use desk mode")
-    bk = math.exp(cx.lnb[k])
-    ck = math.exp(cx.lnc[k])
-    t = np.linspace(1e-4, 1.0 - 1e-4, 101)[::10]
-    X = t * (ck - bk) + bk
-    sc = cx.right
-
-    def phif(tt):
-        return sc.e_hi * (cx.lnb[k] / np.log(tt * (ck - bk) + bk)) \
-            ** (1.0 / sc.zeta)
-
-    d, _ = fd_derivative(phif, t, 1, h0=1e-5)
-    lhs = phif(t)
-    rhs = -sc.zeta / (ck - bk) * d * X * np.log(X)
-    worst = float(np.max(np.abs(lhs - rhs) / np.abs(lhs)))
+    """The ramp's ODE phi = -zeta L dphi/dL on SideConstants.phi in L = ln x,
+    at 11 points of [ln b_k, ln c_k] for every cell with both finite, on
+    both sides; dphi/dL is fd_derivative's at h0 = 1e-3 L. The record
+    passes when the worst relative residual is below 1e-6, and names its
+    side and cell; with no such cell (paper mode) it raises ValueError."""
+    worst, loc = 0.0, None
+    for sc in (cx.right, cx.left):
+        for k, (lnb_k, lnc_k) in enumerate(zip(cx.lnb, cx.lnc)):
+            if not (np.isfinite(lnb_k) and np.isfinite(lnc_k)):
+                continue
+            L = np.linspace(lnb_k, lnc_k, 11)
+            d, _ = fd_derivative(lambda l: sc.phi(lnb_k, l), L, 1,
+                                 h0=1e-3 * L)
+            phi = sc.phi(lnb_k, L)
+            r = float(np.max(np.abs(phi + sc.zeta * L * d) / phi))
+            if r >= worst:
+                worst, loc = r, f"{sc.label} cell {k}"
+    if loc is None:
+        raise ValueError("no cell with finite ln b_k and ln c_k; use desk mode")
     return CheckRecord(id="ramp-ode-identity", passed=worst < 1e-6,
-                       worst_slack=1e-6 - worst, location="cell 0")
+                       worst_slack=1e-6 - worst, location=loc)
 
 
 # ---------------------------------------------------------------------------

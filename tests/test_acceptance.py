@@ -153,7 +153,7 @@ def test_criterion_6_desk_mode_at_threshold(threshold_pack):
     from fraclayer.analysis import envelope_exponents as env
     for side, sc in ((1, cx.right), (-1, cx.left)):
         L = prof.log_samples(6000)
-        lg = prof.gap_logm(side, L)
+        lg = prof.gap_jet_log(side, L, 0)[0].logm
         # ln x reaches ~3e4, beyond exp's range: fit on the surrogate
         # x_surr = exp(600 L / Lmax) and scale ln gap by the same factor
         # 600/Lmax, so d(ln gap)/d(ln x), the fitted exponent, is unchanged

@@ -123,6 +123,24 @@ def test_derivative_barrier_exact_tails_and_smoothness():
         assert abs(fd - an) <= max(1e-8, 10 * est)
 
 
+@pytest.mark.parametrize("name", ["derivative-barrier", "power-bump"])
+def test_derivative_tail_is_each_side_s_derivative(name):
+    """Each side's model of u' is the derivative of that side's model
+    limit + c |y|^(-p) of u, a central difference at y = -50 (left) and
+    y = 50 (right), so a sign flipped on either side fails. The barrier's
+    sides decay at different rates (sigma != tau)."""
+    u = (derivative_barrier(0.5, 5.8, 5.0, 5.5, 5.0, xbar=3.0).body
+         if name == "derivative-barrier" else profiles.power_tail_bump(2, 2))
+    h = 1e-3
+    for y, m, dm in zip((-50.0, 50.0), u.tail, u.derivative_profile().tail):
+        def model(t):
+            return m.limit + m.c * abs(t) ** -m.p
+
+        assert isinstance(dm, PowerTail) and dm.limit == 0.0 and m.c != 0.0
+        fd = (model(y + h) - model(y - h)) / (2.0 * h)
+        assert dm.c * abs(y) ** -dm.p == pytest.approx(fd, rel=1e-6)
+
+
 def test_step_cap_calibration_cached():
     c1 = step_constant_cap(0.5)
     c2 = step_constant_cap(0.5)

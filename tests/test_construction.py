@@ -7,8 +7,9 @@ import pytest
 
 from fraclayer import verify_construction as vc
 from fraclayer.construction import (MAX_MATERIALIZABLE_LOG, LayerParams,
-                                    build_constants, build_profile,
-                                    sufficiency_rho, threshold_params)
+                                    SideConstants, build_constants,
+                                    build_profile, sufficiency_rho,
+                                    threshold_params)
 from fraclayer.cutoffs import measure_cutoff
 from fraclayer.errors import LogRangeOverflow, ParamOrderViolated
 
@@ -133,10 +134,32 @@ def test_ramp_ode_residuals(rng):
         assert rec.passed, (a, b, mu, f0, rec.worst_slack)
 
 
-def test_ramp_ode_identity(desk_params):
+def test_ramp_ode_identity(desk_params, threshold_profile_pack,
+                           paper_constants):
+    """Both sides and every finite cell pass on the desk and the threshold
+    profiles; paper mode has no finite cell to check."""
+    for cx in (build_constants(desk_params), threshold_profile_pack[1]):
+        rec = vc.check_ramp_ode_identity(cx)
+        assert rec.passed, rec
+        assert re.fullmatch(r"(right|left) cell \d+", rec.location)
+    with pytest.raises(ValueError, match="desk mode"):
+        vc.check_ramp_ode_identity(paper_constants)
+
+
+def test_ramp_ode_identity_fails_on_a_wrong_exponent(desk_params,
+                                                     monkeypatch):
+    """A ramp exponent phi whose power 1/zeta is off by a relative 1e-3
+    leaves a relative residual of 1e-3, far above the 1e-6 bound."""
     cx = build_constants(desk_params)
+
+    def off_phi(self, lnb_k, L):
+        return self.e_hi * np.exp((math.log(lnb_k) - np.log(L))
+                                  * (1.0 + 1e-3) / self.zeta)
+
+    monkeypatch.setattr(SideConstants, "phi", off_phi)
     rec = vc.check_ramp_ode_identity(cx)
-    assert rec.passed
+    assert not rec.passed
+    assert 1e-6 - rec.worst_slack == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_profile_values_and_junctions(desk_profile):

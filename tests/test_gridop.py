@@ -6,23 +6,24 @@ import numpy as np
 import pytest
 from scipy.linalg import circulant, toeplitz
 
-from fraclayer.gridop import (PIECE_POINTS, ExteriorModel, GridOperator,
-                              GridProfile, exterior_constant_weights,
+from fraclayer.gridop import (PIECE_POINTS, GridOperator, GridProfile,
+                              exterior_constant_weights,
                               exterior_power_vector, lag_weights)
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
+from fraclayer.profiles import PowerTail
 
 
 def _grid(n=64, L=8.0, values=None, rng=None):
     x = np.linspace(-L, L, n)
     if values is None:
         values = np.tanh(x)
-    return GridProfile(x, values, ExteriorModel(-1.0), ExteriorModel(1.0))
+    return GridProfile(x, values, PowerTail(-1.0), PowerTail(1.0))
 
 
 def test_constant_grid_is_zero(kernel_half):
     g = _grid(values=np.full(64, 0.25),)
-    g = GridProfile(g.x, np.full(64, 0.25), ExteriorModel(0.25),
-                    ExteriorModel(0.25))
+    g = GridProfile(g.x, np.full(64, 0.25), PowerTail(0.25),
+                    PowerTail(0.25))
     vals = GridOperator(kernel_half, g).apply(g.values)
     assert np.max(np.abs(vals)) < 1e-12
 
@@ -30,16 +31,16 @@ def test_constant_grid_is_zero(kernel_half):
 def test_odd_profile_center_zero(kernel_half):
     n = 65
     x = np.linspace(-8, 8, n)
-    g = GridProfile(x, np.tanh(x), ExteriorModel(-1.0), ExteriorModel(1.0))
+    g = GridProfile(x, np.tanh(x), PowerTail(-1.0), PowerTail(1.0))
     vals = GridOperator(kernel_half, g).apply(g.values)
     assert abs(vals[n // 2]) < 1e-12
 
 
 def test_exterior_power_correction_direction(kernel_half):
     x = np.linspace(-8, 8, 64)
-    base = GridProfile(x, np.tanh(x), ExteriorModel(-1.0), ExteriorModel(1.0))
-    uplift = GridProfile(x, np.tanh(x), ExteriorModel(-1.0, 0.5, 1.0),
-                         ExteriorModel(1.0, -0.5, 1.0))
+    base = GridProfile(x, np.tanh(x), PowerTail(-1.0), PowerTail(1.0))
+    uplift = GridProfile(x, np.tanh(x), PowerTail(-1.0, 0.5, 1.0),
+                         PowerTail(1.0, -0.5, 1.0))
     v0 = GridOperator(kernel_half, base).apply(base.values)
     v1 = GridOperator(kernel_half, uplift).apply(uplift.values)
     # lifted left exterior and lowered right exterior pull values down at the
@@ -164,8 +165,8 @@ def test_exterior_power_vector_matches_mpmath():
         # with both sides modelled, the left decays at another rate
         ps = {1: p, -1: p if len(sides) == 1 else 0.5 * p + 0.05}
         g = GridProfile(x, np.tanh(x), *(
-            ExteriorModel(float(side), -0.7, ps[side]) if side in sides
-            else ExteriorModel(float(side)) for side in (-1, 1)))
+            PowerTail(float(side), -0.7, ps[side]) if side in sides
+            else PowerTail(float(side)) for side in (-1, 1)))
         for kern in (fractional_kernel(s),
                      perturbed_kernel(s, 0.5, 2.0, wobble=1.0)):
             want = np.zeros(len(nodes))
@@ -179,11 +180,27 @@ def test_exterior_power_vector_matches_mpmath():
                 err_msg=f"{kern.form} s={s} p={p} sides={sides} n={n}")
 
 
+@pytest.mark.parametrize("values, p_left, p_right", [
+    (np.zeros(8), 1.0, 1.0),
+    (np.full(9, 1.5), 1.0, 1.0),
+    (np.zeros(9), 1.0, 0.0),
+    (np.zeros(9), -0.5, 1.0),
+    (np.zeros(9), 1.0, float("nan")),
+], ids=["shape", "range", "p-zero", "p-negative", "p-nan"])
+def test_grid_profile_validation(values, p_left, p_right):
+    """Mismatched shapes, values outside [-1, 1] and a far-field model with
+    p <= 0 (or NaN) are rejected; PowerTail itself rejects the exponent."""
+    x = np.linspace(-4.0, 4.0, 9)
+    with pytest.raises(ValueError):
+        GridProfile(x, values, PowerTail(-1.0, 0.3, p_left),
+                    PowerTail(1.0, -0.3, p_right))
+
+
 def test_power_model_needs_the_origin_inside_the_grid():
     """|y|^(-p) beyond the edge would pass its singularity at y = 0."""
     x = np.linspace(1.0, 5.0, 9)
-    g = GridProfile(x, np.full(9, 0.5), ExteriorModel(0.5, 0.3, 1.0),
-                    ExteriorModel(1.0))
+    g = GridProfile(x, np.full(9, 0.5), PowerTail(0.5, 0.3, 1.0),
+                    PowerTail(1.0))
     with pytest.raises(ValueError, match="origin"):
         exterior_power_vector(fractional_kernel(0.5), g)
 
@@ -208,11 +225,11 @@ def test_refit_allocates_a_few_vectors():
 
     n = 2 ** 16
     g = make_grid(200.0, n)
-    g.ext_left, g.ext_right = (ExteriorModel(-1.0, 0.5, 0.9),
-                               ExteriorModel(1.0, -0.5, 0.9))
+    g.ext_left, g.ext_right = (PowerTail(-1.0, 0.5, 0.9),
+                               PowerTail(1.0, -0.5, 0.9))
     op = GridOperator(fractional_kernel(0.5), g)
-    g.ext_left, g.ext_right = (ExteriorModel(-1.0, 0.4, 0.6),
-                               ExteriorModel(1.0, -0.4, 0.6))
+    g.ext_left, g.ext_right = (PowerTail(-1.0, 0.4, 0.6),
+                               PowerTail(1.0, -0.4, 0.6))
     tracemalloc.start()
     try:
         op.update_exterior(g)
@@ -249,8 +266,8 @@ def test_fft_operator_matches_dense_toeplitz(kern, n):
     rng = np.random.default_rng(n)
     x = np.linspace(-30.0, 30.0, n)
     u = np.clip(np.tanh(x / 4) + 0.1 * rng.standard_normal(n), -1, 1)
-    g = GridProfile(x, u, ExteriorModel(-1.0, 0.3, 1.3),
-                    ExteriorModel(1.0, -0.4, 0.8))
+    g = GridProfile(x, u, PowerTail(-1.0, 0.3, 1.3),
+                    PowerTail(1.0, -0.4, 0.8))
     M, offset = _dense_reference(kern, g)
     op = GridOperator(kern, g)
     outflow = -np.diag(M)

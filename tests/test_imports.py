@@ -225,20 +225,75 @@ def _defaulted_params(fn) -> list:
 
 
 def _callables(tree):
-    """(call name, def, implicit leading arguments) of each top-level def and
-    method: a method called on an object gets self or cls implicitly, and
-    __init__ is called by its class's name."""
+    """(call key, def, implicit leading arguments) of each top-level def and
+    method. A top-level def's key is ("def", name), as is __init__'s under
+    its class's name; a method's is ("method", name), and called on an
+    object it gets self or cls implicitly, as __init__ does."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node, 0
+            yield ("def", node.name), node, 0
         elif isinstance(node, ast.ClassDef):
             for m in node.body:
                 if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    static = any(isinstance(d, ast.Name)
-                                 and d.id == "staticmethod"
-                                 for d in m.decorator_list)
-                    yield (node.name if m.name == "__init__" else m.name,
-                           m, 0 if static else 1)
+                    if m.name == "__init__":
+                        yield ("def", node.name), m, 1
+                    else:
+                        static = any(isinstance(d, ast.Name)
+                                     and d.id == "staticmethod"
+                                     for d in m.decorator_list)
+                        yield ("method", m.name), m, 0 if static else 1
+
+
+def _module_parts(path: Path) -> tuple:
+    """The path's parts without its suffix, a package's __init__ dropped."""
+    parts = path.with_suffix("").parts
+    return parts[:-1] if parts[-1] == "__init__" else parts
+
+
+def _module_bindings(path: Path, tree, modules: set, tails: set) -> set:
+    """Names that the file's imports bind to modules: each `import` alias,
+    and each X of `from A import X` that is a scanned module itself: A.X is
+    a tail of one of `modules` (the scanned files' parts), or with a
+    relative import the file's package joined with A.X is one of them."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = tuple(node.module.split(".")) if node.module else ()
+            found = tails
+            if node.level:
+                base = path.parts[:len(path.parts) - node.level] + base
+                found = modules
+            out |= {a.asname or a.name for a in node.names
+                    if base + (a.name,) in found}
+    return out
+
+
+def _calls(roots) -> tuple:
+    """The parsed files under the roots, and their calls by key: ("def", f)
+    holds f(...) and mod.f(...) with mod a name that an import of the
+    calling file binds to a module; ("method", m) holds every other
+    attribute call x.m(...)."""
+    trees = _trees(roots)
+    modules = {_module_parts(path) for path in trees}
+    tails = {m[i:] for m in modules for i in range(len(m))}
+    calls: dict = {}
+    for path, tree in trees.items():
+        bound = _module_bindings(path, tree, modules, tails)
+        for c in ast.walk(tree):
+            if not isinstance(c, ast.Call):
+                continue
+            if isinstance(c.func, ast.Name):
+                key = ("def", c.func.id)
+            elif isinstance(c.func, ast.Attribute):
+                on_module = (isinstance(c.func.value, ast.Name)
+                             and c.func.value.id in bound)
+                key = ("def" if on_module else "method", c.func.attr)
+            else:
+                continue
+            calls.setdefault(key, []).append(c)
+    return trees, calls
 
 
 def _passes(call, pos, name: str, implicit: int) -> bool:
@@ -253,29 +308,16 @@ def _passes(call, pos, name: str, implicit: int) -> bool:
 
 def _unpassed_params(package: Path, roots) -> list:
     """Defaulted parameters of the package's defs and methods that no call
-    under the roots passes. Dataclass constructors have no def and are left
-    out.
-
-    Calls match defs by bare name, so a call of a method that shares a
-    def's name counts as a call of that def, and may pass for one that sets
-    the def's parameter."""
-    trees = _trees(roots)
-    calls: dict = {}
-    for tree in trees.values():
-        for c in ast.walk(tree):
-            if isinstance(c, ast.Call):
-                name = (c.func.id if isinstance(c.func, ast.Name)
-                        else getattr(c.func, "attr", None))
-                calls.setdefault(name, []).append(c)
+    under the roots passes; calls match as _calls keys them. Dataclass
+    constructors have no def and are left out."""
+    trees, calls = _calls(roots)
     out = []
     for path in sorted(package.glob("*.py")):
-        for name, fn, implicit in _callables(trees[path]):
+        for key, fn, implicit in _callables(trees[path]):
             for pos, arg in _defaulted_params(fn):
-                if not any(_passes(c, pos, arg, implicit
-                                   if isinstance(c.func, ast.Attribute)
-                                   or fn.name == "__init__" else 0)
-                           for c in calls.get(name, ())):
-                    out.append(f"{path.name}:{fn.lineno}: {name}({arg})")
+                if not any(_passes(c, pos, arg, implicit)
+                           for c in calls.get(key, ())):
+                    out.append(f"{path.name}:{fn.lineno}: {key[1]}({arg})")
     return out
 
 
@@ -307,20 +349,9 @@ def test_every_default_is_passed_somewhere():
 def _overridden_defaults(package: Path, roots) -> list:
     """Defaulted parameters of the package's defs and methods that every
     call under the roots sets by keyword or plain position, so that no call
-    relies on the default. A call with *sequence or **mapping may rely on
-    it. Calls match defs by bare name, as in _unpassed_params, so a
-    same-named method's calls count too: `op.energy(u, Lu, Wu)`, a call of
-    GridOperator.energy, reads as a call of solver.energy that leaves its
-    fourth parameter, op, unset. A default there would go unflagged though
-    every program call of solver.energy sets it."""
-    trees = _trees(roots)
-    calls: dict = {}
-    for tree in trees.values():
-        for c in ast.walk(tree):
-            if isinstance(c, ast.Call):
-                name = (c.func.id if isinstance(c.func, ast.Name)
-                        else getattr(c.func, "attr", None))
-                calls.setdefault(name, []).append(c)
+    relies on the default; calls match as _calls keys them. A call with
+    *sequence or **mapping may rely on it."""
+    trees, calls = _calls(roots)
 
     def sets(call, pos, arg, implicit):
         plain = next((i for i, a in enumerate(call.args)
@@ -330,13 +361,11 @@ def _overridden_defaults(package: Path, roots) -> list:
 
     out = []
     for path in sorted(package.glob("*.py")):
-        for name, fn, implicit in _callables(trees[path]):
+        for key, fn, implicit in _callables(trees[path]):
             for pos, arg in _defaulted_params(fn):
-                if all(sets(c, pos, arg, implicit
-                            if isinstance(c.func, ast.Attribute)
-                            or fn.name == "__init__" else 0)
-                       for c in calls.get(name, ())):
-                    out.append(f"{path.name}:{fn.lineno}: {name}({arg})")
+                if all(sets(c, pos, arg, implicit)
+                       for c in calls.get(key, ())):
+                    out.append(f"{path.name}:{fn.lineno}: {key[1]}({arg})")
     return out
 
 
@@ -382,6 +411,24 @@ def test_guards_do_not_count_tests_as_callers(tmp_path):
     assert _unread_members(pkg, [pkg, tests]) == []
     assert _unpassed_params(pkg, [pkg]) == ["m.py:8: f(n)"]
     assert _unread_members(pkg, [pkg]) == ["m.py:6: Rec.probe"]
+
+
+def test_guards_tell_a_def_from_a_same_named_method(tmp_path):
+    """op.energy(u) calls the method Op.energy, not the module's energy, so
+    the bare and module-qualified calls that all set energy's op flag its
+    default; m.energy(...) through `from . import m` is a call of the def,
+    which leaves the method's scale unpassed."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "m.py").write_text(
+        "def energy(g, op=None):\n    return op.energy(g)\n\n"
+        "class Op:\n    def energy(self, u, scale=1.0):\n"
+        "        return u * scale\n\n"
+        "def run(op):\n    return energy(1, op) + energy(2, op=op)\n")
+    (pkg / "n.py").write_text(
+        "from . import m\n\ndef go(op):\n    return m.energy(3, op)\n")
+    assert _overridden_defaults(pkg, [pkg]) == ["m.py:1: energy(op)"]
+    assert _unpassed_params(pkg, [pkg]) == ["m.py:5: energy(scale)"]
 
 
 def _unread_params(source: str, exempt=()) -> list:

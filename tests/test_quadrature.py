@@ -83,12 +83,14 @@ def test_linearity(kernel_half):
     x = 0.8
     lu = eval_lk(kernel_half, u, x, CFG)
     lv = eval_lk(kernel_half, v, x, CFG)
-    # a u + b v with the derivatives of both and no tail model
+    # a u + b v with the derivatives of both and the limits' combination as
+    # c = 0 tail models
     combo = pr.ProfileFn(
         fn=lambda y: a * u(y) + b * v(y),
         derivs=tuple((lambda du, dv: lambda y: a * du(y) + b * dv(y))(du, dv)
                      for du, dv in zip(u.derivs, v.derivs)),
-        limits=tuple(a * p + b * q for p, q in zip(u.limits, v.limits)),
+        tail=tuple(pr.PowerTail(a * p.limit + b * q.limit)
+                   for p, q in zip(u.tail, v.tail)),
         features=u.features + v.features)
     lc = eval_lk(kernel_half, combo, x, QuadConfig(tol=1e-4))
     assert lc.value == pytest.approx(a * lu.value + b * lv.value,
@@ -134,9 +136,12 @@ def test_non_integrable_raises():
 
 
 def test_truncation_dominates_raises():
+    """tanh misses its bare limits by about 4e-9 at z1 = 10, which charges
+    about 5e-9 of tail error against a tolerance of 1e-9."""
     kern = fractional_kernel(0.25)
-    u = pr.ProfileFn(fn=lambda x: np.tanh(x), derivs=(), limits=(-1.0, 1.0),
-                     tail=None, name="bare")
+    u = pr.ProfileFn(fn=lambda x: np.tanh(x),
+                     tail=(pr.PowerTail(-1.0), pr.PowerTail(1.0)),
+                     name="bare")
     with pytest.raises(TruncationDominates):
         eval_lk(kern, u, 0.0, QuadConfig(tol=1e-9, Z=10.0))
 

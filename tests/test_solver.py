@@ -8,10 +8,10 @@ import pytest
 from fraclayer import solver
 
 from fraclayer.errors import StalledAboveTolerance
-from fraclayer.gridop import (ExteriorModel, GridOperator, GridProfile,
-                              lag_weights)
+from fraclayer.gridop import GridOperator, GridProfile, lag_weights
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
 from fraclayer.potentials import WellParams, make_potential
+from fraclayer.profiles import PowerTail
 from fraclayer.solver import (SolveConfig, _refit_exterior, energy, gmres,
                               make_grid, minimize_energy, recenter,
                               tail_exponent)
@@ -60,7 +60,7 @@ def kernel_half_mod():
 def test_energy_zero_at_pure_state(kernel_half_mod):
     pot = make_potential(QUARTIC)
     g = GridProfile(np.linspace(-20.0, 20.0, 64), np.ones(64),
-                    ExteriorModel(1.0), ExteriorModel(1.0))
+                    PowerTail(1.0), PowerTail(1.0))
     assert energy(g, pot, kernel_half_mod, None) == pytest.approx(
         0.0, abs=1e-14)
 
@@ -86,10 +86,8 @@ def test_interface_cross_energy(kernel_half_mod):
     """+1 interior with a -1 left exterior: only the cross term remains."""
     pot = make_potential(QUARTIC)
     n = 32
-    from fraclayer.gridop import ExteriorModel, GridProfile
-
     x = np.linspace(-10, 10, n)
-    g = GridProfile(x, np.ones(n), ExteriorModel(-1.0), ExteriorModel(1.0))
+    g = GridProfile(x, np.ones(n), PowerTail(-1.0), PowerTail(1.0))
     e = energy(g, pot, kernel_half_mod, None)
     assert e == pytest.approx(energy_bruteforce(g, pot, kernel_half_mod),
                               rel=1e-12)
@@ -193,9 +191,9 @@ def test_fft_energy_matches_bruteforce(kern, powered, rng):
     x = np.linspace(-25.0, 25.0, n)
     u = np.clip(np.tanh(x / 3) + 0.1 * rng.standard_normal(n), -1, 1)
     if powered:
-        ext = ExteriorModel(-1.0, 0.3, 1.3), ExteriorModel(1.0, -0.4, 0.8)
+        ext = PowerTail(-1.0, 0.3, 1.3), PowerTail(1.0, -0.4, 0.8)
     else:
-        ext = ExteriorModel(-1.0), ExteriorModel(1.0)
+        ext = PowerTail(-1.0), PowerTail(1.0)
     g = GridProfile(x, u, *ext)
     assert energy(g, pot, kern, None) == pytest.approx(
         energy_bruteforce(g, pot, kern), rel=1e-12)
@@ -213,8 +211,8 @@ def test_lyapunov_gradient_is_the_residual(kern, rng):
     x = np.linspace(-25.0, 25.0, n)
     u = np.clip(0.8 * np.tanh(x / 3) + 0.05 * rng.standard_normal(n),
                 -0.99, 0.99)
-    g = GridProfile(x, u, ExteriorModel(-1.0, 0.3, 1.3),
-                    ExteriorModel(1.0, -0.4, 0.8))
+    g = GridProfile(x, u, PowerTail(-1.0, 0.3, 1.3),
+                    PowerTail(1.0, -0.4, 0.8))
     op = GridOperator(kern, g)
 
     def lyap(v):
@@ -233,8 +231,8 @@ def test_operator_and_energy_memory_at_n_2_16(kernel_half_mod):
     pot = make_potential(QUARTIC)
     n = 2 ** 16
     x = (np.arange(n) - (n - 1) / 2) * 0.25    # exactly uniform
-    g = GridProfile(x, np.tanh(x / 5), ExteriorModel(-1.0, 0.5, 1.0),
-                    ExteriorModel(1.0, -0.5, 1.0))
+    g = GridProfile(x, np.tanh(x / 5), PowerTail(-1.0, 0.5, 1.0),
+                    PowerTail(1.0, -0.5, 1.0))
     tracemalloc.start()
     try:
         op = GridOperator(kernel_half_mod, g)
@@ -255,9 +253,9 @@ def test_recenter_keeps_edge_node_for_subulp_shift():
     n = 2048
     x = np.linspace(-200.0, 200.0, n)
     a = 2e-14
-    for right in (ExteriorModel(1.0), ExteriorModel(1.0, -1.0, 1.0)):
+    for right in (PowerTail(1.0), PowerTail(1.0, -1.0, 1.0)):
         g = GridProfile(x, (x - a) / (1.0 + np.abs(x - a)),
-                        ExteriorModel(-1.0), right)
+                        PowerTail(-1.0), right)
         u = g.values
         i = np.nonzero(np.diff(np.sign(u)) > 0)[0][0]
         x0 = x[i] - u[i] * (x[i + 1] - x[i]) / (u[i + 1] - u[i])
@@ -344,7 +342,7 @@ def test_solve_result_records_every_step(small_solution):
     assert len(res.energy_trace) == len(res.exterior_trace) == k
     assert res.residual_trace[-1] == res.residual < 1e-5
     assert res.rejected_steps >= 0 and res.tau_trace[-1] > res.tau_trace[0]
-    assert res.exterior_trace[0] == (ExteriorModel(-1.0), ExteriorModel(1.0))
+    assert res.exterior_trace[0] == (PowerTail(-1.0), PowerTail(1.0))
     g = res.profile
     assert res.exterior_trace[-1] == (g.ext_left, g.ext_right)
     assert g.ext_left.c > 0 > g.ext_right.c
@@ -408,8 +406,8 @@ def test_a_refit_that_moves_the_limits_renews_the_reference(kernel_half_mod):
     is checked against the energy under the new limits. Checked against the
     old limits' energy, that step raised Diverged."""
     x = np.linspace(-60.0, 60.0, 256)
-    g = GridProfile(x, 0.5 * np.tanh(x / 5.0), ExteriorModel(-0.5),
-                    ExteriorModel(0.5))
+    g = GridProfile(x, 0.5 * np.tanh(x / 5.0), PowerTail(-0.5),
+                    PowerTail(0.5))
     pot = make_potential(WellParams(alpha=4, beta=4, gamma=4, delta=4,
                                     mu=0.5))
     res = minimize_energy(g, pot, kernel_half_mod,

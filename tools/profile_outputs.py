@@ -293,8 +293,9 @@ def _tails(out: dict) -> None:
     from workloads import SOLVE_CASES
 
     from fraclayer import profiles as pr
-    from fraclayer.gridop import ExteriorModel, exterior_power_vector
+    from fraclayer.gridop import exterior_power_vector
     from fraclayer.kernels import fractional_kernel, perturbed_kernel
+    from fraclayer.profiles import PowerTail
     from fraclayer.quadrature import QuadConfig, eval_lk
     from fraclayer.solver import make_grid
 
@@ -304,8 +305,8 @@ def _tails(out: dict) -> None:
         g = make_grid(c.L, c.n)
         amp, p = models[name]
         for side, (cl, cr) in (("left", (amp, 0.0)), ("right", (0.0, -amp))):
-            g.ext_left, g.ext_right = (ExteriorModel(-1.0, cl, p),
-                                       ExteriorModel(1.0, cr, p))
+            g.ext_left, g.ext_right = (PowerTail(-1.0, cl, p),
+                                       PowerTail(1.0, cr, p))
             out[f"exterior_power/{name}/{side}"] = exterior_power_vector(
                 fractional_kernel(c.s), g)
         if name == "9a":     # its nodes' distances to the left edge
