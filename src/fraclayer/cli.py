@@ -276,7 +276,7 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
     rep.add_records(well_envelope_records(pot))
     res = minimize_energy(g0, pot, kern, sc)
     rep.add("solver-converged", res.converged, sc.tol - res.residual,
-            f"iterations={res.iterations}")
+            f"iterations={res.iterations} frozen-steps={res.frozen_steps}")
     inc = bool(np.all(np.diff(res.profile.values) >= -1e-14))
     rep.add("profile-increasing", inc, 0.0 if inc else -1.0)
     for k, v in res.hypothesis_tags.items():
@@ -305,7 +305,8 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
                    "exterior-trace": [[[m.c, m.p] if m.c else None
                                        for m in pair]
                                       for pair in res.exterior_trace],
-                   "rejected-steps": res.rejected_steps},
+                   "rejected-steps": res.rejected_steps,
+                   "frozen-steps": res.frozen_steps},
                   fh, indent=1)
     return rep
 

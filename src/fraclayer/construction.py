@@ -660,15 +660,25 @@ class LayerProfile:
     def export_csv(self, path) -> None:
         """CSV columns: ln_x_signed, utilde, d1, d2, d3, piece, cell.
 
-        400 tail rows per side carry side * ln|x| in the first column. The
-        101 bridge rows (piece -1, cell 0) carry asinh(x) there instead."""
+        400 tail rows per side carry side * ln|x| in the first column. Each
+        route segment of positive width between a0 and the last finite
+        junction gets an equal share of them, within one and at least one,
+        spaced evenly inside it, so every piece has rows: spaced linearly
+        in L up to the desk profile's L = 42403, only 7 of 400 had a
+        materializable x. The 101 bridge rows (piece -1, cell 0) carry
+        asinh(x) there instead."""
         rows = []
         xb = np.linspace(-self.cx.a0 * 0.999, self.cx.a0 * 0.999, 101)
         for xi in xb:
             vals = [float(self._bridge_eval(np.array([xi]), m)[0])
                     for m in range(4)]
             rows.append((math.asinh(xi), *vals, -1, 0))
-        L = self.log_samples(400)
+        lo, hi = self._edges[:-1], self._edges[1:]
+        lo, hi = lo[hi > lo], hi[hi > lo]
+        share = np.full(len(lo), max(1, 400 // len(lo)))
+        share[:max(0, 400 - share.sum())] += 1
+        L = np.concatenate([a + (np.arange(m) + 0.5) / m * (b - a)
+                            for a, b, m in zip(lo, hi, share)])
         for side in (+1, -1):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 comps = [self._utilde(side, L, m) for m in range(4)]

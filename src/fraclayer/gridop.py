@@ -22,12 +22,18 @@ refit with a new p then costs a few hundred powers, one small mat-vec and
 one basis product per piece, in O(n) time and memory, and matches the
 closed form to about 3e-13 relative at every node up to n = 2^16.
 
-The grid's layout stays behind GridOperator: apply, update_exterior, energy,
-lyapunov, jacobian_apply, precondition and tau_bounds are all the solver
-reads of it, so an operator on another grid implements those seven methods.
-Of these, apply (with jacobian_apply) and precondition cost an FFT pair
-each; energy and lyapunov read a given L u, and update_exterior returns
-how L u moves, so a caller keeps the product of its iterate across refits.
+The same matrix gives dI_p/dp, the integral of -ln|y| |y|^(-p), for the
+solver's Jacobian; it leaves out the far tail's share, at most FAR_SHARE of
+I_p, which only the Jacobian drops.
+
+The grid's layout stays behind GridOperator: apply, update_exterior,
+exterior_sensitivity, energy, lyapunov, jacobian_apply, precondition and
+tau_bounds are all the solver reads of it, so an operator on another grid
+implements those eight methods. Of these, apply (with jacobian_apply) and
+precondition cost an FFT pair each; energy and lyapunov read a given L u,
+update_exterior returns how L u moves, so a caller keeps the product of its
+iterate across refits, and exterior_sensitivity how L u moves per unit
+change of each power model's ln|c| and p, in O(n).
 """
 
 from __future__ import annotations
@@ -186,33 +192,55 @@ class PowerTailTable:
             self._weights[r] = (kw.reshape(dj.size, -1), r + w, ends[-1])
         return self._weights[r]
 
-    def __call__(self, p: float, side: int) -> np.ndarray:
-        """I_p of the exterior beyond side +/-1 at every node."""
+    def _side_weights(self, side: int):
+        """_edge_weights for the edge beyond side +/-1."""
         e = self._ends[side > 0]
         if side * e <= 0.0:
             raise ValueError("an exterior power model needs the origin "
                              "inside the grid")
-        kw, y, reach = self._edge_weights(abs(e))
-        far = self.kernel.power_tail_integral(reach, 0.0, p, 1.0)
-        c = (kw @ y ** -p).reshape(self._far.shape) + far * self._far
-        out = np.empty(len(self._basis))
+        return self._edge_weights(abs(e))
+
+    def _expand(self, c: np.ndarray, side: int) -> np.ndarray:
+        """Every node's basis times its piece's Chebyshev coefficients c
+        (pieces x PIECE_POINTS, with any trailing axes), ordered for the
+        exterior beyond side +/-1."""
+        out = np.empty((len(self._basis),) + c.shape[2:])
         b = self._bounds
         for k in range(len(c)):
             out[b[k]:b[k + 1]] = self._basis[b[k]:b[k + 1]] @ c[k]
         return out[::-side]
 
+    def __call__(self, p: float, side: int) -> np.ndarray:
+        """I_p of the exterior beyond side +/-1 at every node."""
+        kw, y, reach = self._side_weights(side)
+        far = self.kernel.power_tail_integral(reach, 0.0, p, 1.0)
+        return self._expand(
+            (kw @ y ** -p).reshape(self._far.shape) + far * self._far, side)
+
+    def dp(self, p: float, side: int) -> np.ndarray:
+        """dI_p/dp beyond side +/-1 at every node: -ln|y| |y|^(-p) through
+        the same matrix and basis products. It leaves out the far tail's
+        share, at most FAR_SHARE of I_p; only the solver's Jacobian drops
+        it, as I_p itself keeps it."""
+        kw, y, _ = self._side_weights(side)
+        return self._expand((kw @ (-np.log(y) * y ** -p)).reshape(
+            self._far.shape), side)
+
 
 def _power_vector(table: PowerTailTable | None, kernel: KernelSpec,
-                  g: GridProfile) -> tuple[np.ndarray, PowerTailTable | None]:
-    """exterior_power_vector and the table it read, which is built here on
-    g's first power model if `table` is None."""
+                  g: GridProfile):
+    """exterior_power_vector, its terms c I_p as (left, right), None for a
+    bare limit, and the table it read, which is built here on g's first
+    power model if `table` is None."""
     out = np.zeros_like(g.x)
+    terms = {}
     for side, m in ((1, g.ext_right), (-1, g.ext_left)):
         if m.c != 0.0:
             if table is None:
                 table = PowerTailTable(kernel, g.x)
-            out += m.c * table(m.p, side)
-    return out, table
+            terms[side] = m.c * table(m.p, side)
+            out += terms[side]
+    return out, (terms.get(-1), terms.get(1)), table
 
 
 def exterior_power_vector(kernel: KernelSpec, g: GridProfile) -> np.ndarray:
@@ -286,11 +314,22 @@ class GridOperator:
         power model of either side. Returns the change of the offset, by
         which L u moves at every u."""
         self.limits = left, right = g.ext_left.limit, g.ext_right.limit
-        self.ext_power, self._table = _power_vector(self._table,
-                                                    self.kernel, g)
+        self._models = g.ext_left, g.ext_right
+        self.ext_power, self._terms, self._table = _power_vector(
+            self._table, self.kernel, g)
         offset = left * self.wl + right * self.wr + self.ext_power
         change, self.offset = offset - self.offset, offset
         return change
+
+    def exterior_sensitivity(self) -> list:
+        """How the offset, and so L u, moves with the exterior models of
+        the last update_exterior, as (left, right): per side with a power
+        model, a 2 x n array of its moves per unit ln|c| and per unit p,
+        c I_p and c dI_p/dp (PowerTailTable.dp, without the far tail's
+        share); None for a bare limit."""
+        return [None if t is None else np.stack(
+                    [t, m.c * self._table.dp(m.p, side)])
+                for side, m, t in zip((-1, 1), self._models, self._terms)]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """L u: the symbol's product by one FFT pair on the embedding, minus

@@ -10,11 +10,19 @@ after each step not halved, as Marquardt's damping 1/tau shrinks on success
 (SIAM J. Appl. Math. 11, 1963), so the step moves from descent u + tau F
 towards Newton within a few steps; after a halved step it grows by switched
 evolution relaxation.
+The far-field power models are refit from the values, so F depends on u
+through them too, and J carries that dependence as Newton-Krylov does
+(Knoll & Keyes, J. Comput. Phys. 193, 2004): the regression fit's
+derivative times the offset's moves per unit ln|c| and p, a term of rank at
+most 4 that costs no FFT. Without it each step holds the models fixed and
+the run converges only linearly (criterion 9: 9 / 26 / 11 passes, against
+7 / 9 / 6). A step the refit does not let descend is taken with the models
+held fixed.
 GMRES is preconditioned by the FFT circulant of the grid operator's linear part
 (Chan & Ng, SIAM Review 38, 1996), which carries its |xi|^(2s) spectrum, so
-the Krylov count per step does not grow as h shrinks. Every pass refits the
-far-field power models before it reads the residual, and costs one operator
-product outside GMRES.
+the Krylov count per step does not grow as h shrinks. Every pass reads the
+residual right after a refit at its values, and costs one operator product
+outside GMRES.
 """
 
 from __future__ import annotations
@@ -105,20 +113,57 @@ def _outer_gap(g: GridProfile, side: int, m: int):
     return side * g.x[::side][-m:], 1.0 - side * g.values[::side][-m:]
 
 
-def _refit_exterior(g: GridProfile, side: int) -> PowerTail:
+def _refit_exterior(g: GridProfile, side: int):
     """Fit the outer quarter of nodes on side s = +/-1 to s (1 - c |x|^(-p)),
     by fit_power_decay's regression line; the span the guard asks for, a
-    factor 1.5, exceeds the 0.15 decades that fit would require."""
-    y, gap = _outer_gap(g, side, max(8, len(g.x) // 4))
+    factor 1.5, exceeds the 0.15 decades that fit would require.
+
+    Returns the model and the fit's derivative in the values, a 2 x n array
+    of d ln|c| / du and dp / du, or None for the bare limit (c = 0), which
+    adds nothing to the Jacobian. With X = ln y, Y = ln gap over the
+    m fitted nodes and Sxx = sum (X - mean X)^2, the line gives dp/dY_i =
+    -(X_i - mean X) / Sxx and d ln|c| / dY_i = 1/m - mean X (X_i - mean X)
+    / Sxx, and dY_i / du_i = -s / gap_i.
+    """
+    m = max(8, len(g.x) // 4)
+    y, gap = _outer_gap(g, side, m)
     limit = float(side)
     good = (gap > 1e-12) & (y > 0)
     y = y[good]
     if len(y) < 6 or y.max() / y.min() < 1.5:
-        return PowerTail(limit)
-    slope, log_const, _ = regression_line(np.log(y), np.log(gap[good]))
+        return PowerTail(limit), None
+    X, gap = np.log(y), gap[good]
+    slope, log_const, _ = regression_line(X, np.log(gap))
     if not (P_FLOOR < -slope < 10.0):
-        return PowerTail(limit)
-    return PowerTail(limit, -side * math.exp(log_const), -slope)
+        return PowerTail(limit), None
+    mx = X.mean()
+    dx = X - mx
+    dx /= dx @ dx
+    dydu = -side / gap
+    deriv = np.zeros((2, len(g.x)))
+    nodes = np.arange(len(g.x))[::side][-m:][good]
+    deriv[0, nodes] = (1.0 / len(X) - mx * dx) * dydu
+    deriv[1, nodes] = -dx * dydu
+    return PowerTail(limit, -side * math.exp(log_const), -slope), deriv
+
+
+def _refit(g: GridProfile, op: GridOperator):
+    """Refit both exterior models at g.values and hand them to op. Returns
+    the change of L u and the fits' derivatives, (left, right)."""
+    fits = [_refit_exterior(g, s) for s in (-1, 1)]
+    g.ext_left, g.ext_right = (m for m, _ in fits)
+    return op.update_exterior(g), [d for _, d in fits]
+
+
+def _refit_term(op: GridOperator, derivs, n: int):
+    """The refit's share of the Jacobian on n nodes, d offset / du = U^T V,
+    as (U, V) of at most 4 rows: per side with a power model, the offset's
+    moves per unit ln|c| and p (GridOperator.exterior_sensitivity) against
+    the fit's derivatives (_refit_exterior); a bare-limit side adds none."""
+    rows = [(m, d) for m, d in zip(op.exterior_sensitivity(), derivs)
+            if d is not None]
+    return (np.vstack([m for m, _ in rows] or [np.empty((0, n))]),
+            np.vstack([d for _, d in rows] or [np.empty((0, n))]))
 
 
 @dataclass
@@ -132,7 +177,9 @@ class SolveResult:
     interior sup residual under them and energy_trace the plain energy. For
     each step taken, tau_trace holds the tau it was taken with and
     krylov_iterations the GMRES iterations it cost (rejected tries
-    included); rejected_steps counts the tau halvings.
+    included); rejected_steps counts the tau halvings and frozen_steps the
+    steps taken with the exterior models held fixed, after a Newton try on
+    the refit was rejected.
     """
 
     profile: GridProfile
@@ -146,6 +193,7 @@ class SolveResult:
     krylov_iterations: list = field(default_factory=list)
     exterior_trace: list = field(default_factory=list)
     rejected_steps: int = 0
+    frozen_steps: int = 0
 
 
 def gmres(matvec, b: np.ndarray, precond, basis: np.ndarray):
@@ -208,21 +256,16 @@ def gmres(matvec, b: np.ndarray, precond, basis: np.ndarray):
     return x, its
 
 
-def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
-          F: np.ndarray, tau: float, tau0: float, ref: float, it: int,
-          basis: np.ndarray):
-    """Take step `it` from g.values: solve (I/tau - J) delta = F by GMRES
-    in the Krylov basis array `basis` and set g.values to
-    clamp(u + delta, -1, 1), halving tau, down to tau0, while that
-    raises the Lyapunov functional beyond DIVERGENCE_SLACK over ref. The
-    preconditioner is op.precondition, the circulant of -L's linear part
-    shifted by 1/tau + mean(max(W''(u), 0)): it carries the operator's
-    |xi|^(2s) spectrum, which a diagonal cannot. Returns the tau taken, the
-    new values' L u and W(u), the GMRES iterations and the halvings.
-    The step's vectors are freed on return, before the exterior refit.
-    """
+def _frozen_step(g: GridProfile, pot: PotentialFn, op: GridOperator,
+                 F: np.ndarray, tau: float, tau0: float, ref: float, it: int,
+                 basis: np.ndarray, w2: np.ndarray):
+    """Take step `it` from g.values under the exterior models held fixed:
+    solve (I/tau - J) delta = F by GMRES in the Krylov basis array `basis`
+    and set g.values to clamp(u + delta, -1, 1), halving tau, down to tau0,
+    while that raises the Lyapunov functional beyond DIVERGENCE_SLACK over
+    ref. w2 is W''(u). Returns the tau taken, the new values' L u and W(u),
+    the GMRES iterations and the halvings."""
     u = g.values
-    w2 = pot.W2(u)
     w2_mean = float(np.mean(np.maximum(w2, 0.0)))
     krylov = halvings = 0
     while True:
@@ -243,35 +286,82 @@ def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
         halvings += 1
 
 
+def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
+          F: np.ndarray, tau: float, tau0: float, Lu: np.ndarray,
+          Wu: np.ndarray, derivs, it: int, basis: np.ndarray):
+    """Take step `it` from g.values, whose refit is in force with the fit
+    derivatives `derivs`, as minimize_energy describes: the Newton try on
+    the refit, in the Krylov basis array `basis`, and if the functional
+    under the models refit at the try rises, the models of u again and
+    _frozen_step from tau. The preconditioner, op.precondition, is the
+    circulant of -L's linear part shifted by 1/tau + mean(max(W''(u), 0)):
+    it carries the operator's |xi|^(2s) spectrum, which a diagonal cannot.
+
+    Returns the tau taken, the new values' L u and W(u) under the models in
+    force, the GMRES iterations (the rejected try's included), the
+    halvings, and the fit derivatives at the new values, or None after a
+    frozen step, whose values the next pass refits.
+    """
+    u = g.values
+    w2 = pot.W2(u)
+    shift = 1.0 / tau + float(np.mean(np.maximum(w2, 0.0)))
+    diag = 1.0 / tau + w2
+    U, V = _refit_term(op, derivs, len(u))
+    delta, krylov = gmres(
+        lambda v: diag * v - op.jacobian_apply(v) - (V @ v) @ U, F,
+        lambda v: op.precondition(v, shift), basis)
+    models = g.ext_left, g.ext_right
+    g.values = np.clip(u + delta, -1.0, 1.0)
+    change, new_derivs = _refit(g, op)
+    ref = op.lyapunov(u, Lu + change, Wu)
+    Lu_new, Wu_new = op.apply(g.values), pot.W(g.values)
+    e = op.lyapunov(g.values, Lu_new, Wu_new)
+    if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
+        return tau, Lu_new, Wu_new, krylov, 0, new_derivs
+    g.values, (g.ext_left, g.ext_right) = u, models
+    op.update_exterior(g)
+    tau, Lu, Wu, k, halvings = _frozen_step(
+        g, pot, op, F, tau, tau0, op.lyapunov(u, Lu, Wu), it, basis, w2)
+    return tau, Lu, Wu, krylov + k, halvings, None
+
+
 def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
                     cfg: SolveConfig) -> SolveResult:
-    """Pseudo-transient descent to a layer profile.
+    """Pseudo-transient Newton descent to a layer profile.
 
-    Each pass of the loop refits both exterior power models to the current
-    values, evaluates the residual F = L u - W'(u) once under them and,
-    unless it has converged (residual < cfg.tol), takes one step: it solves
-    (I/tau - J) delta = F, with J v = (L v - offset) - W''(u) v, by GMRES
-    to KRYLOV_RTOL under the circulant preconditioner
-    C + 1/tau + mean(max(W''(u), 0)), C the circulant of -L's linear part
-    (GridOperator.precondition), and sets u <- clamp(u + delta, -1, 1).
-    tau_0 is the explicit descent's stable step and its floor; tau
-    grows tenfold, tau <- SER_CLAMP[1] tau, after a step taken at its tau,
-    and by switched evolution relaxation, tau <- tau clamp(r_old / r_new,
+    The residual is F = L u - W'(u) under the exterior power models refit
+    at u, so it depends on u through the refit too. Each pass evaluates F
+    once under the models refit at the current values and, unless it has
+    converged (residual < cfg.tol), takes one step (_step): it solves
+    (I/tau - J) delta = F, with J v = (L v - offset) + (d offset/du) v -
+    W''(u) v, d offset/du the refit's derivative of rank at most 4, by
+    GMRES to KRYLOV_RTOL under the circulant preconditioner C + 1/tau +
+    mean(max(W''(u), 0)), C the circulant of -L's linear part
+    (GridOperator.precondition), and tries u' = clamp(u + delta, -1, 1).
+    The try is taken if it does not raise the Lyapunov functional beyond
+    DIVERGENCE_SLACK under the models refit at u', which then serve the
+    next pass. Otherwise the models go back and the step is taken with
+    them held fixed: J without the refit's term, checked against the
+    functional under those models, and retried with tau halved, down to
+    tau_0; one that still raises it there raises Diverged. The next pass
+    then refits at its values. `frozen_steps` counts those steps.
+
+    tau_0 is the explicit descent's stable step and its floor; tau grows
+    tenfold, tau <- SER_CLAMP[1] tau, after a step taken at its tau, and
+    by switched evolution relaxation, tau <- tau clamp(r_old / r_new,
     SER_CLAMP), after one that halved it, up to the cap of
     GridOperator.tau_bounds; r_old and r_new are the interior sup residuals
-    before and after the halved step, both under the exterior models it was
-    taken with. A step that raises the Lyapunov functional beyond
-    DIVERGENCE_SLACK is retried with tau halved, down to tau_0; one that
-    still raises it there raises Diverged.
+    before and after the halved step, both under the exterior models it
+    was taken with.
 
     Convergence is thus read right after a refit at the current values: a
     stale model would stop the run with the tail out of step with its
-    exterior. Each pass costs one operator product outside GMRES: the
-    product L u of an accepted step gives its energy and, moved by the
-    offset change that the next refit returns, that pass's residual. One
-    Krylov basis serves the run. `iterations` counts passes, one more than
-    the steps taken (the last pass only confirms convergence), and
-    StalledAboveTolerance is raised after cfg.max_iter of them.
+    exterior. Each pass costs one operator product outside GMRES, and one
+    more per halving or frozen step: the product L u of an accepted step
+    gives its energy and that pass's residual. One Krylov basis serves the
+    run. `iterations` counts passes, one more than the steps taken (the
+    last pass only confirms convergence), and StalledAboveTolerance is
+    raised after cfg.max_iter of them.
     """
     g = g0.copy_with(g0.values.copy())
     op = GridOperator(kernel, g)
@@ -287,6 +377,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     res = SolveResult(profile=g, iterations=0, residual=np.inf,
                       energy_trace=[], converged=False)
     resid = np.inf
+    derivs = None       # the fits' derivatives once u's refit is in force
     for it in range(1, cfg.max_iter + 1):
         u = g.values
         F = Lu - pot.W1(u)
@@ -299,18 +390,19 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
                     growth = min(max(resid / r_new, SER_CLAMP[0]),
                                  SER_CLAMP[1])
             tau = min(max(tau * growth, tau0), tau_max)
-        g.ext_left, g.ext_right = (_refit_exterior(g, s) for s in (-1, 1))
+        if derivs is None:
+            change, derivs = _refit(g, op)
+            Lu += change
+            F += change
         res.exterior_trace.append((g.ext_left, g.ext_right))
-        change = op.update_exterior(g)
-        Lu += change
-        F += change
         res.energy_trace.append(op.energy(u, Lu, Wu))
         resid = float(np.max(np.abs(F[1:-1])))
         res.residual_trace.append(resid)
         if resid < cfg.tol:
             break
-        tau, Lu, Wu, krylov, halvings = _step(
-            g, pot, op, F, tau, tau0, op.lyapunov(u, Lu, Wu), it, basis)
+        tau, Lu, Wu, krylov, halvings, derivs = _step(
+            g, pot, op, F, tau, tau0, Lu, Wu, derivs, it, basis)
+        res.frozen_steps += derivs is None
         res.rejected_steps += halvings
         res.tau_trace.append(tau)
         res.krylov_iterations.append(krylov)

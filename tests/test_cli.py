@@ -103,6 +103,10 @@ def test_solve_and_fit_decay(tmp_path):
     assert len(conv["exterior-trace"]) == conv["iterations"]
     assert all(m is not None for m in conv["exterior-trace"][-1])
     assert conv["rejected-steps"] >= 0
+    # the steps taken with the exterior models held fixed, in both files
+    conv_rec = next(c for c in rep["checks"] if c["id"] == "solver-converged")
+    assert conv_rec["location"].endswith(
+        f"frozen-steps={conv['frozen-steps']}")
     cfg2 = tmp_path / "fit.cfg"
     cfg2.write_text(BASE + f"\nfit.csv = '{tmp_path / 'solution.csv'}'\n")
     assert main(["fit-decay", "--config", str(cfg2),

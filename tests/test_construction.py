@@ -218,8 +218,8 @@ def test_anchor_values(desk_profile):
 
 def test_profile_csv_export(tmp_path, desk_profile):
     """Tail rows carry u~ and its derivatives at x = +-e^L, and the piece
-    and cell that `route` gives L; bridge rows carry the bridge at
-    x = sinh(ln_x_signed)."""
+    and cell that `route` gives L, for every piece; bridge rows carry the
+    bridge at x = sinh(ln_x_signed)."""
     prof = desk_profile
     out = tmp_path / "profile.csv"
     prof.export_csv(out)
@@ -237,8 +237,14 @@ def test_profile_csv_export(tmp_path, desk_profile):
     refs = np.array([prof._refs[j] for j in prof.route(L)])
     assert np.array_equal(tail[:, 6], refs[:, 0])
     assert np.array_equal(tail[:, 5], refs[:, 1])
+    # every piece route can return, the one at each junction, has rows on
+    # both sides, and at least 100 rows per side have a materializable x
+    # (229 here; 7 while the rows were linear in L)
+    pieces = {prof._refs[j] for j in prof.route(prof._edges[:-1])}
     mat = L <= MAX_MATERIALIZABLE_LOG
-    assert set(side[mat]) == {1.0, -1.0} and np.count_nonzero(mat) >= 10
+    for sgn in (1.0, -1.0):
+        assert set(map(tuple, refs[side == sgn])) == pieces
+        assert np.count_nonzero(mat & (side == sgn)) >= 100
     for m in range(4):
         assert prof.eval(side[mat] * np.exp(L[mat]), m) == pytest.approx(
             tail[mat, 1 + m], rel=1e-12)

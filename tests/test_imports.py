@@ -490,8 +490,8 @@ def test_every_parameter_is_read():
 # what solver.py may read of the grid operator (op) and of a GridProfile
 # (g, g0): the interface an operator on another grid implements
 SOLVER_READS = {
-    "op": {"apply", "update_exterior", "energy", "lyapunov", "jacobian_apply",
-           "precondition", "tau_bounds"},
+    "op": {"apply", "update_exterior", "exterior_sensitivity", "energy",
+           "lyapunov", "jacobian_apply", "precondition", "tau_bounds"},
     "g": {"x", "values", "ext_left", "ext_right", "copy_with"},
 }
 SOLVER_READS["g0"] = SOLVER_READS["g"]
