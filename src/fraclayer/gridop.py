@@ -202,9 +202,9 @@ class PowerTailTable:
 
     def _expand(self, c: np.ndarray, side: int) -> np.ndarray:
         """Every node's basis times its piece's Chebyshev coefficients c
-        (pieces x PIECE_POINTS, with any trailing axes), ordered for the
-        exterior beyond side +/-1."""
-        out = np.empty((len(self._basis),) + c.shape[2:])
+        (pieces x PIECE_POINTS), ordered for the exterior beyond side
+        +/-1."""
+        out = np.empty(len(self._basis))
         b = self._bounds
         for k in range(len(c)):
             out[b[k]:b[k + 1]] = self._basis[b[k]:b[k + 1]] @ c[k]
@@ -220,8 +220,8 @@ class PowerTailTable:
     def dp(self, p: float, side: int) -> np.ndarray:
         """dI_p/dp beyond side +/-1 at every node: -ln|y| |y|^(-p) through
         the same matrix and basis products. It leaves out the far tail's
-        share, at most FAR_SHARE of I_p; only the solver's Jacobian drops
-        it, as I_p itself keeps it."""
+        share, at most FAR_SHARE of I_p, which __call__ keeps: only the
+        solver's Jacobian reads dp."""
         kw, y, _ = self._side_weights(side)
         return self._expand((kw @ (-np.log(y) * y ** -p)).reshape(
             self._far.shape), side)
