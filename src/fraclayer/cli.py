@@ -275,7 +275,8 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
     rep = Report("solve", cfg)
     rep.add_records(well_envelope_records(pot))
     res = minimize_energy(g0, pot, kern, sc)
-    rep.add("solver-converged", res.converged, sc.tol - res.residual,
+    rep.add("solver-converged", res.residual < sc.tol,
+            sc.tol - res.residual,
             f"iterations={res.iterations} frozen-steps={res.frozen_steps}")
     inc = bool(np.all(np.diff(res.profile.values) >= -1e-14))
     rep.add("profile-increasing", inc, 0.0 if inc else -1.0)

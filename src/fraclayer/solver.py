@@ -16,8 +16,10 @@ through them too, and J carries that dependence as Newton-Krylov does
 derivative times the offset's moves per unit ln|c| and p, a term of rank at
 most 4 that costs no FFT. Without it each step holds the models fixed and
 the run converges only linearly (criterion 9: 9 / 26 / 11 passes, against
-7 / 9 / 6). A step the refit does not let descend is taken with the models
-held fixed.
+7 / 9 / 6). A step is one loop of tries: the Newton try, judged under the
+models refit at its values, and after its rejection tries with the models
+held fixed, at the same tau and then at tau halved down to the explicit
+step.
 GMRES is preconditioned by the FFT circulant of the grid operator's linear part
 (Chan & Ng, SIAM Review 38, 1996), which carries its |xi|^(2s) spectrum, so
 the Krylov count per step does not grow as h shrinks. Every pass reads the
@@ -186,7 +188,6 @@ class SolveResult:
     iterations: int
     residual: float
     energy_trace: list
-    converged: bool
     hypothesis_tags: dict = field(default_factory=dict)
     residual_trace: list = field(default_factory=list)
     tau_trace: list = field(default_factory=list)
@@ -256,73 +257,58 @@ def gmres(matvec, b: np.ndarray, precond, basis: np.ndarray):
     return x, its
 
 
-def _frozen_step(g: GridProfile, pot: PotentialFn, op: GridOperator,
-                 F: np.ndarray, tau: float, tau0: float, ref: float, it: int,
-                 basis: np.ndarray, w2: np.ndarray):
-    """Take step `it` from g.values under the exterior models held fixed:
-    solve (I/tau - J) delta = F by GMRES in the Krylov basis array `basis`
-    and set g.values to clamp(u + delta, -1, 1), halving tau, down to tau0,
-    while that raises the Lyapunov functional beyond DIVERGENCE_SLACK over
-    ref. w2 is W''(u). Returns the tau taken, the new values' L u and W(u),
-    the GMRES iterations and the halvings."""
-    u = g.values
-    w2_mean = float(np.mean(np.maximum(w2, 0.0)))
-    krylov = halvings = 0
-    while True:
-        shift = 1.0 / tau + w2_mean
-        diag = 1.0 / tau + w2
-        delta, k = gmres(lambda v: diag * v - op.jacobian_apply(v), F,
-                         lambda v: op.precondition(v, shift), basis)
-        krylov += k
-        g.values = np.clip(u + delta, -1.0, 1.0)
-        Lu, Wu = op.apply(g.values), pot.W(g.values)
-        e = op.lyapunov(g.values, Lu, Wu)
-        if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
-            return tau, Lu, Wu, krylov, halvings
-        if tau <= tau0:
-            raise Diverged(f"step {it} raises the energy at the explicit "
-                           f"step size ({e} > {ref})")
-        tau = max(0.5 * tau, tau0)
-        halvings += 1
-
-
 def _step(g: GridProfile, pot: PotentialFn, op: GridOperator,
           F: np.ndarray, tau: float, tau0: float, Lu: np.ndarray,
           Wu: np.ndarray, derivs, it: int, basis: np.ndarray):
     """Take step `it` from g.values, whose refit is in force with the fit
-    derivatives `derivs`, as minimize_energy describes: the Newton try on
-    the refit, in the Krylov basis array `basis`, and if the functional
-    under the models refit at the try rises, the models of u again and
-    _frozen_step from tau. The preconditioner, op.precondition, is the
+    derivatives `derivs`, by the loop of tries minimize_energy describes.
+    Each try solves (I/tau - J - U^T V) delta = F by GMRES in the Krylov
+    basis array `basis`, U^T V the refit's term (_refit_term), sets
+    g.values to clamp(u + delta, -1, 1) and checks the Lyapunov functional
+    there against the reference. The first try is the Newton try, its
+    reference under the models refit at its values; from its rejection on,
+    derivs is None, U^T V = 0 and the reference is under u's models, which
+    are back in force. The preconditioner, op.precondition, is the
     circulant of -L's linear part shifted by 1/tau + mean(max(W''(u), 0)):
     it carries the operator's |xi|^(2s) spectrum, which a diagonal cannot.
 
     Returns the tau taken, the new values' L u and W(u) under the models in
-    force, the GMRES iterations (the rejected try's included), the
-    halvings, and the fit derivatives at the new values, or None after a
-    frozen step, whose values the next pass refits.
+    force, the GMRES iterations of all tries, the halvings, and the fit
+    derivatives at the new values, or None after a frozen step, whose
+    values the next pass refits.
     """
     u = g.values
     w2 = pot.W2(u)
-    shift = 1.0 / tau + float(np.mean(np.maximum(w2, 0.0)))
-    diag = 1.0 / tau + w2
+    w2_mean = float(np.mean(np.maximum(w2, 0.0)))
     U, V = _refit_term(op, derivs, len(u))
-    delta, krylov = gmres(
-        lambda v: diag * v - op.jacobian_apply(v) - (V @ v) @ U, F,
-        lambda v: op.precondition(v, shift), basis)
     models = g.ext_left, g.ext_right
-    g.values = np.clip(u + delta, -1.0, 1.0)
-    change, new_derivs = _refit(g, op)
-    ref = op.lyapunov(u, Lu + change, Wu)
-    Lu_new, Wu_new = op.apply(g.values), pot.W(g.values)
-    e = op.lyapunov(g.values, Lu_new, Wu_new)
-    if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
-        return tau, Lu_new, Wu_new, krylov, 0, new_derivs
-    g.values, (g.ext_left, g.ext_right) = u, models
-    op.update_exterior(g)
-    tau, Lu, Wu, k, halvings = _frozen_step(
-        g, pot, op, F, tau, tau0, op.lyapunov(u, Lu, Wu), it, basis, w2)
-    return tau, Lu, Wu, krylov + k, halvings, None
+    krylov = halvings = 0
+    while True:
+        shift = 1.0 / tau + w2_mean
+        diag = 1.0 / tau + w2
+        delta, k = gmres(
+            lambda v: diag * v - op.jacobian_apply(v) - (V @ v) @ U, F,
+            lambda v: op.precondition(v, shift), basis)
+        krylov += k
+        g.values = np.clip(u + delta, -1.0, 1.0)
+        if derivs is not None:          # the Newton try, under its refit
+            change, derivs = _refit(g, op)
+            ref = op.lyapunov(u, Lu + change, Wu)
+        Lu_new, Wu_new = op.apply(g.values), pot.W(g.values)
+        e = op.lyapunov(g.values, Lu_new, Wu_new)
+        if e <= ref + DIVERGENCE_SLACK * (1.0 + abs(ref)):
+            return tau, Lu_new, Wu_new, krylov, halvings, derivs
+        if derivs is not None:          # hold u's models fixed from here
+            g.ext_left, g.ext_right = models
+            op.update_exterior(g)
+            U = V = U[:0]
+            derivs, ref = None, op.lyapunov(u, Lu, Wu)
+        elif tau <= tau0:
+            raise Diverged(f"step {it} raises the energy at the explicit "
+                           f"step size ({e} > {ref})")
+        else:
+            tau = max(0.5 * tau, tau0)
+            halvings += 1
 
 
 def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
@@ -337,14 +323,16 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     W''(u) v, d offset/du the refit's derivative of rank at most 4, by
     GMRES to KRYLOV_RTOL under the circulant preconditioner C + 1/tau +
     mean(max(W''(u), 0)), C the circulant of -L's linear part
-    (GridOperator.precondition), and tries u' = clamp(u + delta, -1, 1).
-    The try is taken if it does not raise the Lyapunov functional beyond
-    DIVERGENCE_SLACK under the models refit at u', which then serve the
-    next pass. Otherwise the models go back and the step is taken with
-    them held fixed: J without the refit's term, checked against the
-    functional under those models, and retried with tau halved, down to
-    tau_0; one that still raises it there raises Diverged. The next pass
-    then refits at its values. `frozen_steps` counts those steps.
+    (GridOperator.precondition), and tries u' = clamp(u + delta, -1, 1),
+    in one loop of tries. A try is taken if it does not raise the Lyapunov
+    functional beyond DIVERGENCE_SLACK over its reference. The first is
+    the Newton try, whose reference is under the models refit at u', which
+    then serve the next pass. After its rejection the models of u go back,
+    J loses the refit's term, the reference is taken under those models,
+    and the loop tries again at the same tau, then with tau halved on each
+    further rejection, down to tau_0; a try rejected at tau_0 raises
+    Diverged. The next pass refits at the values of such a frozen step;
+    `frozen_steps` counts them.
 
     tau_0 is the explicit descent's stable step and its floor; tau grows
     tenfold, tau <- SER_CLAMP[1] tau, after a step taken at its tau, and
@@ -375,7 +363,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
     basis = np.frombuffer(mmap.mmap(-1, rows * 8 * n)).reshape(rows, n)
     Lu, Wu = op.apply(g.values), pot.W(g.values)
     res = SolveResult(profile=g, iterations=0, residual=np.inf,
-                      energy_trace=[], converged=False)
+                      energy_trace=[])
     resid = np.inf
     derivs = None       # the fits' derivatives once u's refit is in force
     for it in range(1, cfg.max_iter + 1):
@@ -411,7 +399,7 @@ def minimize_energy(g0: GridProfile, pot: PotentialFn, kernel: KernelSpec,
             f"residual {resid:.3e} after {cfg.max_iter} passes")
 
     res.profile = g = recenter(g)
-    res.iterations, res.residual, res.converged = it, resid, True
+    res.iterations, res.residual = it, resid
     wells = [pot.params.side(s)[:2] for s in (-1, 1)]
     res.hypothesis_tags = {
         "strong-hypothesis": max((g - 2) * (g - d) for g, d in wells) < 1.0,

@@ -588,7 +588,7 @@ def test_program_loads_no_scipy_and_no_mpmath():
         "                                mu=0.5))",
         "res = minimize_energy(make_grid(40.0, 128), pot,",
         "                      fractional_kernel(0.5), SolveConfig(tol=1e-5))",
-        "assert res.converged",
+        "assert res.residual < 1e-5",
         "loaded = sorted(m for m in sys.modules",
         "                if m.startswith(('scipy', 'mpmath')))",
         "assert not loaded, loaded",

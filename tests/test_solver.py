@@ -7,7 +7,7 @@ import pytest
 
 from fraclayer import solver
 
-from fraclayer.errors import StalledAboveTolerance
+from fraclayer.errors import Diverged, StalledAboveTolerance
 from fraclayer.gridop import GridOperator, GridProfile, lag_weights
 from fraclayer.kernels import fractional_kernel, perturbed_kernel
 from fraclayer.potentials import WellParams, make_potential
@@ -98,7 +98,7 @@ def test_interface_cross_energy(kernel_half_mod):
 
 def test_solver_converges_and_is_monotone(small_solution, kernel_half_mod):
     pot, res = small_solution
-    assert res.converged
+    assert res.residual < 1e-5
     assert np.all(np.diff(res.profile.values) >= -1e-14)
     assert el_residual(res.profile, pot, kernel_half_mod) < 1e-4
     # recentring pins the interpolated zero crossing
@@ -339,6 +339,25 @@ def test_stall_raises_after_max_iter_passes(kernel_half_mod):
                         kernel_half_mod, SolveConfig(max_iter=2, tol=1e-12))
 
 
+def test_a_step_rejected_at_tau_0_raises_diverged(monkeypatch,
+                                                 kernel_half_mod):
+    """With no try accepted, the first step makes the Newton try, then one
+    try with the models held fixed at the same tau, which is tau_0 there,
+    and raises Diverged: two GMRES solves and no halving."""
+    monkeypatch.setattr(solver, "DIVERGENCE_SLACK", -math.inf)
+    solves, solve = [], solver.gmres
+
+    def counted_gmres(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "gmres", counted_gmres)
+    with pytest.raises(Diverged, match="step 1 raises"):
+        minimize_energy(make_grid(40.0, 128), make_potential(QUARTIC),
+                        kernel_half_mod, SolveConfig(max_iter=5, tol=1e-12))
+    assert len(solves) == 2
+
+
 def test_solve_result_records_every_step(small_solution):
     """One residual, energy and exterior refit per pass; one tau and Krylov
     count per step, one step per pass but the last; tau starts at the
@@ -434,7 +453,7 @@ def test_a_refit_that_moves_the_limits_renews_the_reference(kernel_half_mod):
                                     mu=0.5))
     res = minimize_energy(g, pot, kernel_half_mod,
                           SolveConfig(max_iter=5000, tol=1e-6))
-    assert res.converged and res.residual < 1e-6
+    assert res.residual < 1e-6
     assert res.frozen_steps >= 1
     assert (res.profile.ext_left.limit, res.profile.ext_right.limit) == (
         -1.0, 1.0)
@@ -606,6 +625,6 @@ def test_perturbed_kernel_run_at_n_8192_converges_quickly():
         perturbed_kernel(0.5, 0.5, 2.0, wobble=1),
         SolveConfig(max_iter=40000, tol=1e-6))
     took = time.perf_counter() - t0
-    assert res.converged and res.residual < 1e-6
+    assert res.residual < 1e-6
     assert np.all(np.diff(res.profile.values) >= -1e-14)
     assert took <= 2.0

@@ -49,13 +49,18 @@ and once:
   [-200, 200] with 1024 nodes, and on the alpha = 4 wells under
   `perturbed_kernel(0.5, 0.5, 2.0, wobble=1)` over [-800, 800] with 8192
   nodes: values, iteration count and the right `tail_exponent`;
+- `minimize_energy` from lim tanh(x / 5) with exteriors at -lim and lim
+  over [-60, 60] with 256 nodes, s = 0.5, tol 1e-6, on the wells
+  alpha = beta = gamma = delta = a (mu = 0.5) for (a, lim) = (3, 0.2) and
+  (4, 0.5), two solves whose Newton tries on the refit fall back to the
+  frozen models: values, iteration count and residual;
 - criterion 9's three solves as `perfbench/workloads.py`'s SOLVE_CASES
   define them (9a quartic and 9b degenerate wells at n = 2048, 9c
   oscillatory wells at n = 4096, each at its own tolerance): the relaxed
   values, the right `tail_exponent`, the residual and the iteration count;
 - for every solve, its step record: the Krylov count and tau of each step,
-  the rejected steps, and the residual and refit exterior models of each
-  pass;
+  the tau halvings and frozen steps, and the residual and refit exterior
+  models of each pass;
 - `exterior_power_vector` on criterion 9's three grids, one side at a time,
   at a fixed exterior model per case (9a c = 1, p = 1; 9b 1.32, 0.29; 9c
   1.05, 0.41);
@@ -206,18 +211,21 @@ def _operators(out: dict) -> None:
 
 
 def _steps(out: dict, key: str, res) -> None:
-    """The step record of one solve: Krylov counts, tau, rejections,
-    residuals and each pass's exterior models, as (limit, c, p) per side."""
+    """The step record of one solve: Krylov counts, tau, halvings, frozen
+    steps, residuals and each pass's exterior models, as (limit, c, p) per
+    side."""
     for field in ("krylov_iterations", "tau_trace", "rejected_steps",
-                  "residual_trace"):
+                  "frozen_steps", "residual_trace"):
         out[f"{key}/{field}"] = np.array(getattr(res, field))
     out[f"{key}/exterior_trace"] = np.array(
         [[(m.limit, m.c, m.p) for m in pair] for pair in res.exterior_trace])
 
 
 def _solver(out: dict) -> None:
+    from fraclayer.gridop import GridProfile
     from fraclayer.kernels import fractional_kernel, perturbed_kernel
     from fraclayer.potentials import WellParams, make_potential
+    from fraclayer.profiles import PowerTail
     from fraclayer.solver import (SolveConfig, make_grid, minimize_energy,
                                   tail_exponent)
 
@@ -258,6 +266,21 @@ def _solver(out: dict) -> None:
         out[f"{name}/iterations"] = np.array(res.iterations)
         out[f"{name}/exponent"] = np.array(
             tail_exponent(res.profile).exponent)
+        _steps(out, name, res)
+    # starts short of the wells, whose first refit moves the limits: Newton
+    # tries on the refit are rejected and the step falls back to the frozen
+    # models (a = 3 also halves tau there)
+    x = np.linspace(-60.0, 60.0, 256)
+    for a, lim in ((3, 0.2), (4, 0.5)):
+        name = f"solve_fallback_alpha{a}"
+        g0 = GridProfile(x, lim * np.tanh(x / 5.0), PowerTail(-lim),
+                         PowerTail(lim))
+        res = minimize_energy(g0, make_potential(WellParams(
+            alpha=a, beta=a, gamma=a, delta=a, mu=0.5)),
+            fractional_kernel(0.5), SolveConfig(max_iter=5000, tol=1e-6))
+        out[f"{name}/values"] = res.profile.values
+        out[f"{name}/iterations"] = np.array(res.iterations)
+        out[f"{name}/residual"] = np.array(res.residual)
         _steps(out, name, res)
 
 
