@@ -20,16 +20,6 @@ class DecayFit:
     exponent: float
     log_const: float
     residual: float          # RMS residual in log-log coordinates
-    window: tuple[float, float]
-    n_points: int
-
-    def __post_init__(self):
-        if self.window[0] >= self.window[1]:
-            raise ValueError("window must satisfy x_min < x_max")
-        if self.n_points < 4:
-            raise ValueError("need at least 4 points")
-        if self.residual < 0:
-            raise ValueError("residual must be >= 0")
 
 
 def regression_line(lx: np.ndarray, lv: np.ndarray):
@@ -67,9 +57,7 @@ def fit_power_decay(samples: Sequence[tuple[float, float]] | np.ndarray,
         raise ValueError(f"samples must span at least {min_decades} decades")
     slope, log_const, resid = regression_line(lx, lv)
     return DecayFit(exponent=-slope, log_const=log_const,
-                    residual=float(np.sqrt(np.mean(resid ** 2))),
-                    window=(float(x.min()), float(x.max())),
-                    n_points=len(x))
+                    residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
 ENVELOPE_WINDOW_DECADES = 0.5   # width of the sliding extremum windows
@@ -115,9 +103,7 @@ def envelope_exponents(samples, trend: str) -> DecayFit:
             slope = (lv[sel[-1]] - lv[sel[0]]) / (lx[sel[-1]] - lx[sel[0]])
             fit = DecayFit(exponent=-slope,
                            log_const=float(lv[sel[0]] + slope * (-lx[sel[0]])),
-                           residual=0.0,
-                           window=(float(x[sel[0]]), float(x[sel[-1]])),
-                           n_points=max(4, len(sel)))
+                           residual=0.0)
         p0 = fit.exponent
     return fit
 

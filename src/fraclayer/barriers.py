@@ -17,9 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cutoffs import eta
+from .cutoffs import eta_derivs
 from .errors import (ExponentNotIntegrable, FlatnessViolated,
                      InvariantViolated, QuadratureNearJump)
+from .jets import leibniz
 from .kernels import KernelSpec, fractional_kernel
 from .panels import panel_integrals
 from .profiles import PowerTail, ProfileFn
@@ -266,49 +267,33 @@ def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
     sig = 1.0 + 2.0 * s * (beta - alpha + 1.0) / (beta - 1.0)
     tau = 1.0 + 2.0 * s * (delta - gamma + 1.0) / (delta - 1.0)
     xb = float(xbar)
-
-    def w_minus(x, order=0):
-        return eta((x + xb) / (xb / 2.0), order) * (2.0 / xb) ** order
-
-    def w_plus(x, order=0):
-        return eta((xb - x) / (xb / 2.0), order) * (-2.0 / xb) ** order
-
-    def bump(x, order=0):
-        # eta(|x|/xb): locally constant near 0, so smooth despite |x|
-        sgn = np.sign(x)
-        return eta(np.abs(x) / xb, order) * (sgn / xb) ** order
-
-    def pow_term(x, p, order=0):
-        # both cutoff weights vanish on [-xbar/2, xbar/2], so the power
-        # factors only matter outside; clamping there avoids 0^-p noise
-        ax = np.maximum(np.abs(np.asarray(x, dtype=float)), xb / 8.0)
-        sgn = np.sign(x)
-        if order == 0:
-            return ax ** (-p)
-        if order == 1:
-            return -p * ax ** (-p - 1.0) * sgn
-        return p * (p + 1.0) * ax ** (-p - 2.0)
-
     c0 = xb ** (-min(sig, tau))
 
-    def val(x, order=0):
+    def val(x, order):
         x = np.asarray(x, dtype=float)
-        if order == 0:
-            return (w_minus(x) * pow_term(x, sig) + w_plus(x) * pow_term(x, tau)
-                    + c0 * bump(x))
-        if order == 1:
-            return (w_minus(x, 1) * pow_term(x, sig)
-                    + w_minus(x) * pow_term(x, sig, 1)
-                    + w_plus(x, 1) * pow_term(x, tau)
-                    + w_plus(x) * pow_term(x, tau, 1)
-                    + c0 * bump(x, 1))
-        return (w_minus(x, 2) * pow_term(x, sig)
-                + 2 * w_minus(x, 1) * pow_term(x, sig, 1)
-                + w_minus(x) * pow_term(x, sig, 2)
-                + w_plus(x, 2) * pow_term(x, tau)
-                + 2 * w_plus(x, 1) * pow_term(x, tau, 1)
-                + w_plus(x) * pow_term(x, tau, 2)
-                + c0 * bump(x, 2))
+        sgn = np.sign(x)
+        # both cutoff weights vanish on [-xbar/2, xbar/2], so the power
+        # factors only matter outside; clamping there avoids 0^-p noise
+        ax = np.maximum(np.abs(x), xb / 8.0)
+
+        def weight(y, chain):
+            # jet of eta(y(x)) for y linear in x with slope chain
+            return [v * chain ** k for k, v in enumerate(eta_derivs(y, order))]
+
+        def power(p):
+            # d^k |x|^-p = c_k |x|^(-p-k) sgn^k, c_k = -(p + k - 1) c_(k-1)
+            jet, c = [], 1.0
+            for k in range(order + 1):
+                jet.append(c * ax ** (-p - k) * sgn ** k)
+                c *= -(p + k)
+            return jet
+
+        # eta(2(x + xbar)/xbar) weights the left tail, eta(2(xbar - x)/xbar)
+        # the right; the bump eta(|x|/xbar) is flat near 0, so smooth at 0
+        left = leibniz(power(sig), weight((x + xb) / (xb / 2.0), 2.0 / xb))
+        right = leibniz(power(tau), weight((xb - x) / (xb / 2.0), -2.0 / xb))
+        bump = weight(np.abs(x) / xb, sgn / xb)
+        return left[order] + right[order] + c0 * bump[order]
 
     body = ProfileFn(
         fn=lambda x: val(x, 0),
@@ -318,7 +303,7 @@ def derivative_barrier(s: float, alpha: float, beta: float, gamma: float,
         name="derivative-barrier",
     )
     gs = np.linspace(-xb, xb, 4001)
-    gamma_low = float(np.min(val(gs)))
+    gamma_low = float(np.min(val(gs, 0)))
     if gamma_low <= 0:
         raise InvariantViolated("interior floor is not positive")
     return TailBarrier(Cbar=1.0, kappa=xb, sigma=sig, tau=tau,

@@ -30,7 +30,7 @@ import numpy as np
 from .config import ConfigError, floats, load_config, settings, value
 from .errors import FracLayerError, InputFileError
 from .kernels import KernelSpec, fractional_kernel, perturbed_kernel
-from .reports import SIDE_LABEL, Report
+from .reports import SIDE_LABEL, Report, write_csv
 
 USAGE_ERROR = 2
 # the kernel key that a form reads besides s, lam and Lam
@@ -103,11 +103,7 @@ def cmd_operator_eval(cfg, out, seed, mode) -> Report:
             ref = -C * omega ** (2 * kern.s) * np.cos(omega * x)
             rel = abs(v - ref) / max(abs(ref), 1e-300)
             rep.add(f"plane-wave-oracle-x={x:g}", rel < 1e-4, 1e-4 - rel)
-    with open(out / "operator_eval.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value", "error"])
-        for r in rows:
-            w.writerow([f"{v:.17g}" for v in r])
+    write_csv(out / "operator_eval.csv", ["x", "value", "error"], rows)
     return rep
 
 
@@ -288,11 +284,8 @@ def cmd_solve(cfg, out, seed, mode) -> Report:
                 f"exp={fit.exponent:.4f}")
     op = GridOperator(kern, res.profile)
     r = op.apply(res.profile.values) - pot.W1(res.profile.values)
-    with open(out / "solution.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "u", "residual"])
-        for xi, ui, ri in zip(res.profile.x, res.profile.values, r):
-            w.writerow([f"{xi:.17g}", f"{ui:.17g}", f"{ri:.17g}"])
+    write_csv(out / "solution.csv", ["x", "u", "residual"],
+              zip(res.profile.x, res.profile.values, r))
     import json
     with open(out / "convergence.json", "w") as fh:
         json.dump({"iterations": res.iterations,

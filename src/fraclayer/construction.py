@@ -28,7 +28,7 @@ from .cutoffs import (CutoffStats, eta_tilde, logistic_derivs, measure_cutoff,
 from .errors import (BridgeNotMonotone, LogRangeOverflow, NotBracketed,
                      OutOfPiece, ParamOrderViolated)
 from .jets import LogArray, hermite_bridge, jet_compose, leibniz
-from .reports import SIDE_LABEL
+from .reports import SIDE_LABEL, write_csv
 
 LN2 = math.log(2.0)
 MAX_MATERIALIZABLE_LOG = 700.0
@@ -686,14 +686,8 @@ class LayerProfile:
                                            for j in self.route(L)):
                 rows.append((side * float(L[i]),
                              *(float(c[i]) for c in comps), piece, k))
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["ln_x_signed", "utilde", "d1", "d2", "d3",
-                        "piece", "cell"])
-            for r in rows:
-                w.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                            for v in r])
+        write_csv(path, ["ln_x_signed", "utilde", "d1", "d2", "d3", "piece",
+                         "cell"], rows)
 
 
 def _bridge_data(cx: ConstructionConstants):

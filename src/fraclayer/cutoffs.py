@@ -122,8 +122,6 @@ class CutoffStats:
 
     eta_bar: float          # max over orders 0..3 of sup |eta^{(i)}|
     eta_0: float            # min(eta(1/2), 1 - eta(1/2))
-    eta_bar4: float         # same including order 4, for smooth-join fits
-    slope_min: float        # most negative eta' on the transition
 
     @property
     def ratio(self) -> float:
@@ -132,26 +130,23 @@ class CutoffStats:
 
 @lru_cache(maxsize=1)
 def measure_cutoff() -> CutoffStats:
-    """Sample eta and its derivatives on 20001 points of [0, 1].
+    """Sample eta and its derivatives to order 3 on 20001 points of [0, 1].
 
     Also verifies the construction constraints: eta' in (-4, 0) strictly
     inside the transition, eta(1/2) = 1/2.
     """
     x = np.linspace(0.0, 1.0, 20001)
-    sups = [float(np.max(np.abs(v))) for v in eta_derivs(x, 4)]
+    sups = [float(np.max(np.abs(v))) for v in eta_derivs(x, 3)]
     half = float(eta(np.array([0.5]))[0])
     eta_0 = min(half, 1.0 - half)
-    inner = x[(x > 0.25) & (x < 0.75)]
-    d1 = eta(inner, 1)
-    slope_min = float(np.min(d1))
+    d1 = eta(x[(x > 0.25) & (x < 0.75)], 1)
     # strictness below double resolution cannot be certified: near the
     # transition edges eta' underflows to 0 up to rounding noise
-    if slope_min <= -4.0 or np.max(d1) > 64 * np.finfo(float).eps:
+    if np.min(d1) <= -4.0 or np.max(d1) > 64 * np.finfo(float).eps:
         raise ValueError("eta' must stay inside (-4, 0]")
     if not math.isclose(half, 0.5, abs_tol=1e-12):
         raise ValueError("eta(1/2) must equal 1/2")
-    return CutoffStats(eta_bar=max(sups[:4]), eta_0=eta_0,
-                       eta_bar4=max(sups), slope_min=slope_min)
+    return CutoffStats(eta_bar=max(sups), eta_0=eta_0)
 
 
 def w_weight(coef: float, x):

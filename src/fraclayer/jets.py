@@ -2,8 +2,9 @@
 
 A jet is a sequence [f, f', ..., f^(n)] of plain floats or numpy arrays.
 `jet_compose` is Faa di Bruno's formula to order 4 and `leibniz` is the
-product rule; the cutoffs and the layer profile's L-space pieces
-(`construction`) are built from them. The profile hands its y-derivatives
+product rule; the cutoffs, the layer profile's L-space pieces
+(`construction`) and the derivative barrier's body (`barriers`) are built
+from them. The profile hands its y-derivatives
 out as `LogArray`s, signed values stored as (sign, ln |value|), which hold
 any magnitude the doubly exponential scales produce.
 `hermite_bridge` is the polynomial that joins two jets across an interval.

@@ -20,7 +20,7 @@ from .kernels import KernelSpec
 from .panels import panel_integrals
 from .profiles import PowerTail, ProfileFn
 from .quadrature import QuadConfig, eval_lk
-from .reports import SIDE_LABEL, CheckRecord
+from .reports import SIDE_LABEL, CheckRecord, write_csv
 
 EPS = float(np.finfo(float).eps)
 LN_GAP_FLOOR = math.log(EPS / 4.0)   # a gap that rounds u~ to +/-1 is <= this
@@ -179,13 +179,8 @@ class PotentialTable:
             / float(np.max(self.V))
 
     def to_csv(self, path) -> None:
-        import csv as _csv
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["r", "V", "V1", "V2"])
-            for i in range(len(self.r)):
-                w.writerow([f"{v:.17g}" for v in
-                            (self.r[i], self.V[i], self.V1[i], self.V2[i])])
+        write_csv(path, ["r", "V", "V1", "V2"],
+                  zip(self.r, self.V, self.V1, self.V2))
 
 
 def reconstruct_potential(prof: LayerProfile, kernel: KernelSpec,

@@ -1,12 +1,16 @@
-"""The one check-record type and deterministic JSON report serialization.
+"""The one check-record type, deterministic JSON report serialization and
+the one CSV writer.
 
 Every check with a fixed statement returns `CheckRecord`s, and a `Report`
 holds them. `Report.to_json` is the one place that maps a record to the
 report's keys (`id`, `statement`, `pass`, `worst-slack`, `location`).
+`write_csv` writes every CSV table the program produces, floats at 17
+significant digits, as the reports do.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -32,6 +36,16 @@ def _fmt(v: Any) -> Any:
     if isinstance(v, str) or v is None:
         return v
     return str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row: floats at 17 significant
+    digits, other values as given."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in r]
+                    for r in rows)
 
 
 @dataclass

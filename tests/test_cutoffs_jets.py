@@ -30,7 +30,8 @@ def test_eta_plateaus_and_midpoint():
 
 def test_eta_slope_constraint():
     stats = measure_cutoff()
-    assert -4.0 < stats.slope_min < 0.0
+    x = np.linspace(0.0, 1.0, 20001)
+    assert -4.0 < np.min(eta(x[(x > 0.25) & (x < 0.75)], 1)) < 0.0
     assert stats.eta_0 == 0.5
     assert stats.eta_bar >= 1.0
 
@@ -74,7 +75,6 @@ def test_measure_cutoff_pinned():
     """The cutoff statistics the construction constants are built from."""
     stats = measure_cutoff()
     pinned = {"eta_bar": 3392.658365744336, "eta_0": 0.5,
-              "eta_bar4": 299010.00077084353, "slope_min": -3.06728803601869,
               "ratio": 6785.316731488672}
     for name, want in pinned.items():
         assert getattr(stats, name) == pytest.approx(want, rel=1e-12), name

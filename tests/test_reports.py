@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from fraclayer.reports import CheckRecord, Report
+from fraclayer.reports import CheckRecord, Report, write_csv
 
 
 def _report(**echo):
@@ -83,3 +83,13 @@ def test_add_and_add_records_agree():
                             CheckRecord("a-check", False, -2.5)])
     assert by_add.checks == by_records.checks
     assert by_add.to_json() == by_records.to_json()
+
+
+def test_write_csv_bytes(tmp_path):
+    """Python and numpy floats at 17 significant digits, ints as given,
+    CRLF line ends as the csv module writes them."""
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x", "v", "n"], [(0.1, np.float64(1.0) / 3.0, 7)])
+    assert path.read_bytes() == (b"x,v,n\r\n"
+                                 b"0.10000000000000001,0.33333333333333331,7"
+                                 b"\r\n")

@@ -43,7 +43,8 @@ and once:
 - `minimize_energy` under the s = 0.5 kernel over [-60, 60] with 256
   nodes, tol 2e-5, on quartic wells (c = 2) and on wells with a quadratic
   left and a cubic right degeneracy: values, exterior models, iteration
-  count, residual and energy trace, and `tail_exponent` on both sides;
+  count, residual and energy trace, and the exponent, log constant and
+  residual of `tail_exponent` on both sides;
 - `minimize_energy` at tol 1e-6 on wells alpha = beta = gamma = delta
   in {3, 4, 6} (mu = 0.5) under the s = 0.5 and s = 0.75 kernels over
   [-200, 200] with 1024 nodes, and on the alpha = 4 wells under
@@ -78,9 +79,9 @@ and once:
   `convergence.json`, and each exit code.
 
 Run it against two source trees to check that a refactor keeps every
-number: `compare` exits 1 and names each array that differs
-(`np.array_equal`, NaN equal to NaN), with both values when it holds at
-most four numbers.
+number: `compare` exits 1 and names each array that differs in dtype,
+shape or bytes (so -0.0 differs from 0.0 and NaN payloads count), with
+both values when it holds at most four numbers.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _operators(out: dict) -> None:
                                       check_holder_transfer)
 
     stats = measure_cutoff()
-    for field in ("eta_bar", "eta_0", "eta_bar4", "slope_min", "ratio"):
+    for field in ("eta_bar", "eta_0", "ratio"):
         out[f"cutoff/{field}"] = np.array(getattr(stats, field))
     kern = fractional_kernel(0.5)
     cap = step_constant_cap(0.5)
@@ -250,8 +251,7 @@ def _solver(out: dict) -> None:
         for side, fit in (("right", tail_exponent(g)),
                           ("left", tail_exponent(g, -1))):
             out[f"{name}/tail_{side}"] = np.array(
-                [fit.exponent, fit.log_const, fit.residual, *fit.window,
-                 fit.n_points])
+                [fit.exponent, fit.log_const, fit.residual])
     # pure-power wells of equal exponents (mu = 0.5) across s and alpha,
     # and the same alpha = 4 wells under a log-periodic kernel on a long grid
     runs = {f"solve_s{s}_alpha{a}": (fractional_kernel(s), a, 200.0, 1024)
@@ -456,9 +456,7 @@ def compare(a: str, b: str) -> int:
     bad = sorted(set(da.files) ^ set(db.files))
     for key in sorted(set(da.files) & set(db.files)):
         u, v = da[key], db[key]
-        same = u.shape == v.shape and np.array_equal(
-            u, v, equal_nan=u.dtype.kind == "f")
-        if not same:
+        if (u.dtype, u.shape, u.tobytes()) != (v.dtype, v.shape, v.tobytes()):
             bad.append(key)
     for key in bad:
         print(f"differs: {key}", *(
